@@ -11,8 +11,8 @@ from .normspace import (ContainmentConstant, NormSpec, containment_constant,
                         dual_norm, lp, norm_eval, normalize_containment, scaled)
 from .parameters import (BetaEstimate, beta, beta_tilde, cube_beta_lower_bound,
                          cube_concentration_floor, embedding_lower_bound)
-from .transport import (MonotoneMap, PushforwardBatch, lipschitz_constant,
-                        norm_ratio_map, pushforward, radial_map, radial_transport,
+from .transport import (MonotoneMap, lipschitz_constant, norm_ratio_map,
+                        pushforward, radial_map, radial_transport,
                         ratio_map_lipschitz)
 from .verify import CheckError, CheckReport, run_check
 
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticProfile", "BetaEstimate", "CheckError", "CheckReport",
     "ConcentrationCurve", "ContainmentConstant", "MeasureSpec", "MedianEstimate",
-    "MonotoneMap", "NormSpec", "PushforwardBatch", "RadialCdf", "SampleBatch",
+    "MonotoneMap", "NormSpec", "RadialCdf", "SampleBatch",
     "analytic_profile", "beta", "beta_tilde", "cone_surface",
     "concentration_lower_curve", "containment_constant", "cube_beta_lower_bound",
     "cube_concentration_floor", "dual_norm", "embedding_lower_bound",

@@ -25,76 +25,11 @@ import numpy as np
 
 from . import parameters, verify
 from .concentration import concentration_lower_curve, empirical_median
-from .measures import MeasureSpec, sample
-from .normspace import INF, NormSpec, lp, norm_eval
-from .transport import norm_ratio_map, radial_transport
-from .measures import radial_cdf, uniform_ball, ggp
-from .transport import lipschitz_constant, pushforward
-
-
-class ConfigError(ValueError):
-    """Malformed configuration; the message names the offending field."""
-
-
-# ---------------------------------------------------------------------------
-# Flag / config parsing helpers
-# ---------------------------------------------------------------------------
-
-def parse_norm(token, dim: int) -> NormSpec:
-    """'l1' / 'l2' / 'linf' / 'l1.5' tokens or a full norm config dict."""
-    if isinstance(token, dict):
-        if token.get("dim", dim) != dim:
-            raise ConfigError(f"norm dim {token.get('dim')} conflicts with n={dim}")
-        return NormSpec.from_config({**token, "dim": dim})
-    if isinstance(token, str) and token.startswith("l"):
-        body = token[1:]
-        p = INF if body == "inf" else float(body)
-        return lp(p, dim)
-    raise ConfigError(f"cannot parse norm {token!r} (expected 'l<p>' or a config object)")
-
-
-def parse_measure(token, dim: int, p=None) -> MeasureSpec:
-    if isinstance(token, dict):
-        cfg = dict(token)
-        cfg.setdefault("dim", dim)
-        if cfg["dim"] != dim:
-            raise ConfigError(f"measure dim {cfg['dim']} conflicts with n={dim}")
-        return MeasureSpec.from_config(cfg)
-    if isinstance(token, str):
-        if token in ("gaussian", "haar_sphere"):
-            return MeasureSpec(family=token, dim=dim)
-        if token in ("uniform_ball", "cone_surface", "ggp"):
-            if p is None:
-                raise ConfigError(f"measure {token!r} needs an lp exponent (p)")
-            return MeasureSpec(family=token, dim=dim,
-                               p=INF if p == "inf" else float(p))
-    raise ConfigError(f"cannot parse measure {token!r}")
-
-
-def parse_eps(spec) -> list:
-    """Grid from a list, 'lo:hi:num[:log]' string, or range object."""
-    if isinstance(spec, str):
-        if not spec.strip():
-            raise ConfigError("empty eps grid")
-        if ":" in spec:
-            parts = spec.split(":")
-            lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
-            scale = parts[3] if len(parts) > 3 else "linear"
-            spec = {"start": lo, "stop": hi, "num": num, "scale": scale}
-        else:
-            return [float(tok) for tok in spec.split(",")]
-    if isinstance(spec, dict):
-        extra = set(spec) - {"start", "stop", "num", "scale"}
-        if extra:
-            raise ConfigError(f"unknown eps keys {sorted(extra)}")
-        fn = np.geomspace if spec.get("scale", "linear") == "log" else np.linspace
-        return fn(float(spec["start"]), float(spec["stop"]), int(spec["num"])).tolist()
-    if isinstance(spec, (list, tuple)):
-        grid = [float(v) for v in spec]
-        if not grid:
-            raise ConfigError("empty eps grid")
-        return grid
-    raise ConfigError(f"cannot parse eps grid {spec!r}")
+from .measures import ggp, radial_cdf, sample, uniform_ball
+from .normspace import lp, norm_eval
+from .transport import (lipschitz_constant, norm_ratio_map, pushforward,
+                        radial_transport)
+from .verify import ConfigError, parse_eps, parse_int, parse_measure, parse_norm
 
 
 def env_seed(default: int) -> int:
@@ -106,23 +41,9 @@ def env_seed(default: int) -> int:
 # The `run` subcommand
 # ---------------------------------------------------------------------------
 
-_JOB_KEYS = {
-    "id", "check", "n", "N", "seed", "eps", "profile", "K", "L", "measure",
-    "p", "map", "lip", "metric", "num_pairs", "probes", "d", "lambda",
-}
-
-_CHECK_REQUIRED = {
-    "lipschitz_transfer": {"n", "measure", "map", "lip"},
-    "norm_ratio_transfer": {"n", "K", "L", "measure"},
-    "shell_inclusion": {"n", "K", "L", "measure", "eps"},
-    "separated_sets": {"n", "measure"},
-    "cube_floor": {"n"},
-    "sup_embedding": {"n", "d"},
-    "radial_transfer": {"n", "p"},
-}
-
-
-def validate_config(cfg: dict) -> dict:
+def validate_config(cfg: dict) -> list[tuple[dict, str, dict]]:
+    """Parse every job before any job runs: one (job, check id, run_check
+    keywords) triple per job, seeds resolved.  Errors name the field."""
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object")
     extra = set(cfg) - {"jobs", "seed", "output_dir"}
@@ -131,89 +52,38 @@ def validate_config(cfg: dict) -> dict:
     jobs = cfg.get("jobs", [])
     if not isinstance(jobs, list):
         raise ConfigError("'jobs' must be a list")
+    try:
+        default_seed = parse_int(cfg.get("seed", 1))
+    except ConfigError as exc:
+        raise ConfigError(f"seed: {exc}") from None
+    parsed = []
     for idx, job in enumerate(jobs):
         where = f"jobs[{idx}]"
         if not isinstance(job, dict):
             raise ConfigError(f"{where}: job must be an object")
-        extra = set(job) - _JOB_KEYS
-        if extra:
-            raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
-        check = job.get("check")
-        if check not in _CHECK_REQUIRED:
-            raise ConfigError(f"{where}.check: unknown check {check!r}; "
-                              f"known: {sorted(_CHECK_REQUIRED)}")
-        missing = _CHECK_REQUIRED[check] - set(job)
-        if missing:
-            raise ConfigError(f"{where}: check {check!r} requires {sorted(missing)}")
-    return cfg
+        check, params = verify.config_params(job, where)
+        params["seed"] = env_seed(params.get("seed", default_seed))
+        parsed.append((job, check, params))
+    return parsed
 
 
-def _job_kwargs(job: dict, default_seed: int) -> tuple[str, dict]:
-    check = job["check"]
-    n = int(job.get("n", 0))
-    kw: dict = {"seed": env_seed(job.get("seed", default_seed))}
-    if "N" in job:
-        kw["count"] = int(job["N"])
-    if "eps" in job and check != "shell_inclusion":
-        kw["eps"] = parse_eps(job["eps"])
-    if "profile" in job:
-        kw["profile"] = job["profile"]
-
-    if check in ("norm_ratio_transfer", "shell_inclusion"):
-        kw["K"] = parse_norm(job["K"], n)
-        kw["L"] = parse_norm(job["L"], n)
-        kw["measure"] = parse_measure(job["measure"], n, job.get("p"))
-        if check == "shell_inclusion":
-            kw["eps"] = float(job["eps"])
-            if "probes" in job:
-                kw["probes"] = int(job["probes"])
-    elif check == "lipschitz_transfer":
-        kw["measure"] = parse_measure(job["measure"], n, job.get("p"))
-        kw["map"] = job["map"]
-        kw["lip"] = float(job["lip"])
-        kw["metric"] = parse_norm(job.get("metric", "l2"), n)
-    elif check == "separated_sets":
-        kw["measure"] = parse_measure(job["measure"], n, job.get("p"))
-        kw["metric"] = parse_norm(job.get("metric", "l2"), n)
-        if "num_pairs" in job:
-            kw["num_pairs"] = int(job["num_pairs"])
-    elif check == "cube_floor":
-        kw["n"] = n
-    elif check == "sup_embedding":
-        kw["K"] = parse_norm(job.get("K", "linf"), n)
-        kw["measure"] = parse_measure(job.get("measure", "uniform_ball"), n,
-                                      job.get("p", "inf"))
-        kw["functionals"] = np.eye(n)
-        kw["d"] = float(job["d"])
-    elif check == "radial_transfer":
-        kw["p"] = float(job["p"])
-        kw["n"] = n
-        if "lambda" in job:
-            kw["lam"] = float(job["lambda"])
-    return check, kw
-
-
-def _execute_job(args: tuple[int, dict, int]) -> tuple[int, dict]:
-    idx, job, default_seed = args
-    check, kw = _job_kwargs(job, default_seed)
-    report = verify.run_check(check, **kw)
-    payload = report.to_dict()
+def _execute_job(task: tuple[int, tuple[dict, str, dict]]) -> tuple[int, dict]:
+    idx, (job, check, params) = task
+    payload = verify.run_check(check, **params).to_dict()
     payload["job"] = {"index": idx, "id": job.get("id", f"job{idx:03d}"),
-                      "resolved": {**job, "seed": kw["seed"]}}
+                      "resolved": {**job, "seed": params["seed"]}}
     return idx, payload
 
 
 def cmd_run(args) -> int:
     try:
-        cfg = validate_config(json.loads(Path(args.config).read_text()))
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        cfg = json.loads(Path(args.config).read_text())
+        tasks = list(enumerate(validate_config(cfg)))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_dir = Path(args.out or cfg.get("output_dir", "concmeter-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
-    default_seed = int(cfg.get("seed", 1))
-    jobs = cfg.get("jobs", [])
-    tasks = [(i, job, default_seed) for i, job in enumerate(jobs)]
 
     try:
         if args.jobs == 1 or len(tasks) <= 1:
@@ -237,7 +107,7 @@ def cmd_run(args) -> int:
         rows.append((job_id, payload["check_id"], verdict,
                      payload["violations"]["count"],
                      payload["violations"]["worst_margin"],
-                     payload["job"]["resolved"].get("seed", default_seed)))
+                     payload["job"]["resolved"]["seed"]))
     lines = ["job_id,check_id,verdict,violations,worst_margin,seed"]
     lines += [",".join(str(v) for v in row) for row in rows]
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
@@ -311,10 +181,10 @@ def cmd_pushforward(args) -> int:
     L = parse_norm(args.L, n)
     measure = parse_measure(args.measure, n, args.p)
     batch = sample(measure, args.N, seed)
-    image = pushforward(lambda x: norm_ratio_map(K, L, x), batch, "norm_ratio")
+    image = pushforward(lambda x: norm_ratio_map(K, L, x), batch)
     cfg = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
            "n": n, "N": args.N, "seed": seed}
-    _write_csv(args.out, cfg, ",".join(f"x{k}" for k in range(n)), image.image)
+    _write_csv(args.out, cfg, ",".join(f"x{k}" for k in range(n)), image)
     return 0
 
 

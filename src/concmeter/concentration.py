@@ -93,26 +93,12 @@ def halfspace_expansion(theta: np.ndarray, t: float, eps: float,
     return theta, t + eps * w
 
 
-def isotonic_nonincreasing(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto nonincreasing sequences."""
-    vals = list(np.asarray(y, dtype=np.float64))
-    levels: list[list[float]] = []
-    for v in vals:
-        block = [v]
-        while levels and np.mean(levels[-1]) < np.mean(block):
-            block = levels.pop() + block
-        levels.append(block)
-    out = np.concatenate([[np.mean(b)] * len(b) for b in levels])
-    return out
-
-
 @dataclass(frozen=True)
 class ConcentrationCurve:
     """Empirical lower bound of a concentration function on an eps grid."""
 
     eps: np.ndarray
-    alpha_hat: np.ndarray          # isotonic-cleaned lower bound
-    alpha_raw: np.ndarray = field(repr=False)
+    alpha_hat: np.ndarray          # lower bound, nonincreasing in eps
     ci: np.ndarray = field(repr=False)
     argmax_direction: np.ndarray = field(repr=False)
     metric: Optional[NormSpec] = None
@@ -148,9 +134,10 @@ def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
     of <theta, x>, which keeps the candidate set at mass >= 1/2 up to
     CI, and the eps-expansion is computed exactly through the dual
     norm.  alpha_hat is the max over the family; the max over a larger
-    family can only grow, and each per-direction curve is nonincreasing
-    because expansions are nested, so the raw curve is nonincreasing up
-    to ties.  A pool-adjacent-violators pass removes any residual noise.
+    family can only grow.  The eps grid is increasing and dual norms are
+    nonnegative, so each direction's thresholds increase and its mass
+    beyond them cannot; the max of nonincreasing curves is nonincreasing,
+    so alpha_hat needs no monotone cleanup.
     """
     data = np.asarray(data, dtype=np.float64)
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
@@ -180,10 +167,8 @@ def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
             best = np.where(better, frac, best)
             best_dir = np.where(better, lo + k, best_dir)
 
-    raw = best
-    iso = isotonic_nonincreasing(raw)
-    ci = binomial_ci(iso, n_samples)
-    return ConcentrationCurve(eps=eps_grid, alpha_hat=iso, alpha_raw=raw, ci=ci,
+    ci = binomial_ci(best, n_samples)
+    return ConcentrationCurve(eps=eps_grid, alpha_hat=best, ci=ci,
                               argmax_direction=best_dir, metric=metric,
                               family_size=directions.shape[0], count=n_samples)
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -352,14 +352,20 @@ def _generate(measure: MeasureSpec, seed: int, start: int, stop: int) -> np.ndar
     return base
 
 
+def sample_chunks(measure: MeasureSpec, count: int, seed: int
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """Rows [0, count) of the sample table as (start, rows) chunks, for
+    callers that never hold the whole batch; the bits equal ``sample``'s."""
+    for start in range(0, count, _SAMPLE_CHUNK):
+        yield start, _generate(measure, seed, start, min(start + _SAMPLE_CHUNK, count))
+
+
 def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:
     """Draw an i.i.d. batch; identical (measure, count, seed) arguments
     reproduce identical bits regardless of chunking or worker count."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    blocks = [_generate(measure, seed, s, min(s + _SAMPLE_CHUNK, count))
-              for s in range(0, count, _SAMPLE_CHUNK)]
-    data = np.vstack(blocks)
+    data = np.vstack([rows for _, rows in sample_chunks(measure, count, seed)])
     return SampleBatch(measure=measure, seed=seed, data=data)
 
 

@@ -70,10 +70,6 @@ class NormSpec:
     def is_plain(self) -> bool:
         return self.transform is None
 
-    @property
-    def condition_number(self) -> float:
-        return 1.0 if self.transform is None else float(np.linalg.cond(self.transform))
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return norm_eval(self, x)
 

@@ -31,13 +31,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import empirical_median
-from .measures import MeasureSpec, _generate
+from .concentration import _Z95, empirical_median
+from .measures import MeasureSpec, sample_chunks
 from .normspace import ContainmentConstant, NormSpec, containment_constant, norm_eval
-
-_Z95 = 1.959963984540054
-
-_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -92,16 +88,14 @@ def norm_values(measure: MeasureSpec, norms: Sequence[NormSpec], count: int,
                 seed: int) -> list[np.ndarray]:
     """Norm evaluations of a batch, streamed so the batch is never held.
 
-    Chunked generation matches :func:`concmeter.measures.sample` bit for
-    bit thanks to the counter-based streams, so results are identical to
-    materializing the batch first.
+    The chunks of :func:`concmeter.measures.sample_chunks` match
+    :func:`concmeter.measures.sample` bit for bit, so results are
+    identical to materializing the batch first.
     """
     out = [np.empty(count) for _ in norms]
-    for lo in range(0, count, _CHUNK):
-        hi = min(lo + _CHUNK, count)
-        rows = _generate(measure, seed, lo, hi)
+    for lo, rows in sample_chunks(measure, count, seed):
         for k, norm in enumerate(norms):
-            out[k][lo:hi] = norm_eval(norm, rows)
+            out[k][lo:lo + rows.shape[0]] = norm_eval(norm, rows)
     return out
 
 

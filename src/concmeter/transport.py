@@ -262,29 +262,13 @@ def radial_map(u: MonotoneMap, L: NormSpec, x: np.ndarray) -> np.ndarray:
 # Batch push-forward
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PushforwardBatch:
-    """Image of a sample batch under a row-wise map."""
-
-    source: SampleBatch
-    image: np.ndarray = field(repr=False)
-    descriptor: str = ""
-
-    def __post_init__(self):
-        if self.image.shape[0] != self.source.count:
-            raise ValueError("push-forward must preserve the row count")
-        self.image.setflags(write=False)
-
-    @property
-    def count(self) -> int:
-        return self.image.shape[0]
-
-
 def pushforward(map_rows: Callable[[np.ndarray], np.ndarray],
-                batch: SampleBatch, descriptor: str = "") -> PushforwardBatch:
+                batch: SampleBatch) -> np.ndarray:
     """Apply a row-wise map; the image rows are an i.i.d. sample of the
     push-forward measure because they are the same rows, transformed."""
     image = np.asarray(map_rows(batch.data), dtype=np.float64)
     if image.ndim == 1:
         image = image[:, None]
-    return PushforwardBatch(source=batch, image=image, descriptor=descriptor)
+    if image.shape[0] != batch.count:
+        raise ValueError("push-forward must preserve the row count")
+    return image

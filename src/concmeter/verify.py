@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import rng
 from .concentration import (AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median)
 from .measures import MeasureSpec, ggp, haar_sphere, radial_cdf, sample, uniform_ball
-from .normspace import (NormSpec, dual_norm, lp, norm_eval,
+from .normspace import (INF, NormSpec, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
 from .transport import (lipschitz_constant, norm_ratio_map, pushforward,
@@ -183,9 +183,9 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
     if emp_lip > lip * (1.0 + 1e-9):
         raise CheckError(f"map is not {lip}-Lipschitz on samples: observed {emp_lip}")
 
-    image = pushforward(map_rows, batch, descriptor=label)
+    image = pushforward(map_rows, batch)
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    curve = concentration_lower_curve(image.image, metric_out, eps_grid,
+    curve = concentration_lower_curve(image, metric_out, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
     rhs = prof(eps_grid / lip)
     inputs = {"measure": measure.to_config(), "map": label, "lip": lip,
@@ -218,10 +218,9 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     if med_k.value <= 0.0:
         raise CheckError("the source measure must give the K-norm a positive median")
 
-    image = pushforward(lambda x: norm_ratio_map(K, L_r, x), batch,
-                        descriptor="norm_ratio")
+    image = pushforward(lambda x: norm_ratio_map(K, L_r, x), batch)
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    curve = concentration_lower_curve(image.image, L_r, eps_grid,
+    curve = concentration_lower_curve(image, L_r, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
 
     def rhs_fn(m_k, m_l, scale=14.0):
@@ -491,10 +490,9 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     med_l = empirical_median(r_mu)
     med_u = empirical_median(u(r_mu))
 
-    image = pushforward(lambda x: radial_map(u, metric, x), batch,
-                        descriptor=f"radial:p={p}")
+    image = pushforward(lambda x: radial_map(u, metric, x), batch)
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    curve = concentration_lower_curve(image.image, metric, eps_grid,
+    curve = concentration_lower_curve(image, metric, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
 
     rhs = 16.0 * prof(eps_grid / (14.0 * u_lip * lam))
@@ -520,74 +518,239 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# Registry for the CLI
+# Config tokens
 # ---------------------------------------------------------------------------
+
+class ConfigError(ValueError):
+    """Malformed configuration; the message names the offending field."""
+
+
+def parse_norm(token, dim: int) -> NormSpec:
+    """'l1' / 'l2' / 'linf' / 'l1.5' tokens or a full norm config dict."""
+    if isinstance(token, dict):
+        if token.get("dim", dim) != dim:
+            raise ConfigError(f"norm dim {token.get('dim')} conflicts with n={dim}")
+        return NormSpec.from_config({**token, "dim": dim})
+    if isinstance(token, str) and token.startswith("l"):
+        body = token[1:]
+        p = INF if body == "inf" else float(body)
+        return lp(p, dim)
+    raise ConfigError(f"cannot parse norm {token!r} (expected 'l<p>' or a config object)")
+
+
+def parse_measure(token, dim: int, p=None) -> MeasureSpec:
+    if isinstance(token, dict):
+        cfg = dict(token)
+        cfg.setdefault("dim", dim)
+        if cfg["dim"] != dim:
+            raise ConfigError(f"measure dim {cfg['dim']} conflicts with n={dim}")
+        return MeasureSpec.from_config(cfg)
+    if isinstance(token, str):
+        if token in ("gaussian", "haar_sphere"):
+            return MeasureSpec(family=token, dim=dim)
+        if token in ("uniform_ball", "cone_surface", "ggp"):
+            if p is None:
+                raise ConfigError(f"measure {token!r} needs an lp exponent (p)")
+            return MeasureSpec(family=token, dim=dim,
+                               p=INF if p == "inf" else float(p))
+    raise ConfigError(f"cannot parse measure {token!r}")
+
+
+def parse_eps(spec) -> list:
+    """Grid from a list, 'lo:hi:num[:log]' string, or range object."""
+    if isinstance(spec, str):
+        if not spec.strip():
+            raise ConfigError("empty eps grid")
+        if ":" in spec:
+            parts = spec.split(":")
+            lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
+            scale = parts[3] if len(parts) > 3 else "linear"
+            spec = {"start": lo, "stop": hi, "num": num, "scale": scale}
+        else:
+            return [float(tok) for tok in spec.split(",")]
+    if isinstance(spec, dict):
+        extra = set(spec) - {"start", "stop", "num", "scale"}
+        if extra:
+            raise ConfigError(f"unknown eps keys {sorted(extra)}")
+        fn = np.geomspace if spec.get("scale", "linear") == "log" else np.linspace
+        return fn(float(spec["start"]), float(spec["stop"]), int(spec["num"])).tolist()
+    if isinstance(spec, (list, tuple)):
+        grid = [float(v) for v in spec]
+        if not grid:
+            raise ConfigError("empty eps grid")
+        return grid
+    raise ConfigError(f"cannot parse eps grid {spec!r}")
+
+
+def parse_int(token) -> int:
+    """A JSON integer; an integral float such as 5e4 is accepted too."""
+    if type(token) is int or type(token) is float and token.is_integer():
+        return int(token)
+    raise ConfigError(f"expected an integer, got {token!r}")
+
+
+def parse_float(token) -> float:
+    if type(token) in (int, float):
+        return float(token)
+    raise ConfigError(f"expected a number, got {token!r}")
+
+
+# token kind -> parser(token, n, p); p is the job's lp exponent for measures
+_PARSERS = {
+    "norm": lambda token, n, p: parse_norm(token, n),
+    "measure": parse_measure,
+    "eps": lambda token, n, p: parse_eps(token),
+    "int": lambda token, n, p: parse_int(token),
+    "float": lambda token, n, p: parse_float(token),
+    "raw": lambda token, n, p: token,
+}
+
+
+# ---------------------------------------------------------------------------
+# Check table: one row per check drives config parsing and run_check
+# ---------------------------------------------------------------------------
+
+class Param(NamedTuple):
+    """One parameter of a check and the three names it goes by."""
+
+    key: Optional[str]      # config key; None: not settable from a config
+    kind: str               # token kind that parses the key: a key of _PARSERS
+    kw: str                 # run_check keyword
+    arg: str                # check_* argument
+    default: Optional[Callable[[int], object]] = None   # of n; None: the check's own
+
+
+def _param(key, kind, arg=None, default=None, kw=None) -> Param:
+    return Param(key, kind, kw or key, arg or key, default)
+
+
+class CheckSpec(NamedTuple):
+    fn: Callable[..., CheckReport]
+    n: int                  # dimension when run_check is given none
+    required: frozenset     # config keys a job must give besides n
+    params: tuple
+
+
+def _spec(fn, n: int, required, *params: Param) -> CheckSpec:
+    # every check samples, so every row takes N and seed
+    common = (_param("N", "int", "count", kw="count"), _param("seed", "int"))
+    return CheckSpec(fn, n, frozenset(required), params + common)
+
 
 def default_eps_grid(lo: float = 0.05, hi: float = 12.0, num: int = 40) -> list:
     return np.geomspace(lo, hi, num).tolist()
 
 
-def _run_lipschitz_transfer(n=16, **kw):
-    return check_lipschitz_transfer(
-        measure=kw.pop("measure", ggp(2.0, n)),
-        map_cfg=kw.pop("map", {"kind": "identity"}), lip=kw.pop("lip", 1.0),
-        metric_in=kw.pop("metric", lp(2, n)),
-        eps_grid=kw.pop("eps", np.linspace(0.1, 4.0, 20)),
-        profile=kw.pop("profile", "gaussian"), **kw)
+_PROFILE = _param("profile", "raw")
+_N = _param("n", "int", default=lambda n: n)
 
-
-def _run_norm_ratio_transfer(n=32, **kw):
-    return check_norm_ratio_transfer(
-        K=kw.pop("K", lp(2, n)), L=kw.pop("L", lp(1, n)),
-        measure=kw.pop("measure", haar_sphere(n)),
-        eps_grid=kw.pop("eps", default_eps_grid()),
-        profile=kw.pop("profile", "sphere"), **kw)
-
-
-def _run_shell_inclusion(n=16, **kw):
-    return check_shell_inclusion(
-        K=kw.pop("K", lp(2, n)), L=kw.pop("L", lp(1, n)),
-        measure=kw.pop("measure", haar_sphere(n)), eps=kw.pop("eps", 0.5), **kw)
-
-
-def _run_separated_sets(n=64, **kw):
-    return check_separated_sets(
-        measure=kw.pop("measure", haar_sphere(n)),
-        metric=kw.pop("metric", lp(2, n)), profile=kw.pop("profile", "sphere"),
-        **kw)
-
-
-def _run_cube_floor(n=8, **kw):
-    return check_cube_floor(n=n, eps_grid=kw.pop("eps", np.linspace(0.1, 0.9, 9)),
-                            **kw)
-
-
-def _run_sup_embedding(n=8, **kw):
-    return check_sup_embedding(
-        K=kw.pop("K", lp(math.inf, n)),
-        measure=kw.pop("measure", uniform_ball(lp(math.inf, n))),
-        functionals=kw.pop("functionals", np.eye(n)), d=kw.pop("d", 1.0),
-        eps_grid=kw.pop("eps", np.linspace(0.1, 0.9, 9)), **kw)
-
-
-def _run_radial_transfer(n=16, **kw):
-    return check_radial_transfer(p=kw.pop("p", 1.0), n=n,
-                                 eps_grid=kw.pop("eps", default_eps_grid()), **kw)
-
-
-CHECKS: dict[str, Callable[..., CheckReport]] = {
-    "lipschitz_transfer": _run_lipschitz_transfer,
-    "norm_ratio_transfer": _run_norm_ratio_transfer,
-    "shell_inclusion": _run_shell_inclusion,
-    "separated_sets": _run_separated_sets,
-    "cube_floor": _run_cube_floor,
-    "sup_embedding": _run_sup_embedding,
-    "radial_transfer": _run_radial_transfer,
+CHECK_SPECS: dict[str, CheckSpec] = {
+    "lipschitz_transfer": _spec(
+        check_lipschitz_transfer, 16, ("measure", "map", "lip"),
+        _param("measure", "measure", default=lambda n: ggp(2.0, n)),
+        _param("map", "raw", "map_cfg", lambda n: {"kind": "identity"}),
+        _param("lip", "float", default=lambda n: 1.0),
+        _param("metric", "norm", "metric_in", lambda n: lp(2, n)),
+        _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 4.0, 20)),
+        _PROFILE),
+    "norm_ratio_transfer": _spec(
+        check_norm_ratio_transfer, 32, ("K", "L", "measure"),
+        _param("K", "norm", default=lambda n: lp(2, n)),
+        _param("L", "norm", default=lambda n: lp(1, n)),
+        _param("measure", "measure", default=haar_sphere),
+        _param("eps", "eps", "eps_grid", lambda n: default_eps_grid()),
+        _PROFILE),
+    "shell_inclusion": _spec(
+        check_shell_inclusion, 16, ("K", "L", "measure", "eps"),
+        _param("K", "norm", default=lambda n: lp(2, n)),
+        _param("L", "norm", default=lambda n: lp(1, n)),
+        _param("measure", "measure", default=haar_sphere),
+        _param("eps", "float", default=lambda n: 0.5),
+        _param("probes", "int")),
+    "separated_sets": _spec(
+        check_separated_sets, 64, ("measure",),
+        _param("measure", "measure", default=haar_sphere),
+        _param("metric", "norm", default=lambda n: lp(2, n)),
+        _param("num_pairs", "int"),
+        _PROFILE),
+    "cube_floor": _spec(
+        check_cube_floor, 8, (),
+        _N,
+        _param("measure", "measure"),
+        _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 0.9, 9))),
+    "sup_embedding": _spec(
+        check_sup_embedding, 8, ("d",),
+        _param("K", "norm", default=lambda n: lp(INF, n)),
+        _param("measure", "measure", default=lambda n: uniform_ball(lp(INF, n))),
+        _param(None, "raw", "functionals", np.eye, kw="functionals"),
+        _param("d", "float", default=lambda n: 1.0),
+        _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 0.9, 9)),
+        _PROFILE),
+    "radial_transfer": _spec(
+        check_radial_transfer, 16, ("p",),
+        _N,
+        _param("p", "float", default=lambda n: 1.0),
+        _param("eps", "eps", "eps_grid", lambda n: default_eps_grid()),
+        _PROFILE,
+        _param("lambda", "float", "lam", kw="lam")),
 }
 
 
+def config_params(job: dict, where: str) -> tuple[str, dict]:
+    """Parse one config job into its check id and run_check keywords.
+
+    A job must give n and its row's required keys, may give only keys of
+    its row (plus id, and p as the exponent of a measure token), and
+    every error names the field at fault: ``<where>.<key>: <reason>``.
+    """
+    check = job.get("check")
+    if not isinstance(check, str) or check not in CHECK_SPECS:
+        raise ConfigError(f"{where}.check: unknown check {check!r}; "
+                          f"known: {sorted(CHECK_SPECS)}")
+    spec = CHECK_SPECS[check]
+    accepted = {"id", "check", "n"} | {par.key for par in spec.params if par.key}
+    if "measure" in job:
+        accepted.add("p")
+    extra = sorted(set(job) - accepted)
+    if extra:
+        raise ConfigError(f"{where}.{extra[0]}: check {check!r} takes no key "
+                          f"{extra[0]!r}; it takes {sorted(accepted)}")
+    missing = ({"n"} | spec.required) - set(job)
+    if missing:
+        raise ConfigError(f"{where}: check {check!r} requires {sorted(missing)}")
+
+    def parse(key: str, kind: str, n: int = 0):
+        try:
+            return _PARSERS[kind](job[key], n, job.get("p"))
+        except KeyError as exc:
+            raise ConfigError(f"{where}.{key}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from None
+
+    n = parse("n", "int")
+    params = {"n": n}
+    for par in spec.params:
+        if par.key in job:
+            params[par.kw] = parse(par.key, par.kind, n)
+    return check, params
+
+
 def run_check(check_id: str, **params) -> CheckReport:
-    if check_id not in CHECKS:
-        raise CheckError(f"unknown check id {check_id!r}; known: {sorted(CHECKS)}")
+    """Run one check by id; keywords left out (or None) take the row's
+    defaults at dimension n, or the check function's own defaults."""
+    if check_id not in CHECK_SPECS:
+        raise CheckError(f"unknown check id {check_id!r}; known: {sorted(CHECK_SPECS)}")
+    spec = CHECK_SPECS[check_id]
     params = {k: v for k, v in params.items() if v is not None}
-    return CHECKS[check_id](**params)
+    n = params.pop("n", spec.n)
+    args = {}
+    for par in spec.params:
+        if par.kw in params:
+            args[par.arg] = params.pop(par.kw)
+        elif par.default is not None:
+            args[par.arg] = par.default(n)
+    if params:
+        raise TypeError(f"check {check_id!r} takes no keywords {sorted(params)}")
+    # call the module's current binding, so that a wrapper installed on the
+    # module (a tracer, a test double) sees the call
+    return globals()[spec.fn.__name__](**args)

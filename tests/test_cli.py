@@ -88,6 +88,53 @@ def test_run_rejects_missing_required(tmp_path):
     assert "'p'" in res.stderr
 
 
+CUBE = {"check": "cube_floor", "n": 2, "N": 2000}
+RATIO = {"check": "norm_ratio_transfer", "n": 4, "K": "l2", "L": "l1",
+         "measure": "haar_sphere"}
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"jobs": [{**CUBE, "profile": "sphere"}]}, "jobs[0].profile"),
+    ({"jobs": [{"check": "shell_inclusion", "n": 4, "K": "l2", "L": "l1",
+                "measure": "haar_sphere", "eps": 0.5, "profile": "sphere"}]},
+     "jobs[0].profile"),
+    ({"jobs": [{"check": "separated_sets", "n": 4, "measure": "haar_sphere",
+                "eps": [0.1, 0.2]}]}, "jobs[0].eps"),
+    ({"seed": "x", "jobs": [CUBE]}, "seed"),
+    ({"jobs": [{**CUBE, "n": "abc"}]}, "jobs[0].n"),
+    ({"jobs": [{**CUBE, "N": 500.7}]}, "jobs[0].N"),
+    ({"jobs": [{**CUBE, "measure": "uniform_ball"}]}, "jobs[0].measure"),
+    ({"jobs": [{**RATIO, "probes": 100}]}, "jobs[0].probes"),
+    ({"jobs": [{**RATIO, "lambda": 2.0}]}, "jobs[0].lambda"),
+    ({"jobs": [CUBE, {"check": "separated_sets", "n": 4, "measure": "weibull"}]},
+     "jobs[1].measure"),
+    ({"jobs": [{**CUBE, "check": ["cube_floor"]}]}, "jobs[0].check"),
+])
+def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
+                                                   cfg, field):
+    def ran(*args, **kwargs):
+        raise AssertionError("a job ran before the config was validated")
+
+    monkeypatch.delenv("CONCMETER_SEED", raising=False)
+    monkeypatch.setattr(cli.verify, "run_check", ran)
+    out = tmp_path / "out"
+    code = cli.main(["run", str(write_config(tmp_path, cfg)), "--out", str(out),
+                     "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{field}:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_passes_measure_to_cube_floor(tmp_path):
+    cfg = write_config(tmp_path, {"jobs": [
+        {**CUBE, "id": "edge", "measure": "cone_surface", "p": "inf"}]})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out), "--jobs", "1"]) == 0
+    payload = json.loads((out / "edge.json").read_text())
+    assert payload["inputs"]["measure"]["family"] == "cone_surface"
+
+
 def test_run_exit_2_on_failed_check(tmp_path):
     # a deliberately false profile (C ~ 0) makes the transfer bound fail
     cfg = write_config(tmp_path, {"jobs": [

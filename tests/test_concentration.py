@@ -131,7 +131,7 @@ def test_curve_basic_shape():
     eps = np.linspace(1e-6, 1.2, 25)
     curve = con.concentration_lower_curve(batch.data, ns.lp(2, 32), eps)
     assert curve.alpha_hat[0] <= 0.5 + curve.ci[0]
-    assert np.all(np.diff(curve.alpha_hat) <= 1e-12)
+    assert np.all(np.diff(curve.alpha_hat) <= 0.0)
     assert curve.family_size == 32 + con.DEFAULT_EXTRA_DIRECTIONS
 
 
@@ -240,15 +240,6 @@ def test_profiles():
         con.analytic_profile("custom", 8)
     override = con.analytic_profile("sphere", 8, c=0.5)
     assert override.c == 0.5
-
-
-def test_isotonic_projection():
-    y = np.array([0.5, 0.52, 0.4, 0.45, 0.2, 0.1, 0.12])
-    out = con.isotonic_nonincreasing(y)
-    assert np.all(np.diff(out) <= 1e-12)
-    # projection preserves already-monotone input
-    z = np.array([0.9, 0.5, 0.1])
-    assert np.allclose(con.isotonic_nonincreasing(z), z)
 
 
 def test_curve_csv_export(tmp_path):

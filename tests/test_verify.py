@@ -1,5 +1,6 @@
 """The inequality-check harness."""
 
+import inspect
 import json
 import math
 
@@ -165,6 +166,30 @@ def test_run_check_defaults_and_unknown():
     assert rep.check_id == "cube_floor"
     with pytest.raises(vf.CheckError):
         vf.run_check("no_such_check")
+
+
+@pytest.mark.parametrize("check_id", sorted(vf.CHECK_SPECS))
+def test_check_table_matches_signature(check_id):
+    spec = vf.CHECK_SPECS[check_id]
+    signature = inspect.signature(spec.fn).parameters
+    filled = {par.arg for par in spec.params}
+    assert filled <= set(signature)
+    covered = {par.arg for par in spec.params
+               if par.key in spec.required or par.default is not None}
+    bare = {name for name, prm in signature.items()
+            if prm.default is inspect.Parameter.empty}
+    assert bare <= covered
+    assert spec.required <= {par.key for par in spec.params}
+
+
+def test_run_check_fills_row_defaults_through_module_binding(monkeypatch):
+    seen = {}
+    monkeypatch.setattr(vf, "check_cube_floor", lambda **kw: seen.update(kw) or "report")
+    assert vf.run_check("cube_floor", n=3, count=10) == "report"
+    assert seen["n"] == 3 and seen["count"] == 10
+    assert seen["eps_grid"].tolist() == np.linspace(0.1, 0.9, 9).tolist()
+    with pytest.raises(TypeError):
+        vf.run_check("cube_floor", probes=5)
 
 
 def test_precondition_monotone_slack():
