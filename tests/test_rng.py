@@ -1,5 +1,7 @@
 """Stream quality and reproducibility of the counter-based generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,10 +19,13 @@ def test_pure_function_of_key():
 
 
 def test_partition_independence():
-    full = rng.uniforms(9, np.arange(1000, dtype=np.uint64)[:, None], COLS, 2)
-    parts = [rng.uniforms(9, np.arange(lo, lo + 250, dtype=np.uint64)[:, None], COLS, 2)
-             for lo in range(0, 1000, 250)]
-    assert np.array_equal(full, np.vstack(parts))
+    # 9000 x 8 elements span three generator blocks; the cuts fall inside blocks
+    cuts = [0, 250, 1234, 4097, 5000, 9000]
+    for draw in (rng.uniforms, rng.normals):
+        full = draw(9, np.arange(9000, dtype=np.uint64)[:, None], COLS, 2)
+        parts = [draw(9, np.arange(lo, hi, dtype=np.uint64)[:, None], COLS, 2)
+                 for lo, hi in zip(cuts[:-1], cuts[1:])]
+        assert np.array_equal(full, np.vstack(parts))
 
 
 def test_streams_differ_across_keys():
@@ -83,3 +88,69 @@ def test_gamma_rejects_bad_shape():
 def test_derive_seed_spreads():
     seeds = {rng.derive_seed(42, t) for t in range(100)}
     assert len(seeds) == 100
+
+
+# SHA-256 of each generator's output on fixed keys, recorded before the
+# generator was rewritten as a shared prefix plus one mix per slot in
+# blocks.  Any change here changes every sample of every report.
+GRID_I = np.arange(1237, dtype=np.uint64)[:, None]   # 1237 x 67: three blocks and a tail
+GRID_J = np.arange(67, dtype=np.uint64)[None, :]
+LONG = np.arange(70001, dtype=np.uint64)
+
+
+def _transformed_ball():
+    from concmeter.measures import sample, uniform_ball
+    from concmeter.normspace import NormSpec
+    a = np.array([[2.0, 0.3, 0.0], [0.1, 1.0, -0.4], [0.0, 0.2, 0.5]])
+    return sample(uniform_ball(NormSpec(dim=3, p=1.5, transform=a)), 20000, 8).data
+
+
+STREAM_CASES = {
+    "uniforms_grid": lambda: rng.uniforms(5, GRID_I, GRID_J, 3),
+    "signs_grid": lambda: rng.signs(5, GRID_I, GRID_J, 0),
+    "exponentials_grid": lambda: rng.exponentials(5, GRID_I, GRID_J, 1),
+    "normals_grid": lambda: rng.normals(5, GRID_I, GRID_J, 0),
+    "uniforms_rows_scalar_j": lambda: rng.uniforms(6, LONG, 1, 7),
+    "normals_scalar_i_cols": lambda: rng.normals(6, 0, LONG, 0),
+    "uniforms_slot_array": lambda: rng.uniforms(
+        7, GRID_I[:500], 2, np.arange(67, dtype=np.uint64)[None, :]),
+    "normals_slot_array": lambda: rng.normals(
+        7, GRID_I[:500, :, None], GRID_J[:, :5, None], np.array([0, 4, 9], dtype=np.uint64)),
+    "gammas_0.5": lambda: rng.gammas(0.5, 9, GRID_I[:700], GRID_J, base_slot=1),
+    "gammas_2/3": lambda: rng.gammas(2.0 / 3.0, 9, GRID_I[:700], GRID_J, base_slot=1),
+    "gammas_1": lambda: rng.gammas(1.0, 9, GRID_I[:700], GRID_J, base_slot=1),
+    "gammas_4": lambda: rng.gammas(4.0, 9, GRID_I[:700], GRID_J, base_slot=1),
+    "derive_seed": lambda: np.array(
+        [rng.derive_seed(42, t) for t in (0, 1, 0xA0, 0xB1, 0xC2, 0xD17, 2**64 - 1)]
+        + [rng.derive_seed(42), rng.derive_seed(42, 3, 5), rng.derive_seed(-1, 7)],
+        dtype=np.uint64),
+    "uniform_ball_transformed": _transformed_ball,
+}
+
+FROZEN_DIGESTS = {
+    "derive_seed": "fd1a06f79e163b6886779101db774e9fa4e5880ce9107097556c485ebb0d1ae3",
+    "exponentials_grid": "d17e08ce0ea9259c5cf3fda9d5fcd67020a708a83835b488fa1c086a28ad5daf",
+    "gammas_0.5": "4d7deba09034b5d43df1c9f80594f7900b39653db817f78348fc7e7b4e1ea520",
+    "gammas_1": "812f375af33656c662a40038a589624c87dc1be43961558b046938e7f50205b7",
+    "gammas_2/3": "6a88be13863b0197a5937a70862653612cfc0998b8de8e4c930dc695115131f1",
+    "gammas_4": "f6c44e2faaf325faf755974c7684f1fef0d630cda81f25ea9185a94ec800c221",
+    "normals_grid": "bdcb6dc18f0622a0b560b4985884c3961ce0db97d395bb2378dde6ac3bf19489",
+    "normals_scalar_i_cols": "017c7f9901974e7e9294948bb3eb2c587a1daccc93d86fa889c8502c7baaba29",
+    "normals_slot_array": "4575991f8fba8f1bec2ec4b500164d0f2c7d160a9aeab602ac490c0908e97cd8",
+    "signs_grid": "8f7ad0feeb84667a94c5d610d7a44afee67ccc5bf63ffef0afbaccc7a2fa7d2e",
+    "uniform_ball_transformed": "34c4b9ec2c12eb976e2e7f37cd0abf57c08258fa72ec1619e665d9ee07779613",
+    "uniforms_grid": "862d622130a70af6804a113404baa9fb01357d12d0e505c6e61f8706f153883e",
+    "uniforms_rows_scalar_j": "d037f438c856db87b9fe50b44dc1c1fbe5f5ee00475cb5b1cf081d970feda3fe",
+    "uniforms_slot_array": "f48987fd2a330ec02fe78354312447f893c783fa4e5885da0836a325b130b2c8",
+}
+
+
+def _digest(a) -> str:
+    a = np.ascontiguousarray(a)
+    head = f"{a.dtype.str}{a.shape}".encode()
+    return hashlib.sha256(head + a.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_stream_digests_frozen(name):
+    assert _digest(STREAM_CASES[name]()) == FROZEN_DIGESTS[name]
