@@ -34,7 +34,12 @@ from .verify import ConfigError, parse_eps, parse_int, parse_measure, parse_norm
 
 def env_seed(default: int) -> int:
     raw = os.environ.get("CONCMETER_SEED")
-    return int(raw) if raw else int(default)
+    if not raw:
+        return int(default)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"CONCMETER_SEED: expected an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +61,16 @@ def validate_config(cfg: dict) -> list[tuple[dict, str, dict]]:
         default_seed = parse_int(cfg.get("seed", 1))
     except ConfigError as exc:
         raise ConfigError(f"seed: {exc}") from None
-    parsed = []
+    parsed, seen = [], set()
     for idx, job in enumerate(jobs):
         where = f"jobs[{idx}]"
         if not isinstance(job, dict):
             raise ConfigError(f"{where}: job must be an object")
         check, params = verify.config_params(job, where)
+        job_id = job.get("id", f"job{idx:03d}")
+        if str(job_id) in seen:   # the report file is <id>.json
+            raise ConfigError(f"{where}.id: duplicate id {job_id!r}")
+        seen.add(str(job_id))
         params["seed"] = env_seed(params.get("seed", default_seed))
         parsed.append((job, check, params))
     return parsed
@@ -297,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        env_seed(0)   # a malformed CONCMETER_SEED fails every subcommand alike
         return args.fn(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

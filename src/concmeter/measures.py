@@ -314,8 +314,10 @@ def _ggp_rows(p: float, seed: int, rows: np.ndarray, dim: int) -> np.ndarray:
     return sgn * mag
 
 
-def _generate(measure: MeasureSpec, seed: int, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the infinite sample table for (measure, seed)."""
+def _generate(measure: MeasureSpec, seed: int, start: int, stop: int,
+              inv: Optional[np.ndarray]) -> np.ndarray:
+    """Rows [start, stop) of the infinite sample table for (measure, seed);
+    ``inv`` is the inverse of ``measure.transform`` (None without one)."""
     n = measure.dim
     rows = np.arange(start, stop, dtype=np.uint64)
     i = rows[:, None]
@@ -346,8 +348,7 @@ def _generate(measure: MeasureSpec, seed: int, start: int, stop: int) -> np.ndar
             z = rng.exponentials(seed, rows[:, None], np.uint64(n), 1)
             w_sum = (np.abs(t) ** p).sum(axis=1, keepdims=True) / p
             base = t / (p * (w_sum + z)) ** (1.0 / p)
-    if measure.transform is not None:
-        inv = np.linalg.inv(measure.transform)
+    if inv is not None:
         base = base @ inv.T
     return base
 
@@ -356,8 +357,9 @@ def sample_chunks(measure: MeasureSpec, count: int, seed: int
                   ) -> Iterator[tuple[int, np.ndarray]]:
     """Rows [0, count) of the sample table as (start, rows) chunks, for
     callers that never hold the whole batch; the bits equal ``sample``'s."""
+    inv = None if measure.transform is None else np.linalg.inv(measure.transform)
     for start in range(0, count, _SAMPLE_CHUNK):
-        yield start, _generate(measure, seed, start, min(start + _SAMPLE_CHUNK, count))
+        yield start, _generate(measure, seed, start, min(start + _SAMPLE_CHUNK, count), inv)
 
 
 def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:

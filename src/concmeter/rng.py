@@ -11,6 +11,14 @@ The stream is a keyed hash chain built from the SplitMix64 finalizer
 
     h = mix(seed) ; h = mix(h ^ i) ; h = mix(h ^ j) ; h = mix(h ^ slot)
 
+It is evaluated as a shared prefix plus one mix per slot: the slot-free
+(seed, i, j) part is hashed once per element of the broadcast (i, j)
+shape, and each slot an element consumes (two for a normal) costs one
+more ``mix(prefix ^ slot)``.  The work runs in place on reused buffers,
+in blocks of about 32k output elements, so temporaries stay in cache and
+peak memory is bounded by the block rather than by the output.  Neither
+changes a bit: the result is the chain above, element by element.
+
 Rejection samplers (the gamma generator below) draw from a per-element
 sub-stream indexed by the slot, so the number of attempts one element
 needs never shifts the stream of any other element.
@@ -22,12 +30,19 @@ than adequate for desk-scale experiments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SEED_TAG = np.uint64(0x5DEECE66D1CE4E5B)
+_S11, _S27, _S30, _S31, _S63 = (np.uint64(k) for k in (11, 27, 30, 31, 63))
+
+# Output elements per block: the uint64 temporaries of a block stay in
+# cache, and peak memory grows with the block, not with the output.
+_BLOCK = 1 << 15
 
 # Slots consumed per rejection round of the gamma sampler (two for the
 # normal draw, one for the accept test).
@@ -35,48 +50,121 @@ _GAMMA_ROUND_SLOTS = 3
 _GAMMA_MAX_ROUNDS = 64
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on uint64 values (wraps mod 2^64)."""
-    with np.errstate(over="ignore"):
-        z = (z + _GOLDEN).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, in place on uint64 ``z`` (wraps mod 2^64);
+    ``tmp`` is scratch of z's shape."""
+    z += _GOLDEN
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z
 
 
-def _key(seed: int, i, j, slot) -> np.ndarray:
-    i = np.asarray(i, dtype=np.uint64)
-    j = np.asarray(j, dtype=np.uint64)
-    s = np.asarray(slot, dtype=np.uint64)
-    h = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _SEED_TAG)
-    h = _mix64(h ^ i)
-    h = _mix64(h ^ j)
-    return _mix64(h ^ s)
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _prefix(seed: int, i: np.ndarray, j: np.ndarray, out: np.ndarray,
+            scratch: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The slot-free head of the chain, ``mix(mix(mix(seed) ^ i) ^ j)``, into
+    ``out`` (the broadcast shape of i and j); ``scratch`` and ``tmp`` are flat
+    uint64 buffers of at least ``out.size`` elements."""
+    h = np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    h ^= _SEED_TAG
+    _mix64(h, np.empty_like(h))
+    hi = _view(scratch, i.shape)
+    np.bitwise_xor(h, i, out=hi)
+    _mix64(hi, _view(tmp, i.shape))
+    np.bitwise_xor(hi, j, out=out)
+    return _mix64(out, _view(tmp, out.shape))
+
+
+def _draw(seed: int, i, j, slots: tuple, fill) -> np.ndarray:
+    """Variates over the broadcast shape of ``(i, j, *slots)``, block by block.
+
+    The output is cut along its first axis into blocks of about ``_BLOCK``
+    elements.  Per block the (seed, i, j) prefix is hashed once, then
+    ``fill(out, bits, spare)`` writes the block's variates into ``out``:
+    ``bits(k)`` returns ``mix(prefix ^ slots[k])`` in a reused uint64
+    buffer, and ``spare`` is a float64 buffer of out's shape.  The buffers
+    are allocated once per call.
+    """
+    keys = [np.asarray(a, dtype=np.uint64) for a in (i, j, *slots)]
+    shape = np.broadcast_shapes(*(k.shape for k in keys))
+    nd = max(len(shape), 1)
+    keys = [k.reshape((1,) * (nd - k.ndim) + k.shape) for k in keys]
+    out = np.empty(shape, dtype=np.float64).reshape((1,) * (nd - len(shape)) + shape)
+    lead, inner = out.shape[0], math.prod(out.shape[1:])
+    step = max(1, min(lead, _BLOCK // max(inner, 1)))
+    prefix_buf, bits_buf, scratch_buf, tmp_buf = np.empty((4, step * inner), dtype=np.uint64)
+    spare_buf = np.empty(step * inner, dtype=np.float64)
+    for lo in range(0, lead, step):
+        ib, jb, *sb = (k if k.shape[0] == 1 else k[lo:lo + step] for k in keys)
+        ob = out[lo:lo + step]
+        prefix = _prefix(seed, ib, jb, _view(prefix_buf, np.broadcast_shapes(ib.shape, jb.shape)),
+                         scratch_buf, tmp_buf)
+        bits, tmp = _view(bits_buf, ob.shape), _view(tmp_buf, ob.shape)
+
+        def slot_bits(k: int) -> np.ndarray:
+            np.bitwise_xor(prefix, sb[k], out=bits)
+            return _mix64(bits, tmp)
+
+        fill(ob, slot_bits, _view(spare_buf, ob.shape))
+    return out.reshape(shape)[()]  # scalar keys give a numpy scalar, as ufuncs do
+
+
+def _to_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The top 53 bits as doubles in (0, 1), written into ``out``."""
+    bits >>= _S11
+    np.copyto(out, bits, casting="unsafe")
+    out += 0.5
+    out *= 2.0 ** -53
+    return out
 
 
 def uniforms(seed: int, i, j, slot) -> np.ndarray:
     """Doubles in the open interval (0, 1); shape broadcast from (i, j, slot)."""
-    bits = _key(seed, i, j, slot) >> np.uint64(11)
-    return (bits.astype(np.float64) + 0.5) * 2.0 ** -53
+    return _draw(seed, i, j, (slot,), lambda out, bits, spare: _to_unit(bits(0), out))
 
 
 def signs(seed: int, i, j, slot) -> np.ndarray:
     """Random signs (+1.0 / -1.0) from the top bit of the stream."""
-    bit = _key(seed, i, j, slot) >> np.uint64(63)
-    return np.where(bit.astype(bool), 1.0, -1.0)
+    def fill(out, bits, spare):
+        top = bits(0)
+        top >>= _S63
+        np.copyto(out, top, casting="unsafe")
+        out *= 2.0
+        out -= 1.0
+    return _draw(seed, i, j, (slot,), fill)
 
 
 def normals(seed: int, i, j, slot) -> np.ndarray:
     """Standard normals via Box-Muller; consumes slots (slot, slot+1)."""
+    def fill(out, bits, spare):
+        radius = _to_unit(bits(0), out)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = _to_unit(bits(1), spare)
+        angle *= 2.0 * np.pi
+        np.cos(angle, out=angle)
+        radius *= angle
     slot = np.asarray(slot, dtype=np.uint64)
-    u1 = uniforms(seed, i, j, slot)
-    u2 = uniforms(seed, i, j, slot + np.uint64(1))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return _draw(seed, i, j, (slot, slot + np.uint64(1)), fill)
 
 
 def exponentials(seed: int, i, j, slot) -> np.ndarray:
     """Unit-rate exponentials by inverse transform; consumes one slot."""
-    return -np.log(uniforms(seed, i, j, slot))
+    def fill(out, bits, spare):
+        u = _to_unit(bits(0), out)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+    return _draw(seed, i, j, (slot,), fill)
 
 
 def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
@@ -99,10 +187,9 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
     i, j = np.broadcast_arrays(np.asarray(i, dtype=np.uint64),
                                np.asarray(j, dtype=np.uint64))
     out = np.empty(i.shape, dtype=np.float64)
-    pending = np.ones(i.shape, dtype=bool)
     flat_i, flat_j = i.ravel(), j.ravel()
     flat_out = out.ravel()
-    todo = np.flatnonzero(pending.ravel())
+    todo = np.arange(out.size)
 
     base = int(base_slot)
     for r in range(_GAMMA_MAX_ROUNDS):
@@ -128,7 +215,10 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Derive an independent stream seed from a parent seed and integer tags."""
-    h = _key(seed, 0, 0, 0)
-    for t in tags:
-        h = _mix64(h ^ np.uint64(t & 0xFFFFFFFFFFFFFFFF))
-    return int(h)
+    zero = np.zeros(1, dtype=np.uint64)
+    h, scratch, tmp = np.empty((3, 1), dtype=np.uint64)
+    _prefix(seed, zero, zero, h, scratch, tmp)
+    for t in (0, *tags):  # slot 0 ends the (seed, 0, 0, 0) key; then one mix per tag
+        h ^= np.uint64(t & 0xFFFFFFFFFFFFFFFF)
+        _mix64(h, tmp)
+    return int(h[0])

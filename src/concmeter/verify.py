@@ -595,6 +595,24 @@ def parse_float(token) -> float:
     raise ConfigError(f"expected a number, got {token!r}")
 
 
+def parse_profile(token, n: int):
+    """A profile name or object, checked against the catalog; returned as
+    given (null keeps the check's default)."""
+    if token is not None:
+        _resolve_profile(token, n)
+    return token
+
+
+def parse_map(token, n: int):
+    """A map object, checked against the kinds of build_map; returned as
+    given (null keeps the check's default)."""
+    if token is not None:
+        if not isinstance(token, dict):
+            raise ConfigError(f"expected a map object, got {token!r}")
+        build_map(token, n)
+    return token
+
+
 # token kind -> parser(token, n, p); p is the job's lp exponent for measures
 _PARSERS = {
     "norm": lambda token, n, p: parse_norm(token, n),
@@ -602,6 +620,8 @@ _PARSERS = {
     "eps": lambda token, n, p: parse_eps(token),
     "int": lambda token, n, p: parse_int(token),
     "float": lambda token, n, p: parse_float(token),
+    "profile": lambda token, n, p: parse_profile(token, n),
+    "map": lambda token, n, p: parse_map(token, n),
     "raw": lambda token, n, p: token,
 }
 
@@ -641,14 +661,14 @@ def default_eps_grid(lo: float = 0.05, hi: float = 12.0, num: int = 40) -> list:
     return np.geomspace(lo, hi, num).tolist()
 
 
-_PROFILE = _param("profile", "raw")
+_PROFILE = _param("profile", "profile")
 _N = _param("n", "int", default=lambda n: n)
 
 CHECK_SPECS: dict[str, CheckSpec] = {
     "lipschitz_transfer": _spec(
         check_lipschitz_transfer, 16, ("measure", "map", "lip"),
         _param("measure", "measure", default=lambda n: ggp(2.0, n)),
-        _param("map", "raw", "map_cfg", lambda n: {"kind": "identity"}),
+        _param("map", "map", "map_cfg", lambda n: {"kind": "identity"}),
         _param("lip", "float", default=lambda n: 1.0),
         _param("metric", "norm", "metric_in", lambda n: lp(2, n)),
         _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 4.0, 20)),

@@ -91,6 +91,8 @@ def test_run_rejects_missing_required(tmp_path):
 CUBE = {"check": "cube_floor", "n": 2, "N": 2000}
 RATIO = {"check": "norm_ratio_transfer", "n": 4, "K": "l2", "L": "l1",
          "measure": "haar_sphere"}
+LIP = {"check": "lipschitz_transfer", "n": 4, "measure": "gaussian",
+       "map": {"kind": "identity"}, "lip": 1.0}
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -109,6 +111,13 @@ RATIO = {"check": "norm_ratio_transfer", "n": 4, "K": "l2", "L": "l1",
     ({"jobs": [CUBE, {"check": "separated_sets", "n": 4, "measure": "weibull"}]},
      "jobs[1].measure"),
     ({"jobs": [{**CUBE, "check": ["cube_floor"]}]}, "jobs[0].check"),
+    ({"jobs": [{**CUBE, "id": "a"}, {**CUBE, "id": "a"}]}, "jobs[1].id"),
+    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "nope"}}]}, "jobs[1].profile"),
+    ({"jobs": [{**RATIO, "profile": {"name": "custom", "C": 1.0}}]}, "jobs[0].profile"),
+    ({"jobs": [{**RATIO, "profile": 3}]}, "jobs[0].profile"),
+    ({"jobs": [CUBE, {**LIP, "map": {"kind": "rotate"}}]}, "jobs[1].map"),
+    ({"jobs": [{**LIP, "map": {"kind": "scale"}}]}, "jobs[0].map"),
+    ({"jobs": [{**LIP, "map": "identity"}]}, "jobs[0].map"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -124,6 +133,54 @@ def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys
     assert code == 1
     assert f"{field}:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs, message", [
+    ([{**CUBE, "id": "a"}, {**CUBE, "id": "b"}, {**CUBE, "id": "a"}],
+     "jobs[2].id: duplicate id 'a'"),
+    ([{**CUBE, "id": "job001"}, CUBE], "jobs[1].id: duplicate id 'job001'"),
+])
+def test_run_rejects_duplicate_job_ids(tmp_path, capsys, jobs, message):
+    out = tmp_path / "out"
+    code = cli.main(["run", str(write_config(tmp_path, {"jobs": jobs})),
+                     "--out", str(out), "--jobs", "1"])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_accepts_profile_and_map_tokens(tmp_path):
+    jobs = [{**RATIO, "profile": "sphere"},
+            {**RATIO, "profile": {"name": "custom", "C": 1.0, "c": 0.25}},
+            {**RATIO, "profile": None},
+            {**LIP, "map": {"kind": "scale", "factor": 0.5}},
+            {**LIP, "map": {"kind": "coordinate", "index": 1}, "profile": "gaussian"}]
+    parsed = cli.validate_config({"jobs": jobs})
+    assert [params.get("profile") for _, _, params in parsed[:3]] == [
+        "sphere", {"name": "custom", "C": 1.0, "c": 0.25}, None]
+    assert parsed[3][2]["map"] == {"kind": "scale", "factor": 0.5}
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "config.json"],
+    ["median", "--measure", "gaussian", "--norm", "l2", "--n", "4"],
+    ["alpha", "--measure", "gaussian", "--eps", "0.5", "--n", "4", "--out", "a.csv"],
+    ["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
+     "--out", "b.csv"],
+    ["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
+     "--out", "p.csv"],
+    ["transport", "--n", "4", "--out", "t.csv"],
+    ["verify", "cube_floor"],
+])
+def test_malformed_env_seed_is_named(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setenv("CONCMETER_SEED", "x")
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, {"jobs": [CUBE]})
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "CONCMETER_SEED: expected an integer, got 'x'" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_run_passes_measure_to_cube_floor(tmp_path):
