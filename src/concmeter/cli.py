@@ -67,10 +67,10 @@ def validate_config(cfg: dict) -> list[tuple[dict, str, dict]]:
         if not isinstance(job, dict):
             raise ConfigError(f"{where}: job must be an object")
         check, params = verify.config_params(job, where)
-        job_id = job.get("id", f"job{idx:03d}")
-        if str(job_id) in seen:   # the report file is <id>.json
-            raise ConfigError(f"{where}.id: duplicate id {job_id!r}")
-        seen.add(str(job_id))
+        stem = str(job.get("id", f"job{idx:03d}"))   # the report file is <stem>.json
+        if stem in seen:
+            raise ConfigError(f"{where}.id: duplicate id {stem!r}")
+        seen.add(stem)
         params["seed"] = env_seed(params.get("seed", default_seed))
         parsed.append((job, check, params))
     return parsed

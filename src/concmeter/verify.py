@@ -153,6 +153,8 @@ def build_map(cfg: dict, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], 
         return (lambda x: factor * x), dim, f"scale:{factor}"
     if kind == "coordinate":
         index = int(cfg.get("index", 0))
+        if not 0 <= index < dim:
+            raise ValueError(f"coordinate index {index} out of range for n={dim}")
         return (lambda x: x[:, index:index + 1]), 1, f"coordinate:{index}"
     raise ValueError(f"unknown map kind {cfg.get('kind')!r}")
 

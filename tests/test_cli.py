@@ -111,13 +111,15 @@ LIP = {"check": "lipschitz_transfer", "n": 4, "measure": "gaussian",
     ({"jobs": [CUBE, {"check": "separated_sets", "n": 4, "measure": "weibull"}]},
      "jobs[1].measure"),
     ({"jobs": [{**CUBE, "check": ["cube_floor"]}]}, "jobs[0].check"),
-    ({"jobs": [{**CUBE, "id": "a"}, {**CUBE, "id": "a"}]}, "jobs[1].id"),
+    ({"jobs": [{**CUBE, "id": "a"}, CUBE, {**CUBE, "id": "a"}]}, "jobs[2].id"),
+    ({"jobs": [{**CUBE, "id": "job001"}, CUBE]}, "jobs[1].id"),
     ({"jobs": [CUBE, {**RATIO, "profile": {"name": "nope"}}]}, "jobs[1].profile"),
     ({"jobs": [{**RATIO, "profile": {"name": "custom", "C": 1.0}}]}, "jobs[0].profile"),
     ({"jobs": [{**RATIO, "profile": 3}]}, "jobs[0].profile"),
     ({"jobs": [CUBE, {**LIP, "map": {"kind": "rotate"}}]}, "jobs[1].map"),
     ({"jobs": [{**LIP, "map": {"kind": "scale"}}]}, "jobs[0].map"),
     ({"jobs": [{**LIP, "map": "identity"}]}, "jobs[0].map"),
+    ({"jobs": [{**LIP, "map": {"kind": "coordinate", "index": 4}}]}, "jobs[0].map"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -132,20 +134,6 @@ def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert code == 1
     assert f"{field}:" in err and "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("jobs, message", [
-    ([{**CUBE, "id": "a"}, {**CUBE, "id": "b"}, {**CUBE, "id": "a"}],
-     "jobs[2].id: duplicate id 'a'"),
-    ([{**CUBE, "id": "job001"}, CUBE], "jobs[1].id: duplicate id 'job001'"),
-])
-def test_run_rejects_duplicate_job_ids(tmp_path, capsys, jobs, message):
-    out = tmp_path / "out"
-    code = cli.main(["run", str(write_config(tmp_path, {"jobs": jobs})),
-                     "--out", str(out), "--jobs", "1"])
-    assert code == 1
-    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
