@@ -122,6 +122,37 @@ def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
     return np.vstack([axes, rng.normals(seed, rows, cols, 0)])
 
 
+def sorted_projections(data: np.ndarray, directions: np.ndarray):
+    """Yield ``(offset, chunk, rows)`` for each block of up to 64 directions.
+
+    ``rows[k]`` holds the projections <directions[offset + k], x> of every
+    sample row x, sorted ascending.  The products come from one GEMM per
+    block, ``data @ chunk.T``, and are sorted along a contiguous axis.
+    """
+    for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
+        chunk = directions[lo:lo + _DIRECTION_CHUNK]
+        rows = (data @ chunk.T).T.copy()
+        rows.sort(axis=1)
+        yield lo, chunk, rows
+
+
+def linear_quantiles(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The q[k]-quantile of each ascending row ``rows[k]``, q[k] in [0, 1],
+    bit for bit as ``np.quantile(rows[k], q[k])`` (numpy's linear rule)."""
+    q = np.asarray(q, dtype=np.float64)
+    last = rows.shape[1] - 1
+    virtual = last * q
+    below = np.floor(virtual)
+    gamma = virtual - below
+    below = below.astype(np.intp)
+    above = np.minimum(below + 1, last)
+    picked = np.arange(rows.shape[0])
+    a, b = rows[picked, below], rows[picked, above]
+    diff = b - a
+    # numpy's _lerp: interpolate from the nearer end
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+
+
 def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
                               eps_grid: np.ndarray, *,
                               extra_directions: int = DEFAULT_EXTRA_DIRECTIONS,
@@ -154,14 +185,12 @@ def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
 
     best = np.full(eps_grid.size, -1.0)
     best_dir = np.zeros(eps_grid.size, dtype=np.int64)
-    for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
-        chunk = directions[lo:lo + _DIRECTION_CHUNK]
-        proj = np.sort(data @ chunk.T, axis=0)
-        med = 0.5 * (proj[(n_samples - 1) // 2] + proj[n_samples // 2])
+    for lo, chunk, rows in sorted_projections(data, directions):
+        med = 0.5 * (rows[:, (n_samples - 1) // 2] + rows[:, n_samples // 2])
         dual_w = norm_eval(dual, chunk)
         for k in range(chunk.shape[0]):
             thresholds = med[k] + eps_grid * dual_w[k]
-            beyond = n_samples - np.searchsorted(proj[:, k], thresholds, side="right")
+            beyond = n_samples - np.searchsorted(rows[k], thresholds, side="right")
             frac = beyond / n_samples
             better = frac > best
             best = np.where(better, frac, best)

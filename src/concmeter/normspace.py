@@ -121,8 +121,10 @@ def norm_eval(norm: NormSpec, x: np.ndarray) -> np.ndarray:
     if norm.p == INF:
         out = m
     else:
-        safe = np.where(m > 0.0, m, 1.0)[:, None]
-        out = m * ((ax / safe) ** norm.p).sum(axis=1) ** (1.0 / norm.p)
+        # in place on the abs buffer: one full-size temporary, same bits
+        ax /= np.where(m > 0.0, m, 1.0)[:, None]
+        ax **= norm.p
+        out = m * ax.sum(axis=1) ** (1.0 / norm.p)
     return out[0] if single else out
 
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import rng
 from .concentration import (AnalyticProfile, analytic_profile,
-                            concentration_lower_curve, empirical_median)
+                            concentration_lower_curve, empirical_median,
+                            linear_quantiles, sorted_projections)
 from .measures import MeasureSpec, ggp, haar_sphere, radial_cdf, sample, uniform_ball
 from .normspace import (INF, NormSpec, dual_norm, lp, norm_eval,
                         normalize_containment)
@@ -356,21 +357,25 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec,
     q_lo = 0.02 + 0.43 * rng.uniforms(dseed, np.arange(num_pairs, dtype=np.uint64), 0, 2)
     q_hi = 0.55 + 0.43 * rng.uniforms(dseed, np.arange(num_pairs, dtype=np.uint64), 1, 2)
 
+    pa = np.empty(num_pairs)
+    pb = np.empty(num_pairs)
+    gap = np.empty(num_pairs)
+    dual_w = np.empty(num_pairs)
     dual = dual_norm(metric)
-    lhs = np.empty(num_pairs)
-    ci = np.empty(num_pairs)
-    half_dist = np.empty(num_pairs)
-    for k in range(num_pairs):
-        s = batch.data @ thetas[k]
-        a = np.quantile(s, q_lo[k])
-        b = np.quantile(s, q_hi[k])
-        pa = float((s <= a).mean())
-        pb = float((s >= b).mean())
-        lhs[k] = pa * pb
-        var = (pb * pb * pa * (1 - pa) + pa * pa * pb * (1 - pb)) / count
-        ci[k] = 1.96 * math.sqrt(max(var, 0.0)) + 1.0 / count
-        gap = max(b - a, 0.0)
-        half_dist[k] = 0.5 * gap / float(norm_eval(dual, thetas[k]))
+    for lo, chunk, rows in sorted_projections(batch.data, thetas):
+        pairs = slice(lo, lo + chunk.shape[0])
+        a = linear_quantiles(rows, q_lo[pairs])
+        b = linear_quantiles(rows, q_hi[pairs])
+        pa[pairs] = [np.searchsorted(row, t, "right") for row, t in zip(rows, a)]
+        pb[pairs] = [count - np.searchsorted(row, t, "left") for row, t in zip(rows, b)]
+        gap[pairs] = np.maximum(b - a, 0.0)
+        dual_w[pairs] = norm_eval(dual, chunk)
+    pa /= count
+    pb /= count
+    lhs = pa * pb
+    var = (pb * pb * pa * (1 - pa) + pa * pa * pb * (1 - pb)) / count
+    ci = 1.96 * np.sqrt(np.maximum(var, 0.0)) + 1.0 / count
+    half_dist = 0.5 * gap / dual_w
     order = np.argsort(half_dist)
     rhs = prof(half_dist)
 
@@ -591,6 +596,13 @@ def parse_int(token) -> int:
     raise ConfigError(f"expected an integer, got {token!r}")
 
 
+def parse_size(token) -> int:
+    """A positive JSON integer: a dimension, sample size or count."""
+    if (type(token) is int or type(token) is float and token.is_integer()) and token >= 1:
+        return int(token)
+    raise ConfigError(f"expected a positive integer, got {token!r}")
+
+
 def parse_float(token) -> float:
     if type(token) in (int, float):
         return float(token)
@@ -621,6 +633,7 @@ _PARSERS = {
     "measure": parse_measure,
     "eps": lambda token, n, p: parse_eps(token),
     "int": lambda token, n, p: parse_int(token),
+    "size": lambda token, n, p: parse_size(token),
     "float": lambda token, n, p: parse_float(token),
     "profile": lambda token, n, p: parse_profile(token, n),
     "map": lambda token, n, p: parse_map(token, n),
@@ -655,7 +668,7 @@ class CheckSpec(NamedTuple):
 
 def _spec(fn, n: int, required, *params: Param) -> CheckSpec:
     # every check samples, so every row takes N and seed
-    common = (_param("N", "int", "count", kw="count"), _param("seed", "int"))
+    common = (_param("N", "size", "count", kw="count"), _param("seed", "int"))
     return CheckSpec(fn, n, frozenset(required), params + common)
 
 
@@ -664,7 +677,7 @@ def default_eps_grid(lo: float = 0.05, hi: float = 12.0, num: int = 40) -> list:
 
 
 _PROFILE = _param("profile", "profile")
-_N = _param("n", "int", default=lambda n: n)
+_N = _param("n", "size", default=lambda n: n)
 
 CHECK_SPECS: dict[str, CheckSpec] = {
     "lipschitz_transfer": _spec(
@@ -688,12 +701,12 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _param("L", "norm", default=lambda n: lp(1, n)),
         _param("measure", "measure", default=haar_sphere),
         _param("eps", "float", default=lambda n: 0.5),
-        _param("probes", "int")),
+        _param("probes", "size")),
     "separated_sets": _spec(
         check_separated_sets, 64, ("measure",),
         _param("measure", "measure", default=haar_sphere),
         _param("metric", "norm", default=lambda n: lp(2, n)),
-        _param("num_pairs", "int"),
+        _param("num_pairs", "size"),
         _PROFILE),
     "cube_floor": _spec(
         check_cube_floor, 8, (),
@@ -749,7 +762,7 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}.{key}: {exc}") from None
 
-    n = parse("n", "int")
+    n = parse("n", "size")
     params = {"n": n}
     for par in spec.params:
         if par.key in job:

@@ -93,6 +93,9 @@ RATIO = {"check": "norm_ratio_transfer", "n": 4, "K": "l2", "L": "l1",
          "measure": "haar_sphere"}
 LIP = {"check": "lipschitz_transfer", "n": 4, "measure": "gaussian",
        "map": {"kind": "identity"}, "lip": 1.0}
+PAIRS = {"check": "separated_sets", "n": 4, "measure": "haar_sphere"}
+SHELL = {"check": "shell_inclusion", "n": 4, "K": "l2", "L": "l1",
+         "measure": "haar_sphere", "eps": 0.5}
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -120,6 +123,14 @@ LIP = {"check": "lipschitz_transfer", "n": 4, "measure": "gaussian",
     ({"jobs": [{**LIP, "map": {"kind": "scale"}}]}, "jobs[0].map"),
     ({"jobs": [{**LIP, "map": "identity"}]}, "jobs[0].map"),
     ({"jobs": [{**LIP, "map": {"kind": "coordinate", "index": 4}}]}, "jobs[0].map"),
+    ({"jobs": [{**CUBE, "n": 0}]}, "jobs[0].n"),
+    ({"jobs": [CUBE, {**RATIO, "n": -3}]}, "jobs[1].n"),
+    ({"jobs": [{**CUBE, "N": 0}]}, "jobs[0].N"),
+    ({"jobs": [{**LIP, "N": -1.0}]}, "jobs[0].N"),
+    ({"jobs": [CUBE, {**PAIRS, "num_pairs": 0}]}, "jobs[1].num_pairs"),
+    ({"jobs": [{**PAIRS, "num_pairs": -2}]}, "jobs[0].num_pairs"),
+    ({"jobs": [{**SHELL, "probes": 0}]}, "jobs[0].probes"),
+    ({"jobs": [{**SHELL, "probes": True}]}, "jobs[0].probes"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -135,6 +146,13 @@ def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys
     assert code == 1
     assert f"{field}:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_run_rejects_non_positive_sizes_by_name(tmp_path, capsys):
+    cfg = {"jobs": [CUBE, {**PAIRS, "num_pairs": 0}]}
+    assert cli.main(["run", str(write_config(tmp_path, cfg))]) == 1
+    err = capsys.readouterr().err
+    assert "jobs[1].num_pairs: expected a positive integer, got 0" in err
 
 
 def test_run_accepts_profile_and_map_tokens(tmp_path):

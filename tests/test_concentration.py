@@ -146,6 +146,73 @@ def test_curve_grows_with_direction_family():
     assert np.all(big.alpha_hat >= small.alpha_hat - 1e-12)
 
 
+def _curve_oracle(data, metric, eps_grid, directions):
+    """The curve as a column sort of each 64-direction block of projections."""
+    count = data.shape[0]
+    dual = ns.dual_norm(metric)
+    best = np.full(eps_grid.size, -1.0)
+    best_dir = np.zeros(eps_grid.size, dtype=np.int64)
+    for lo in range(0, directions.shape[0], 64):
+        chunk = directions[lo:lo + 64]
+        proj = np.sort(data @ chunk.T, axis=0)
+        med = 0.5 * (proj[(count - 1) // 2] + proj[count // 2])
+        dual_w = ns.norm_eval(dual, chunk)
+        for k in range(chunk.shape[0]):
+            beyond = count - np.searchsorted(proj[:, k], med[k] + eps_grid * dual_w[k],
+                                             side="right")
+            frac = beyond / count
+            better = frac > best
+            best = np.where(better, frac, best)
+            best_dir = np.where(better, lo + k, best_dir)
+    return best, best_dir
+
+
+@pytest.mark.parametrize("n, count, p, ties", [
+    (1, 999, 2, False), (7, 999, 1, False), (7, 1000, np.inf, True),
+    (64, 1001, 2, False), (64, 999, 1.5, True)])
+def test_curve_matches_column_sort_oracle(n, count, p, ties):
+    data = ms.sample(ms.gaussian(n), count, seed=21 + n).data
+    if ties:
+        data = np.round(data, 1)
+    metric = ns.lp(p, n)
+    eps = np.geomspace(0.01, 3.0, 17)
+    # n + 256 directions: 257, 263 and 320 rows, two of them not a multiple of 64
+    for dirs in (con.direction_family(n, con.DEFAULT_EXTRA_DIRECTIONS, seed=5),
+                 con.direction_family(n, 93, seed=6)[:100]):
+        curve = con.concentration_lower_curve(data, metric, eps, directions=dirs)
+        best, best_dir = _curve_oracle(data, metric, eps, dirs)
+        assert np.array_equal(curve.alpha_hat, best)
+        assert np.array_equal(curve.argmax_direction, best_dir)
+
+
+def test_sorted_projections_blocks():
+    data = ms.sample(ms.gaussian(5), 501, seed=3).data
+    dirs = con.direction_family(5, 70, seed=4)
+    seen = 0
+    for lo, chunk, rows in con.sorted_projections(data, dirs):
+        assert lo == seen and rows.shape == (chunk.shape[0], 501)
+        assert rows.flags.c_contiguous
+        assert np.array_equal(rows, np.sort(data @ chunk.T, axis=0).T)
+        seen += chunk.shape[0]
+    assert seen == 75
+
+
+@pytest.mark.parametrize("count", [1, 2, 999, 1000])
+def test_linear_quantiles_match_numpy(count):
+    gen = np.random.default_rng(count)
+    q = np.concatenate([[0.0, 1e-12, 1e-6, 0.25, 0.5, 0.75, 1 - 1e-6, 1 - 1e-12, 1.0],
+                        gen.uniform(size=40), 0.02 + 0.43 * gen.uniform(size=15),
+                        0.55 + 0.43 * gen.uniform(size=15)])
+    smooth = gen.normal(size=(q.size, count))
+    tied = gen.integers(-3, 4, size=(q.size, count)).astype(np.float64)
+    for rows in (smooth, tied, 1e-300 * tied, np.zeros((q.size, count))):
+        rows = np.sort(rows, axis=1)
+        expect = np.array([np.quantile(row, qk) for row, qk in zip(rows, q)])
+        got = con.linear_quantiles(rows, q)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+
+
 def test_curve_validation():
     batch = ms.sample(ms.haar_sphere(4), 1000, seed=11)
     with pytest.raises(ValueError):

@@ -49,6 +49,19 @@ def test_norm_eval_examples():
     assert ns.norm_eval(ns.lp(1, 5), e2) == 1.0
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, 7.3, 50])
+def test_norm_eval_matches_quotient_formula(p):
+    # one zero row; the input must come back untouched
+    x = RNG.normal(size=(40, 9))
+    x[5] = 0.0
+    before = x.copy()
+    m = np.abs(x).max(axis=1)
+    safe = np.where(m > 0.0, m, 1.0)[:, None]
+    expect = m * ((np.abs(x) / safe) ** p).sum(axis=1) ** (1.0 / p)
+    assert np.array_equal(ns.norm_eval(ns.lp(p, 9), x), expect)
+    assert np.array_equal(x, before)
+
+
 def test_large_p_no_overflow():
     x = np.full(4, 1e200)
     assert np.isfinite(ns.norm_eval(ns.lp(300, 4), x))

@@ -93,6 +93,47 @@ def test_separated_sets_sphere():
     assert rep.violations == 0
 
 
+def _separated_sets_oracle(measure, metric, num_pairs, count, seed, profile):
+    """One projection, two np.quantile calls and one dual norm per pair."""
+    prof = vf._resolve_profile(profile, measure.dim)
+    data = ms.sample(measure, count, seed).data
+    dseed = vf.rng.derive_seed(seed, 0xC2)
+    pairs = np.arange(num_pairs, dtype=np.uint64)
+    thetas = vf.rng.normals(dseed, pairs[:, None],
+                            np.arange(measure.dim, dtype=np.uint64)[None, :], 0)
+    q_lo = 0.02 + 0.43 * vf.rng.uniforms(dseed, pairs, 0, 2)
+    q_hi = 0.55 + 0.43 * vf.rng.uniforms(dseed, pairs, 1, 2)
+    dual = ns.dual_norm(metric)
+    lhs, ci, half_dist = [], [], []
+    for k in range(num_pairs):
+        s = data @ thetas[k]
+        a, b = np.quantile(s, q_lo[k]), np.quantile(s, q_hi[k])
+        pa, pb = float((s <= a).mean()), float((s >= b).mean())
+        lhs.append(pa * pb)
+        var = (pb * pb * pa * (1 - pa) + pa * pa * pb * (1 - pb)) / count
+        ci.append(1.96 * math.sqrt(max(var, 0.0)) + 1.0 / count)
+        half_dist.append(0.5 * max(b - a, 0.0) / float(ns.norm_eval(dual, thetas[k])))
+    order = np.argsort(half_dist)
+    half_dist = np.array(half_dist)[order]
+    return (half_dist, np.array(lhs)[order], 4.0 * prof(half_dist),
+            np.array(ci)[order])
+
+
+@pytest.mark.parametrize("n, p, num_pairs, count", [
+    (16, 2, 150, 5001), (7, 1, 64, 4000), (33, np.inf, 1, 999)])
+def test_separated_sets_matches_per_pair_oracle(n, p, num_pairs, count):
+    measure, metric = ms.haar_sphere(n), ns.lp(p, n)
+    rep = vf.check_separated_sets(measure=measure, metric=metric,
+                                  num_pairs=num_pairs, count=count, seed=4)
+    eps, lhs, rhs, ci = _separated_sets_oracle(measure, metric, num_pairs,
+                                               count, 4, "sphere")
+    assert rep.lhs == lhs.tolist() and rep.ci == ci.tolist()
+    np.testing.assert_allclose(rep.eps, eps, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(rep.rhs, rhs, rtol=1e-13, atol=0.0)
+    oracle = vf._finish("separated_sets", {}, {}, eps, lhs, rhs, ci, 0.0, True, "le")
+    assert (rep.violations, rep.verdict) == (oracle.violations, oracle.verdict)
+
+
 def test_cube_floor_small_dims():
     for n in (1, 2, 8):
         rep = vf.check_cube_floor(n=n, eps_grid=np.linspace(0.1, 0.9, 9),
