@@ -2,8 +2,7 @@
 
 from .concentration import (AnalyticProfile, ConcentrationCurve, MedianEstimate,
                             analytic_profile, concentration_lower_curve,
-                            empirical_median, halfspace_expansion,
-                            lipschitz_deviation_curve)
+                            empirical_median)
 from .measures import (MeasureSpec, RadialCdf, SampleBatch, cone_surface, gamma_cdf,
                        gamma_quantile, gaussian, ggp, haar_sphere, radial_cdf,
                        sample, uniform_ball)
@@ -26,8 +25,7 @@ __all__ = [
     "concentration_lower_curve", "containment_constant", "cube_beta_lower_bound",
     "cube_concentration_floor", "dual_norm", "embedding_lower_bound",
     "empirical_median", "gamma_cdf", "gamma_quantile", "gaussian", "ggp",
-    "haar_sphere", "halfspace_expansion", "lipschitz_constant",
-    "lipschitz_deviation_curve", "lp", "norm_eval", "norm_ratio_map",
+    "haar_sphere", "lipschitz_constant", "lp", "norm_eval", "norm_ratio_map",
     "normalize_containment", "pushforward", "radial_cdf", "radial_map",
     "radial_transport", "ratio_map_lipschitz", "run_check", "sample", "scaled",
     "uniform_ball",

@@ -60,7 +60,7 @@ def empirical_median(values: np.ndarray) -> MedianEstimate:
     n = v.size
     if n < 100:
         raise ValueError(f"need at least 100 samples for a median estimate, got {n}")
-    med = float(np.median(v))
+    med = float(0.5 * (v[(n - 1) // 2] + v[n // 2]))
     spread = 0.5 * _Z95 * np.sqrt(n)
     lo_rank = int(np.floor(0.5 * n - spread)) - 1
     hi_rank = int(np.ceil(0.5 * n + spread))
@@ -76,23 +76,6 @@ def binomial_ci(p_hat: np.ndarray, count: int) -> np.ndarray:
     return _Z95 * np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / count) + 0.5 / count
 
 
-def halfspace_expansion(theta: np.ndarray, t: float, eps: float,
-                        metric: NormSpec) -> tuple[np.ndarray, float]:
-    """Exact eps-expansion of {x : <theta, x> <= t} in the metric norm.
-
-    Returns (theta, t') with t' = t + eps * |theta|_dual: a point is
-    within eps of the half-space iff its functional value is below the
-    pushed-out threshold.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if not np.any(theta != 0.0):
-        raise ValueError("direction must be nonzero")
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    w = float(norm_eval(dual_norm(metric), theta))
-    return theta, t + eps * w
-
-
 @dataclass(frozen=True)
 class ConcentrationCurve:
     """Empirical lower bound of a concentration function on an eps grid."""
@@ -101,15 +84,8 @@ class ConcentrationCurve:
     alpha_hat: np.ndarray          # lower bound, nonincreasing in eps
     ci: np.ndarray = field(repr=False)
     argmax_direction: np.ndarray = field(repr=False)
-    metric: Optional[NormSpec] = None
     family_size: int = 0
     count: int = 0
-
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([self.eps, self.alpha_hat, self.ci,
-                                self.argmax_direction])
-        np.savetxt(path, rows, delimiter=",", fmt="%.17g",
-                   header="eps,alpha_hat,ci,direction_id_of_max", comments="")
 
 
 def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
@@ -198,29 +174,8 @@ def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
 
     ci = binomial_ci(best, n_samples)
     return ConcentrationCurve(eps=eps_grid, alpha_hat=best, ci=ci,
-                              argmax_direction=best_dir, metric=metric,
+                              argmax_direction=best_dir,
                               family_size=directions.shape[0], count=n_samples)
-
-
-def lipschitz_deviation_curve(data: np.ndarray, f, eps_grid: np.ndarray, *,
-                              lip: float = 1.0, profile=None
-                              ) -> tuple[np.ndarray, MedianEstimate, Optional[np.ndarray]]:
-    """Two-sided deviation curve eps -> mass{ |f - median(f)| >= eps }.
-
-    ``f`` is a row-wise scalar function of the sample (or an already
-    evaluated value array), assumed lip-Lipschitz in the sample's metric
-    by the caller.  When a profile is supplied the matching upper bound
-    ``2 * profile(eps / lip)`` is returned alongside the curve.
-    """
-    values = np.asarray(f(data) if callable(f) else f, dtype=np.float64)
-    if lip <= 0.0:
-        raise ValueError("lip must be positive")
-    med = empirical_median(values)
-    dev = np.abs(values - med.value)
-    eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    curve = np.array([(dev >= e).mean() for e in eps_grid])
-    bound = 2.0 * profile(eps_grid / lip) if profile is not None else None
-    return curve, med, bound
 
 
 @dataclass(frozen=True)

@@ -371,10 +371,6 @@ def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:
     return SampleBatch(measure=measure, seed=seed, data=data)
 
 
-def batch_to_csv(batch: SampleBatch, path) -> None:
-    np.savetxt(path, batch.data, delimiter=",", fmt="%.17g")
-
-
 # ---------------------------------------------------------------------------
 # Radial CDFs
 # ---------------------------------------------------------------------------

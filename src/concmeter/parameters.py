@@ -31,14 +31,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import _Z95, empirical_median
+from .concentration import _Z95, MedianEstimate, empirical_median
 from .measures import MeasureSpec, sample_chunks
 from .normspace import ContainmentConstant, NormSpec, containment_constant, norm_eval
 
 
 @dataclass(frozen=True)
 class StatEstimate:
-    """A location estimate (median or mean) with a 95% CI half-width."""
+    """A sample mean with its 95% CI half-width.
+
+    Medians use :class:`concmeter.concentration.MedianEstimate`, which
+    derives its half-width from the CI ends; a mean stored that way would
+    not reproduce its own half-width exactly.
+    """
 
     value: float
     half_width: float
@@ -58,8 +63,8 @@ class BetaEstimate:
     variant: str                    # "beta" (medians) or "beta_tilde" (means)
     transform: dict                 # descriptor of the argmin transform
     lam: ContainmentConstant        # sandwich constants at the argmin
-    numerator: StatEstimate
-    denominator: StatEstimate
+    numerator: MedianEstimate | StatEstimate
+    denominator: MedianEstimate | StatEstimate
     dim: int
     count: int
     locations: dict = None
@@ -99,12 +104,6 @@ def norm_values(measure: MeasureSpec, norms: Sequence[NormSpec], count: int,
     return out
 
 
-def _median_stat(values: np.ndarray) -> StatEstimate:
-    med = empirical_median(values)
-    return StatEstimate(value=med.value, half_width=med.half_width,
-                        count=med.count)
-
-
 def _mean_stat(values: np.ndarray) -> StatEstimate:
     n = values.size
     return StatEstimate(value=float(values.mean()),
@@ -117,7 +116,7 @@ def _beta_impl(K: NormSpec, measure: MeasureSpec, L: NormSpec, *, variant: str,
                ) -> BetaEstimate:
     if K.dim != L.dim or K.dim != measure.dim:
         raise ValueError("K, L and the measure must share one dimension")
-    stat = _median_stat if variant == "beta" else _mean_stat
+    stat = empirical_median if variant == "beta" else _mean_stat
 
     candidates: list[tuple[dict, NormSpec]] = [({"kind": "scalar", "t": None}, L)]
     if diagonals is not None:
@@ -134,11 +133,13 @@ def _beta_impl(K: NormSpec, measure: MeasureSpec, L: NormSpec, *, variant: str,
     num = stat(values[0])
     if num.value <= 0.0:
         raise ValueError("the K-norm statistic must be positive")
+    medians = [float(np.median(v)) for v in values]
+    means = [float(v.mean()) for v in values]
 
     best: Optional[BetaEstimate] = None
-    for (desc, normT), vals in zip(candidates, values[1:]):
+    for k, (desc, normT) in enumerate(candidates, start=1):
         cc = containment_constant(K, normT)
-        den = stat(vals)
+        den = stat(values[k])
         if den.value <= 0.0:
             continue
         sup_ratio = cc.scale * cc.lam
@@ -147,10 +148,10 @@ def _beta_impl(K: NormSpec, measure: MeasureSpec, L: NormSpec, *, variant: str,
             # smallest feasible scalar under the sandwich convention
             desc = {"kind": "scalar", "t": 1.0 / cc.scale}
         locations = {
-            "numerator_median": float(np.median(values[0])),
-            "numerator_mean": float(values[0].mean()),
-            "denominator_median": float(np.median(vals)),
-            "denominator_mean": float(vals.mean()),
+            "numerator_median": medians[0],
+            "numerator_mean": means[0],
+            "denominator_median": medians[k],
+            "denominator_mean": means[k],
         }
         est = BetaEstimate(value=value, variant=variant, transform=desc,
                            lam=cc, numerator=num, denominator=den,

@@ -125,15 +125,6 @@ class MonotoneMap:
         out = np.where(beyond, self.values[-1] + (r - self.knots[-1]) * last_slope, out)
         return out
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.knots, self.values]),
-                   delimiter=",", fmt="%.17g", header="r,u", comments="")
-
-
-def identity_map(r_max: float = 1.0, knots: int = 16) -> MonotoneMap:
-    k = np.linspace(0.0, r_max, knots)
-    return MonotoneMap(knots=k, values=k.copy(), exact=lambda r: np.asarray(r, float))
-
 
 def radial_transport(F_source: RadialCdf, F_target: RadialCdf, *,
                      knots: int = 4096, tail: float = 1e-7) -> MonotoneMap:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -28,12 +28,13 @@ from . import rng
 from .concentration import (AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
                             linear_quantiles, sorted_projections)
-from .measures import MeasureSpec, ggp, haar_sphere, radial_cdf, sample, uniform_ball
+from .measures import (MAX_GAMMA_SHAPE, MeasureSpec, ggp, haar_sphere, radial_cdf,
+                       sample, uniform_ball)
 from .normspace import (INF, NormSpec, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
 from .transport import (lipschitz_constant, norm_ratio_map, pushforward,
-                        radial_map, radial_transport, ratio_map_lipschitz)
+                        radial_map, radial_transport)
 
 _ALGEBRAIC_TOL = 1e-9
 
@@ -231,8 +232,7 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
 
     rhs = rhs_fn(med_k.value, med_l.value)
     pre = 16.0 * prof(eps_grid * med_l.value / (7.0 * cc.lam * med_k.value)) <= 1.0
-    slack = _median_slack(lambda m_k, m_l: rhs_fn(m_k, m_l),
-                          {"m_k": med_k, "m_l": med_l})
+    slack = _median_slack(rhs_fn, {"m_k": med_k, "m_l": med_l})
 
     inputs = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
               "count": count, "seed": seed, "eps": eps_grid.tolist(),
@@ -326,16 +326,11 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
                        "membership_failures": int(bad_member.sum())})
     # grid rows summarize the two probe-wise assertions; the violation
     # count is per probe, not per row
-    lhs = [float(moved.max()), float(overshoot.max())]
-    rhs = [bound + tol, tol]
-    margins = [lhs[0] - rhs[0], lhs[1] - rhs[1]]
-    return CheckReport(
-        check_id="shell_inclusion", inputs=inputs, quantities=quantities,
-        eps=[eps, eps], lhs=lhs, rhs=rhs, ci=[0.0, 0.0], slack=[0.0, 0.0],
-        precondition=[True, True], relation="le", violations=violations,
-        worst_margin=float(max(margins)),
-        verdict="pass" if violations == 0 else "fail",
-        notes=["pointwise algebraic chain; zero tolerance beyond round-off"])
+    report = _finish("shell_inclusion", inputs, quantities, [eps, eps],
+                     [moved.max(), overshoot.max()], [bound + tol, tol], 0.0,
+                     0.0, True, "le",
+                     ["pointwise algebraic chain; zero tolerance beyond round-off"])
+    return replace(report, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +448,7 @@ def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
         alpha = prof(eps_grid)
         alpha_label = prof.to_config()
 
-    bound = np.array([embedding_lower_bound(a, m) if a > 0.0 else math.inf
-                      for a, m in zip(alpha, small_mass)])
+    bound = np.array([embedding_lower_bound(a, m) for a, m in zip(alpha, small_mass)])
     pre = (eps_grid < 1.0 / d) & (alpha > 0.0)
 
     inputs = {"K": K.to_config(), "measure": measure.to_config(),
@@ -471,6 +465,18 @@ def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
 # Radial transfer between two radial measures
 # ---------------------------------------------------------------------------
 
+def _radial_fault(p: float, n: int) -> Optional[tuple[str, str]]:
+    """The argument at fault and why, when the radial transfer catalog does
+    not cover (p, n); None when it does."""
+    if not 1.0 <= p <= 2.0:
+        return "p", "the radial transfer catalog covers p in [1, 2]"
+    # the source's radial law is Gamma(n / p)
+    if n / p > MAX_GAMMA_SHAPE:
+        return "n", (f"n / p = {n / p:g} exceeds {MAX_GAMMA_SHAPE:g}, the largest "
+                     "gamma shape of the radial law")
+    return None
+
+
 def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
                           count: int = 100000, seed: int = 1,
                           profile=None, lam: float = 1.0) -> CheckReport:
@@ -478,8 +484,9 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     ball through the radial quantile map u: image curve at eps versus
     16 x source profile at eps / (14 |u|_Lip lam), where the two-median
     smallness precondition holds."""
-    if not 1.0 <= p <= 2.0:
-        raise CheckError("the radial transfer catalog covers p in [1, 2]")
+    fault = _radial_fault(p, n)
+    if fault is not None:
+        raise CheckError(fault[1])
     metric = lp(p, n)
     mu = ggp(p, n)
     nu = uniform_ball(metric)
@@ -508,9 +515,8 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
         return 8.0 * (prof(eps_grid / (7.0 * u_lip * lam))
                       + prof(eps_grid * m_u / (7.0 * u_lip ** 2 * m_l)))
 
-    pre = pre_fn(med_l.value, med_u.value) <= 1.0
     # the rhs has no median dependence; medians only gate the precondition
-    slack = np.zeros_like(eps_grid)
+    pre = pre_fn(med_l.value, med_u.value) <= 1.0
 
     inputs = {"p": p, "n": n, "count": count, "seed": seed,
               "eps": eps_grid.tolist(), "profile": prof.to_config(),
@@ -519,7 +525,7 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
                   "median_u": med_u.value, "u_knots": int(u.knots.size),
                   "family_size": curve.family_size}
     return _finish("radial_transfer", inputs, quantities, eps_grid,
-                   curve.alpha_hat, rhs, curve.ci, slack, pre, "le",
+                   curve.alpha_hat, rhs, curve.ci, 0.0, pre, "le",
                    ["u built from analytic radial laws; image sampled by "
                     "pushing the source batch through the radial map"])
 
@@ -664,12 +670,15 @@ class CheckSpec(NamedTuple):
     n: int                  # dimension when run_check is given none
     required: frozenset     # config keys a job must give besides n
     params: tuple
+    # parsed job keywords -> (config key, reason) when they break the
+    # check's hypothesis, else None
+    fault: Optional[Callable[[dict], Optional[tuple[str, str]]]] = None
 
 
-def _spec(fn, n: int, required, *params: Param) -> CheckSpec:
+def _spec(fn, n: int, required, *params: Param, fault=None) -> CheckSpec:
     # every check samples, so every row takes N and seed
     common = (_param("N", "size", "count", kw="count"), _param("seed", "int"))
-    return CheckSpec(fn, n, frozenset(required), params + common)
+    return CheckSpec(fn, n, frozenset(required), params + common, fault)
 
 
 def default_eps_grid(lo: float = 0.05, hi: float = 12.0, num: int = 40) -> list:
@@ -727,7 +736,8 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _param("p", "float", default=lambda n: 1.0),
         _param("eps", "eps", "eps_grid", lambda n: default_eps_grid()),
         _PROFILE,
-        _param("lambda", "float", "lam", kw="lam")),
+        _param("lambda", "float", "lam", kw="lam"),
+        fault=lambda kw: _radial_fault(kw["p"], kw["n"])),
 }
 
 
@@ -767,6 +777,9 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
     for par in spec.params:
         if par.key in job:
             params[par.kw] = parse(par.key, par.kind, n)
+    fault = spec.fault(params) if spec.fault else None
+    if fault is not None:
+        raise ConfigError(f"{where}.{fault[0]}: {fault[1]}")
     return check, params
 
 

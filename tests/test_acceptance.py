@@ -211,6 +211,30 @@ def test_criterion_8b_beta_tilde_linf():
            f"value/target ratios={np.round(ratios, 4).tolist()}")
 
 
+def _expected_max_abs_gaussian(n):
+    """E max_i |g_i| = int_0^inf (1 - erf(t / sqrt 2)^n) dt, trapezoid rule;
+    the integrand is below 1e-30 past t = 12."""
+    t = np.linspace(0.0, 12.0, 24001)
+    erf = np.array([math.erf(v) for v in t / math.sqrt(2.0)])
+    return float(np.trapezoid(1.0 - erf ** n, t))
+
+
+def test_criterion_8b_estimator_matches_exact_oracle():
+    # on the sphere beta_tilde(l2, linf) = 1 / E|x|_inf = E|g|_2 / E max|g_i|,
+    # so the estimator is checked against the exact finite-n value; 8b's
+    # asymptotic target is what is loose at these n
+    watch = Stopwatch(60)
+    ns_list = (16, 64, 256)
+    vals = _beta_tilde_curve(np.inf, ns_list, 30000, seed=108)
+    exact = np.array([math.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0)
+                                                - math.lgamma(n / 2.0))
+                      / _expected_max_abs_gaussian(n) for n in ns_list])
+    ratios = vals / exact
+    ok = bool(np.all(np.abs(ratios - 1.0) <= 0.005))
+    report("8b oracle", "beta-tilde vs exact 1/E|x|_inf", ok, watch,
+           f"value/exact ratios={np.round(ratios, 5).tolist()}")
+
+
 def test_criterion_8c_beta_tilde_slopes():
     watch = Stopwatch(200)
     ns_list = (32, 64, 128, 256, 512)

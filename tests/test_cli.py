@@ -131,6 +131,8 @@ SHELL = {"check": "shell_inclusion", "n": 4, "K": "l2", "L": "l1",
     ({"jobs": [{**PAIRS, "num_pairs": -2}]}, "jobs[0].num_pairs"),
     ({"jobs": [{**SHELL, "probes": 0}]}, "jobs[0].probes"),
     ({"jobs": [{**SHELL, "probes": True}]}, "jobs[0].probes"),
+    ({"jobs": [CUBE, {"check": "radial_transfer", "n": 16, "p": 3}]}, "jobs[1].p"),
+    ({"jobs": [CUBE, {"check": "radial_transfer", "n": 4100, "p": 2}]}, "jobs[1].n"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):

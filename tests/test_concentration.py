@@ -49,28 +49,18 @@ def test_median_needs_samples():
         con.empirical_median(np.arange(10))
 
 
-def test_halfspace_expansion_examples():
-    e1 = np.array([1.0, 0.0])
-    _, t = con.halfspace_expansion(e1, 0.0, 0.1, ns.lp(2, 2))
-    assert t == pytest.approx(0.1)
-    e1 = np.array([1.0, 0.0, 0.0])
-    _, t = con.halfspace_expansion(e1, 0.0, 0.7, ns.lp(np.inf, 3))
-    assert t == pytest.approx(0.7)  # dual is l1, |e1|_1 = 1
-    with pytest.raises(ValueError):
-        con.halfspace_expansion(np.zeros(2), 0.0, 0.1, ns.lp(2, 2))
-
-
 @pytest.mark.parametrize("metric_p", [1.0, 2.0, np.inf])
 def test_halfspace_expansion_against_projection_oracle(metric_p):
-    # oracle: distance from x to {<theta, a> <= t} is the value of the
-    # linear program min |x - a|_metric s.t. <theta, a> = t (for x outside)
+    # the curve expands {<theta, x> <= t} by eps to {<theta, x> <= t + eps
+    # |theta|_dual}; oracle: distance from x to {<theta, a> <= t} is the value
+    # of the linear program min |x - a|_metric s.t. <theta, a> = t (x outside)
     rng = np.random.default_rng(7)
     n = 4
     metric = ns.lp(metric_p, n)
     theta = rng.normal(size=n)
     t = 0.3
     eps = 0.25
-    _, t_exp = con.halfspace_expansion(theta, t, eps, metric)
+    t_exp = t + eps * ns.norm_eval(ns.dual_norm(metric), theta)
     pts = rng.normal(size=(200, n))
 
     def dist_to_halfspace(x):
@@ -251,47 +241,6 @@ def test_lower_bound_soundness_exponential_product(n, eps_hi):
     assert np.all(curve.alpha_hat - curve.ci <= prof(eps))
 
 
-def test_deviation_bound_for_linear_functionals():
-    # 1-Lipschitz functional <theta, x>, |theta|_2 = 1: two-sided median
-    # deviations are within twice the profile
-    n = 32
-    batch = ms.sample(ms.haar_sphere(n), N, seed=14)
-    theta = np.zeros(n)
-    theta[3] = 1.0
-    eps = np.linspace(0.05, 1.0, 20)
-    prof = con.analytic_profile("sphere", n)
-    curve, med, bound = con.lipschitz_deviation_curve(
-        batch.data, lambda x: x @ theta, eps, lip=1.0, profile=prof)
-    assert np.all(curve - con.binomial_ci(curve, N) <= bound)
-    assert np.allclose(bound, 2.0 * prof(eps))
-
-
-def test_deviation_curve_examples():
-    batch = ms.sample(ms.haar_sphere(5), 10000, seed=15)
-    curve, _, bound = con.lipschitz_deviation_curve(
-        batch.data, lambda x: np.linalg.norm(x, axis=1), np.array([0.01, 0.1]))
-    assert np.all(curve == 0.0)
-    assert bound is None
-
-    batch = ms.sample(ms.uniform_ball(ns.lp(np.inf, 1)), N, seed=16)
-    eps = np.array([0.2, 0.5, 0.8])
-    curve, med, _ = con.lipschitz_deviation_curve(batch.data, batch.data[:, 0],
-                                                  eps)
-    assert np.allclose(curve, 1.0 - eps, atol=0.01)
-
-
-def test_deviation_curve_from_radial_law():
-    # |x|_1 on the l1 ball deviates from its median per the r^n law
-    n = 6
-    batch = ms.sample(ms.uniform_ball(ns.lp(1, n)), N, seed=17)
-    eps = np.array([0.05, 0.1, 0.2])
-    curve, med, _ = con.lipschitz_deviation_curve(
-        batch.data, ns.norm_eval(ns.lp(1, n), batch.data), eps)
-    m = 2 ** (-1 / n)
-    expected = np.clip(m - eps, 0, 1) ** n + (1.0 - np.clip(m + eps, 0, 1) ** n)
-    assert np.allclose(curve, expected, atol=0.01)
-
-
 def test_profiles():
     prof = con.analytic_profile("sphere", 32)
     assert prof(0.0) == prof.C == 1.0
@@ -307,14 +256,3 @@ def test_profiles():
         con.analytic_profile("custom", 8)
     override = con.analytic_profile("sphere", 8, c=0.5)
     assert override.c == 0.5
-
-
-def test_curve_csv_export(tmp_path):
-    batch = ms.sample(ms.haar_sphere(4), 5000, seed=18)
-    curve = con.concentration_lower_curve(batch.data, ns.lp(2, 4),
-                                          np.array([0.1, 0.5]))
-    path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "eps,alpha_hat,ci,direction_id_of_max"
-    assert len(text) == 3

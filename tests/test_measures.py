@@ -175,14 +175,6 @@ def test_sample_validation():
         ms.MeasureSpec("nonsense", 4)
 
 
-def test_batch_csv_export(tmp_path):
-    batch = ms.sample(ms.gaussian(3), 50, seed=11)
-    path = tmp_path / "batch.csv"
-    ms.batch_to_csv(batch, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.allclose(back, batch.data)
-
-
 def test_measure_spec_roundtrip():
     for spec in [ms.uniform_ball(ns.lp(np.inf, 3)), ms.ggp(1.2, 5),
                  ms.haar_sphere(4)]:

@@ -78,6 +78,30 @@ def test_shell_inclusion_zero_violations():
     assert rep.quantities["max_displacement"] <= rep.quantities["displacement_bound"] + 1e-9
 
 
+def test_shell_inclusion_counts_violations_per_probe(monkeypatch):
+    # plant a fault: send the images of the first 5 probes to the origin,
+    # an L-distance of |y|_K = 1 from their partners against a bound of eps
+    real = vf.norm_ratio_map
+    calls = []
+
+    def planted(K, L, x):
+        out = real(K, L, x)
+        calls.append(x)
+        if len(calls) == 2:     # the calls map the batch, the probes, their partners
+            out[:5] = 0.0
+        return out
+
+    monkeypatch.setattr(vf, "norm_ratio_map", planted)
+    rep = vf.check_shell_inclusion(
+        K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
+        eps=0.5, count=20000, probes=2000, seed=7)
+    assert len(calls) == 3
+    assert rep.quantities["membership_failures"] == 0
+    assert rep.violations == 5
+    assert rep.verdict == "fail"
+    assert rep.worst_margin > 0.0
+
+
 def test_shell_inclusion_empty_set_not_applicable():
     rep = vf.check_shell_inclusion(
         K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
