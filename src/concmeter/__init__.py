@@ -11,8 +11,7 @@ from .normspace import (ContainmentConstant, NormSpec, containment_constant,
 from .parameters import (BetaEstimate, beta, beta_tilde, cube_beta_lower_bound,
                          cube_concentration_floor, embedding_lower_bound)
 from .transport import (MonotoneMap, lipschitz_constant, norm_ratio_map,
-                        pushforward, radial_map, radial_transport,
-                        ratio_map_lipschitz)
+                        radial_map, radial_transport, ratio_map_lipschitz)
 from .verify import CheckError, CheckReport, run_check
 
 __version__ = "0.1.0"
@@ -26,7 +25,7 @@ __all__ = [
     "cube_concentration_floor", "dual_norm", "embedding_lower_bound",
     "empirical_median", "gamma_cdf", "gamma_quantile", "gaussian", "ggp",
     "haar_sphere", "lipschitz_constant", "lp", "norm_eval", "norm_ratio_map",
-    "normalize_containment", "pushforward", "radial_cdf", "radial_map",
+    "normalize_containment", "radial_cdf", "radial_map",
     "radial_transport", "ratio_map_lipschitz", "run_check", "sample", "scaled",
     "uniform_ball",
 ]

@@ -27,8 +27,7 @@ from . import parameters, verify
 from .concentration import concentration_lower_curve, empirical_median
 from .measures import ggp, radial_cdf, sample, uniform_ball
 from .normspace import lp, norm_eval
-from .transport import (lipschitz_constant, norm_ratio_map, pushforward,
-                        radial_transport)
+from .transport import lipschitz_constant, norm_ratio_map, radial_transport
 from .verify import ConfigError, parse_eps, parse_int, parse_measure, parse_norm
 
 
@@ -190,7 +189,7 @@ def cmd_pushforward(args) -> int:
     L = parse_norm(args.L, n)
     measure = parse_measure(args.measure, n, args.p)
     batch = sample(measure, args.N, seed)
-    image = pushforward(lambda x: norm_ratio_map(K, L, x), batch)
+    image = norm_ratio_map(K, L, batch.data)
     cfg = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
            "n": n, "N": args.N, "seed": seed}
     _write_csv(args.out, cfg, ",".join(f"x{k}" for k in range(n)), image)

@@ -91,8 +91,6 @@ class ConcentrationCurve:
 def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
     """The n coordinate axes plus ``extra`` random gaussian directions."""
     axes = np.eye(dim)
-    if extra == 0:
-        return axes
     rows = np.arange(extra, dtype=np.uint64)[:, None]
     cols = np.arange(dim, dtype=np.uint64)[None, :]
     return np.vstack([axes, rng.normals(seed, rows, cols, 0)])
@@ -129,9 +127,19 @@ def linear_quantiles(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
 
 
+def eps_grid_fault(eps_grid) -> Optional[str]:
+    """Why an eps grid is unusable, or None when it is nonempty,
+    increasing and nonnegative (NaN entries fail)."""
+    eps_grid = np.asarray(eps_grid, dtype=np.float64)
+    if eps_grid.size == 0:
+        return "empty eps grid"
+    if not (np.all(np.diff(eps_grid) > 0.0) and np.all(eps_grid >= 0.0)):
+        return "eps grid must be increasing and nonnegative"
+    return None
+
+
 def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
                               eps_grid: np.ndarray, *,
-                              extra_directions: int = DEFAULT_EXTRA_DIRECTIONS,
                               direction_seed: int = 0xD1A,
                               directions: Optional[np.ndarray] = None
                               ) -> ConcentrationCurve:
@@ -148,15 +156,14 @@ def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
     """
     data = np.asarray(data, dtype=np.float64)
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    if eps_grid.size == 0:
-        raise ValueError("empty eps grid")
-    if np.any(np.diff(eps_grid) <= 0.0) or np.any(eps_grid < 0.0):
-        raise ValueError("eps grid must be increasing and nonnegative")
+    fault = eps_grid_fault(eps_grid)
+    if fault is not None:
+        raise ValueError(fault)
     n_samples, dim = data.shape
     if dim != metric.dim:
         raise ValueError("metric dimension mismatch")
     if directions is None:
-        directions = direction_family(dim, extra_directions, direction_seed)
+        directions = direction_family(dim, DEFAULT_EXTRA_DIRECTIONS, direction_seed)
     dual = dual_norm(metric)
 
     best = np.full(eps_grid.size, -1.0)

@@ -22,8 +22,8 @@ lp ball, a ggp vector t plus one extra unit exponential Z gives
 
 which is exactly uniform in the ball (the classical gaussian-plus-
 exponential normalization at p=2).  The radial law of |x|_p is then
-r^n, and of a ggp vector it is Gamma(n/p, 1) evaluated at r^p / p; both
-closed forms are exposed through :func:`radial_cdf`.
+r^n, and of a ggp vector it is Gamma(n/p, 1) evaluated at r^p / p; these
+two closed forms are the whole catalog of :func:`radial_cdf`.
 
 Transformed bodies: if K carries a map T (|x|_K = |Tx|_p), the body is
 T^{-1}(lp ball), so samples are base-body samples mapped through T^{-1}.
@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import rng
-from .normspace import INF, NormSpec, lp, norm_eval
+from .normspace import INF, NormSpec, lp
 
 FAMILIES = ("uniform_ball", "cone_surface", "ggp", "gaussian", "haar_sphere")
 
@@ -377,23 +377,18 @@ def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:
 
 @dataclass(frozen=True)
 class RadialCdf:
-    """CDF/quantile pair of |x| under a measure, analytic or empirical.
+    """Analytic CDF/quantile pair of |x| under a measure.
 
-    Analytic entries also expose the log CDF and a quantile that consumes
-    log probabilities; quantile couplings between two such entries can
-    then be composed entirely in log space, which keeps the coupling
-    accurate deep in the lower tail where the plain CDF underflows.
+    Each entry also exposes the log CDF and a quantile that consumes log
+    probabilities; quantile couplings between two entries are composed
+    entirely in log space, which keeps the coupling accurate deep in the
+    lower tail where the plain CDF underflows.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     quantile: Callable[[np.ndarray], np.ndarray]
-    source: str
-    median: float
-    log_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    quantile_log: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __call__(self, r):
-        return self.eval(r)
+    log_eval: Callable[[np.ndarray], np.ndarray]
+    quantile_log: Callable[[np.ndarray], np.ndarray]
 
 
 def _norms_match(measure: MeasureSpec, norm: NormSpec) -> bool:
@@ -409,15 +404,13 @@ def _norms_match(measure: MeasureSpec, norm: NormSpec) -> bool:
     return a.shape == b.shape and np.array_equal(a, b)
 
 
-def radial_cdf(measure: MeasureSpec, norm: NormSpec, *, empirical_count: int = 100000,
-               seed: int = 0xCDF) -> RadialCdf:
-    """Law of |x|_norm under the measure.
+def radial_cdf(measure: MeasureSpec, norm: NormSpec) -> RadialCdf:
+    """Law of |x|_norm under the measure, for the two catalog pairings.
 
-    Analytic entries: uniform_ball with its own body norm has F(r) =
-    min(r, 1)^n; a ggp/gaussian product measured in the matching plain
-    lp norm has F(r) = P(Gamma(n/p) <= r^p / p).  Any other pairing
-    falls back to the empirical CDF of a fresh sample, with midpoint
-    plotting positions (i - 1/2) / N, and is flagged as such.
+    uniform_ball with its own body norm has F(r) = min(r, 1)^n; a
+    ggp/gaussian product measured in the matching plain lp norm has
+    F(r) = P(Gamma(n/p) <= r^p / p).  Any other pairing raises
+    ValueError.
     """
     if measure.dim != norm.dim:
         raise ValueError("measure/norm dimension mismatch")
@@ -440,9 +433,7 @@ def radial_cdf(measure: MeasureSpec, norm: NormSpec, *, empirical_count: int = 1
         def ball_quantile_log(lq):
             return np.exp(np.asarray(lq, dtype=np.float64) / n)
 
-        return RadialCdf(ball_eval, ball_quantile, source="analytic:ball",
-                         median=2.0 ** (-1.0 / n), log_eval=ball_log_eval,
-                         quantile_log=ball_quantile_log)
+        return RadialCdf(ball_eval, ball_quantile, ball_log_eval, ball_quantile_log)
 
     fam_p = {"ggp": measure.p, "gaussian": 2.0}.get(measure.family)
     if fam_p is not None and norm.is_plain and norm.p == fam_p:
@@ -463,20 +454,8 @@ def radial_cdf(measure: MeasureSpec, norm: NormSpec, *, empirical_count: int = 1
         def ggp_quantile_log(lq):
             return (p * gamma_quantile_log(shape, lq)) ** (1.0 / p)
 
-        return RadialCdf(ggp_eval, ggp_quantile, source="analytic:ggp",
-                         median=float(ggp_quantile(0.5)), log_eval=ggp_log_eval,
-                         quantile_log=ggp_quantile_log)
+        return RadialCdf(ggp_eval, ggp_quantile, ggp_log_eval, ggp_quantile_log)
 
-    batch = sample(measure, empirical_count, seed)
-    radii = np.sort(norm_eval(norm, batch.data))
-    pos = (np.arange(1, empirical_count + 1) - 0.5) / empirical_count
-
-    def emp_eval(r):
-        return np.interp(np.asarray(r, dtype=np.float64), radii, pos,
-                         left=0.0, right=1.0)
-
-    def emp_quantile(q):
-        return np.interp(np.asarray(q, dtype=np.float64), pos, radii)
-
-    return RadialCdf(emp_eval, emp_quantile, source="empirical",
-                     median=float(np.median(radii)))
+    pairing = f"{measure.family} in l{norm.p:g}" + ("" if norm.is_plain else " with a transform")
+    raise ValueError(f"no analytic radial law for {pairing}; covered: uniform_ball in "
+                     "its own body norm, ggp/gaussian in the plain lp norm of matching p")

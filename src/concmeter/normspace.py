@@ -70,9 +70,6 @@ class NormSpec:
     def is_plain(self) -> bool:
         return self.transform is None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return norm_eval(self, x)
-
     def to_config(self) -> dict:
         cfg = {"kind": "lp", "p": "inf" if self.p == INF else self.p, "dim": self.dim}
         if self.transform is not None:
@@ -169,8 +166,7 @@ def _candidate_directions(dim: int, count: int, seed: int) -> np.ndarray:
     return np.vstack([dirs] + extremes)
 
 
-def containment_constant(K: NormSpec, L: NormSpec, *, directions: int = 4096,
-                         seed: int = 0x5EED) -> ContainmentConstant:
+def containment_constant(K: NormSpec, L: NormSpec) -> ContainmentConstant:
     """Tightest sandwich constants between two norms.
 
     Plain lp/lq pairs get the exact Holder constants.  Anything with a
@@ -195,19 +191,19 @@ def containment_constant(K: NormSpec, L: NormSpec, *, directions: int = 4096,
             lam = float(n) ** (inv_q - inv_p)
         return ContainmentConstant(lam=lam, scale=scale, exact=True)
 
-    cand = _candidate_directions(n, directions, seed)
+    cand = _candidate_directions(n, 4096, 0x5EED)
     ratios = norm_eval(L, cand) / norm_eval(K, cand)
     scale = float(ratios.min())
     lam = float(ratios.max() / ratios.min())
     return ContainmentConstant(lam=max(lam, 1.0), scale=scale, exact=False)
 
 
-def normalize_containment(K: NormSpec, L: NormSpec, **kwargs):
+def normalize_containment(K: NormSpec, L: NormSpec):
     """Rescale L so that |x|_K <= |x|_L' <= lam |x|_K holds with scale 1.
 
     Returns ``(L_rescaled, constant)`` where the constant carries the
     original scale for reporting.
     """
-    cc = containment_constant(K, L, **kwargs)
+    cc = containment_constant(K, L)
     L_r = L if abs(cc.scale - 1.0) < 1e-15 else scaled(L, 1.0 / cc.scale)
     return L_r, cc

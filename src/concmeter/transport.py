@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import RadialCdf, SampleBatch
+from .measures import RadialCdf
 from .normspace import NormSpec, norm_eval
 
 
@@ -47,8 +47,7 @@ def norm_ratio_map(K: NormSpec, L: NormSpec, x: np.ndarray) -> np.ndarray:
 
 
 def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,
-                        pairs: int = 100000, seed: int = 0x11F,
-                        perturbation_scale: Optional[float] = None) -> float:
+                        pairs: int = 100000, seed: int = 0x11F) -> float:
     """Empirical sup of |pi(x) - pi(y)|_L / |x - y|_K over probe pairs.
 
     Half the pairs are independent point pairs, half are local
@@ -68,8 +67,7 @@ def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,
     xa = points[i_a]
     xb = points[i_b].copy()
 
-    if perturbation_scale is None:
-        perturbation_scale = 1e-3 * float(np.median(norm_eval(K, points)))
+    perturbation_scale = 1e-3 * float(np.median(norm_eval(K, points)))
     rows = np.arange(half, dtype=np.uint64)[:, None]
     cols = np.arange(dim, dtype=np.uint64)[None, :]
     noise = rng.normals(seed, rows, cols, 2)
@@ -127,48 +125,37 @@ class MonotoneMap:
 
 
 def radial_transport(F_source: RadialCdf, F_target: RadialCdf, *,
-                     knots: int = 4096, tail: float = 1e-7) -> MonotoneMap:
+                     knots: int = 4096) -> MonotoneMap:
     """Monotone map matching the radial quantiles of two measures.
 
-    u = F_target.quantile o F_source.eval, sampled on the union of a
-    quantile-spaced grid (dense wherever the source has mass) and a
-    uniform grid, then thinned to at most ``knots`` knots.  Fails with
-    a diagnostic if either CDF has flat stretches on the probed range
+    u = F_target.quantile_log o F_source.log_eval (the quantile coupling,
+    in log space where the plain CDF underflows), sampled on the union of
+    a quantile-spaced grid (dense wherever the source has mass) and a
+    uniform grid, then thinned to at most ``knots`` knots.  Fails with a
+    diagnostic if either CDF has flat stretches on the probed range
     (quantile matching needs strictly increasing laws).
     """
-    q_lo, q_hi = tail, 1.0 - tail
+    q_lo, q_hi = 1e-7, 1.0 - 1e-7    # quantile mass left out at each end
     r_hi = float(F_source.quantile(np.asarray(q_hi)))
     if not np.isfinite(r_hi) or r_hi <= 0.0:
         raise ValueError("source radial law has no usable upper quantile")
-    log_path = F_source.log_eval is not None and F_target.quantile_log is not None
     log_q_hi = math.log(q_hi)
 
-    if log_path:
-        def exact(r):
-            lq = np.minimum(np.asarray(F_source.log_eval(r), dtype=np.float64),
-                            log_q_hi)
-            return np.asarray(F_target.quantile_log(lq), dtype=np.float64)
-    else:
-        def exact(r):
-            q = np.clip(np.asarray(F_source.eval(r), dtype=np.float64), 0.0, q_hi)
-            return np.asarray(F_target.quantile(q), dtype=np.float64)
+    def exact(r):
+        lq = np.minimum(np.asarray(F_source.log_eval(r), dtype=np.float64),
+                        log_q_hi)
+        return np.asarray(F_target.quantile_log(lq), dtype=np.float64)
 
     # seed grid: quantile-spaced with geometric tails, uniform, and
     # origin-resolving geometric points
     qs = np.unique(np.concatenate([np.linspace(q_lo, q_hi, knots // 8),
                                    np.geomspace(q_lo, 0.5, knots // 16),
-                                   1.0 - np.geomspace(tail, 0.5, knots // 16)]))
+                                   1.0 - np.geomspace(q_lo, 0.5, knots // 16)]))
     r_quant = np.asarray(F_source.quantile(qs), dtype=np.float64)
     r_unif = np.linspace(0.0, r_hi, knots // 8)
     r_geo = np.geomspace(max(r_hi * 1e-6, 1e-12), r_hi, knots // 16)
     grid = np.unique(np.concatenate([[0.0], r_quant, r_unif, r_geo]))
     grid = grid[(grid >= 0.0) & (grid <= r_hi)]
-    if not log_path:
-        # without the log path the plain CDF underflows near the origin;
-        # knots there would carry denormal noise, so they are dropped and
-        # the leading segment interpolates straight from (0, 0)
-        q_at = np.asarray(F_source.eval(grid), dtype=np.float64)
-        grid = grid[(grid == 0.0) | (q_at > 1e-280)]
     vals = exact(grid)
     vals[grid == 0.0] = 0.0
 
@@ -209,12 +196,11 @@ def radial_transport(F_source: RadialCdf, F_target: RadialCdf, *,
     return MonotoneMap(knots=grid, values=vals, exact=exact)
 
 
-def lipschitz_constant(u: MonotoneMap, *, refine_rounds: int = 3,
-                       refine_points: int = 64) -> float:
+def lipschitz_constant(u: MonotoneMap) -> float:
     """Max slope of a monotone map, sharpened around the argmax.
 
     Starts from the knot-interval slopes, then zooms into the steepest
-    interval with ``refine_rounds`` shrinking grids (factor 10 each),
+    interval with three shrinking 64-point grids (factor 10 each),
     re-evaluating through the exact map when available.
     """
     k, v = u.knots, u.values
@@ -225,8 +211,8 @@ def lipschitz_constant(u: MonotoneMap, *, refine_rounds: int = 3,
     idx = int(slopes.argmax())
     lo, hi = float(k[idx]), float(k[idx + 1])
     fn = u.exact if u.exact is not None else u
-    for _ in range(refine_rounds):
-        grid = np.linspace(lo, hi, refine_points)
+    for _ in range(3):
+        grid = np.linspace(lo, hi, 64)
         vals = np.asarray(fn(grid), dtype=np.float64)
         s = np.diff(vals) / np.diff(grid)
         j = int(s.argmax())
@@ -248,18 +234,3 @@ def radial_map(u: MonotoneMap, L: NormSpec, x: np.ndarray) -> np.ndarray:
     out = rows * scale[:, None]
     return out[0] if single else out
 
-
-# ---------------------------------------------------------------------------
-# Batch push-forward
-# ---------------------------------------------------------------------------
-
-def pushforward(map_rows: Callable[[np.ndarray], np.ndarray],
-                batch: SampleBatch) -> np.ndarray:
-    """Apply a row-wise map; the image rows are an i.i.d. sample of the
-    push-forward measure because they are the same rows, transformed."""
-    image = np.asarray(map_rows(batch.data), dtype=np.float64)
-    if image.ndim == 1:
-        image = image[:, None]
-    if image.shape[0] != batch.count:
-        raise ValueError("push-forward must preserve the row count")
-    return image

@@ -27,14 +27,13 @@ import numpy as np
 from . import rng
 from .concentration import (AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
-                            linear_quantiles, sorted_projections)
+                            eps_grid_fault, linear_quantiles, sorted_projections)
 from .measures import (MAX_GAMMA_SHAPE, MeasureSpec, ggp, haar_sphere, radial_cdf,
                        sample, uniform_ball)
 from .normspace import (INF, NormSpec, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
-from .transport import (lipschitz_constant, norm_ratio_map, pushforward,
-                        radial_map, radial_transport)
+from .transport import lipschitz_constant, norm_ratio_map, radial_map, radial_transport
 
 _ALGEBRAIC_TOL = 1e-9
 
@@ -162,15 +161,15 @@ def build_map(cfg: dict, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], 
 
 
 def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
-                             metric_in: NormSpec, metric_out: Optional[NormSpec] = None,
-                             eps_grid: Sequence[float], count: int = 100000,
-                             seed: int = 1, profile="gaussian") -> CheckReport:
+                             metric_in: NormSpec, eps_grid: Sequence[float],
+                             count: int = 100000, seed: int = 1,
+                             profile="gaussian") -> CheckReport:
     """Push-forward through an L-Lipschitz map can only slow concentration
     down by the factor L: image curve at r versus source profile at r/L."""
     if lip <= 0.0:
         raise CheckError("Lipschitz constant must be positive")
     map_rows, out_dim, label = build_map(map_cfg, measure.dim)
-    metric_out = metric_out if metric_out is not None else lp(metric_in.p, out_dim)
+    metric_out = lp(metric_in.p, out_dim)
     prof = _resolve_profile(profile, measure.dim)
 
     batch = sample(measure, count, seed)
@@ -187,7 +186,7 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
     if emp_lip > lip * (1.0 + 1e-9):
         raise CheckError(f"map is not {lip}-Lipschitz on samples: observed {emp_lip}")
 
-    image = pushforward(map_rows, batch)
+    image = map_rows(batch.data)
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     curve = concentration_lower_curve(image, metric_out, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
@@ -222,7 +221,7 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     if med_k.value <= 0.0:
         raise CheckError("the source measure must give the K-norm a positive median")
 
-    image = pushforward(lambda x: norm_ratio_map(K, L_r, x), batch)
+    image = norm_ratio_map(K, L_r, batch.data)
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     curve = concentration_lower_curve(image, L_r, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
@@ -504,7 +503,7 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     med_l = empirical_median(r_mu)
     med_u = empirical_median(u(r_mu))
 
-    image = pushforward(lambda x: radial_map(u, metric, x), batch)
+    image = radial_map(u, metric, batch.data)
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     curve = concentration_lower_curve(image, metric, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
@@ -570,29 +569,38 @@ def parse_measure(token, dim: int, p=None) -> MeasureSpec:
 
 
 def parse_eps(spec) -> list:
-    """Grid from a list, 'lo:hi:num[:log]' string, or range object."""
+    """Grid from a list, a comma list or 'lo:hi:num[:scale]' string, or a
+    range object; scale is 'linear' (the default) or 'log'.  The grid
+    must pass :func:`eps_grid_fault`, as the half-space curve requires."""
     if isinstance(spec, str):
-        if not spec.strip():
-            raise ConfigError("empty eps grid")
-        if ":" in spec:
-            parts = spec.split(":")
-            lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
-            scale = parts[3] if len(parts) > 3 else "linear"
-            spec = {"start": lo, "stop": hi, "num": num, "scale": scale}
+        parts = spec.split(":")
+        if len(parts) not in (1, 3, 4):
+            raise ConfigError(f"cannot parse eps grid {spec!r}: expected "
+                              "'lo:hi:num[:scale]' or a comma list")
+        if len(parts) == 1:
+            spec = [float(tok) for tok in spec.split(",")] if spec.strip() else []
         else:
-            return [float(tok) for tok in spec.split(",")]
+            spec = dict(zip(("start", "stop", "num", "scale"), parts), num=float(parts[2]))
     if isinstance(spec, dict):
         extra = set(spec) - {"start", "stop", "num", "scale"}
         if extra:
             raise ConfigError(f"unknown eps keys {sorted(extra)}")
-        fn = np.geomspace if spec.get("scale", "linear") == "log" else np.linspace
-        return fn(float(spec["start"]), float(spec["stop"]), int(spec["num"])).tolist()
-    if isinstance(spec, (list, tuple)):
+        fn = {"linear": np.linspace, "log": np.geomspace}.get(spec.get("scale", "linear"))
+        if fn is None:
+            raise ConfigError(f"eps grid scale must be 'linear' or 'log', got {spec['scale']!r}")
+        try:
+            num = parse_size(spec["num"])
+        except ConfigError as exc:
+            raise ConfigError(f"eps grid num: {exc}") from None
+        grid = fn(float(spec["start"]), float(spec["stop"]), num).tolist()
+    elif isinstance(spec, (list, tuple)):
         grid = [float(v) for v in spec]
-        if not grid:
-            raise ConfigError("empty eps grid")
-        return grid
-    raise ConfigError(f"cannot parse eps grid {spec!r}")
+    else:
+        raise ConfigError(f"cannot parse eps grid {spec!r}")
+    fault = eps_grid_fault(grid)
+    if fault is not None:
+        raise ConfigError(fault)
+    return grid
 
 
 def parse_int(token) -> int:
@@ -613,6 +621,13 @@ def parse_float(token) -> float:
     if type(token) in (int, float):
         return float(token)
     raise ConfigError(f"expected a number, got {token!r}")
+
+
+def parse_positive(token) -> float:
+    value = parse_float(token)
+    if value > 0.0:
+        return value
+    raise ConfigError(f"expected a positive number, got {token!r}")
 
 
 def parse_profile(token, n: int):
@@ -641,9 +656,9 @@ _PARSERS = {
     "int": lambda token, n, p: parse_int(token),
     "size": lambda token, n, p: parse_size(token),
     "float": lambda token, n, p: parse_float(token),
+    "positive": lambda token, n, p: parse_positive(token),
     "profile": lambda token, n, p: parse_profile(token, n),
     "map": lambda token, n, p: parse_map(token, n),
-    "raw": lambda token, n, p: token,
 }
 
 
@@ -652,17 +667,16 @@ _PARSERS = {
 # ---------------------------------------------------------------------------
 
 class Param(NamedTuple):
-    """One parameter of a check and the three names it goes by."""
+    """One parameter of a check: config key, parser, argument, default."""
 
     key: Optional[str]      # config key; None: not settable from a config
-    kind: str               # token kind that parses the key: a key of _PARSERS
-    kw: str                 # run_check keyword
-    arg: str                # check_* argument
+    kind: Optional[str]     # token kind that parses the key: a key of _PARSERS
+    arg: str                # check_* argument and run_check keyword
     default: Optional[Callable[[int], object]] = None   # of n; None: the check's own
 
 
-def _param(key, kind, arg=None, default=None, kw=None) -> Param:
-    return Param(key, kind, kw or key, arg or key, default)
+def _param(key, kind, arg=None, default=None) -> Param:
+    return Param(key, kind, arg or key, default)
 
 
 class CheckSpec(NamedTuple):
@@ -677,12 +691,12 @@ class CheckSpec(NamedTuple):
 
 def _spec(fn, n: int, required, *params: Param, fault=None) -> CheckSpec:
     # every check samples, so every row takes N and seed
-    common = (_param("N", "size", "count", kw="count"), _param("seed", "int"))
+    common = (_param("N", "size", "count"), _param("seed", "int"))
     return CheckSpec(fn, n, frozenset(required), params + common, fault)
 
 
-def default_eps_grid(lo: float = 0.05, hi: float = 12.0, num: int = 40) -> list:
-    return np.geomspace(lo, hi, num).tolist()
+def default_eps_grid() -> list:
+    return np.geomspace(0.05, 12.0, 40).tolist()
 
 
 _PROFILE = _param("profile", "profile")
@@ -693,7 +707,7 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         check_lipschitz_transfer, 16, ("measure", "map", "lip"),
         _param("measure", "measure", default=lambda n: ggp(2.0, n)),
         _param("map", "map", "map_cfg", lambda n: {"kind": "identity"}),
-        _param("lip", "float", default=lambda n: 1.0),
+        _param("lip", "positive", default=lambda n: 1.0),
         _param("metric", "norm", "metric_in", lambda n: lp(2, n)),
         _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 4.0, 20)),
         _PROFILE),
@@ -709,7 +723,7 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _param("K", "norm", default=lambda n: lp(2, n)),
         _param("L", "norm", default=lambda n: lp(1, n)),
         _param("measure", "measure", default=haar_sphere),
-        _param("eps", "float", default=lambda n: 0.5),
+        _param("eps", "positive", default=lambda n: 0.5),
         _param("probes", "size")),
     "separated_sets": _spec(
         check_separated_sets, 64, ("measure",),
@@ -726,7 +740,7 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         check_sup_embedding, 8, ("d",),
         _param("K", "norm", default=lambda n: lp(INF, n)),
         _param("measure", "measure", default=lambda n: uniform_ball(lp(INF, n))),
-        _param(None, "raw", "functionals", np.eye, kw="functionals"),
+        _param(None, None, "functionals", np.eye),
         _param("d", "float", default=lambda n: 1.0),
         _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 0.9, 9)),
         _PROFILE),
@@ -736,13 +750,13 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _param("p", "float", default=lambda n: 1.0),
         _param("eps", "eps", "eps_grid", lambda n: default_eps_grid()),
         _PROFILE,
-        _param("lambda", "float", "lam", kw="lam"),
+        _param("lambda", "float", "lam"),
         fault=lambda kw: _radial_fault(kw["p"], kw["n"])),
 }
 
 
 def config_params(job: dict, where: str) -> tuple[str, dict]:
-    """Parse one config job into its check id and run_check keywords.
+    """Parse one config job into its check id and check_* arguments.
 
     A job must give n and its row's required keys, may give only keys of
     its row (plus id, and p as the exponent of a measure token), and
@@ -776,7 +790,7 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
     params = {"n": n}
     for par in spec.params:
         if par.key in job:
-            params[par.kw] = parse(par.key, par.kind, n)
+            params[par.arg] = parse(par.key, par.kind, n)
     fault = spec.fault(params) if spec.fault else None
     if fault is not None:
         raise ConfigError(f"{where}.{fault[0]}: {fault[1]}")
@@ -793,8 +807,8 @@ def run_check(check_id: str, **params) -> CheckReport:
     n = params.pop("n", spec.n)
     args = {}
     for par in spec.params:
-        if par.kw in params:
-            args[par.arg] = params.pop(par.kw)
+        if par.arg in params:
+            args[par.arg] = params.pop(par.arg)
         elif par.default is not None:
             args[par.arg] = par.default(n)
     if params:

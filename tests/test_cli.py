@@ -133,6 +133,22 @@ SHELL = {"check": "shell_inclusion", "n": 4, "K": "l2", "L": "l1",
     ({"jobs": [{**SHELL, "probes": True}]}, "jobs[0].probes"),
     ({"jobs": [CUBE, {"check": "radial_transfer", "n": 16, "p": 3}]}, "jobs[1].p"),
     ({"jobs": [CUBE, {"check": "radial_transfer", "n": 4100, "p": 2}]}, "jobs[1].n"),
+    # malformed eps grids: short strings, empty, decreasing or negative
+    # grids, fractional counts and unknown scales
+    ({"jobs": [{**CUBE, "eps": "0.1:0.9"}]}, "jobs[0].eps"),
+    ({"jobs": [CUBE, {**CUBE, "eps": "0.1:0.9:3:lg"}]}, "jobs[1].eps"),
+    ({"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stop": 0.9, "num": 0}}]},
+     "jobs[1].eps"),
+    ({"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stop": 0.9, "num": 1.7}}]},
+     "jobs[1].eps"),
+    ({"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stop": 0.9, "num": 3,
+                                      "scale": "Log"}}]}, "jobs[1].eps"),
+    ({"jobs": [CUBE, {**CUBE, "eps": [0.5, 0.1]}]}, "jobs[1].eps"),
+    ({"jobs": [CUBE, {**CUBE, "eps": [-0.1, 0.5]}]}, "jobs[1].eps"),
+    ({"jobs": [CUBE, {**CUBE, "eps": []}]}, "jobs[1].eps"),
+    # a Lipschitz constant and a single eps must be positive
+    ({"jobs": [CUBE, {**LIP, "lip": -1}]}, "jobs[1].lip"),
+    ({"jobs": [CUBE, {**SHELL, "eps": -0.5}]}, "jobs[1].eps"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -157,6 +173,15 @@ def test_run_rejects_non_positive_sizes_by_name(tmp_path, capsys):
     assert "jobs[1].num_pairs: expected a positive integer, got 0" in err
 
 
+@pytest.mark.parametrize("eps", ["0.1:0.9", "0.1:0.9:3:lg", "0.1:0.9:1.7", "0.5,0.1", ""])
+def test_alpha_rejects_malformed_eps(tmp_path, capsys, eps):
+    out = tmp_path / "a.csv"
+    code = cli.main(["alpha", "--measure", "gaussian", "--eps", eps, "--n", "4",
+                     "--N", "200", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and "eps grid" in err and not out.exists()
+
+
 def test_run_accepts_profile_and_map_tokens(tmp_path):
     jobs = [{**RATIO, "profile": "sphere"},
             {**RATIO, "profile": {"name": "custom", "C": 1.0, "c": 0.25}},
@@ -166,7 +191,7 @@ def test_run_accepts_profile_and_map_tokens(tmp_path):
     parsed = cli.validate_config({"jobs": jobs})
     assert [params.get("profile") for _, _, params in parsed[:3]] == [
         "sphere", {"name": "custom", "C": 1.0, "c": 0.25}, None]
-    assert parsed[3][2]["map"] == {"kind": "scale", "factor": 0.5}
+    assert parsed[3][2]["map_cfg"] == {"kind": "scale", "factor": 0.5}
 
 
 @pytest.mark.parametrize("argv", [

@@ -189,15 +189,13 @@ def test_measure_spec_roundtrip():
 def test_radial_cdf_ball_analytic():
     norm = ns.lp(1, 3)
     cdf = ms.radial_cdf(ms.uniform_ball(norm), norm)
-    assert cdf.source == "analytic:ball"
     r = np.linspace(0, 1, 11)
     assert np.allclose(cdf.eval(r), r ** 3)
-    assert cdf.median == pytest.approx(2 ** (-1 / 3))
+    assert cdf.quantile(0.5) == pytest.approx(2 ** (-1 / 3))
 
 
 def test_radial_cdf_ggp_entries():
     cdf = ms.radial_cdf(ms.ggp(1.0, 5), ns.lp(1, 5))
-    assert cdf.source == "analytic:ggp"
     r = np.linspace(0.0, 20.0, 50)
     assert np.allclose(cdf.eval(r), special.gammainc(5, r), atol=1e-12)
 
@@ -211,7 +209,6 @@ def test_radial_cdf_ggp_entries():
 @pytest.mark.parametrize("make", [
     lambda: ms.radial_cdf(ms.uniform_ball(ns.lp(2, 4)), ns.lp(2, 4)),
     lambda: ms.radial_cdf(ms.ggp(1.5, 4), ns.lp(1.5, 4)),
-    lambda: ms.radial_cdf(ms.haar_sphere(4), ns.lp(1, 4)),  # empirical path
 ])
 def test_radial_cdf_quantile_inverse(make):
     cdf = make()
@@ -219,11 +216,13 @@ def test_radial_cdf_quantile_inverse(make):
     assert np.max(np.abs(cdf.eval(cdf.quantile(u)) - u)) <= 1e-9
 
 
-def test_radial_cdf_monotone_and_fallback_flag():
-    cdf = ms.radial_cdf(ms.uniform_ball(ns.lp(2, 4)), ns.lp(1, 4))
-    assert cdf.source == "empirical"
-    r = np.linspace(0, 3, 300)
-    assert np.all(np.diff(cdf.eval(r)) >= 0.0)
+@pytest.mark.parametrize("measure, norm", [
+    (ms.uniform_ball(ns.lp(2, 4)), ns.lp(1, 4)),   # a ball in a foreign norm
+    (ms.haar_sphere(4), ns.lp(1, 4)),              # a family outside the catalog
+], ids=["l2_ball_in_l1", "sphere_in_l1"])
+def test_radial_cdf_refuses_pairings_outside_the_catalog(measure, norm):
+    with pytest.raises(ValueError, match="covered: uniform_ball in its own body norm"):
+        ms.radial_cdf(measure, norm)
 
 
 def test_radial_cdf_monte_carlo_consistency():

@@ -216,14 +216,14 @@ def test_radial_transfer_rejects_bad_p():
 
 
 def test_reports_are_deterministic_and_serializable():
-    kw = dict(n=2, eps=np.linspace(0.1, 0.9, 5).tolist(), count=20000, seed=17)
+    kw = dict(n=2, eps_grid=np.linspace(0.1, 0.9, 5).tolist(), count=20000, seed=17)
     a = vf.run_check("cube_floor", **kw)
     b = vf.run_check("cube_floor", **kw)
     assert a.to_json() == b.to_json()
     payload = json.loads(a.to_json())
     assert set(payload) == {"check_id", "inputs", "quantities", "grid",
                             "violations", "verdict", "notes"}
-    assert payload["grid"]["eps"] == kw["eps"]
+    assert payload["grid"]["eps"] == kw["eps_grid"]
 
 
 def test_run_check_defaults_and_unknown():
