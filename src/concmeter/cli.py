@@ -7,7 +7,8 @@ estimators, ``pushforward``/``transport`` export map data, and
 ``verify`` runs a single named check with defaults.
 
 Exit codes: 0 when every verdict is pass or not-applicable, 2 when any
-check fails, 1 on execution or configuration errors.  The environment
+check fails, 1 on any usage, input, file or execution error; ``main`` is
+the one place that turns an error into exit 1.  The environment
 variable CONCMETER_SEED overrides all seeds (smoke-test hook).  Every
 output file embeds the resolved configuration that produced it.
 """
@@ -28,7 +29,8 @@ from .concentration import concentration_lower_curve, empirical_median
 from .measures import ggp, radial_cdf, sample, uniform_ball
 from .normspace import lp, norm_eval
 from .transport import lipschitz_constant, norm_ratio_map, radial_transport
-from .verify import ConfigError, parse_eps, parse_int, parse_measure, parse_norm
+from .verify import (ConfigError, parse_eps, parse_int, parse_measure, parse_norm,
+                     parse_size)
 
 
 def env_seed(default: int) -> int:
@@ -41,13 +43,24 @@ def env_seed(default: int) -> int:
         raise ConfigError(f"CONCMETER_SEED: expected an integer, got {raw!r}") from None
 
 
+def _write_csv(path, config, columns: str, rows) -> None:
+    """CSV of ``str`` of each value (Python values: pass numpy rows through
+    ``tolist``), under the resolved config as a leading comment when one
+    is given."""
+    lines = [] if config is None else ["# config: " + json.dumps(config, sort_keys=True)]
+    lines.append(columns)
+    lines += [",".join(map(str, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # The `run` subcommand
 # ---------------------------------------------------------------------------
 
 def validate_config(cfg: dict) -> list[tuple[dict, str, dict]]:
-    """Parse every job before any job runs: one (job, check id, run_check
-    keywords) triple per job, seeds resolved.  Errors name the field."""
+    """Parse every job before any job runs: one (job record, check id,
+    run_check keywords) triple per job, seeds and ids resolved.  Errors
+    name the field."""
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object")
     extra = set(cfg) - {"jobs", "seed", "output_dir"}
@@ -56,6 +69,8 @@ def validate_config(cfg: dict) -> list[tuple[dict, str, dict]]:
     jobs = cfg.get("jobs", [])
     if not isinstance(jobs, list):
         raise ConfigError("'jobs' must be a list")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir: expected a string, got {cfg['output_dir']!r}")
     try:
         default_seed = parse_int(cfg.get("seed", 1))
     except ConfigError as exc:
@@ -66,72 +81,53 @@ def validate_config(cfg: dict) -> list[tuple[dict, str, dict]]:
         if not isinstance(job, dict):
             raise ConfigError(f"{where}: job must be an object")
         check, params = verify.config_params(job, where)
-        stem = str(job.get("id", f"job{idx:03d}"))   # the report file is <stem>.json
+        stem = job.get("id", f"job{idx:03d}")   # the report file is <stem>.json
+        if (not isinstance(stem, str) or not stem or stem.startswith(".")
+                or any(c in stem for c in ("/", os.sep, "\0"))):
+            raise ConfigError(f"{where}.id: expected a file stem (a nonempty string "
+                              f"with no '/', no NUL and no leading '.'), got {stem!r}")
         if stem in seen:
             raise ConfigError(f"{where}.id: duplicate id {stem!r}")
         seen.add(stem)
         params["seed"] = env_seed(params.get("seed", default_seed))
-        parsed.append((job, check, params))
+        record = {"index": idx, "id": stem, "resolved": {**job, "seed": params["seed"]}}
+        parsed.append((record, check, params))
     return parsed
 
 
-def _execute_job(task: tuple[int, tuple[dict, str, dict]]) -> tuple[int, dict]:
-    idx, (job, check, params) = task
-    payload = verify.run_check(check, **params).to_dict()
-    payload["job"] = {"index": idx, "id": job.get("id", f"job{idx:03d}"),
-                      "resolved": {**job, "seed": params["seed"]}}
-    return idx, payload
+def _execute_job(task: tuple[dict, str, dict]) -> dict:
+    record, check, params = task
+    return {**verify.run_check(check, **params).to_dict(), "job": record}
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-        tasks = list(enumerate(validate_config(cfg)))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = json.loads(Path(args.config).read_text())
+    tasks = validate_config(cfg)
     out_dir = Path(args.out or cfg.get("output_dir", "concmeter-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        if args.jobs == 1 or len(tasks) <= 1:
-            results = [_execute_job(t) for t in tasks]
-        else:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_execute_job, tasks))
-    except (verify.CheckError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.jobs == 1 or len(tasks) <= 1:
+        payloads = [_execute_job(t) for t in tasks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            payloads = list(pool.map(_execute_job, tasks))
 
-    results.sort(key=lambda pair: pair[0])
     rows = []
-    any_fail = False
-    for idx, payload in results:
-        job_id = payload["job"]["id"]
-        (out_dir / f"{job_id}.json").write_text(
+    for payload in payloads:
+        job = payload["job"]
+        (out_dir / f"{job['id']}.json").write_text(
             json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        verdict = payload["verdict"]
-        any_fail |= verdict == "fail"
-        rows.append((job_id, payload["check_id"], verdict,
+        rows.append((job["id"], payload["check_id"], payload["verdict"],
                      payload["violations"]["count"],
-                     payload["violations"]["worst_margin"],
-                     payload["job"]["resolved"]["seed"]))
-    lines = ["job_id,check_id,verdict,violations,worst_margin,seed"]
-    lines += [",".join(str(v) for v in row) for row in rows]
-    (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
-    return 2 if any_fail else 0
+                     payload["violations"]["worst_margin"], job["resolved"]["seed"]))
+    _write_csv(out_dir / "summary.csv", None,
+               "job_id,check_id,verdict,violations,worst_margin,seed", rows)
+    return 2 if any(p["verdict"] == "fail" for p in payloads) else 0
 
 
 # ---------------------------------------------------------------------------
 # One-shot estimator subcommands
 # ---------------------------------------------------------------------------
-
-def _write_csv(path, config: dict, columns: str, rows) -> None:
-    """Data CSV with the resolved config embedded as a leading comment."""
-    lines = ["# config: " + json.dumps(config, sort_keys=True), columns]
-    lines += [",".join(repr(float(v)) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
 
 def cmd_alpha(args) -> int:
     n = args.n
@@ -144,28 +140,25 @@ def cmd_alpha(args) -> int:
     cfg = {"measure": measure.to_config(), "metric": metric.to_config(),
            "n": n, "N": args.N, "seed": seed, "eps": eps.tolist()}
     rows = np.column_stack([curve.eps, curve.alpha_hat, curve.ci,
-                            curve.argmax_direction])
+                            curve.argmax_direction]).tolist()
     _write_csv(args.out, cfg, "eps,alpha_hat,ci,direction_id_of_max", rows)
     return 0
 
 
 def cmd_beta(args) -> int:
     seed = env_seed(args.seed)
-    ns = [int(tok) for tok in args.n.split(",")]
     fn = parameters.beta if args.variant == "beta" else parameters.beta_tilde
-    lines = []
+    rows = []
     cfg = {"K": args.K, "L": args.L, "measure": args.measure, "p": args.p,
-           "variant": args.variant, "n": ns, "N": args.N, "seed": seed}
-    for n in ns:
+           "variant": args.variant, "n": args.n, "N": args.N, "seed": seed}
+    for n in args.n:
         K = parse_norm(args.K, n)
         L = parse_norm(args.L, n)
         measure = parse_measure(args.measure, n, args.p)
         est = fn(K, measure, L, count=args.N, seed=seed)
-        lines.append(f"{n},{est.value!r},{est.lam.lam!r},{est.numerator.value!r},"
-                     f"{est.denominator.value!r}")
-    header = ("# config: " + json.dumps(cfg, sort_keys=True)
-              + "\nn,value,lambda,numerator,denominator\n")
-    Path(args.out).write_text(header + "\n".join(lines) + "\n")
+        rows.append((n, est.value, est.lam.lam, est.numerator.value,
+                     est.denominator.value))
+    _write_csv(args.out, cfg, "n,value,lambda,numerator,denominator", rows)
     return 0
 
 
@@ -192,35 +185,30 @@ def cmd_pushforward(args) -> int:
     image = norm_ratio_map(K, L, batch.data)
     cfg = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
            "n": n, "N": args.N, "seed": seed}
-    _write_csv(args.out, cfg, ",".join(f"x{k}" for k in range(n)), image)
+    _write_csv(args.out, cfg, ",".join(f"x{k}" for k in range(n)),
+               map(np.ndarray.tolist, image))
     return 0
 
 
 def cmd_transport(args) -> int:
     n = args.n
+    fault = verify._radial_fault(args.p, n)
+    if fault is not None:
+        raise ConfigError(f"--{fault[0]}: {fault[1]}")
     metric = lp(args.p, n)
     u = radial_transport(radial_cdf(ggp(args.p, n), metric),
                          radial_cdf(uniform_ball(metric), metric))
     lip = lipschitz_constant(u)
     cfg = {"p": args.p, "n": n, "lipschitz": lip}
-    _write_csv(args.out, cfg, "r,u", np.column_stack([u.knots, u.values]))
+    _write_csv(args.out, cfg, "r,u", np.column_stack([u.knots, u.values]).tolist())
     print(json.dumps({"lipschitz": lip, "n_times_lipschitz": n * lip,
                       "knots": int(u.knots.size)}, sort_keys=True))
     return 0
 
 
 def cmd_verify(args) -> int:
-    seed = env_seed(args.seed)
-    kw = {"seed": seed}
-    if args.n:
-        kw["n"] = args.n
-    if args.N:
-        kw["count"] = args.N
-    try:
-        report = verify.run_check(args.check_id, **kw)
-    except (verify.CheckError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = verify.run_check(args.check_id, n=args.n, count=args.N,
+                              seed=env_seed(args.seed))
     text = report.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -232,9 +220,20 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def dimension_list(text: str) -> list:
+    """The comma list of positive dimensions that ``beta --n`` takes."""
+    return [parse_size(int(tok)) for tok in text.split(",")]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is an input error: exit 1, as in main; 2 means a failed check
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="concmeter",
-                                 description="concentration-transfer laboratory")
+    ap = _Parser(prog="concmeter", description="concentration-transfer laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a JSON config of check jobs")
@@ -260,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     beta_p.add_argument("--measure", required=True)
     beta_p.add_argument("--p", default=None)
     beta_p.add_argument("--variant", choices=("beta", "beta_tilde"), default="beta")
-    beta_p.add_argument("--n", required=True, help="comma list of dimensions")
+    beta_p.add_argument("--n", type=dimension_list, required=True,
+                        help="comma list of dimensions")
     beta_p.add_argument("--N", type=int, default=100000)
     beta_p.add_argument("--seed", type=int, default=1)
     beta_p.add_argument("--out", required=True)
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     try:
         env_seed(0)   # a malformed CONCMETER_SEED fails every subcommand alike
         return args.fn(args)
-    except ConfigError as exc:
+    except (ValueError, verify.CheckError, OSError) as exc:   # ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

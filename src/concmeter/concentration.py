@@ -217,7 +217,11 @@ PROFILE_CATALOG = {
 
 def analytic_profile(name: str, n: int, *, C: Optional[float] = None,
                      c: Optional[float] = None) -> AnalyticProfile:
-    """Profile from the catalog, with optional constant overrides."""
+    """Profile from the catalog, with optional constant overrides; the
+    constants must be positive."""
+    for key, value in (("C", C), ("c", c)):
+        if value is not None and not float(value) > 0.0:
+            raise ValueError(f"profile constant {key} must be positive, got {value!r}")
     if name == "custom":
         if C is None or c is None:
             raise ValueError("custom profile requires explicit C and c")

@@ -42,7 +42,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import rng
-from .normspace import INF, NormSpec, lp
+from .normspace import INF, NormSpec, _as_p, lp
 
 FAMILIES = ("uniform_ball", "cone_surface", "ggp", "gaussian", "haar_sphere")
 
@@ -221,14 +221,12 @@ class MeasureSpec:
             raise ValueError(f"unknown measure family {self.family!r}")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.family in ("uniform_ball", "cone_surface"):
+        if self.family in ("uniform_ball", "cone_surface", "ggp"):
             if self.p is None:
                 raise ValueError(f"{self.family} requires an lp exponent")
-            object.__setattr__(self, "p", float(self.p) if self.p != "inf" else INF)
-        elif self.family == "ggp":
-            if self.p is None or not (1.0 <= float(self.p) <= 2.0):
-                raise ValueError("ggp requires p in [1, 2]")
-            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "p", _as_p(self.p))
+        if self.family == "ggp" and not self.p <= 2.0:
+            raise ValueError("ggp requires p in [1, 2]")
         if self.transform is not None:
             if self.family not in ("uniform_ball", "cone_surface"):
                 raise ValueError(f"{self.family} does not accept a transform")

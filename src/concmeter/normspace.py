@@ -33,7 +33,6 @@ def _as_p(p) -> float:
     if isinstance(p, str):
         if p.lower() in ("inf", "infinity", "linf"):
             return INF
-        p = float(p)
     p = float(p)
     if not (p >= 1.0):
         raise ValueError(f"lp exponent must satisfy p >= 1, got {p}")

@@ -30,7 +30,7 @@ from .concentration import (AnalyticProfile, analytic_profile,
                             eps_grid_fault, linear_quantiles, sorted_projections)
 from .measures import (MAX_GAMMA_SHAPE, MeasureSpec, ggp, haar_sphere, radial_cdf,
                        sample, uniform_ball)
-from .normspace import (INF, NormSpec, dual_norm, lp, norm_eval,
+from .normspace import (INF, NormSpec, _as_p, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
 from .transport import lipschitz_constant, norm_ratio_map, radial_map, radial_transport
@@ -135,6 +135,10 @@ def _resolve_profile(profile, n: int) -> AnalyticProfile:
     if isinstance(profile, str):
         return analytic_profile(profile, n)
     if isinstance(profile, dict):
+        extra = set(profile) - {"name", "C", "c"}
+        if extra:
+            raise ValueError(f"unknown profile keys {sorted(extra)}; a profile "
+                             "takes name, C and c")
         return analytic_profile(profile.get("name", "custom"), n,
                                 C=profile.get("C"), c=profile.get("c"))
     raise ValueError(f"cannot interpret profile spec {profile!r}")
@@ -544,8 +548,10 @@ def parse_norm(token, dim: int) -> NormSpec:
             raise ConfigError(f"norm dim {token.get('dim')} conflicts with n={dim}")
         return NormSpec.from_config({**token, "dim": dim})
     if isinstance(token, str) and token.startswith("l"):
-        body = token[1:]
-        p = INF if body == "inf" else float(body)
+        try:
+            p = _as_p(token[1:])
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse norm {token!r}: {exc}") from None
         return lp(p, dim)
     raise ConfigError(f"cannot parse norm {token!r} (expected 'l<p>' or a config object)")
 
@@ -563,8 +569,7 @@ def parse_measure(token, dim: int, p=None) -> MeasureSpec:
         if token in ("uniform_ball", "cone_surface", "ggp"):
             if p is None:
                 raise ConfigError(f"measure {token!r} needs an lp exponent (p)")
-            return MeasureSpec(family=token, dim=dim,
-                               p=INF if p == "inf" else float(p))
+            return MeasureSpec(family=token, dim=dim, p=p)
     raise ConfigError(f"cannot parse measure {token!r}")
 
 
@@ -572,15 +577,23 @@ def parse_eps(spec) -> list:
     """Grid from a list, a comma list or 'lo:hi:num[:scale]' string, or a
     range object; scale is 'linear' (the default) or 'log'.  The grid
     must pass :func:`eps_grid_fault`, as the half-space curve requires."""
+    text = spec
+
+    def number(token) -> float:
+        try:
+            return float(token)
+        except (TypeError, ValueError):
+            raise ConfigError(f"cannot parse eps grid {text!r}") from None
+
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) not in (1, 3, 4):
             raise ConfigError(f"cannot parse eps grid {spec!r}: expected "
                               "'lo:hi:num[:scale]' or a comma list")
         if len(parts) == 1:
-            spec = [float(tok) for tok in spec.split(",")] if spec.strip() else []
+            spec = [number(tok) for tok in spec.split(",")] if spec.strip() else []
         else:
-            spec = dict(zip(("start", "stop", "num", "scale"), parts), num=float(parts[2]))
+            spec = dict(zip(("start", "stop", "num", "scale"), parts), num=number(parts[2]))
     if isinstance(spec, dict):
         extra = set(spec) - {"start", "stop", "num", "scale"}
         if extra:
@@ -592,9 +605,9 @@ def parse_eps(spec) -> list:
             num = parse_size(spec["num"])
         except ConfigError as exc:
             raise ConfigError(f"eps grid num: {exc}") from None
-        grid = fn(float(spec["start"]), float(spec["stop"]), num).tolist()
+        grid = fn(number(spec["start"]), number(spec["stop"]), num).tolist()
     elif isinstance(spec, (list, tuple)):
-        grid = [float(v) for v in spec]
+        grid = [number(v) for v in spec]
     else:
         raise ConfigError(f"cannot parse eps grid {spec!r}")
     fault = eps_grid_fault(grid)
@@ -741,7 +754,7 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _param("K", "norm", default=lambda n: lp(INF, n)),
         _param("measure", "measure", default=lambda n: uniform_ball(lp(INF, n))),
         _param(None, None, "functionals", np.eye),
-        _param("d", "float", default=lambda n: 1.0),
+        _param("d", "positive", default=lambda n: 1.0),
         _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 0.9, 9)),
         _PROFILE),
     "radial_transfer": _spec(
@@ -750,7 +763,7 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _param("p", "float", default=lambda n: 1.0),
         _param("eps", "eps", "eps_grid", lambda n: default_eps_grid()),
         _PROFILE,
-        _param("lambda", "float", "lam"),
+        _param("lambda", "positive", "lam"),
         fault=lambda kw: _radial_fault(kw["p"], kw["n"])),
 }
 

@@ -12,13 +12,16 @@ import pytest
 from concmeter import cli
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv, env=None, cwd=None):
     full_env = dict(os.environ)
     full_env.pop("CONCMETER_SEED", None)
+    # the package this process imported, whatever the working directory
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), full_env.get("PYTHONPATH", "")])
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "concmeter.cli", *argv],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True, env=full_env, cwd=cwd)
 
 
 def write_config(tmp_path, payload):
@@ -96,6 +99,8 @@ LIP = {"check": "lipschitz_transfer", "n": 4, "measure": "gaussian",
 PAIRS = {"check": "separated_sets", "n": 4, "measure": "haar_sphere"}
 SHELL = {"check": "shell_inclusion", "n": 4, "K": "l2", "L": "l1",
          "measure": "haar_sphere", "eps": 0.5}
+EMBED = {"check": "sup_embedding", "n": 4, "d": 1.0}
+RADIAL = {"check": "radial_transfer", "n": 16, "p": 1}
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -149,6 +154,27 @@ SHELL = {"check": "shell_inclusion", "n": 4, "K": "l2", "L": "l1",
     # a Lipschitz constant and a single eps must be positive
     ({"jobs": [CUBE, {**LIP, "lip": -1}]}, "jobs[1].lip"),
     ({"jobs": [CUBE, {**SHELL, "eps": -0.5}]}, "jobs[1].eps"),
+    # so must an embedding's d and a radial transfer's lambda
+    ({"jobs": [CUBE, {**EMBED, "d": 0}]}, "jobs[1].d"),
+    ({"jobs": [CUBE, {**RADIAL, "lambda": -1}]}, "jobs[1].lambda"),
+    # a measure's lp exponent is at least 1, as a norm's is
+    ({"jobs": [CUBE, {**CUBE, "measure": "uniform_ball", "p": 0.5}]}, "jobs[1].measure"),
+    ({"jobs": [CUBE, {**CUBE, "measure": "cone_surface", "p": "x"}]}, "jobs[1].measure"),
+    # an id is the stem of a report file inside the output directory
+    ({"jobs": [CUBE, {**CUBE, "id": 5}]}, "jobs[1].id"),
+    ({"jobs": [CUBE, {**CUBE, "id": ""}]}, "jobs[1].id"),
+    ({"jobs": [CUBE, {**CUBE, "id": ".hidden"}]}, "jobs[1].id"),
+    ({"jobs": [CUBE, {**CUBE, "id": "../escaped"}]}, "jobs[1].id"),
+    ({"jobs": [CUBE, {**CUBE, "id": "a/b"}]}, "jobs[1].id"),
+    ({"jobs": [CUBE, {**CUBE, "id": "a\0b"}]}, "jobs[1].id"),
+    # a profile object takes name, C and c, and its constants are positive
+    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "cc": 9}}]},
+     "jobs[1].profile"),
+    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "custom", "C": 0, "c": 0.25}}]},
+     "jobs[1].profile"),
+    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "c": -1}}]},
+     "jobs[1].profile"),
+    ({"output_dir": 3, "jobs": [CUBE]}, "output_dir"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -173,13 +199,44 @@ def test_run_rejects_non_positive_sizes_by_name(tmp_path, capsys):
     assert "jobs[1].num_pairs: expected a positive integer, got 0" in err
 
 
-@pytest.mark.parametrize("eps", ["0.1:0.9", "0.1:0.9:3:lg", "0.1:0.9:1.7", "0.5,0.1", ""])
+@pytest.mark.parametrize("eps", ["0.1:0.9", "0.1:0.9:3:lg", "0.1:0.9:1.7", "0.5,0.1", "",
+                                 "0.1:x:3"])
 def test_alpha_rejects_malformed_eps(tmp_path, capsys, eps):
     out = tmp_path / "a.csv"
     code = cli.main(["alpha", "--measure", "gaussian", "--eps", eps, "--n", "4",
                      "--N", "200", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1 and "eps grid" in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["alpha", "--measure", "gaussian", "--n", "4", "--eps", "0.1:x:3", "--out", "a.csv"],
+     "cannot parse eps grid '0.1:x:3'"),
+    (["alpha", "--measure", "gaussian", "--n", "4", "--eps", "0.5", "--metric", "lx",
+      "--out", "a.csv"], "cannot parse norm 'lx'"),
+    (["median", "--measure", "gaussian", "--norm", "l2", "--n", "4", "--N", "0"],
+     "count must be >= 1"),
+    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "3,x",
+      "--out", "b.csv"], "argument --n: invalid dimension_list value: '3,x'"),
+    (["transport", "--p", "3", "--n", "4", "--out", "t.csv"],
+     "--p: the radial transfer catalog covers p in [1, 2]"),
+    (["transport", "--p", "1", "--n", "5000", "--out", "t.csv"],
+     "--n: n / p = 5000 exceeds 2048"),
+    (["verify", "cube_floor", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["verify", "cube_floor", "--n", "0"], "dim must be a positive integer"),
+    (["verify", "cube_floor", "--N", "0"], "count must be >= 1"),
+    (["run", "nope.json"], "No such file or directory: 'nope.json'"),
+    (["alpha", "--measure", "gaussian", "--n", "4", "--N", "200", "--eps", "0.5",
+      "--out", "missing/a.csv"], "No such file or directory: 'missing/a.csv'"),
+])
+def test_malformed_invocation_exits_1_with_one_error_line(tmp_path, argv, message):
+    # exit 2 is kept for a failed check; usage, input and file errors all exit 1
+    res = run_cli(*argv, cwd=tmp_path)
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert res.returncode == 1
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_accepts_profile_and_map_tokens(tmp_path):
@@ -341,5 +398,6 @@ def test_parse_helpers():
         cli.parse_eps([])
     with pytest.raises(cli.ConfigError):
         cli.parse_norm("gaussian", 4)
+    assert cli.parse_norm("linf", 3).p == float("inf")
     norm = cli.parse_norm("l1.5", 6)
     assert norm.p == 1.5 and norm.dim == 6
