@@ -220,6 +220,16 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def positive_int(text: str) -> int:
+    """The argparse type of ``--jobs``, ``--n`` and ``--N``, through
+    :func:`verify.parse_size`, so argparse names the flag at fault."""
+    try:
+        return parse_size(int(text))
+    except ValueError:   # ConfigError too
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}") from None
+
+
 def dimension_list(text: str) -> list:
     """The comma list of positive dimensions that ``beta --n`` takes."""
     return [parse_size(int(tok)) for tok in text.split(",")]
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a JSON config of check jobs")
     run.add_argument("config")
     run.add_argument("--out", default=None)
-    run.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    run.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
     run.set_defaults(fn=cmd_run)
 
     alpha = sub.add_parser("alpha", help="one-shot concentration curve to CSV")
@@ -247,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     alpha.add_argument("--p", default=None)
     alpha.add_argument("--metric", default="l2")
     alpha.add_argument("--eps", required=True)
-    alpha.add_argument("--n", type=int, required=True)
-    alpha.add_argument("--N", type=int, default=100000)
+    alpha.add_argument("--n", type=positive_int, required=True)
+    alpha.add_argument("--N", type=positive_int, default=100000)
     alpha.add_argument("--seed", type=int, default=1)
     alpha.add_argument("--out", required=True)
     alpha.set_defaults(fn=cmd_alpha)
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     beta_p.add_argument("--variant", choices=("beta", "beta_tilde"), default="beta")
     beta_p.add_argument("--n", type=dimension_list, required=True,
                         help="comma list of dimensions")
-    beta_p.add_argument("--N", type=int, default=100000)
+    beta_p.add_argument("--N", type=positive_int, default=100000)
     beta_p.add_argument("--seed", type=int, default=1)
     beta_p.add_argument("--out", required=True)
     beta_p.set_defaults(fn=cmd_beta)
@@ -270,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     med.add_argument("--measure", required=True)
     med.add_argument("--p", default=None)
     med.add_argument("--norm", required=True)
-    med.add_argument("--n", type=int, required=True)
-    med.add_argument("--N", type=int, default=100000)
+    med.add_argument("--n", type=positive_int, required=True)
+    med.add_argument("--N", type=positive_int, default=100000)
     med.add_argument("--seed", type=int, default=1)
     med.set_defaults(fn=cmd_median)
 
@@ -280,22 +290,22 @@ def build_parser() -> argparse.ArgumentParser:
     push.add_argument("--L", required=True)
     push.add_argument("--measure", required=True)
     push.add_argument("--p", default=None)
-    push.add_argument("--n", type=int, required=True)
-    push.add_argument("--N", type=int, default=10000)
+    push.add_argument("--n", type=positive_int, required=True)
+    push.add_argument("--N", type=positive_int, default=10000)
     push.add_argument("--seed", type=int, default=1)
     push.add_argument("--out", required=True)
     push.set_defaults(fn=cmd_pushforward)
 
     trans = sub.add_parser("transport", help="radial transport map to CSV")
     trans.add_argument("--p", type=float, default=1.0)
-    trans.add_argument("--n", type=int, required=True)
+    trans.add_argument("--n", type=positive_int, required=True)
     trans.add_argument("--out", required=True)
     trans.set_defaults(fn=cmd_transport)
 
     ver = sub.add_parser("verify", help="run one named check with defaults")
     ver.add_argument("check_id")
-    ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--N", type=int, default=None)
+    ver.add_argument("--n", type=positive_int, default=None)
+    ver.add_argument("--N", type=positive_int, default=None)
     ver.add_argument("--seed", type=int, default=1)
     ver.add_argument("--out", default=None)
     ver.set_defaults(fn=cmd_verify)

@@ -100,12 +100,17 @@ def sorted_projections(data: np.ndarray, directions: np.ndarray):
     """Yield ``(offset, chunk, rows)`` for each block of up to 64 directions.
 
     ``rows[k]`` holds the projections <directions[offset + k], x> of every
-    sample row x, sorted ascending.  The products come from one GEMM per
-    block, ``data @ chunk.T``, and are sorted along a contiguous axis.
+    sample row x, sorted ascending.  Each block is one GEMM,
+    ``chunk @ data.T``: BLAS writes the C-contiguous direction-major
+    ``(k, N)`` array directly (``data.T`` is passed as a transpose flag,
+    not copied), and it is sorted in place along its rows.  With OpenBLAS
+    the products are bit-identical to ``data @ chunk.T``, and across BLAS
+    thread counts, when N is a multiple of 8; at other N they can differ
+    in the last ulps.
     """
     for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
         chunk = directions[lo:lo + _DIRECTION_CHUNK]
-        rows = (data @ chunk.T).T.copy()
+        rows = chunk @ data.T
         rows.sort(axis=1)
         yield lo, chunk, rows
 

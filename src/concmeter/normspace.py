@@ -30,10 +30,13 @@ INF = float("inf")
 
 
 def _as_p(p) -> float:
-    if isinstance(p, str):
-        if p.lower() in ("inf", "infinity", "linf"):
-            return INF
+    """An lp exponent p >= 1: a number, or the string 'inf' in any case."""
+    text = p
+    if isinstance(text, str) and text.lower() == "inf":
+        return INF
     p = float(p)
+    if isinstance(text, str) and p == INF:   # float() also reads 'infinity', '+inf'
+        raise ValueError(f"write an infinite lp exponent as 'inf', got {text!r}")
     if not (p >= 1.0):
         raise ValueError(f"lp exponent must satisfy p >= 1, got {p}")
     return p

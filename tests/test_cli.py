@@ -215,19 +215,27 @@ def test_alpha_rejects_malformed_eps(tmp_path, capsys, eps):
     (["alpha", "--measure", "gaussian", "--n", "4", "--eps", "0.5", "--metric", "lx",
       "--out", "a.csv"], "cannot parse norm 'lx'"),
     (["median", "--measure", "gaussian", "--norm", "l2", "--n", "4", "--N", "0"],
-     "count must be >= 1"),
+     "argument --N: expected a positive integer, got '0'"),
     (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "3,x",
       "--out", "b.csv"], "argument --n: invalid dimension_list value: '3,x'"),
     (["transport", "--p", "3", "--n", "4", "--out", "t.csv"],
      "--p: the radial transfer catalog covers p in [1, 2]"),
     (["transport", "--p", "1", "--n", "5000", "--out", "t.csv"],
      "--n: n / p = 5000 exceeds 2048"),
-    (["verify", "cube_floor", "--n", "x"], "argument --n: invalid int value: 'x'"),
-    (["verify", "cube_floor", "--n", "0"], "dim must be a positive integer"),
-    (["verify", "cube_floor", "--N", "0"], "count must be >= 1"),
+    (["verify", "cube_floor", "--n", "x"], "argument --n: expected a positive integer, got 'x'"),
+    (["verify", "cube_floor", "--n", "0"], "argument --n: expected a positive integer, got '0'"),
+    (["verify", "cube_floor", "--N", "0"], "argument --N: expected a positive integer, got '0'"),
     (["run", "nope.json"], "No such file or directory: 'nope.json'"),
     (["alpha", "--measure", "gaussian", "--n", "4", "--N", "200", "--eps", "0.5",
       "--out", "missing/a.csv"], "No such file or directory: 'missing/a.csv'"),
+    (["alpha", "--measure", "gaussian", "--n", "-3", "--eps", "0.5", "--out", "a.csv"],
+     "argument --n: expected a positive integer, got '-3'"),
+    (["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
+      "--N", "2.5", "--out", "p.csv"], "argument --N: expected a positive integer, got '2.5'"),
+    (["transport", "--n", "0", "--out", "t.csv"],
+     "argument --n: expected a positive integer, got '0'"),
+    (["median", "--measure", "gaussian", "--norm", "llinf", "--n", "4"],
+     "cannot parse norm 'llinf'"),
 ])
 def test_malformed_invocation_exits_1_with_one_error_line(tmp_path, argv, message):
     # exit 2 is kept for a failed check; usage, input and file errors all exit 1
@@ -237,6 +245,16 @@ def test_malformed_invocation_exits_1_with_one_error_line(tmp_path, argv, messag
     assert len(errors) == 1 and message in errors[0]
     assert "Traceback" not in res.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_bad_jobs_fails_before_creating_out(tmp_path, jobs):
+    cfg = write_config(tmp_path, {"jobs": [CUBE, {**CUBE, "id": "b"}]})
+    out = tmp_path / "out"
+    res = run_cli("run", str(cfg), "--out", str(out), "--jobs", jobs)
+    assert res.returncode == 1
+    assert f"argument --jobs: expected a positive integer, got '{jobs}'" in res.stderr
+    assert not out.exists()
 
 
 def test_run_accepts_profile_and_map_tokens(tmp_path):

@@ -1,6 +1,7 @@
 """Median estimates, half-space expansion, and the lower-bound curve."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,9 +183,24 @@ def test_sorted_projections_blocks():
     for lo, chunk, rows in con.sorted_projections(data, dirs):
         assert lo == seen and rows.shape == (chunk.shape[0], 501)
         assert rows.flags.c_contiguous
-        assert np.array_equal(rows, np.sort(data @ chunk.T, axis=0).T)
+        assert np.array_equal(rows, np.sort(chunk @ data.T, axis=1))
         seen += chunk.shape[0]
     assert seen == 75
+
+
+def test_sorted_projections_block_allocates_no_copy():
+    # one 64-direction block: the GEMM writes the (64, N) rows and the
+    # sort works in place, so the peak is one block, not block plus copy
+    data = ms.sample(ms.gaussian(16), 20000, seed=3).data
+    dirs = con.direction_family(16, 48, seed=4)
+    tracemalloc.start()
+    try:
+        _, _, rows = next(con.sorted_projections(data, dirs))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (64, 20000)
+    assert peak <= 1.25 * rows.nbytes
 
 
 @pytest.mark.parametrize("count", [1, 2, 999, 1000])

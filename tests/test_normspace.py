@@ -1,5 +1,7 @@
 """Norm axioms, duality, and containment constants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,15 @@ def test_serialization_roundtrip():
         back = ns.NormSpec.from_config(norm.to_config())
         x = RNG.normal(size=(20, 6))
         assert np.allclose(ns.norm_eval(back, x), ns.norm_eval(norm, x))
+
+
+def test_exponent_spells_infinity_only_as_inf():
+    for text in ("inf", "INF", "Inf"):
+        assert ns.NormSpec(dim=3, p=text).p == np.inf
+    assert ns.NormSpec(dim=3, p=np.inf).p == np.inf
+    for text, message in (("linf", "could not convert string to float: 'linf'"),
+                          ("infinity", "as 'inf', got 'infinity'"),
+                          ("+inf", "as 'inf', got '+inf'"),
+                          ("-inf", "p >= 1, got -inf"), ("nan", "p >= 1, got nan")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ns.NormSpec(dim=3, p=text)
