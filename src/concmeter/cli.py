@@ -232,7 +232,11 @@ def positive_int(text: str) -> int:
 
 def dimension_list(text: str) -> list:
     """The comma list of positive dimensions that ``beta --n`` takes."""
-    return [parse_size(int(tok)) for tok in text.split(",")]
+    try:
+        return [parse_size(int(tok)) for tok in text.split(",")]
+    except ValueError:   # ConfigError too
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of positive integers, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):

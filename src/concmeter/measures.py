@@ -30,7 +30,13 @@ T^{-1}(lp ball), so samples are base-body samples mapped through T^{-1}.
 
 All samplers draw from the counter-based streams in :mod:`.rng`, keyed
 by (seed, sample index, coordinate index), so batches are reproducible
-bit-for-bit under any chunking of the sample range.
+bit-for-bit under any chunking of the sample range.  Batches are drawn
+in chunks of one RNG block (2^15 elements, 256 KiB of doubles) written
+straight into the output, so sampling and streamed norm evaluation keep
+their temporaries in cache and add only a chunk's worth of memory.  The
+one exception to the chunking claim is a transformed body: its pull-back
+``base @ inv.T`` is a BLAS product whose last bits can depend on the row
+count of the chunk under more than one BLAS thread.
 """
 
 from __future__ import annotations
@@ -47,8 +53,6 @@ from .normspace import INF, NormSpec, _as_p, lp
 FAMILIES = ("uniform_ball", "cone_surface", "ggp", "gaussian", "haar_sphere")
 
 MAX_GAMMA_SHAPE = 2048.0
-
-_SAMPLE_CHUNK = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -354,18 +358,31 @@ def _generate(measure: MeasureSpec, seed: int, start: int, stop: int,
 def sample_chunks(measure: MeasureSpec, count: int, seed: int
                   ) -> Iterator[tuple[int, np.ndarray]]:
     """Rows [0, count) of the sample table as (start, rows) chunks, for
-    callers that never hold the whole batch; the bits equal ``sample``'s."""
+    callers that never hold the whole batch; the bits equal ``sample``'s.
+
+    A chunk holds one RNG block (``rng._BLOCK`` elements, at least one
+    row), so it and the temporaries built from it stay in cache whatever
+    the dimension.
+    """
     inv = None if measure.transform is None else np.linalg.inv(measure.transform)
-    for start in range(0, count, _SAMPLE_CHUNK):
-        yield start, _generate(measure, seed, start, min(start + _SAMPLE_CHUNK, count), inv)
+    step = max(1, rng._BLOCK // measure.dim)
+    for start in range(0, count, step):
+        yield start, _generate(measure, seed, start, min(start + step, count), inv)
 
 
 def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:
     """Draw an i.i.d. batch; identical (measure, count, seed) arguments
-    reproduce identical bits regardless of chunking or worker count."""
+    reproduce identical bits regardless of chunking or worker count.
+
+    The batch is allocated once and filled chunk by chunk from
+    :func:`sample_chunks`, so peak memory is the batch plus one chunk's
+    temporaries.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    data = np.vstack([rows for _, rows in sample_chunks(measure, count, seed)])
+    data = np.empty((count, measure.dim))
+    for start, rows in sample_chunks(measure, count, seed):
+        data[start:start + rows.shape[0]] = rows
     return SampleBatch(measure=measure, seed=seed, data=data)
 
 

@@ -94,8 +94,12 @@ def norm_values(measure: MeasureSpec, norms: Sequence[NormSpec], count: int,
     """Norm evaluations of a batch, streamed so the batch is never held.
 
     The chunks of :func:`concmeter.measures.sample_chunks` match
-    :func:`concmeter.measures.sample` bit for bit, so results are
-    identical to materializing the batch first.
+    :func:`concmeter.measures.sample` bit for bit, and ``norm_eval``
+    reduces row by row, so results are identical to materializing the
+    batch first (up to the last bits of a transform's matrix product under
+    more than one BLAS thread).  Each chunk is one RNG block, so beyond
+    the outputs the peak memory is a few cache-sized temporaries, whatever
+    the dimension.
     """
     out = [np.empty(count) for _ in norms]
     for lo, rows in sample_chunks(measure, count, seed):

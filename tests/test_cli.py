@@ -217,7 +217,7 @@ def test_alpha_rejects_malformed_eps(tmp_path, capsys, eps):
     (["median", "--measure", "gaussian", "--norm", "l2", "--n", "4", "--N", "0"],
      "argument --N: expected a positive integer, got '0'"),
     (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "3,x",
-      "--out", "b.csv"], "argument --n: invalid dimension_list value: '3,x'"),
+      "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got '3,x'"),
     (["transport", "--p", "3", "--n", "4", "--out", "t.csv"],
      "--p: the radial transfer catalog covers p in [1, 2]"),
     (["transport", "--p", "1", "--n", "5000", "--out", "t.csv"],
@@ -236,6 +236,12 @@ def test_alpha_rejects_malformed_eps(tmp_path, capsys, eps):
      "argument --n: expected a positive integer, got '0'"),
     (["median", "--measure", "gaussian", "--norm", "llinf", "--n", "4"],
      "cannot parse norm 'llinf'"),
+    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "3,0",
+      "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got '3,0'"),
+    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "",
+      "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got ''"),
+    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4,,8",
+      "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got '4,,8'"),
 ])
 def test_malformed_invocation_exits_1_with_one_error_line(tmp_path, argv, message):
     # exit 2 is kept for a failed check; usage, input and file errors all exit 1

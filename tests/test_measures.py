@@ -1,6 +1,7 @@
 """Sampler laws, radial CDFs, and the incomplete-gamma kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy import integrate, special, stats
 
 from concmeter import measures as ms
 from concmeter import normspace as ns
+from concmeter import parameters as par
+from concmeter import rng
 
 N_BIG = 100000
 
@@ -164,6 +167,47 @@ def test_batch_determinism_and_immutability():
     assert np.array_equal(a.data, b.data)
     with pytest.raises(ValueError):
         a.data[0, 0] = 7.0
+
+
+CHUNK_FAMILIES = [ms.haar_sphere, ms.gaussian, lambda n: ms.ggp(1.5, n),
+                  lambda n: ms.uniform_ball(ns.lp(1.5, n))]
+
+
+@pytest.mark.parametrize("n", [3, 100, 1024])
+@pytest.mark.parametrize("make", CHUNK_FAMILIES)
+def test_sample_is_chunk_invariant(make, n):
+    # a count that spans several chunks and leaves a partial last one
+    spec = make(n)
+    step = max(1, rng._BLOCK // n)
+    count = 2 * step + step // 2 + 1
+    whole = ms._generate(spec, 5, 0, count, None)
+    assert np.array_equal(ms.sample(spec, count, seed=5).data, whole)
+    norms = [ns.lp(2, n), ns.lp(np.inf, n)]
+    for norm, vals in zip(norms, par.norm_values(spec, norms, count, seed=5)):
+        assert np.array_equal(vals, ns.norm_eval(norm, whole))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec, bound", [(ms.haar_sphere(64), 1.25),
+                                         (ms.ggp(1.5, 64), 1.5)])
+def test_sample_peak_is_batch_plus_one_chunk(spec, bound):
+    count = 20000
+    assert _peak_bytes(lambda: ms.sample(spec, count, seed=2)) <= bound * count * 64 * 8
+
+
+def test_norm_values_peak_stays_cache_sized():
+    # 2048 rows of dim 1024 are 16 MiB as a batch; streamed, a few chunks
+    spec = ms.haar_sphere(1024)
+    norms = [ns.lp(2, 1024), ns.lp(np.inf, 1024)]
+    assert _peak_bytes(lambda: par.norm_values(spec, norms, 2048, seed=2)) <= 4 * 2**20
 
 
 def test_sample_validation():
