@@ -100,17 +100,29 @@ def sorted_projections(data: np.ndarray, directions: np.ndarray):
     """Yield ``(offset, chunk, rows)`` for each block of up to 64 directions.
 
     ``rows[k]`` holds the projections <directions[offset + k], x> of every
-    sample row x, sorted ascending.  Each block is one GEMM,
-    ``chunk @ data.T``: BLAS writes the C-contiguous direction-major
-    ``(k, N)`` array directly (``data.T`` is passed as a transpose flag,
-    not copied), and it is sorted in place along its rows.  With OpenBLAS
-    the products are bit-identical to ``data @ chunk.T``, and across BLAS
-    thread counts, when N is a multiple of 8; at other N they can differ
-    in the last ulps.
+    sample row x, sorted ascending.  One ``(min(64, D), N8)`` buffer is
+    allocated per call, N8 being N rounded up to a multiple of 8.  Each
+    block is one GEMM, ``chunk @ data.T``, written into that buffer
+    (``data.T`` is passed as a transpose flag, not copied); its first N
+    columns are sorted in place along the rows and yielded as ``rows``.
+    ``rows`` is a view of the shared buffer: it is valid only until the
+    next iteration, which overwrites it.
+
+    When N is not a multiple of 8 the data is first copied with zero rows
+    appended up to N8 (N8 x n doubles, once per call).  With OpenBLAS the
+    padded product is bit-identical to ``data @ chunk.T`` and the same
+    under any BLAS thread count; the unpadded one at such N is not.
     """
+    count = data.shape[0]
+    pad = -count % 8
+    if pad:
+        data = np.concatenate([data, np.zeros((pad, data.shape[1]))])
+    buf = np.empty((min(_DIRECTION_CHUNK, directions.shape[0]), data.shape[0]))
     for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
         chunk = directions[lo:lo + _DIRECTION_CHUNK]
-        rows = chunk @ data.T
+        block = buf[:chunk.shape[0]]
+        np.matmul(chunk, data.T, out=block)
+        rows = block[:, :count]
         rows.sort(axis=1)
         yield lo, chunk, rows
 

@@ -103,7 +103,12 @@ def norm_eval(norm: NormSpec, x: np.ndarray) -> np.ndarray:
     """|x| for a single vector or row-wise for an (N, dim) matrix.
 
     Finite-p evaluation rescales by the max coordinate before
-    exponentiating, so large p cannot overflow.
+    exponentiating, so large p cannot overflow.  Rows are reduced in
+    chunks of about one RNG block (``rng._BLOCK`` elements), so the
+    temporaries stay cache-sized whatever the input; every row is
+    reduced on its own, so the chunking moves no bit.  A transform is
+    applied to the whole input first, ``x @ T.T`` in one product: a
+    chunked product's last bits would follow the BLAS thread count.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -111,19 +116,24 @@ def norm_eval(norm: NormSpec, x: np.ndarray) -> np.ndarray:
         x = x[None, :]
     if x.shape[1] != norm.dim:
         raise ValueError(f"dimension mismatch: norm has dim {norm.dim}, input has {x.shape[1]}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input component")
+    y = x
     if norm.transform is not None:
-        x = x @ norm.transform.T
-    ax = np.abs(x)
-    m = ax.max(axis=1)
-    if norm.p == INF:
-        out = m
-    else:
-        # in place on the abs buffer: one full-size temporary, same bits
-        ax /= np.where(m > 0.0, m, 1.0)[:, None]
-        ax **= norm.p
-        out = m * ax.sum(axis=1) ** (1.0 / norm.p)
+        with np.errstate(invalid="ignore"):   # non-finite input raises below
+            y = x @ norm.transform.T
+    out = np.empty(x.shape[0])
+    step = max(1, rng._BLOCK // norm.dim)
+    for lo in range(0, x.shape[0], step):
+        if not np.isfinite(x[lo:lo + step]).all():
+            raise ValueError("non-finite input component")
+        ax = np.abs(y[lo:lo + step])
+        m = ax.max(axis=1)
+        if norm.p == INF:
+            out[lo:lo + step] = m
+        else:
+            # in place on the abs buffer: one chunk-size temporary
+            ax /= np.where(m > 0.0, m, 1.0)[:, None]
+            ax **= norm.p
+            out[lo:lo + step] = m * ax.sum(axis=1) ** (1.0 / norm.p)
     return out[0] if single else out
 
 

@@ -184,32 +184,41 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
     d = ash - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
 
-    i, j = np.broadcast_arrays(np.asarray(i, dtype=np.uint64),
-                               np.asarray(j, dtype=np.uint64))
-    out = np.empty(i.shape, dtype=np.float64)
-    flat_i, flat_j = i.ravel(), j.ravel()
-    flat_out = out.ravel()
-    todo = np.arange(out.size)
-
+    i, j = np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64)
+    shape = np.broadcast_shapes(i.shape, j.shape)
     base = int(base_slot)
-    for r in range(_GAMMA_MAX_ROUNDS):
+
+    def attempt(ki, kj, r: int):
+        """Round r on keys (ki, kj): candidates d*v and their accept flags, flat."""
+        s0 = base + 1 + _GAMMA_ROUND_SLOTS * r
+        z = np.reshape(normals(seed, ki, kj, s0), -1)
+        u = np.reshape(uniforms(seed, ki, kj, s0 + 2), -1)
+        v = (1.0 + c * z) ** 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logv = np.log(v)   # v <= 0 is rejected by the first factor below
+        ok = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * logv)
+        v *= d
+        return v, ok
+
+    # round 0 runs on the caller's keys, whose (seed, i, j) prefix is hashed
+    # per block of the broadcast shape; later rounds gather the keys of the
+    # rejected elements only
+    flat_out, ok = attempt(i, j, 0)
+    todo = np.flatnonzero(~ok)
+    i_all, j_all = np.broadcast_to(i, shape), np.broadcast_to(j, shape)
+    for r in range(1, _GAMMA_MAX_ROUNDS):
         if todo.size == 0:
             break
-        s0 = base + 1 + _GAMMA_ROUND_SLOTS * r
-        z = normals(seed, flat_i[todo], flat_j[todo], s0)
-        u = uniforms(seed, flat_i[todo], flat_j[todo], s0 + 2)
-        v = (1.0 + c * z) ** 3
-        pos = v > 0.0
-        logv = np.log(np.where(pos, v, 1.0))
-        ok = pos & (np.log(u) < 0.5 * z * z + d - d * v + d * logv)
-        flat_out[todo[ok]] = d * v[ok]
+        at = np.unravel_index(todo, shape)
+        value, ok = attempt(i_all[at], j_all[at], r)
+        flat_out[todo[ok]] = value[ok]
         todo = todo[~ok]
     if todo.size:
         raise RuntimeError("gamma sampler failed to accept within the slot budget")
 
+    out = flat_out.reshape(shape)
     if boost:
-        u0 = uniforms(seed, i, j, base)
-        out *= u0 ** (1.0 / a)
+        out *= uniforms(seed, i, j, base) ** (1.0 / a)
     return out
 
 

@@ -39,11 +39,15 @@ def norm_ratio_map(K: NormSpec, L: NormSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     rows = x[None, :] if single else x
-    rk = norm_eval(K, rows)
-    rl = norm_eval(L, rows)
-    ratio = np.divide(rk, rl, out=np.zeros_like(rk), where=rl > 0.0)
-    out = rows * ratio[:, None]
+    out = _scale_rows(rows, norm_eval(K, rows), norm_eval(L, rows))
     return out[0] if single else out
+
+
+def _scale_rows(rows: np.ndarray, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Row k of ``rows`` times num[k] / den[k], and 0 where den[k] = 0: the
+    scaling behind both maps, for callers that already hold the norms."""
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return rows * ratio[:, None]
 
 
 def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,
@@ -230,7 +234,6 @@ def radial_map(u: MonotoneMap, L: NormSpec, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     rows = x[None, :] if single else x
     r = norm_eval(L, rows)
-    scale = np.divide(u(r), r, out=np.zeros_like(r), where=r > 0.0)
-    out = rows * scale[:, None]
+    out = _scale_rows(rows, u(r), r)
     return out[0] if single else out
 

@@ -33,7 +33,7 @@ from .measures import (MAX_GAMMA_SHAPE, MeasureSpec, ggp, haar_sphere, radial_cd
 from .normspace import (INF, NormSpec, _as_p, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
-from .transport import lipschitz_constant, norm_ratio_map, radial_map, radial_transport
+from .transport import _scale_rows, lipschitz_constant, norm_ratio_map, radial_transport
 
 _ALGEBRAIC_TOL = 1e-9
 
@@ -164,6 +164,21 @@ def build_map(cfg: dict, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], 
     raise ValueError(f"unknown map kind {cfg.get('kind')!r}")
 
 
+def _empirical_lipschitz(map_rows: Callable[[np.ndarray], np.ndarray], data: np.ndarray,
+                         metric_in: NormSpec, metric_out: NormSpec, seed: int) -> float:
+    """Max of |f(x) - f(y)|_out / |x - y|_in over up to 20000 sample pairs."""
+    count = data.shape[0]
+    m = min(20000, count)
+    idx_a = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 0, 7) * count).astype(np.int64)
+    idx_b = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 1, 7) * count).astype(np.int64)
+    fa = np.atleast_2d(map_rows(data[idx_a]))
+    fb = np.atleast_2d(map_rows(data[idx_b]))
+    den = norm_eval(metric_in, data[idx_a] - data[idx_b])
+    num = norm_eval(metric_out, fa - fb)
+    ok = den > 0.0
+    return float(np.max(num[ok] / den[ok])) if ok.any() else 0.0
+
+
 def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
                              metric_in: NormSpec, eps_grid: Sequence[float],
                              count: int = 100000, seed: int = 1,
@@ -176,21 +191,13 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
     metric_out = lp(metric_in.p, out_dim)
     prof = _resolve_profile(profile, measure.dim)
 
-    batch = sample(measure, count, seed)
-    # empirical Lipschitz pre-check on probe pairs
-    m = min(20000, count)
-    idx_a = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 0, 7) * count).astype(np.int64)
-    idx_b = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 1, 7) * count).astype(np.int64)
-    fa = np.atleast_2d(map_rows(batch.data[idx_a]))
-    fb = np.atleast_2d(map_rows(batch.data[idx_b]))
-    den = norm_eval(metric_in, batch.data[idx_a] - batch.data[idx_b])
-    num = norm_eval(metric_out, fa - fb)
-    ok = den > 0.0
-    emp_lip = float(np.max(num[ok] / den[ok])) if ok.any() else 0.0
+    data = sample(measure, count, seed).data
+    emp_lip = _empirical_lipschitz(map_rows, data, metric_in, metric_out, seed)
     if emp_lip > lip * (1.0 + 1e-9):
         raise CheckError(f"map is not {lip}-Lipschitz on samples: observed {emp_lip}")
 
-    image = map_rows(batch.data)
+    image = map_rows(data)
+    del data  # the curve needs only the image; a copying map frees the batch here
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     curve = concentration_lower_curve(image, metric_out, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
@@ -216,16 +223,17 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     smallness precondition (16 x profile at the 7-scale) holds."""
     L_r, cc = normalize_containment(K, L)
     prof = _resolve_profile(profile, measure.dim)
-    batch = sample(measure, count, seed)
+    data = sample(measure, count, seed).data
 
-    vk = norm_eval(K, batch.data)
-    vl = norm_eval(L_r, batch.data)
+    vk = norm_eval(K, data)
+    vl = norm_eval(L_r, data)
     med_k = empirical_median(vk)
     med_l = empirical_median(vl)
     if med_k.value <= 0.0:
         raise CheckError("the source measure must give the K-norm a positive median")
 
-    image = norm_ratio_map(K, L_r, batch.data)
+    image = _scale_rows(data, vk, vl)   # norm_ratio_map(K, L_r, data), on the held norms
+    del data  # the curve needs only the image
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     curve = concentration_lower_curve(image, L_r, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
@@ -275,7 +283,7 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     delta = eps / (7.0 * med_k)
     radius = delta * med_l / lam
 
-    image = norm_ratio_map(K, L_r, batch.data)
+    image = _scale_rows(batch.data, vk, vl)   # norm_ratio_map(K, L_r, batch.data)
     n = measure.dim
     theta = rng.normals(rng.derive_seed(seed, 0xA0), 0, np.arange(n, dtype=np.uint64), 0)
     proj = image @ theta
@@ -502,12 +510,14 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     u = radial_transport(F_mu, F_nu)
     u_lip = lipschitz_constant(u)
 
-    batch = sample(mu, count, seed)
-    r_mu = norm_eval(metric, batch.data)
+    data = sample(mu, count, seed).data
+    r_mu = norm_eval(metric, data)
+    u_mu = u(r_mu)
     med_l = empirical_median(r_mu)
-    med_u = empirical_median(u(r_mu))
+    med_u = empirical_median(u_mu)
 
-    image = radial_map(u, metric, batch.data)
+    image = _scale_rows(data, u_mu, r_mu)   # radial_map(u, metric, data), on the held norms
+    del data  # the curve needs only the image
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     curve = concentration_lower_curve(image, metric, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))

@@ -1,7 +1,11 @@
 """Median estimates, half-space expansion, and the lower-bound curve."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,15 +181,48 @@ def test_curve_matches_column_sort_oracle(n, count, p, ties):
 
 
 def test_sorted_projections_blocks():
+    # N = 501 is not a multiple of 8: rows are the first 501 columns of a
+    # zero-padded 504-column block, with the bits of data @ chunk.T
     data = ms.sample(ms.gaussian(5), 501, seed=3).data
     dirs = con.direction_family(5, 70, seed=4)
     seen = 0
     for lo, chunk, rows in con.sorted_projections(data, dirs):
         assert lo == seen and rows.shape == (chunk.shape[0], 501)
-        assert rows.flags.c_contiguous
-        assert np.array_equal(rows, np.sort(chunk @ data.T, axis=1))
+        assert rows.strides[1] == 8
+        assert np.array_equal(rows, np.sort((data @ chunk.T).T, axis=1))
         seen += chunk.shape[0]
     assert seen == 75
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from concmeter import concentration as con, measures as ms, normspace as ns
+data = ms.sample(ms.gaussian(64), 5001, seed=3).data
+dirs = con.direction_family(64, 256, seed=5)
+digest = hashlib.sha256()
+for _, _, rows in con.sorted_projections(data, dirs):
+    digest.update(rows.tobytes())
+curve = con.concentration_lower_curve(data, ns.lp(2, 64), np.linspace(0.02, 1.0, 25),
+                                      directions=dirs)
+digest.update(curve.alpha_hat.tobytes())
+digest.update(curve.argmax_direction.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_projections_do_not_depend_on_blas_threads():
+    # N = 5001 is not a multiple of 8, where an unpadded GEMM's last bits
+    # follow the OpenBLAS thread count
+    env = dict(os.environ, PYTHONPATH=str(Path(con.__file__).parents[1]))
+    digests = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        digests.append(res.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_sorted_projections_block_allocates_no_copy():
@@ -201,6 +238,19 @@ def test_sorted_projections_block_allocates_no_copy():
         tracemalloc.stop()
     assert rows.shape == (64, 20000)
     assert peak <= 1.25 * rows.nbytes
+
+
+def test_curve_holds_one_projection_block():
+    # 16 + 256 = 272 directions in five blocks, all written into one buffer
+    data = ms.sample(ms.gaussian(16), 20000, seed=3).data
+    block = 64 * 20000 * 8
+    tracemalloc.start()
+    try:
+        con.concentration_lower_curve(data, ns.lp(2, 16), np.linspace(0.1, 2.0, 20))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * block
 
 
 @pytest.mark.parametrize("count", [1, 2, 999, 1000])

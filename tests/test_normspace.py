@@ -1,6 +1,7 @@
 """Norm axioms, duality, and containment constants."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,35 @@ def test_norm_eval_matches_quotient_formula(p):
     expect = m * ((np.abs(x) / safe) ** p).sum(axis=1) ** (1.0 / p)
     assert np.array_equal(ns.norm_eval(ns.lp(p, 9), x), expect)
     assert np.array_equal(x, before)
+
+
+def test_norm_eval_is_chunk_invariant():
+    # 40001 rows at n = 3 span four row chunks, the last one partial; each
+    # row is reduced on its own, so the result is the whole-array formula
+    x = RNG.normal(size=(40001, 3))
+    x[7] = 0.0
+    m = np.abs(x).max(axis=1)
+    safe = np.where(m > 0.0, m, 1.0)[:, None]
+    expect = m * ((np.abs(x) / safe) ** 1.5).sum(axis=1) ** (1.0 / 1.5)
+    assert np.array_equal(ns.norm_eval(ns.lp(1.5, 3), x), expect)
+    assert np.array_equal(ns.norm_eval(ns.lp(np.inf, 3), x), m)
+    t = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 3.0]])
+    transformed = ns.NormSpec(dim=3, p=2, transform=t)
+    assert np.array_equal(ns.norm_eval(transformed, x), ns.norm_eval(ns.lp(2, 3), x @ t.T))
+    x[-1, 2] = np.inf   # in the last chunk
+    with pytest.raises(ValueError, match="non-finite"):
+        ns.norm_eval(transformed, x)
+
+
+def test_norm_eval_peak_stays_cache_sized():
+    x = np.random.default_rng(5).normal(size=(20000, 64))
+    tracemalloc.start()
+    try:
+        ns.norm_eval(ns.lp(1.5, 64), x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20   # the whole input is 9.8 MiB
 
 
 def test_large_p_no_overflow():

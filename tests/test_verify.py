@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_shell_inclusion_counts_violations_per_probe(monkeypatch):
     def planted(K, L, x):
         out = real(K, L, x)
         calls.append(x)
-        if len(calls) == 2:     # the calls map the batch, the probes, their partners
+        if len(calls) == 1:     # the calls map the probes, then their partners
             out[:5] = 0.0
         return out
 
@@ -95,7 +96,7 @@ def test_shell_inclusion_counts_violations_per_probe(monkeypatch):
     rep = vf.check_shell_inclusion(
         K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
         eps=0.5, count=20000, probes=2000, seed=7)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert rep.quantities["membership_failures"] == 0
     assert rep.violations == 5
     assert rep.verdict == "fail"
@@ -156,6 +157,34 @@ def test_separated_sets_matches_per_pair_oracle(n, p, num_pairs, count):
     np.testing.assert_allclose(rep.rhs, rhs, rtol=1e-13, atol=0.0)
     oracle = vf._finish("separated_sets", {}, {}, eps, lhs, rhs, ci, 0.0, True, "le")
     assert (rep.violations, rep.verdict) == (oracle.violations, oracle.verdict)
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_norm_ratio_transfer_frees_the_batch_before_the_curve():
+    # live at the curve: the image and one (64, N) projection block, each
+    # one batch at n = 64; the source batch is gone
+    batch = 20000 * 64 * 8
+    peak = _traced_peak(lambda: vf.check_norm_ratio_transfer(
+        K=ns.lp(2, 64), L=ns.lp(1, 64), measure=ms.haar_sphere(64),
+        eps_grid=vf.default_eps_grid(), count=20000, seed=3))
+    assert peak <= 2.3 * batch
+
+
+def test_separated_sets_holds_one_projection_block():
+    # the batch and one (64, N) projection block, each one batch at n = 64
+    batch = 20000 * 64 * 8
+    peak = _traced_peak(lambda: vf.check_separated_sets(
+        measure=ms.haar_sphere(64), metric=ns.lp(2, 64), num_pairs=200,
+        count=20000, seed=3))
+    assert peak <= 2.3 * batch
 
 
 def test_cube_floor_small_dims():
