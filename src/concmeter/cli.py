@@ -28,7 +28,7 @@ from . import parameters, verify
 from .concentration import concentration_lower_curve, empirical_median
 from .measures import ggp, radial_cdf, sample, uniform_ball
 from .normspace import lp, norm_eval
-from .transport import lipschitz_constant, norm_ratio_map, radial_transport
+from .transport import _image_chunks, lipschitz_constant, radial_transport
 from .verify import (ConfigError, parse_eps, parse_int, parse_measure, parse_norm,
                      parse_size)
 
@@ -46,11 +46,14 @@ def env_seed(default: int) -> int:
 def _write_csv(path, config, columns: str, rows) -> None:
     """CSV of ``str`` of each value (Python values: pass numpy rows through
     ``tolist``), under the resolved config as a leading comment when one
-    is given."""
-    lines = [] if config is None else ["# config: " + json.dumps(config, sort_keys=True)]
-    lines.append(columns)
-    lines += [",".join(map(str, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    is given.  Rows are written as they are drawn, so a generator of rows
+    is never held whole."""
+    with open(path, "w") as out:
+        if config is not None:
+            out.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        out.write(columns + "\n")
+        for row in rows:
+            out.write(",".join(map(str, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +169,7 @@ def cmd_median(args) -> int:
     seed = env_seed(args.seed)
     measure = parse_measure(args.measure, args.n, args.p)
     norm = parse_norm(args.norm, args.n)
-    batch = sample(measure, args.N, seed)
-    est = empirical_median(norm_eval(norm, batch.data))
+    est = empirical_median(parameters.norm_values(measure, [norm], args.N, seed)[0])
     print(json.dumps({"median": est.value, "ci_low": est.ci_low,
                       "ci_high": est.ci_high, "N": est.count,
                       "measure": measure.to_config(), "norm": norm.to_config(),
@@ -181,12 +183,13 @@ def cmd_pushforward(args) -> int:
     K = parse_norm(args.K, n)
     L = parse_norm(args.L, n)
     measure = parse_measure(args.measure, n, args.p)
-    batch = sample(measure, args.N, seed)
-    image = norm_ratio_map(K, L, batch.data)
+    # norm_ratio_map(K, L, batch), written chunk by chunk from the sample stream
+    chunks = _image_chunks(measure, args.N, seed,
+                           lambda rows: (norm_eval(K, rows), norm_eval(L, rows)))
     cfg = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
            "n": n, "N": args.N, "seed": seed}
     _write_csv(args.out, cfg, ",".join(f"x{k}" for k in range(n)),
-               map(np.ndarray.tolist, image))
+               (row for _, image, _, _ in chunks for row in image.tolist()))
     return 0
 
 

@@ -32,7 +32,7 @@ DEFAULT_EXTRA_DIRECTIONS = 256
 
 _Z95 = 1.959963984540054
 
-_DIRECTION_CHUNK = 64
+_DIRECTION_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -97,10 +97,10 @@ def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
 
 
 def sorted_projections(data: np.ndarray, directions: np.ndarray):
-    """Yield ``(offset, chunk, rows)`` for each block of up to 64 directions.
+    """Yield ``(offset, chunk, rows)`` for each block of up to 32 directions.
 
     ``rows[k]`` holds the projections <directions[offset + k], x> of every
-    sample row x, sorted ascending.  One ``(min(64, D), N8)`` buffer is
+    sample row x, sorted ascending.  One ``(min(32, D), N8)`` buffer is
     allocated per call, N8 being N rounded up to a multiple of 8.  Each
     block is one GEMM, ``chunk @ data.T``, written into that buffer
     (``data.T`` is passed as a transpose flag, not copied); its first N

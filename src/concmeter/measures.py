@@ -202,11 +202,6 @@ def gamma_quantile_log(shape: float, log_q) -> np.ndarray:
     return out[0] if single else out
 
 
-def ggp_normalizer(p: float) -> float:
-    """Per-coordinate normalizer c_p = 2 Gamma(1+1/p) p^(1/p)."""
-    return 2.0 * math.gamma(1.0 + 1.0 / p) * p ** (1.0 / p)
-
-
 # ---------------------------------------------------------------------------
 # Measure specifications and sampling
 # ---------------------------------------------------------------------------

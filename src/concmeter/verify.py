@@ -13,6 +13,14 @@ Left sides always come from the half-space estimator (a lower bound of
 the true concentration function) and right sides from profiles (upper
 bounds), so every comparison is one-sided: a violation indicates a
 real bug or a false profile, never Monte Carlo bad luck beyond CI.
+
+Memory: a check holds one sample-sized array (the batch, or the image
+of a push-forward) plus one block of at most 32 sorted projections.
+The norm-ratio and radial transfers never hold their source batch: they
+build the image from the sample stream, chunk by chunk.  The sup-norm
+embedding check reduces the stream to two numbers per row and holds no
+batch at all.  The shell chain keeps its batch and streams its probes.
+README.md lists each check's peak.
 """
 
 from __future__ import annotations
@@ -29,11 +37,12 @@ from .concentration import (AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
                             eps_grid_fault, linear_quantiles, sorted_projections)
 from .measures import (MAX_GAMMA_SHAPE, MeasureSpec, ggp, haar_sphere, radial_cdf,
-                       sample, uniform_ball)
+                       sample, sample_chunks, uniform_ball)
 from .normspace import (INF, NormSpec, _as_p, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
-from .transport import _scale_rows, lipschitz_constant, norm_ratio_map, radial_transport
+from .transport import (_image_chunks, _scale_rows, lipschitz_constant, norm_ratio_map,
+                        radial_transport)
 
 _ALGEBRAIC_TOL = 1e-9
 
@@ -129,6 +138,28 @@ def _median_slack(rhs_fn: Callable[..., np.ndarray], medians: dict) -> np.ndarra
     return total
 
 
+def _pushed_batch(measure: MeasureSpec, count: int, seed: int, norms
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(image, num, den)``: the batch of ``measure`` pushed through
+    x -> x num / den, ``(num, den) = norms(rows)``, with the full-length
+    norm vectors, built from :func:`concmeter.transport._image_chunks`
+    into one preallocated array; the source batch is never held."""
+    image = np.empty((count, measure.dim))
+    num, den = np.empty(count), np.empty(count)
+    for lo, rows, num_c, den_c in _image_chunks(measure, count, seed, norms):
+        hi = lo + rows.shape[0]
+        image[lo:hi], num[lo:hi], den[lo:hi] = rows, num_c, den_c
+    return image, num, den
+
+
+def _row_chunk(dim: int) -> int:
+    """Rows per chunk of a streamed probe loop: about one RNG block, and a
+    multiple of 8.  With OpenBLAS, a matrix-vector product taken in such
+    chunks matches the whole product bit for bit at one thread (chunks of
+    odd length do not), and is the same under any thread count."""
+    return max(8, rng._BLOCK // dim // 8 * 8)
+
+
 def _resolve_profile(profile, n: int) -> AnalyticProfile:
     if isinstance(profile, AnalyticProfile):
         return profile
@@ -166,17 +197,22 @@ def build_map(cfg: dict, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], 
 
 def _empirical_lipschitz(map_rows: Callable[[np.ndarray], np.ndarray], data: np.ndarray,
                          metric_in: NormSpec, metric_out: NormSpec, seed: int) -> float:
-    """Max of |f(x) - f(y)|_out / |x - y|_in over up to 20000 sample pairs."""
+    """Max of |f(x) - f(y)|_out / |x - y|_in over up to 20000 sample pairs,
+    taken over chunks of pairs (a max is exact, so the chunking moves no bit)."""
     count = data.shape[0]
     m = min(20000, count)
     idx_a = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 0, 7) * count).astype(np.int64)
     idx_b = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 1, 7) * count).astype(np.int64)
-    fa = np.atleast_2d(map_rows(data[idx_a]))
-    fb = np.atleast_2d(map_rows(data[idx_b]))
-    den = norm_eval(metric_in, data[idx_a] - data[idx_b])
-    num = norm_eval(metric_out, fa - fb)
-    ok = den > 0.0
-    return float(np.max(num[ok] / den[ok])) if ok.any() else 0.0
+    step = _row_chunk(data.shape[1])
+    maxima = []
+    for lo in range(0, m, step):
+        xa, xb = data[idx_a[lo:lo + step]], data[idx_b[lo:lo + step]]
+        num = norm_eval(metric_out, np.atleast_2d(map_rows(xa)) - np.atleast_2d(map_rows(xb)))
+        den = norm_eval(metric_in, xa - xb)
+        ok = den > 0.0
+        if ok.any():
+            maxima.append(np.max(num[ok] / den[ok]))
+    return float(np.max(maxima)) if maxima else 0.0
 
 
 def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
@@ -223,17 +259,14 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     smallness precondition (16 x profile at the 7-scale) holds."""
     L_r, cc = normalize_containment(K, L)
     prof = _resolve_profile(profile, measure.dim)
-    data = sample(measure, count, seed).data
-
-    vk = norm_eval(K, data)
-    vl = norm_eval(L_r, data)
+    # norm_ratio_map(K, L_r, data), built from the sample stream
+    image, vk, vl = _pushed_batch(measure, count, seed,
+                                  lambda rows: (norm_eval(K, rows), norm_eval(L_r, rows)))
     med_k = empirical_median(vk)
     med_l = empirical_median(vl)
     if med_k.value <= 0.0:
         raise CheckError("the source measure must give the K-norm a positive median")
 
-    image = _scale_rows(data, vk, vl)   # norm_ratio_map(K, L_r, data), on the held norms
-    del data  # the curve needs only the image
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     curve = concentration_lower_curve(image, L_r, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
@@ -275,18 +308,22 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
         raise CheckError("eps must be positive")
     L_r, cc = normalize_containment(K, L)
     lam = cc.lam
-    batch = sample(measure, count, seed)
-    vk = norm_eval(K, batch.data)
-    vl = norm_eval(L_r, batch.data)
+    data = sample(measure, count, seed).data
+    vk = norm_eval(K, data)
+    vl = norm_eval(L_r, data)
     med_k = empirical_median(vk).value
     med_l = empirical_median(vl).value
     delta = eps / (7.0 * med_k)
     radius = delta * med_l / lam
 
-    image = _scale_rows(batch.data, vk, vl)   # norm_ratio_map(K, L_r, batch.data)
     n = measure.dim
+    step = _row_chunk(n)
     theta = rng.normals(rng.derive_seed(seed, 0xA0), 0, np.arange(n, dtype=np.uint64), 0)
-    proj = image @ theta
+    # projections of the image norm_ratio_map(K, L_r, data), one chunk at a time
+    proj = np.empty(count)
+    for lo in range(0, count, step):
+        rows = slice(lo, lo + step)
+        proj[rows] = _scale_rows(data[rows], vk[rows], vl[rows]) @ theta
     t_cut = float(np.median(proj))
     dual_w = float(norm_eval(dual_norm(L_r), theta))
 
@@ -304,31 +341,36 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
                        [eps], [0.0], [0.0], [False], "le",
                        ["shell preimage set is empirically empty"])
 
+    # probes in chunks of rows: only the two per-probe results are kept
     pseed = rng.derive_seed(seed, 0xB1)
-    pick = (rng.uniforms(pseed, np.arange(probes, dtype=np.uint64), 0, 0)
-            * members.size).astype(np.int64)
-    y = batch.data[members[pick]]
-
     cols = np.arange(n, dtype=np.uint64)[None, :]
-    direction = rng.normals(pseed, np.arange(probes, dtype=np.uint64)[:, None], cols, 1)
-    direction /= norm_eval(K, direction)[:, None]
-    scale_u = rng.uniforms(pseed, np.arange(probes, dtype=np.uint64), 0, 3)
-    # half the probes sit exactly on the K-ball boundary, the worst case;
-    # a slice is collinear with y and a slice repeats y itself
-    scale_u[: probes // 2] = 1.0
-    x = y + direction * (radius * scale_u)[:, None]
-    n_col = probes // 10
-    yk = norm_eval(K, y[-n_col:])
-    x[-n_col:] = y[-n_col:] * (1.0 + radius / yk)[:, None]
-    x[probes // 2: probes // 2 + n_col] = y[probes // 2: probes // 2 + n_col]
+    half, n_col = probes // 2, probes // 10
+    moved = np.empty(probes)
+    overshoot = np.empty(probes)
+    for lo in range(0, probes, step):
+        idx = np.arange(lo, min(lo + step, probes), dtype=np.uint64)
+        pick = (rng.uniforms(pseed, idx, 0, 0) * members.size).astype(np.int64)
+        y = data[members[pick]]
+        direction = rng.normals(pseed, idx[:, None], cols, 1)
+        direction /= norm_eval(K, direction)[:, None]
+        scale_u = rng.uniforms(pseed, idx, 0, 3)
+        # half the probes sit exactly on the K-ball boundary, the worst case;
+        # the last tenth is collinear with y and the tenth after the first
+        # half repeats y itself (slices by absolute probe index)
+        scale_u[idx < half] = 1.0
+        x = y + direction * (radius * scale_u)[:, None]
+        col = idx >= probes - n_col
+        x[col] = y[col] * (1.0 + radius / norm_eval(K, y[col]))[:, None]
+        same = (idx >= half) & (idx < half + n_col)
+        x[same] = y[same]
 
-    pix = norm_ratio_map(K, L_r, x)
-    piy = norm_ratio_map(K, L_r, y)
-    moved = norm_eval(L_r, pix - piy)
+        pix = norm_ratio_map(K, L_r, x)
+        piy = norm_ratio_map(K, L_r, y)
+        moved[lo:lo + idx.size] = norm_eval(L_r, pix - piy)
+        overshoot[lo:lo + idx.size] = pix @ theta - (t_cut + eps * dual_w)
     bound = 7.0 * delta * med_k
     tol = _ALGEBRAIC_TOL * max(bound, 1.0)
     bad_move = moved > bound + tol
-    overshoot = pix @ theta - (t_cut + eps * dual_w)
     bad_member = overshoot > tol
     violations = int(bad_move.sum() + bad_member.sum())
 
@@ -440,9 +482,12 @@ def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
     the computed requirement never overshoots the true one."""
     functionals = np.asarray(functionals, dtype=np.float64)
     n_func = functionals.shape[0]
-    batch = sample(measure, count, seed)
-    vk = norm_eval(K, batch.data)
-    sup_f = np.abs(batch.data @ functionals.T).max(axis=1)
+    # the two row statistics, from the sample stream: no batch is held
+    vk, sup_f = np.empty(count), np.empty(count)
+    for lo, rows in sample_chunks(measure, count, seed):
+        hi = lo + rows.shape[0]
+        vk[lo:hi] = norm_eval(K, rows)
+        sup_f[lo:hi] = np.abs(rows @ functionals.T).max(axis=1)
     tol = 1e-9
     if np.any(sup_f > vk * (1.0 + tol)) or np.any(sup_f < vk / d * (1.0 - tol)):
         raise CheckError("functionals do not form a d-embedding on samples")
@@ -510,14 +555,15 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     u = radial_transport(F_mu, F_nu)
     u_lip = lipschitz_constant(u)
 
-    data = sample(mu, count, seed).data
-    r_mu = norm_eval(metric, data)
-    u_mu = u(r_mu)
+    def radii(rows):
+        r = norm_eval(metric, rows)
+        return u(r), r
+
+    # radial_map(u, metric, data), built from the sample stream
+    image, u_mu, r_mu = _pushed_batch(mu, count, seed, radii)
     med_l = empirical_median(r_mu)
     med_u = empirical_median(u_mu)
 
-    image = _scale_rows(data, u_mu, r_mu)   # radial_map(u, metric, data), on the held norms
-    del data  # the curve needs only the image
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     curve = concentration_lower_curve(image, metric, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))

@@ -226,7 +226,7 @@ def test_projections_do_not_depend_on_blas_threads():
 
 
 def test_sorted_projections_block_allocates_no_copy():
-    # one 64-direction block: the GEMM writes the (64, N) rows and the
+    # one 32-direction block: the GEMM writes the (32, N) rows and the
     # sort works in place, so the peak is one block, not block plus copy
     data = ms.sample(ms.gaussian(16), 20000, seed=3).data
     dirs = con.direction_family(16, 48, seed=4)
@@ -236,14 +236,14 @@ def test_sorted_projections_block_allocates_no_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows.shape == (64, 20000)
+    assert rows.shape == (con._DIRECTION_CHUNK, 20000) == (32, 20000)
     assert peak <= 1.25 * rows.nbytes
 
 
 def test_curve_holds_one_projection_block():
-    # 16 + 256 = 272 directions in five blocks, all written into one buffer
+    # 16 + 256 = 272 directions in nine blocks, all written into one buffer
     data = ms.sample(ms.gaussian(16), 20000, seed=3).data
-    block = 64 * 20000 * 8
+    block = con._DIRECTION_CHUNK * 20000 * 8
     tracemalloc.start()
     try:
         con.concentration_lower_curve(data, ns.lp(2, 16), np.linspace(0.1, 2.0, 20))

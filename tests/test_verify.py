@@ -1,5 +1,6 @@
 """The inequality-check harness."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from concmeter import measures as ms
 from concmeter import normspace as ns
+from concmeter import transport as tr
 from concmeter import verify as vf
 
 N = 50000
@@ -103,6 +105,29 @@ def test_shell_inclusion_counts_violations_per_probe(monkeypatch):
     assert rep.worst_margin > 0.0
 
 
+def test_shell_inclusion_few_probes_keep_the_boundary_half(monkeypatch):
+    # at probes < 10 the collinear and repeated slices are empty: half the
+    # probes sit on the K-sphere of the probe radius around their partner
+    # and the rest strictly inside it, in random directions
+    real = vf.norm_ratio_map
+    calls = []
+
+    def recorded(K, L, x):
+        calls.append(np.array(x))
+        return real(K, L, x)
+
+    monkeypatch.setattr(vf, "norm_ratio_map", recorded)
+    K = ns.lp(2, 16)
+    rep = vf.check_shell_inclusion(K=K, L=ns.lp(1, 16), measure=ms.haar_sphere(16),
+                                   eps=0.5, count=5000, probes=5, seed=7)
+    x, y = calls
+    dist = ns.norm_eval(K, x - y)
+    radius = rep.quantities["probe_radius"]
+    np.testing.assert_allclose(dist[:2], radius, rtol=1e-12)
+    assert np.all(dist[2:] < radius * (1.0 - 1e-6))
+    assert rep.verdict == "pass"
+
+
 def test_shell_inclusion_empty_set_not_applicable():
     rep = vf.check_shell_inclusion(
         K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
@@ -168,23 +193,121 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_norm_ratio_transfer_frees_the_batch_before_the_curve():
-    # live at the curve: the image and one (64, N) projection block, each
-    # one batch at n = 64; the source batch is gone
-    batch = 20000 * 64 * 8
-    peak = _traced_peak(lambda: vf.check_norm_ratio_transfer(
-        K=ns.lp(2, 64), L=ns.lp(1, 64), measure=ms.haar_sphere(64),
-        eps_grid=vf.default_eps_grid(), count=20000, seed=3))
-    assert peak <= 2.3 * batch
+# README.md "Memory": each check's peak in units of N * 8 bytes, as
+# (n, extra run_check keywords, row at n, whether the row adds a chunk's
+# 3 MiB of temporaries); the test allows 2 MiB more
+_MIB = 1 << 20
+PEAK_ROWS = {
+    "lipschitz_transfer": (16, {}, lambda n: n + 32, False),
+    "norm_ratio_transfer": (64, {}, lambda n: n + 32 + 2, False),
+    "shell_inclusion": (16, {"probes": 20000}, lambda n: n + 8 + 2, True),
+    "separated_sets": (64, {"num_pairs": 200}, lambda n: n + 32, False),
+    "cube_floor": (8, {}, lambda n: n + 32 + 1, False),
+    "sup_embedding": (32, {}, lambda n: 2, True),
+    "radial_transfer": (32, {}, lambda n: n + 32 + 2, False),
+}
 
 
-def test_separated_sets_holds_one_projection_block():
-    # the batch and one (64, N) projection block, each one batch at n = 64
-    batch = 20000 * 64 * 8
-    peak = _traced_peak(lambda: vf.check_separated_sets(
-        measure=ms.haar_sphere(64), metric=ns.lp(2, 64), num_pairs=200,
-        count=20000, seed=3))
-    assert peak <= 2.3 * batch
+@pytest.mark.parametrize("check_id", sorted(PEAK_ROWS))
+def test_check_peak_stays_within_its_readme_row(check_id):
+    n, extra, row, chunk = PEAK_ROWS[check_id]
+    vf.run_check(check_id, n=n, count=2000, seed=3, **extra)   # lazy imports
+    count = 20000
+    peak = _traced_peak(lambda: vf.run_check(check_id, n=n, count=count, seed=3, **extra))
+    assert peak <= row(n) * count * 8 + 3 * _MIB * chunk + 2 * _MIB
+
+
+@pytest.mark.parametrize("n, count", [(3, 5001), (64, 2000)])
+def test_streamed_images_equal_the_maps_of_the_batch(n, count):
+    K, L = ns.lp(2, n), ns.lp(1, n)
+    image, vk, vl = vf._pushed_batch(
+        ms.haar_sphere(n), count, 5, lambda rows: (ns.norm_eval(K, rows), ns.norm_eval(L, rows)))
+    data = ms.sample(ms.haar_sphere(n), count, 5).data
+    assert np.array_equal(image, tr.norm_ratio_map(K, L, data))
+    assert np.array_equal(vk, ns.norm_eval(K, data))
+    assert np.array_equal(vl, ns.norm_eval(L, data))
+
+    metric = ns.lp(1, n)
+    u = tr.radial_transport(ms.radial_cdf(ms.ggp(1, n), metric),
+                            ms.radial_cdf(ms.uniform_ball(metric), metric))
+
+    def radii(rows):
+        r = ns.norm_eval(metric, rows)
+        return u(r), r
+
+    image, u_r, r = vf._pushed_batch(ms.ggp(1, n), count, 5, radii)
+    data = ms.sample(ms.ggp(1, n), count, 5).data
+    assert np.array_equal(r, ns.norm_eval(metric, data))
+    assert np.array_equal(u_r, u(r))
+    assert np.array_equal(image, tr._scale_rows(data, u(r), r))
+
+
+# SHA-256 of CheckReport.to_json(): the reports of the checks that stream
+# their images, probes or projection blocks, bit for bit
+FROZEN_REPORTS = {
+    "norm_ratio_l2_l1_n16": (
+        lambda: vf.check_norm_ratio_transfer(
+            K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
+            eps_grid=vf.default_eps_grid(), count=5001, seed=11),
+        "fb0a6d6453387babec8d871e9fb7c6d14711a5978355e7b6a39156ac6f6814f0"),
+    "norm_ratio_l1_l2_n8": (   # L is rescaled: a transformed norm
+        lambda: vf.check_norm_ratio_transfer(
+            K=ns.lp(1, 8), L=ns.lp(2, 8), measure=ms.uniform_ball(ns.lp(1, 8)),
+            eps_grid=vf.default_eps_grid(), count=5001, seed=11, profile="gaussian"),
+        "0c36c0baaa5e0020e004bf12d383c06d7b346943576164e3a83a4b8e33a4ca0b"),
+    "radial_p1_n32": (
+        lambda: vf.check_radial_transfer(
+            p=1.0, n=32, eps_grid=vf.default_eps_grid(), count=5001, seed=12),
+        "3563ab9c5bb1a94ff0c84143db0a6a4552745b12dea6902b7f086bb1c4df907f"),
+    "radial_p2_n8": (
+        lambda: vf.check_radial_transfer(
+            p=2.0, n=8, eps_grid=vf.default_eps_grid(), count=3001, seed=12),
+        "70983b9a2cca7108ae89414a4309ce87da8bbf13e04233eb8e41a6f1f7e689f2"),
+    "shell_n16_probes2000": (
+        lambda: vf.check_shell_inclusion(
+            K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
+            eps=0.5, count=20000, probes=2000, seed=7),
+        "088b78439612c8f9e1e7ebb34adc2bcc3050b44af961e89c74d1215c5790be10"),
+    "shell_n16_probes4096": (
+        lambda: vf.check_shell_inclusion(
+            K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
+            eps=0.5, count=20000, probes=4096, seed=7),
+        "dff7f65a372e2643bcb72cdc460d0505c5f6a38883f1c915c2b9f8848d774dc2"),
+    "shell_n64_probes5001": (
+        lambda: vf.check_shell_inclusion(
+            K=ns.lp(2, 64), L=ns.lp(1, 64), measure=ms.haar_sphere(64),
+            eps=0.5, count=5001, probes=5001, seed=13),
+        "8d8ba4e3fac73e199f62399ba1ff6cb332ccd668912beb99fea3e088d7e0f36e"),
+    "pairs_n64": (
+        lambda: vf.check_separated_sets(
+            measure=ms.haar_sphere(64), metric=ns.lp(2, 64), num_pairs=100,
+            count=5001, seed=9),
+        "25a31700dd2953ca71cb2ed605178622d83733e86419ffd0b3910432962a7ed2"),
+    "pairs_n16_l1": (
+        lambda: vf.check_separated_sets(
+            measure=ms.haar_sphere(16), metric=ns.lp(1, 16), num_pairs=70,
+            count=5001, seed=9),
+        "03349b51533efa5b1bc5a82a4a771002c1a8dc8a52ef9de14229f83d792dfdda"),
+    "sup_n3": (   # unaligned sample chunks of 10922 rows
+        lambda: vf.run_check("sup_embedding", n=3, count=30001, seed=3),
+        "76537576347aea47fa4406edde4f02a31219dfb6081050e393c1113a1c9fa595"),
+    "sup_n33": (
+        lambda: vf.run_check("sup_embedding", n=33, count=5001, seed=3),
+        "7b0461aabee3e57d1da49ef5a80a41e983faecb9625974ae4eb5e96d069b4c07"),
+    "sup_l2_n2_32_functionals": (
+        lambda: vf.check_sup_embedding(
+            K=ns.lp(2, 2), measure=ms.uniform_ball(ns.lp(2, 2)),
+            functionals=np.column_stack([np.cos(np.arange(32) * np.pi / 32),
+                                         np.sin(np.arange(32) * np.pi / 32)]),
+            d=1.01, eps_grid=[0.05, 0.2, 0.5], count=30001, seed=4, profile="gaussian"),
+        "e89092d80c5503e045eb9cef15a01f62163f76eb04126cff104a8f9a561543b7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_REPORTS))
+def test_report_digests_frozen(name):
+    run, digest = FROZEN_REPORTS[name]
+    assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest
 
 
 def test_cube_floor_small_dims():
