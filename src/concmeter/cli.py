@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import parameters, verify
+from . import concentration, parameters, verify
 from .concentration import concentration_lower_curve, empirical_median
 from .measures import ggp, radial_cdf, sample, uniform_ball
 from .normspace import lp, norm_eval
@@ -112,7 +112,10 @@ def cmd_run(args) -> int:
     if args.jobs == 1 or len(tasks) <= 1:
         payloads = [_execute_job(t) for t in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the workers share the cores: each projects on its share of them
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs, initializer=concentration._set_pool_size,
+                initargs=(max(1, concentration._usable_cpus() // args.jobs),)) as pool:
             payloads = list(pool.map(_execute_job, tasks))
 
     rows = []

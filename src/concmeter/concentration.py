@@ -20,6 +20,8 @@ one-sided and conservative.
 
 from __future__ import annotations
 
+import concurrent.futures
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,6 +35,11 @@ DEFAULT_EXTRA_DIRECTIONS = 256
 _Z95 = 1.959963984540054
 
 _DIRECTION_CHUNK = 32
+
+# OpenBLAS computes a product of at most this many elements with a
+# small-matrix kernel whose last bits differ from those of its blocked
+# kernel (OpenBLAS 0.3.31 on AVX-512, at n >= 32)
+_SMALL_PRODUCT = 1200
 
 
 @dataclass(frozen=True)
@@ -96,34 +103,112 @@ def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
     return np.vstack([axes, rng.normals(seed, rows, cols, 0)])
 
 
+_pool_size = 0          # projection threads per process; 0: one per usable core
+_pool = None            # (pid, size, executor or None), made on first use
+
+
+def _usable_cpus() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_pool_size(size: int) -> None:
+    """Use ``size`` projection threads in this process (the initializer of
+    each ``run`` worker process, which shares the cores with its siblings)."""
+    global _pool_size
+    _pool_size = size
+
+
+def _projection_pool():
+    """``(threads, executor)`` for the projections of this process: the
+    calling thread and the executor's ``threads - 1`` workers, or None
+    for one thread.  The executor is made on first use, and made again in
+    a forked child: an executor inherited through ``fork`` keeps its idle
+    count but not its threads, so work sent to it would never run."""
+    global _pool
+    size = _pool_size or _usable_cpus()
+    if _pool is None or _pool[:2] != (os.getpid(), size):
+        if _pool is not None and _pool[0] == os.getpid() and _pool[2] is not None:
+            _pool[2].shutdown()
+        executor = concurrent.futures.ThreadPoolExecutor(size - 1) if size > 1 else None
+        _pool = (os.getpid(), size, executor)
+    return _pool[1:]
+
+
+def _run_all(pool, work, args) -> None:
+    """``work(*a)`` for each ``a`` in ``args``: the first in this thread and
+    the others on the pool, when there is one."""
+    if pool is None:
+        for a in args:
+            work(*a)
+        return
+    rest = [pool.submit(work, *a) for a in args[1:]]
+    work(*args[0])
+    for done in rest:
+        done.result()
+
+
+def _cuts(stop: int, parts: int, step: int = 1) -> list:
+    """At most ``parts`` ranges ``(a, b)`` of nearly equal length that
+    cover [0, stop), cut at multiples of ``step``."""
+    cuts = sorted({stop * k // parts // step * step for k in range(parts)} | {stop})
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def sorted_projections(data: np.ndarray, directions: np.ndarray):
     """Yield ``(offset, chunk, rows)`` for each block of up to 32 directions.
 
     ``rows[k]`` holds the projections <directions[offset + k], x> of every
     sample row x, sorted ascending.  One ``(min(32, D), N8)`` buffer is
     allocated per call, N8 being N rounded up to a multiple of 8.  Each
-    block is one GEMM, ``chunk @ data.T``, written into that buffer
-    (``data.T`` is passed as a transpose flag, not copied); its first N
-    columns are sorted in place along the rows and yielded as ``rows``.
-    ``rows`` is a view of the shared buffer: it is valid only until the
-    next iteration, which overwrites it.
+    block is written into that buffer by GEMMs ``chunk @ piece.T``, one
+    per piece of sample rows (``piece.T`` is passed as a transpose flag,
+    not copied); its first N columns are then sorted in place along the
+    rows and yielded as ``rows``.  ``rows`` is a view of the shared
+    buffer: it is valid only until the next iteration, which overwrites
+    it.
 
-    When N is not a multiple of 8 the data is first copied with zero rows
-    appended up to N8 (N8 x n doubles, once per call).  With OpenBLAS the
-    padded product is bit-identical to ``data @ chunk.T`` and the same
-    under any BLAS thread count; the unpadded one at such N is not.
+    The pieces, one per projection thread, run at once, and then the
+    threads sort the block's rows, split by directions; GEMM and sort
+    release the interpreter lock.  With OpenBLAS a GEMM gives each
+    element the bits of the whole product when its piece is a multiple of
+    8 rows long and its output has more than ``_SMALL_PRODUCT`` elements,
+    so every piece is cut so, and the result depends neither on
+    the number of threads nor on the BLAS thread count.  When N is not a
+    multiple of 8 there are at least two pieces, and the last one starts
+    N8 - N rows early and ends at N.  The projections of those early rows
+    are computed twice; their first copies are then overwritten by the
+    block's last N8 - N columns, so the first N columns hold every
+    projection once, in an order the sort removes.  Only an input too
+    short for such pieces is copied, with zero rows appended up to N8.
     """
-    count = data.shape[0]
-    pad = -count % 8
-    if pad:
-        data = np.concatenate([data, np.zeros((pad, data.shape[1]))])
-    buf = np.empty((min(_DIRECTION_CHUNK, directions.shape[0]), data.shape[0]))
+    count, dim = data.shape
+    body, spare = count - count % 8, -count % 8
+    threads, pool = _projection_pool()
+    last_rows = (directions.shape[0] - 1) % _DIRECTION_CHUNK + 1   # the smallest block
+    width = (_SMALL_PRODUCT // last_rows + 8) // 8 * 8    # the fewest columns of a piece
+    least = 2 if spare else 1
+    parts = min(max(threads, least), body // width)
+    if parts < least:       # too few rows for such pieces: one GEMM
+        if spare:
+            data = np.concatenate([data, np.zeros((spare, dim))])
+        body, spare, parts = len(data), 0, 1
+    pieces = [(data[a:b], a) for a, b in _cuts(body, parts, 8)]
+    if spare:
+        early = pieces[-1][1]
+        pieces[-1] = (data[early - spare:], early)
+    buf = np.empty((min(_DIRECTION_CHUNK, directions.shape[0]), len(data) + spare))
     for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
         chunk = directions[lo:lo + _DIRECTION_CHUNK]
         block = buf[:chunk.shape[0]]
-        np.matmul(chunk, data.T, out=block)
+        _run_all(pool, lambda src, a: np.matmul(chunk, src.T, out=block[:, a:a + src.shape[0]]),
+                 pieces)
+        if spare:
+            block[:, early:early + spare] = block[:, count:]
         rows = block[:, :count]
-        rows.sort(axis=1)
+        _run_all(pool, lambda a, b: rows[a:b].sort(axis=1), _cuts(chunk.shape[0], threads))
         yield lo, chunk, rows
 
 

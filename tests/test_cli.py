@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -55,6 +56,52 @@ def test_run_writes_reports_and_summary(tmp_path):
     payload = json.loads((out / "floor.json").read_text())
     assert payload["verdict"] == "pass"
     assert payload["job"]["resolved"]["seed"] == 3
+
+
+_FORK_PROBE = """
+import os, sys
+import numpy as np
+from concmeter import cli, concentration as con, measures as ms, normspace as ns
+# a 4-core host: the parent projects on 2 threads, and so does each of
+# the 2 run workers, which inherit the parent's live pool through fork
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+con._set_pool_size(2)
+data = ms.sample(ms.haar_sphere(16), 5001, seed=1).data
+con.concentration_lower_curve(data, ns.lp(2, 16), np.linspace(0.1, 1.0, 5))
+cfg, out = sys.argv[1:]
+for jobs in ("2", "1"):
+    assert cli.main(["run", cfg, "--jobs", jobs, "--out", out + jobs]) == 0
+"""
+
+
+def test_run_workers_fork_from_a_process_with_live_projection_threads(tmp_path):
+    # an executor inherited through fork has no threads: a worker that
+    # reused it would hang, so the run must finish, with the reports of
+    # --jobs 1
+    cfg = write_config(tmp_path, {"seed": 5, "jobs": [
+        {"id": "floor", "check": "cube_floor", "n": 8, "N": 5001,
+         "eps": {"start": 0.1, "stop": 0.9, "num": 5}},
+        {"id": "pairs", "check": "separated_sets", "n": 16, "measure": "haar_sphere",
+         "num_pairs": 40, "N": 5001},
+        {"id": "ratio", "check": "norm_ratio_transfer", "n": 16, "K": "l2", "L": "l1",
+         "measure": "haar_sphere", "N": 3001}]})
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("CONCMETER_SEED", None)
+    probe = subprocess.Popen([sys.executable, "-c", _FORK_PROBE, str(cfg), str(tmp_path / "out")],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+                             start_new_session=True)
+    try:
+        _, err = probe.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(probe.pid, signal.SIGKILL)     # the probe and its hung workers
+        probe.communicate()
+        raise
+    assert probe.returncode == 0, err
+    names = sorted(p.name for p in (tmp_path / "out1").iterdir())
+    assert names == ["floor.json", "pairs.json", "ratio.json", "summary.csv"]
+    assert names == sorted(p.name for p in (tmp_path / "out2").iterdir())
+    for name in names:
+        assert (tmp_path / "out2" / name).read_bytes() == (tmp_path / "out1" / name).read_bytes()
 
 
 def test_run_empty_job_list(tmp_path):

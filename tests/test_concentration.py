@@ -1,5 +1,6 @@
 """Median estimates, half-space expansion, and the lower-bound curve."""
 
+import json
 import math
 import os
 import subprocess
@@ -182,7 +183,7 @@ def test_curve_matches_column_sort_oracle(n, count, p, ties):
 
 def test_sorted_projections_blocks():
     # N = 501 is not a multiple of 8: rows are the first 501 columns of a
-    # zero-padded 504-column block, with the bits of data @ chunk.T
+    # 504-column block, with the bits of data @ chunk.T
     data = ms.sample(ms.gaussian(5), 501, seed=3).data
     dirs = con.direction_family(5, 70, seed=4)
     seen = 0
@@ -194,35 +195,72 @@ def test_sorted_projections_blocks():
     assert seen == 75
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_sorted_projections_at_any_pool_size(monkeypatch, size):
+    # at n >= 32 a small GEMM takes other bits: every cut (one GEMM over a
+    # padded copy at N = 100 with a last block of 9 directions, pieces
+    # with an early start at N = 999 and 5001) gives the rows of the
+    # whole zero-padded product
+    monkeypatch.setattr(con, "_pool_size", size)
+    for count, extra in ((100, 33), (999, 8), (5000, 70), (5001, 70)):
+        data = ms.sample(ms.gaussian(40), count, seed=3).data
+        dirs = con.direction_family(40, extra, seed=4)
+        padded = np.concatenate([data, np.zeros((-count % 8, 40))])
+        seen = 0
+        for lo, chunk, rows in con.sorted_projections(data, dirs):
+            assert lo == seen and rows.shape == (chunk.shape[0], count)
+            assert np.array_equal(rows, np.sort((chunk @ padded.T)[:, :count], axis=1))
+            seen += chunk.shape[0]
+        assert seen == dirs.shape[0]
+
+
 _THREAD_PROBE = """
-import hashlib
+import hashlib, json
 import numpy as np
 from concmeter import concentration as con, measures as ms, normspace as ns
-data = ms.sample(ms.gaussian(64), 5001, seed=3).data
-dirs = con.direction_family(64, 256, seed=5)
-digest = hashlib.sha256()
-for _, _, rows in con.sorted_projections(data, dirs):
-    digest.update(rows.tobytes())
-curve = con.concentration_lower_curve(data, ns.lp(2, 64), np.linspace(0.02, 1.0, 25),
-                                      directions=dirs)
-digest.update(curve.alpha_hat.tobytes())
-digest.update(curve.argmax_direction.tobytes())
-print(digest.hexdigest())
+from concmeter import verify as vf
+out = {}
+for size in (1, 2, 3):
+    con._set_pool_size(size)
+    for count in (5000, 5001):
+        data = ms.sample(ms.gaussian(64), count, seed=3).data
+        dirs = con.direction_family(64, 256, seed=5)
+        digest = hashlib.sha256()
+        for _, _, rows in con.sorted_projections(data, dirs):
+            digest.update(rows.tobytes())
+        curve = con.concentration_lower_curve(data, ns.lp(2, 64), np.linspace(0.02, 1.0, 25),
+                                              directions=dirs)
+        digest.update(curve.alpha_hat.tobytes())
+        digest.update(curve.argmax_direction.tobytes())
+        out[f"pool {size}, N {count}"] = digest.hexdigest()
+    rep = vf.check_separated_sets(measure=ms.haar_sphere(64), metric=ns.lp(2, 64),
+                                  num_pairs=100, count=5001, seed=9)
+    out[f"pool {size}, pairs"] = hashlib.sha256(rep.to_json().encode()).hexdigest()
+print(json.dumps(out))
 """
+
+# recorded with the single-threaded, single-GEMM projections that came
+# before the projection threads
+_PROJECTION_DIGESTS = {
+    "N 5000": "3ad791fde018ca7bd032c0084bc28c598f74c2bb51f5cdf06865be32899537e5",
+    "N 5001": "0db6327aa0bf79de6d990b77c19ea135e5fdcba885e36e22f6a3b7b26bbe3277",
+    "pairs": "25a31700dd2953ca71cb2ed605178622d83733e86419ffd0b3910432962a7ed2",
+}
 
 
 def test_projections_do_not_depend_on_blas_threads():
-    # N = 5001 is not a multiple of 8, where an unpadded GEMM's last bits
-    # follow the OpenBLAS thread count
+    # every pool size at one and two OpenBLAS threads gives the recorded
+    # bits; N = 5001 is not a multiple of 8, where an unpadded GEMM's last
+    # bits follow the OpenBLAS thread count
     env = dict(os.environ, PYTHONPATH=str(Path(con.__file__).parents[1]))
-    digests = []
     for threads in ("1", "2"):
         env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         res = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
-                             capture_output=True, text=True)
+                             capture_output=True, text=True, timeout=300)
         assert res.returncode == 0, res.stderr
-        digests.append(res.stdout)
-    assert digests[0] == digests[1]
+        digests = json.loads(res.stdout)
+        assert digests == {f"pool {size}, {key}": value for size in (1, 2, 3)
+                           for key, value in _PROJECTION_DIGESTS.items()}, threads
 
 
 def test_sorted_projections_block_allocates_no_copy():

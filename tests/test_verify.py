@@ -217,6 +217,17 @@ def test_check_peak_stays_within_its_readme_row(check_id):
     assert peak <= row(n) * count * 8 + 3 * _MIB * chunk + 2 * _MIB
 
 
+@pytest.mark.parametrize("check_id", sorted(PEAK_ROWS))
+def test_check_peak_does_not_grow_at_unaligned_count(check_id):
+    # N = 20001 is not a multiple of 8: the projections copy no input
+    n, extra, _, _ = PEAK_ROWS[check_id]
+    vf.run_check(check_id, n=n, count=2000, seed=3, **extra)   # lazy imports
+    aligned, unaligned = (
+        _traced_peak(lambda: vf.run_check(check_id, n=n, count=count, seed=3, **extra))
+        for count in (20000, 20001))
+    assert unaligned <= aligned + _MIB
+
+
 @pytest.mark.parametrize("n, count", [(3, 5001), (64, 2000)])
 def test_streamed_images_equal_the_maps_of_the_batch(n, count):
     K, L = ns.lp(2, n), ns.lp(1, n)
