@@ -26,9 +26,9 @@ import numpy as np
 
 from . import concentration, parameters, verify
 from .concentration import concentration_lower_curve, empirical_median
-from .measures import ggp, radial_cdf, sample, uniform_ball
-from .normspace import lp, norm_eval
-from .transport import _image_chunks, lipschitz_constant, radial_transport
+from .measures import ggp, radial_cdf, sample, sample_chunks, uniform_ball
+from .normspace import lp
+from .transport import lipschitz_constant, norm_ratio_map, radial_transport
 from .verify import (ConfigError, parse_eps, parse_int, parse_measure, parse_norm,
                      parse_size)
 
@@ -72,8 +72,9 @@ def validate_config(cfg: dict) -> list[tuple[dict, str, dict]]:
     jobs = cfg.get("jobs", [])
     if not isinstance(jobs, list):
         raise ConfigError("'jobs' must be a list")
-    if not isinstance(cfg.get("output_dir", ""), str):
-        raise ConfigError(f"output_dir: expected a string, got {cfg['output_dir']!r}")
+    out_dir = cfg.get("output_dir", "concmeter-out")
+    if not isinstance(out_dir, str) or not out_dir:   # Path("") is the working directory
+        raise ConfigError(f"output_dir: expected a nonempty string, got {out_dir!r}")
     try:
         default_seed = parse_int(cfg.get("seed", 1))
     except ConfigError as exc:
@@ -186,13 +187,12 @@ def cmd_pushforward(args) -> int:
     K = parse_norm(args.K, n)
     L = parse_norm(args.L, n)
     measure = parse_measure(args.measure, n, args.p)
-    # norm_ratio_map(K, L, batch), written chunk by chunk from the sample stream
-    chunks = _image_chunks(measure, args.N, seed,
-                           lambda rows: (norm_eval(K, rows), norm_eval(L, rows)))
     cfg = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
            "n": n, "N": args.N, "seed": seed}
+    # the image of the batch, written chunk by chunk from the sample stream
     _write_csv(args.out, cfg, ",".join(f"x{k}" for k in range(n)),
-               (row for _, image, _, _ in chunks for row in image.tolist()))
+               (row for _, rows in sample_chunks(measure, args.N, seed)
+                for row in norm_ratio_map(K, L, rows).tolist()))
     return 0
 
 

@@ -104,7 +104,6 @@ def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
 
 
 _pool_size = 0          # projection threads per process; 0: one per usable core
-_pool = None            # (pid, size, executor or None), made on first use
 
 
 def _usable_cpus() -> int:
@@ -119,22 +118,6 @@ def _set_pool_size(size: int) -> None:
     each ``run`` worker process, which shares the cores with its siblings)."""
     global _pool_size
     _pool_size = size
-
-
-def _projection_pool():
-    """``(threads, executor)`` for the projections of this process: the
-    calling thread and the executor's ``threads - 1`` workers, or None
-    for one thread.  The executor is made on first use, and made again in
-    a forked child: an executor inherited through ``fork`` keeps its idle
-    count but not its threads, so work sent to it would never run."""
-    global _pool
-    size = _pool_size or _usable_cpus()
-    if _pool is None or _pool[:2] != (os.getpid(), size):
-        if _pool is not None and _pool[0] == os.getpid() and _pool[2] is not None:
-            _pool[2].shutdown()
-        executor = concurrent.futures.ThreadPoolExecutor(size - 1) if size > 1 else None
-        _pool = (os.getpid(), size, executor)
-    return _pool[1:]
 
 
 def _run_all(pool, work, args) -> None:
@@ -172,11 +155,13 @@ def sorted_projections(data: np.ndarray, directions: np.ndarray):
 
     The pieces, one per projection thread, run at once, and then the
     threads sort the block's rows, split by directions; GEMM and sort
-    release the interpreter lock.  With OpenBLAS a GEMM gives each
-    element the bits of the whole product when its piece is a multiple of
-    8 rows long and its output has more than ``_SMALL_PRODUCT`` elements,
-    so every piece is cut so, and the result depends neither on
-    the number of threads nor on the BLAS thread count.  When N is not a
+    release the interpreter lock.  The threads are the calling thread and
+    an executor of ``threads - 1`` workers made for this call and shut
+    down when it ends, so no thread outlives the generator.  With OpenBLAS
+    a GEMM gives each element the bits of the whole product when its
+    piece is a multiple of 8 rows long and its output has more than
+    ``_SMALL_PRODUCT`` elements, so every piece is cut so, and the result
+    depends neither on the number of threads nor on the BLAS thread count.  When N is not a
     multiple of 8 there are at least two pieces, and the last one starts
     N8 - N rows early and ends at N.  The projections of those early rows
     are computed twice; their first copies are then overwritten by the
@@ -186,7 +171,7 @@ def sorted_projections(data: np.ndarray, directions: np.ndarray):
     """
     count, dim = data.shape
     body, spare = count - count % 8, -count % 8
-    threads, pool = _projection_pool()
+    threads = _pool_size or _usable_cpus()
     last_rows = (directions.shape[0] - 1) % _DIRECTION_CHUNK + 1   # the smallest block
     width = (_SMALL_PRODUCT // last_rows + 8) // 8 * 8    # the fewest columns of a piece
     least = 2 if spare else 1
@@ -200,16 +185,22 @@ def sorted_projections(data: np.ndarray, directions: np.ndarray):
         early = pieces[-1][1]
         pieces[-1] = (data[early - spare:], early)
     buf = np.empty((min(_DIRECTION_CHUNK, directions.shape[0]), len(data) + spare))
-    for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
-        chunk = directions[lo:lo + _DIRECTION_CHUNK]
-        block = buf[:chunk.shape[0]]
-        _run_all(pool, lambda src, a: np.matmul(chunk, src.T, out=block[:, a:a + src.shape[0]]),
-                 pieces)
-        if spare:
-            block[:, early:early + spare] = block[:, count:]
-        rows = block[:, :count]
-        _run_all(pool, lambda a, b: rows[a:b].sort(axis=1), _cuts(chunk.shape[0], threads))
-        yield lo, chunk, rows
+    pool = concurrent.futures.ThreadPoolExecutor(threads - 1) if threads > 1 else None
+    try:
+        for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
+            chunk = directions[lo:lo + _DIRECTION_CHUNK]
+            block = buf[:chunk.shape[0]]
+            _run_all(pool, lambda src, a: np.matmul(chunk, src.T,
+                                                    out=block[:, a:a + src.shape[0]]),
+                     pieces)
+            if spare:
+                block[:, early:early + spare] = block[:, count:]
+            rows = block[:, :count]
+            _run_all(pool, lambda a, b: rows[a:b].sort(axis=1), _cuts(chunk.shape[0], threads))
+            yield lo, chunk, rows
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def linear_quantiles(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -322,7 +313,7 @@ def analytic_profile(name: str, n: int, *, C: Optional[float] = None,
     """Profile from the catalog, with optional constant overrides; the
     constants must be positive."""
     for key, value in (("C", C), ("c", c)):
-        if value is not None and not float(value) > 0.0:
+        if value is not None and (isinstance(value, bool) or not float(value) > 0.0):
             raise ValueError(f"profile constant {key} must be positive, got {value!r}")
     if name == "custom":
         if C is None or c is None:

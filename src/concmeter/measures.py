@@ -355,29 +355,41 @@ def sample_chunks(measure: MeasureSpec, count: int, seed: int
     """Rows [0, count) of the sample table as (start, rows) chunks, for
     callers that never hold the whole batch; the bits equal ``sample``'s.
 
-    A chunk holds one RNG block (``rng._BLOCK`` elements, at least one
-    row), so it and the temporaries built from it stay in cache whatever
-    the dimension.
+    A chunk holds one RNG block (``rng.block_rows`` rows), so it and the
+    temporaries built from it stay in cache whatever the dimension.
     """
     inv = None if measure.transform is None else np.linalg.inv(measure.transform)
-    step = max(1, rng._BLOCK // measure.dim)
+    step = rng.block_rows(measure.dim)
     for start in range(0, count, step):
         yield start, _generate(measure, seed, start, min(start + step, count), inv)
 
 
-def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:
-    """Draw an i.i.d. batch; identical (measure, count, seed) arguments
-    reproduce identical bits regardless of chunking or worker count.
+def sample_map(measure: MeasureSpec, count: int, seed: int,
+               fn: Callable[[np.ndarray], tuple]) -> tuple:
+    """Full-length outputs of a row-wise ``fn`` over rows [0, count) of
+    the sample table, which is never held whole.
 
-    The batch is allocated once and filled chunk by chunk from
-    :func:`sample_chunks`, so peak memory is the batch plus one chunk's
-    temporaries.
+    For each chunk of :func:`sample_chunks`, ``fn(rows)`` returns a tuple
+    of arrays (``rows`` may be changed in place); each is written into
+    the chunk's rows of one output, allocated at the first chunk.  Peak
+    memory is the outputs plus one chunk's temporaries.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    data = np.empty((count, measure.dim))
+    outs = None
     for start, rows in sample_chunks(measure, count, seed):
-        data[start:start + rows.shape[0]] = rows
+        parts = fn(rows)
+        if outs is None:
+            outs = tuple(np.empty((count,) + part.shape[1:], part.dtype) for part in parts)
+        for out, part in zip(outs, parts):
+            out[start:start + len(part)] = part
+    return outs
+
+
+def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:
+    """Draw an i.i.d. batch; identical (measure, count, seed) arguments
+    reproduce identical bits regardless of chunking or worker count."""
+    data, = sample_map(measure, count, seed, lambda rows: (rows,))
     return SampleBatch(measure=measure, seed=seed, data=data)
 
 

@@ -32,6 +32,8 @@ INF = float("inf")
 def _as_p(p) -> float:
     """An lp exponent p >= 1: a number, or the string 'inf' in any case."""
     text = p
+    if isinstance(p, bool):   # float() reads True as 1
+        raise ValueError(f"expected an lp exponent, got {p!r}")
     if isinstance(text, str) and text.lower() == "inf":
         return INF
     p = float(p)
@@ -104,7 +106,7 @@ def norm_eval(norm: NormSpec, x: np.ndarray) -> np.ndarray:
 
     Finite-p evaluation rescales by the max coordinate before
     exponentiating, so large p cannot overflow.  Rows are reduced in
-    chunks of about one RNG block (``rng._BLOCK`` elements), so the
+    chunks of about one RNG block (``rng.block_rows`` rows), so the
     temporaries stay cache-sized whatever the input; every row is
     reduced on its own, so the chunking moves no bit.  A transform is
     applied to the whole input first, ``x @ T.T`` in one product: a
@@ -121,7 +123,7 @@ def norm_eval(norm: NormSpec, x: np.ndarray) -> np.ndarray:
         with np.errstate(invalid="ignore"):   # non-finite input raises below
             y = x @ norm.transform.T
     out = np.empty(x.shape[0])
-    step = max(1, rng._BLOCK // norm.dim)
+    step = rng.block_rows(norm.dim)
     for lo in range(0, x.shape[0], step):
         if not np.isfinite(x[lo:lo + step]).all():
             raise ValueError("non-finite input component")

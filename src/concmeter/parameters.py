@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concentration import _Z95, MedianEstimate, empirical_median
-from .measures import MeasureSpec, sample_chunks
+from .measures import MeasureSpec, sample_map
 from .normspace import ContainmentConstant, NormSpec, containment_constant, norm_eval
 
 
@@ -91,21 +91,15 @@ class BetaEstimate:
 
 def norm_values(measure: MeasureSpec, norms: Sequence[NormSpec], count: int,
                 seed: int) -> list[np.ndarray]:
-    """Norm evaluations of a batch, streamed so the batch is never held.
+    """Norm evaluations of a batch, streamed through
+    :func:`concmeter.measures.sample_map` so the batch is never held.
 
-    The chunks of :func:`concmeter.measures.sample_chunks` match
-    :func:`concmeter.measures.sample` bit for bit, and ``norm_eval``
-    reduces row by row, so results are identical to materializing the
-    batch first (up to the last bits of a transform's matrix product under
-    more than one BLAS thread).  Each chunk is one RNG block, so beyond
-    the outputs the peak memory is a few cache-sized temporaries, whatever
-    the dimension.
+    ``norm_eval`` reduces row by row, so results are identical to
+    materializing the batch first (up to the last bits of a transform's
+    matrix product under more than one BLAS thread).
     """
-    out = [np.empty(count) for _ in norms]
-    for lo, rows in sample_chunks(measure, count, seed):
-        for k, norm in enumerate(norms):
-            out[k][lo:lo + rows.shape[0]] = norm_eval(norm, rows)
-    return out
+    return list(sample_map(measure, count, seed,
+                           lambda rows: tuple(norm_eval(norm, rows) for norm in norms)))
 
 
 def _mean_stat(values: np.ndarray) -> StatEstimate:

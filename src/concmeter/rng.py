@@ -44,6 +44,13 @@ _S11, _S27, _S30, _S31, _S63 = (np.uint64(k) for k in (11, 27, 30, 31, 63))
 # cache, and peak memory grows with the block, not with the output.
 _BLOCK = 1 << 15
 
+
+def block_rows(dim: int, multiple: int = 1) -> int:
+    """Rows of ``dim`` elements per chunk of a streamed loop: about one
+    block, rounded down to a multiple of ``multiple`` and at least that."""
+    return max(multiple, _BLOCK // dim // multiple * multiple)
+
+
 # Slots consumed per rejection round of the gamma sampler (two for the
 # normal draw, one for the accept test).
 _GAMMA_ROUND_SLOTS = 3

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .measures import MeasureSpec, RadialCdf, sample_chunks
+from .measures import RadialCdf
 from .normspace import NormSpec, norm_eval
 
 
@@ -50,22 +50,6 @@ def _scale_rows(rows: np.ndarray, num: np.ndarray, den: np.ndarray,
     ``out`` (``rows`` itself allowed) receives the result."""
     ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     return np.multiply(rows, ratio[:, None], out=out)
-
-
-def _image_chunks(measure: MeasureSpec, count: int, seed: int,
-                  norms: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-                  ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Push rows [0, count) of the sample table through x -> x num / den,
-    one sample chunk at a time, as ``(start, image, num, den)``.
-
-    ``(num, den) = norms(rows)`` evaluates the chunk's row norms, and
-    ``image`` is the chunk scaled in place by :func:`_scale_rows`.  Every
-    step is row by row, so the bits equal the map applied to
-    ``sample(measure, count, seed).data``, while no batch is ever held.
-    """
-    for start, rows in sample_chunks(measure, count, seed):
-        num, den = norms(rows)
-        yield start, _scale_rows(rows, num, den, out=rows), num, den
 
 
 def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,

@@ -17,9 +17,10 @@ real bug or a false profile, never Monte Carlo bad luck beyond CI.
 Memory: a check holds one sample-sized array (the batch, or the image
 of a push-forward) plus one block of at most 32 sorted projections.
 The norm-ratio and radial transfers never hold their source batch: they
-build the image from the sample stream, chunk by chunk.  The sup-norm
-embedding check reduces the stream to two numbers per row and holds no
-batch at all.  The shell chain keeps its batch and streams its probes.
+fill the image from the sample stream through ``measures.sample_map``.
+The sup-norm embedding check maps the stream to two numbers per row and
+holds no batch at all.  The shell chain keeps its batch and streams its
+probes.
 README.md lists each check's peak.
 """
 
@@ -37,11 +38,11 @@ from .concentration import (AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
                             eps_grid_fault, linear_quantiles, sorted_projections)
 from .measures import (MAX_GAMMA_SHAPE, MeasureSpec, ggp, haar_sphere, radial_cdf,
-                       sample, sample_chunks, uniform_ball)
+                       sample, sample_map, uniform_ball)
 from .normspace import (INF, NormSpec, _as_p, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
-from .transport import (_image_chunks, _scale_rows, lipschitz_constant, norm_ratio_map,
+from .transport import (_scale_rows, lipschitz_constant, norm_ratio_map,
                         radial_transport)
 
 _ALGEBRAIC_TOL = 1e-9
@@ -142,22 +143,14 @@ def _pushed_batch(measure: MeasureSpec, count: int, seed: int, norms
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(image, num, den)``: the batch of ``measure`` pushed through
     x -> x num / den, ``(num, den) = norms(rows)``, with the full-length
-    norm vectors, built from :func:`concmeter.transport._image_chunks`
-    into one preallocated array; the source batch is never held."""
-    image = np.empty((count, measure.dim))
-    num, den = np.empty(count), np.empty(count)
-    for lo, rows, num_c, den_c in _image_chunks(measure, count, seed, norms):
-        hi = lo + rows.shape[0]
-        image[lo:hi], num[lo:hi], den[lo:hi] = rows, num_c, den_c
-    return image, num, den
+    norm vectors, built by :func:`concmeter.measures.sample_map` scaling
+    each chunk in place; the source batch is never held.  Every step is
+    row by row, so the bits equal the map applied to the whole batch."""
+    def push(rows):
+        num, den = norms(rows)
+        return _scale_rows(rows, num, den, out=rows), num, den
 
-
-def _row_chunk(dim: int) -> int:
-    """Rows per chunk of a streamed probe loop: about one RNG block, and a
-    multiple of 8.  With OpenBLAS, a matrix-vector product taken in such
-    chunks matches the whole product bit for bit at one thread (chunks of
-    odd length do not), and is the same under any thread count."""
-    return max(8, rng._BLOCK // dim // 8 * 8)
+    return sample_map(measure, count, seed, push)
 
 
 def _resolve_profile(profile, n: int) -> AnalyticProfile:
@@ -203,7 +196,7 @@ def _empirical_lipschitz(map_rows: Callable[[np.ndarray], np.ndarray], data: np.
     m = min(20000, count)
     idx_a = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 0, 7) * count).astype(np.int64)
     idx_b = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 1, 7) * count).astype(np.int64)
-    step = _row_chunk(data.shape[1])
+    step = rng.block_rows(data.shape[1], 8)
     maxima = []
     for lo in range(0, m, step):
         xa, xb = data[idx_a[lo:lo + step]], data[idx_b[lo:lo + step]]
@@ -317,7 +310,10 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     radius = delta * med_l / lam
 
     n = measure.dim
-    step = _row_chunk(n)
+    # chunks of a multiple of 8 rows: with OpenBLAS a matrix-vector product
+    # taken in such chunks has the whole product's bits at one thread (odd
+    # chunks do not), and the same bits under any thread count
+    step = rng.block_rows(n, 8)
     theta = rng.normals(rng.derive_seed(seed, 0xA0), 0, np.arange(n, dtype=np.uint64), 0)
     # projections of the image norm_ratio_map(K, L_r, data), one chunk at a time
     proj = np.empty(count)
@@ -483,11 +479,8 @@ def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
     functionals = np.asarray(functionals, dtype=np.float64)
     n_func = functionals.shape[0]
     # the two row statistics, from the sample stream: no batch is held
-    vk, sup_f = np.empty(count), np.empty(count)
-    for lo, rows in sample_chunks(measure, count, seed):
-        hi = lo + rows.shape[0]
-        vk[lo:hi] = norm_eval(K, rows)
-        sup_f[lo:hi] = np.abs(rows @ functionals.T).max(axis=1)
+    vk, sup_f = sample_map(measure, count, seed, lambda rows: (
+        norm_eval(K, rows), np.abs(rows @ functionals.T).max(axis=1)))
     tol = 1e-9
     if np.any(sup_f > vk * (1.0 + tol)) or np.any(sup_f < vk / d * (1.0 - tol)):
         raise CheckError("functionals do not form a d-embedding on samples")
@@ -637,6 +630,8 @@ def parse_eps(spec) -> list:
 
     def number(token) -> float:
         try:
+            if isinstance(token, bool):   # float() reads True as 1
+                raise TypeError
             return float(token)
         except (TypeError, ValueError):
             raise ConfigError(f"cannot parse eps grid {text!r}") from None

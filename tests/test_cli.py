@@ -224,6 +224,7 @@ RADIAL = {"check": "radial_transfer", "n": 16, "p": 1}
     ({"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "c": -1}}]},
      "jobs[1].profile"),
     ({"output_dir": 3, "jobs": [CUBE]}, "output_dir"),
+    ({"output_dir": "", "jobs": [CUBE]}, "output_dir"),   # Path("") is the working directory
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -212,6 +213,21 @@ def test_sorted_projections_at_any_pool_size(monkeypatch, size):
             assert np.array_equal(rows, np.sort((chunk @ padded.T)[:, :count], axis=1))
             seen += chunk.shape[0]
         assert seen == dirs.shape[0]
+
+
+def test_projection_pool_leaves_no_thread_behind(monkeypatch):
+    # the executor lives for one call: a whole curve, and a generator
+    # closed after its first block, leave the thread count as it was
+    monkeypatch.setattr(con, "_pool_size", 2)
+    data = ms.sample(ms.gaussian(16), 5000, seed=3).data
+    before = threading.active_count()
+    con.concentration_lower_curve(data, ns.lp(2, 16), np.linspace(0.1, 1.0, 5))
+    assert threading.active_count() == before
+    blocks = con.sorted_projections(data, con.direction_family(16, 64, seed=4))
+    next(blocks)
+    assert threading.active_count() == before + 1     # the block used a worker
+    blocks.close()
+    assert threading.active_count() == before
 
 
 _THREAD_PROBE = """

@@ -178,7 +178,7 @@ CHUNK_FAMILIES = [ms.haar_sphere, ms.gaussian, lambda n: ms.ggp(1.5, n),
 def test_sample_is_chunk_invariant(make, n):
     # a count that spans several chunks and leaves a partial last one
     spec = make(n)
-    step = max(1, rng._BLOCK // n)
+    step = rng.block_rows(n)
     count = 2 * step + step // 2 + 1
     whole = ms._generate(spec, 5, 0, count, None)
     assert np.array_equal(ms.sample(spec, count, seed=5).data, whole)

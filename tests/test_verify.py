@@ -430,3 +430,23 @@ def test_precondition_monotone_slack():
     admitted = margins[np.asarray(rep.precondition)]
     # once the grid is deep enough for the precondition, slack only grows
     assert np.all(admitted <= 0.0)
+
+
+_RATIO_JOB = {"check": "norm_ratio_transfer", "n": 4, "K": "l2", "L": "l1",
+              "measure": "haar_sphere"}
+
+
+@pytest.mark.parametrize("job, field", [
+    ({"eps": [0.5, True]}, "eps"),
+    ({"eps": {"start": True, "stop": 2.0, "num": 3}}, "eps"),
+    ({"measure": "uniform_ball", "p": True}, "measure"),
+    ({"measure": {"family": "ggp", "p": True}}, "measure"),
+    ({"K": {"p": True}}, "K"),
+    ({"profile": {"name": "custom", "C": True, "c": True}}, "profile"),
+])
+def test_config_rejects_a_json_true_as_a_number(job, field):
+    # float(True) is 1.0, so without a bool check each of these ran as a number
+    with pytest.raises(vf.ConfigError, match=rf"^jobs\[0\]\.{field}: "):
+        vf.config_params({**_RATIO_JOB, **job}, "jobs[0]")
+    # the CLI's exponent strings still parse
+    assert (ns._as_p("1.5"), ns._as_p("inf")) == (1.5, math.inf)
