@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import concentration, parameters, verify
+from . import parameters, rng, verify
 from .concentration import concentration_lower_curve, empirical_median
 from .measures import ggp, radial_cdf, sample, sample_chunks, uniform_ball
 from .normspace import lp
@@ -110,13 +110,15 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out or cfg.get("output_dir", "concmeter-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.jobs == 1 or len(tasks) <= 1:
+    workers = min(args.jobs, len(tasks))
+    if workers <= 1:
         payloads = [_execute_job(t) for t in tasks]
     else:
-        # the workers share the cores: each projects on its share of them
+        # the workers share the cores: each samples and projects on its
+        # share of them
         with concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=concentration._set_pool_size,
-                initargs=(max(1, concentration._usable_cpus() // args.jobs),)) as pool:
+                max_workers=workers, initializer=rng._set_pool_size,
+                initargs=(max(1, rng._usable_cpus() // workers),)) as pool:
             payloads = list(pool.map(_execute_job, tasks))
 
     rows = []

@@ -20,8 +20,6 @@ one-sided and conservative.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,43 +101,6 @@ def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
     return np.vstack([axes, rng.normals(seed, rows, cols, 0)])
 
 
-_pool_size = 0          # projection threads per process; 0: one per usable core
-
-
-def _usable_cpus() -> int:
-    """The cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _set_pool_size(size: int) -> None:
-    """Use ``size`` projection threads in this process (the initializer of
-    each ``run`` worker process, which shares the cores with its siblings)."""
-    global _pool_size
-    _pool_size = size
-
-
-def _run_all(pool, work, args) -> None:
-    """``work(*a)`` for each ``a`` in ``args``: the first in this thread and
-    the others on the pool, when there is one."""
-    if pool is None:
-        for a in args:
-            work(*a)
-        return
-    rest = [pool.submit(work, *a) for a in args[1:]]
-    work(*args[0])
-    for done in rest:
-        done.result()
-
-
-def _cuts(stop: int, parts: int, step: int = 1) -> list:
-    """At most ``parts`` ranges ``(a, b)`` of nearly equal length that
-    cover [0, stop), cut at multiples of ``step``."""
-    cuts = sorted({stop * k // parts // step * step for k in range(parts)} | {stop})
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def sorted_projections(data: np.ndarray, directions: np.ndarray):
     """Yield ``(offset, chunk, rows)`` for each block of up to 32 directions.
 
@@ -171,7 +132,7 @@ def sorted_projections(data: np.ndarray, directions: np.ndarray):
     """
     count, dim = data.shape
     body, spare = count - count % 8, -count % 8
-    threads = _pool_size or _usable_cpus()
+    threads = rng._threads()
     last_rows = (directions.shape[0] - 1) % _DIRECTION_CHUNK + 1   # the smallest block
     width = (_SMALL_PRODUCT // last_rows + 8) // 8 * 8    # the fewest columns of a piece
     least = 2 if spare else 1
@@ -180,27 +141,24 @@ def sorted_projections(data: np.ndarray, directions: np.ndarray):
         if spare:
             data = np.concatenate([data, np.zeros((spare, dim))])
         body, spare, parts = len(data), 0, 1
-    pieces = [(data[a:b], a) for a, b in _cuts(body, parts, 8)]
+    pieces = [(data[a:b], a) for a, b in rng._cuts(body, parts, 8)]
     if spare:
         early = pieces[-1][1]
         pieces[-1] = (data[early - spare:], early)
     buf = np.empty((min(_DIRECTION_CHUNK, directions.shape[0]), len(data) + spare))
-    pool = concurrent.futures.ThreadPoolExecutor(threads - 1) if threads > 1 else None
-    try:
+    with rng._executor(threads) as pool:
         for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
             chunk = directions[lo:lo + _DIRECTION_CHUNK]
             block = buf[:chunk.shape[0]]
-            _run_all(pool, lambda src, a: np.matmul(chunk, src.T,
-                                                    out=block[:, a:a + src.shape[0]]),
-                     pieces)
+            rng._run_all(pool, lambda src, a: np.matmul(chunk, src.T,
+                                                        out=block[:, a:a + src.shape[0]]),
+                         pieces)
             if spare:
                 block[:, early:early + spare] = block[:, count:]
             rows = block[:, :count]
-            _run_all(pool, lambda a, b: rows[a:b].sort(axis=1), _cuts(chunk.shape[0], threads))
+            rng._run_all(pool, lambda a, b: rows[a:b].sort(axis=1),
+                         rng._cuts(chunk.shape[0], threads))
             yield lo, chunk, rows
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def linear_quantiles(rows: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -33,7 +33,8 @@ by (seed, sample index, coordinate index), so batches are reproducible
 bit-for-bit under any chunking of the sample range.  Batches are drawn
 in chunks of one RNG block (2^15 elements, 256 KiB of doubles) written
 straight into the output, so sampling and streamed norm evaluation keep
-their temporaries in cache and add only a chunk's worth of memory.  The
+their temporaries in cache and add only a chunk's worth of memory per
+stream thread (:func:`sample_map`).  The
 one exception to the chunking claim is a transformed body: its pull-back
 ``base @ inv.T`` is a BLAS product whose last bits can depend on the row
 count of the chunk under more than one BLAS thread.
@@ -350,6 +351,11 @@ def _generate(measure: MeasureSpec, seed: int, start: int, stop: int,
     return base
 
 
+def _inverse(measure: MeasureSpec) -> Optional[np.ndarray]:
+    """The inverse of ``measure.transform``, None without one."""
+    return None if measure.transform is None else np.linalg.inv(measure.transform)
+
+
 def sample_chunks(measure: MeasureSpec, count: int, seed: int
                   ) -> Iterator[tuple[int, np.ndarray]]:
     """Rows [0, count) of the sample table as (start, rows) chunks, for
@@ -358,7 +364,7 @@ def sample_chunks(measure: MeasureSpec, count: int, seed: int
     A chunk holds one RNG block (``rng.block_rows`` rows), so it and the
     temporaries built from it stay in cache whatever the dimension.
     """
-    inv = None if measure.transform is None else np.linalg.inv(measure.transform)
+    inv = _inverse(measure)
     step = rng.block_rows(measure.dim)
     for start in range(0, count, step):
         yield start, _generate(measure, seed, start, min(start + step, count), inv)
@@ -371,18 +377,38 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
 
     For each chunk of :func:`sample_chunks`, ``fn(rows)`` returns a tuple
     of arrays (``rows`` may be changed in place); each is written into
-    the chunk's rows of one output, allocated at the first chunk.  Peak
-    memory is the outputs plus one chunk's temporaries.
+    the chunk's rows of one output.  The first chunk runs in the calling
+    thread and sizes the outputs; the others are cut into contiguous
+    ranges of whole chunks, one per stream thread (``rng._threads``), run
+    on the calling thread and an executor made for this call, so ``fn``
+    must be safe to call from several threads at once.  The chunks are
+    the same whatever the thread count, so a matrix product in ``fn`` or
+    in a transformed body's pull-back sees the same row counts, and the
+    bits do not depend on the number of threads.  Peak memory is the
+    outputs plus one chunk's temporaries per stream thread.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    outs = None
-    for start, rows in sample_chunks(measure, count, seed):
-        parts = fn(rows)
-        if outs is None:
-            outs = tuple(np.empty((count,) + part.shape[1:], part.dtype) for part in parts)
-        for out, part in zip(outs, parts):
-            out[start:start + len(part)] = part
+    inv = _inverse(measure)
+    step = rng.block_rows(measure.dim)
+
+    def fill(lo: int, hi: int) -> None:
+        for start in range(lo, hi, step):
+            parts = fn(_generate(measure, seed, start, min(start + step, count), inv))
+            for out, part in zip(outs, parts):
+                out[start:start + len(part)] = part
+
+    first = fn(_generate(measure, seed, 0, min(step, count), inv))
+    outs = tuple(np.empty((count,) + part.shape[1:], part.dtype) for part in first)
+    for out, part in zip(outs, first):
+        out[:len(part)] = part
+    del first
+    if count > step:
+        chunks = (count - 1) // step        # after the first
+        threads = min(rng._threads(), chunks)
+        with rng._executor(threads) as pool:
+            rng._run_all(pool, fill, [(step + a, step + b)
+                                      for a, b in rng._cuts(count - step, threads, step)])
     return outs
 
 

@@ -30,7 +30,10 @@ than adequate for desk-scale experiments.
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import math
+import os
 
 import numpy as np
 
@@ -49,6 +52,66 @@ def block_rows(dim: int, multiple: int = 1) -> int:
     """Rows of ``dim`` elements per chunk of a streamed loop: about one
     block, rounded down to a multiple of ``multiple`` and at least that."""
     return max(multiple, _BLOCK // dim // multiple * multiple)
+
+
+# Streamed work (sample chunks, projection pieces) runs on the calling
+# thread plus a pool made for one call; numpy and BLAS release the
+# interpreter lock inside their loops, so the threads share the cores.
+_pool_size = 0          # threads per streamed call; 0: one per usable core
+
+
+def _usable_cpus() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _set_pool_size(size: int) -> None:
+    """Use ``size`` threads per streamed call in this process (the
+    initializer of each ``run`` worker process, which shares the cores with
+    its siblings)."""
+    global _pool_size
+    _pool_size = size
+
+
+def _threads() -> int:
+    """Threads for one streamed call: the size set for this process, else
+    one per usable core."""
+    return _pool_size or _usable_cpus()
+
+
+@contextlib.contextmanager
+def _executor(threads: int):
+    """An executor of ``threads - 1`` workers (None for one thread), shut
+    down on exit, so no thread outlives the call or is inherited through
+    fork."""
+    pool = concurrent.futures.ThreadPoolExecutor(threads - 1) if threads > 1 else None
+    try:
+        yield pool
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+
+def _run_all(pool, work, args) -> None:
+    """``work(*a)`` for each ``a`` in ``args``: the first in this thread and
+    the others on the pool, when there is one."""
+    if pool is None:
+        for a in args:
+            work(*a)
+        return
+    rest = [pool.submit(work, *a) for a in args[1:]]
+    work(*args[0])
+    for done in rest:
+        done.result()
+
+
+def _cuts(stop: int, parts: int, step: int = 1) -> list:
+    """At most ``parts`` ranges ``(a, b)`` of nearly equal length that
+    cover [0, stop), cut at multiples of ``step``."""
+    cuts = sorted({stop * k // parts // step * step for k in range(parts)} | {stop})
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 # Slots consumed per rejection round of the gamma sampler (two for the

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from concmeter import cli
+from concmeter import cli, rng
 
 
 def run_cli(*argv, env=None, cwd=None):
@@ -61,11 +61,11 @@ def test_run_writes_reports_and_summary(tmp_path):
 _FORK_PROBE = """
 import os, sys
 import numpy as np
-from concmeter import cli, concentration as con, measures as ms, normspace as ns
+from concmeter import cli, concentration as con, measures as ms, normspace as ns, rng
 # a 4-core host: the parent projects on 2 threads, and so does each of
 # the 2 run workers, which inherit the parent's live pool through fork
 os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
-con._set_pool_size(2)
+rng._set_pool_size(2)
 data = ms.sample(ms.haar_sphere(16), 5001, seed=1).data
 con.concentration_lower_curve(data, ns.lp(2, 16), np.linspace(0.1, 1.0, 5))
 cfg, out = sys.argv[1:]
@@ -481,20 +481,55 @@ def test_streamed_commands_keep_their_bytes(tmp_path, command, n):
 
 
 @pytest.mark.parametrize("command", ["pushforward", "median"])
-def test_streamed_commands_hold_no_batch(tmp_path, command):
+def test_streamed_commands_hold_no_batch(tmp_path, monkeypatch, command):
     # the image goes to the file, and the norms into their vector, chunk by
-    # chunk: the peak is a chunk's temporaries, not the 5 MiB batch
+    # chunk: the peak is the norm vector and the median's sorted copy plus
+    # a chunk's temporaries per stream thread, not the 5 MiB batch (0.6
+    # batches in all at one thread)
     argv = {"pushforward": ["pushforward", "--K", "l2", "--L", "l1",
                             "--out", str(tmp_path / "img.csv")],
             "median": ["median", "--norm", "l1"]}[command]
     argv += ["--measure", "gaussian", "--n", "64", "--N", "10000"]
-    tracemalloc.start()
-    try:
-        assert cli.main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.6 * 10000 * 64 * 8
+    outputs = 2 * 10000 * 8
+    for threads in (1, 2):
+        monkeypatch.setattr(rng, "_pool_size", threads)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= outputs + threads * (0.6 * 10000 * 64 * 8 - outputs), threads
+
+
+def test_run_sizes_its_workers_by_the_jobs_it_has(tmp_path, monkeypatch):
+    # two jobs under --jobs 8 on 8 cores: two worker processes of 4 threads
+    # each, not 8 processes of one; the reports are those of --jobs 1
+    made = []
+
+    class Recorder:     # runs the jobs in this process
+        def __init__(self, max_workers, initializer, initargs):
+            made.append((max_workers, initializer, initargs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
+    cfg = write_config(tmp_path, GOOD_CONFIG)
+    for jobs in ("8", "1"):
+        assert cli.main(["run", str(cfg), "--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    assert made == [(2, rng._set_pool_size, (4,))]
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert names == ["embed.json", "floor.json", "summary.csv"]
+    for name in names:
+        assert (tmp_path / "8" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
 
 
 def test_verify_command(tmp_path):

@@ -16,6 +16,7 @@ from scipy import optimize
 from concmeter import concentration as con
 from concmeter import measures as ms
 from concmeter import normspace as ns
+from concmeter import rng
 
 N = 100000
 
@@ -202,7 +203,7 @@ def test_sorted_projections_at_any_pool_size(monkeypatch, size):
     # padded copy at N = 100 with a last block of 9 directions, pieces
     # with an early start at N = 999 and 5001) gives the rows of the
     # whole zero-padded product
-    monkeypatch.setattr(con, "_pool_size", size)
+    monkeypatch.setattr(rng, "_pool_size", size)
     for count, extra in ((100, 33), (999, 8), (5000, 70), (5001, 70)):
         data = ms.sample(ms.gaussian(40), count, seed=3).data
         dirs = con.direction_family(40, extra, seed=4)
@@ -218,7 +219,7 @@ def test_sorted_projections_at_any_pool_size(monkeypatch, size):
 def test_projection_pool_leaves_no_thread_behind(monkeypatch):
     # the executor lives for one call: a whole curve, and a generator
     # closed after its first block, leave the thread count as it was
-    monkeypatch.setattr(con, "_pool_size", 2)
+    monkeypatch.setattr(rng, "_pool_size", 2)
     data = ms.sample(ms.gaussian(16), 5000, seed=3).data
     before = threading.active_count()
     con.concentration_lower_curve(data, ns.lp(2, 16), np.linspace(0.1, 1.0, 5))
@@ -234,10 +235,10 @@ _THREAD_PROBE = """
 import hashlib, json
 import numpy as np
 from concmeter import concentration as con, measures as ms, normspace as ns
-from concmeter import verify as vf
+from concmeter import rng, verify as vf
 out = {}
 for size in (1, 2, 3):
-    con._set_pool_size(size)
+    rng._set_pool_size(size)
     for count in (5000, 5001):
         data = ms.sample(ms.gaussian(64), count, seed=3).data
         dirs = con.direction_family(64, 256, seed=5)

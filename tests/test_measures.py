@@ -1,7 +1,13 @@
 """Sampler laws, radial CDFs, and the incomplete-gamma kernel."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,16 +204,127 @@ def _peak_bytes(fn):
 
 @pytest.mark.parametrize("spec, bound", [(ms.haar_sphere(64), 1.25),
                                          (ms.ggp(1.5, 64), 1.5)])
-def test_sample_peak_is_batch_plus_one_chunk(spec, bound):
+def test_sample_peak_is_batch_plus_one_chunk(monkeypatch, spec, bound):
+    # the batch plus (bound - 1) batches of chunk temporaries per stream
+    # thread; at one thread the bound is bound * batch
     count = 20000
-    assert _peak_bytes(lambda: ms.sample(spec, count, seed=2)) <= bound * count * 64 * 8
+    batch = count * 64 * 8
+    for threads in (1, 2):
+        monkeypatch.setattr(rng, "_pool_size", threads)
+        peak = _peak_bytes(lambda: ms.sample(spec, count, seed=2))
+        assert peak <= batch + threads * (bound - 1) * batch, threads
 
 
-def test_norm_values_peak_stays_cache_sized():
-    # 2048 rows of dim 1024 are 16 MiB as a batch; streamed, a few chunks
+def test_norm_values_peak_stays_cache_sized(monkeypatch):
+    # 2048 rows of dim 1024 are 16 MiB as a batch; streamed, the two norm
+    # vectors plus a few chunks per stream thread (4 MiB in all at one)
     spec = ms.haar_sphere(1024)
     norms = [ns.lp(2, 1024), ns.lp(np.inf, 1024)]
-    assert _peak_bytes(lambda: par.norm_values(spec, norms, 2048, seed=2)) <= 4 * 2**20
+    outputs = 2 * 2048 * 8
+    for threads in (1, 2):
+        monkeypatch.setattr(rng, "_pool_size", threads)
+        peak = _peak_bytes(lambda: par.norm_values(spec, norms, 2048, seed=2))
+        assert peak <= outputs + threads * (4 * 2**20 - outputs), threads
+
+
+_POOL_PROBE = """
+import hashlib, json, sys
+import numpy as np
+from concmeter import measures as ms, normspace as ns, rng, verify as vf
+sys.setswitchinterval(1e-5)     # threads trade the interpreter lock often
+n = 40
+step = rng.block_rows(n)
+t = np.eye(n) + 0.1 * np.cos(np.add.outer(np.arange(n), 2.0 * np.arange(n)))
+plain = {"gaussian": ms.gaussian(n), "haar_sphere": ms.haar_sphere(n),
+         "ggp 1": ms.ggp(1, n), "ggp 1.5": ms.ggp(1.5, n), "ggp 2": ms.ggp(2, n),
+         "ball l1": ms.uniform_ball(ns.lp(1, n)), "ball l2": ms.uniform_ball(ns.lp(2, n)),
+         "ball linf": ms.uniform_ball(ns.lp(np.inf, n)),
+         "cone l1": ms.cone_surface(ns.lp(1, n)), "cone linf": ms.cone_surface(ns.lp(np.inf, n))}
+body = ms.uniform_ball(ns.NormSpec(dim=n, p=1.5, transform=t))
+K, L = ns.lp(2, n), ns.NormSpec(dim=n, p=1, transform=t)
+angles = np.arange(32) * np.pi / 32
+out = {}
+
+def put(key, *arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    out.setdefault(key, []).append(digest.hexdigest())
+
+for size in (1, 2, 3):
+    rng._set_pool_size(size)
+    for count in (step // 2, step, 3 * step + step // 2 + 1):
+        for name, spec in {**plain, "transformed ball": body}.items():
+            put(f"{name}, N {count}", ms.sample(spec, count, 5).data)
+        put(f"pushed, N {count}", *vf._pushed_batch(
+            body, count, 5, lambda rows: (ns.norm_eval(K, rows), ns.norm_eval(L, rows))))
+    rep = vf.check_sup_embedding(
+        K=ns.lp(2, 2), measure=ms.uniform_ball(ns.lp(2, 2)),
+        functionals=np.column_stack([np.cos(angles), np.sin(angles)]), d=1.01,
+        eps_grid=[0.05, 0.2, 0.5], count=3 * rng.block_rows(2) + 7, seed=4, profile="gaussian")
+    out.setdefault("sup_embedding", []).append(hashlib.sha256(rep.to_json().encode()).hexdigest())
+for count in (step // 2, step, 3 * step + step // 2 + 1):
+    for name, spec in plain.items():
+        put(f"{name}, N {count}", ms._generate(spec, 5, 0, count, None))
+print(json.dumps(out))
+"""
+
+
+def test_sample_map_bits_do_not_depend_on_pool_size():
+    # at one BLAS thread every family, the pushed image of a transformed
+    # body and a sup_embedding report take the same bits at pool sizes 1, 2
+    # and 3, below, at and beyond one chunk; a plain family's batch equals
+    # the rows of the whole table
+    env = dict(os.environ, PYTHONPATH=str(Path(ms.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c", _POOL_PROBE], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    digests = json.loads(res.stdout)
+    # 3 counts of 10 plain families (pool sizes and the whole table), of
+    # the transformed ball and of the pushed image, and one report
+    assert sorted(map(len, digests.values())) == [3] * 7 + [4] * 30
+    for key, values in digests.items():
+        assert len(set(values)) == 1, key
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_sample_map_keeps_its_chunks_at_any_pool_size(monkeypatch, size):
+    # fn sees the chunks of rng.block_rows rows at every pool size, so a
+    # matrix product in fn keeps its row counts (and its bits)
+    monkeypatch.setattr(rng, "_pool_size", size)
+    step = rng.block_rows(40)
+    count = 3 * step + step // 2 + 1
+    seen = []
+
+    def first_column(rows):
+        seen.append(len(rows))
+        return (rows[:, 0],)
+
+    ms.sample_map(ms.gaussian(40), count, 5, first_column)
+    assert sorted(seen) == sorted([step] * 3 + [count - 3 * step])
+
+
+def test_sample_map_reraises_a_worker_error_and_leaves_no_thread(monkeypatch):
+    # a non-finite row reaches norm_eval on a worker thread only: its
+    # ValueError reaches the caller, and no stream thread outlives a call
+    monkeypatch.setattr(rng, "_pool_size", 2)
+    spec, norm = ms.gaussian(16), ns.lp(2, 16)
+    count = 4 * rng.block_rows(16)
+    caller = threading.get_ident()
+
+    def poisoned(rows):
+        if threading.get_ident() != caller:
+            rows[0, 0] = np.nan
+        return (ns.norm_eval(norm, rows),)
+
+    before = threading.active_count()
+    vals, = ms.sample_map(spec, count, 3, lambda rows: (ns.norm_eval(norm, rows),))
+    assert np.array_equal(vals, ns.norm_eval(norm, ms.sample(spec, count, 3).data))
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="non-finite"):
+        ms.sample_map(spec, count, 3, poisoned)
+    assert threading.active_count() == before
 
 
 def test_sample_validation():
