@@ -269,14 +269,15 @@ PROFILE_CATALOG = {
 def analytic_profile(name: str, n: int, *, C: Optional[float] = None,
                      c: Optional[float] = None) -> AnalyticProfile:
     """Profile from the catalog, with optional constant overrides; the
-    constants must be positive."""
+    constants must be positive numbers (int or float, not bool)."""
     for key, value in (("C", C), ("c", c)):
-        if value is not None and (isinstance(value, bool) or not float(value) > 0.0):
-            raise ValueError(f"profile constant {key} must be positive, got {value!r}")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if value is not None and not (number and value > 0.0):
+            raise ValueError(f"profile constant {key} must be a positive number, got {value!r}")
     if name == "custom":
         if C is None or c is None:
             raise ValueError("custom profile requires explicit C and c")
-        return AnalyticProfile(name=name, C=C, c=c, n_scale=float(n))
+        return AnalyticProfile(name=name, C=float(C), c=float(c), n_scale=float(n))
     if name not in PROFILE_CATALOG:
         raise ValueError(f"unknown profile {name!r}; catalog: "
                          f"{sorted(PROFILE_CATALOG)} or 'custom'")

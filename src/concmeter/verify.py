@@ -2,12 +2,13 @@
 
 Each check re-creates one transfer statement numerically: it samples
 the source measure, builds the push-forward (or probe sets) it needs,
-computes the left side from the sound lower-bound estimator and the
-right side from an analytic profile, and emits a CheckReport.  Grid
-points where the statement's smallness precondition fails under the
-profile are excluded from violation counts but listed.  Empirical
-medians stand in for true medians, with their CI propagated into the
-comparison slack by finite differences on the profile.
+computes the left side from the sound lower-bound estimator, and emits
+a CheckReport.  The right side, slack and smallness precondition come
+from the check's Statement in CHECK_SPECS, which :func:`restate`
+evaluates from the report's own terms.  Grid points where the
+precondition fails are excluded from violation counts but listed.
+Empirical medians stand in for true medians, with their CI propagated
+into the slack by finite differences on the right side.
 
 Left sides always come from the half-space estimator (a lower bound of
 the true concentration function) and right sides from profiles (upper
@@ -94,21 +95,15 @@ class CheckReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _finish(check_id: str, inputs: dict, quantities: dict, eps, lhs, rhs, ci,
-            slack, precondition, relation: str, notes=()) -> CheckReport:
+def _finish(check_id: str, inputs: dict, quantities: dict, eps, lhs, ci, notes=()) -> CheckReport:
     eps = np.asarray(eps, dtype=np.float64)
     lhs = np.asarray(lhs, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
     ci = np.broadcast_to(np.asarray(ci, dtype=np.float64), eps.shape)
-    slack = np.broadcast_to(np.asarray(slack, dtype=np.float64), eps.shape)
-    pre = np.broadcast_to(np.asarray(precondition, dtype=bool), eps.shape)
-
-    if relation == "le":
-        margin = (lhs - ci) - (rhs + slack)
-    elif relation == "ge":
-        margin = (rhs - slack) - (lhs + ci)
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
+    rhs, slack, pre = restate({"check_id": check_id, "inputs": inputs,
+                               "quantities": quantities, "grid": {"eps": eps}})
+    relation = CHECK_SPECS[check_id].statement.relation
+    margin = ((lhs - ci) - (rhs + slack) if relation == "le"
+              else (rhs - slack) - (lhs + ci))
     admitted = margin[pre]
     violations = int((admitted > 0.0).sum())
     worst = float(admitted.max()) if admitted.size else float("nan")
@@ -124,19 +119,22 @@ def _finish(check_id: str, inputs: dict, quantities: dict, eps, lhs, rhs, ci,
                        verdict=verdict, notes=list(notes))
 
 
-def _median_slack(rhs_fn: Callable[..., np.ndarray], medians: dict) -> np.ndarray:
-    """CI propagation: sum over medians of |d rhs / d m| * ci by central
-    finite differences at the CI half-width."""
-    base = {k: est.value for k, est in medians.items()}
-    total = np.zeros_like(np.asarray(rhs_fn(**base), dtype=np.float64))
-    for key, est in medians.items():
-        h = est.half_width
-        if h == 0.0:
-            continue
-        up = dict(base, **{key: est.value + h})
-        dn = dict(base, **{key: max(est.value - h, 1e-300)})
-        total += 0.5 * np.abs(np.asarray(rhs_fn(**up)) - np.asarray(rhs_fn(**dn)))
-    return total
+def restate(report: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rhs, slack, precondition)`` of a report, from its JSON alone: its
+    check's :class:`Statement` at the grid's eps, the slack being the constant
+    plus, per median, the central difference of the rhs across its CI."""
+    stmt = CHECK_SPECS[report["check_id"]].statement
+    eps = np.asarray(report["grid"]["eps"], dtype=np.float64)
+    t = {**report["inputs"], **report["quantities"]}
+    t["prof"] = AnalyticProfile(**t["profile"]) if "profile" in t else None
+    rhs = np.asarray(stmt.rhs(eps, t), dtype=np.float64)
+    slack = np.full(eps.shape, stmt.slack)
+    for key in stmt.medians:
+        m, h = t[key], t[key + "_ci"]
+        if h != 0.0:
+            slack += 0.5 * np.abs(stmt.rhs(eps, {**t, key: m + h})
+                                  - stmt.rhs(eps, {**t, key: max(m - h, 1e-300)}))
+    return rhs, slack, np.broadcast_to(np.asarray(stmt.pre(eps, t), dtype=bool), eps.shape)
 
 
 def _pushed_batch(measure: MeasureSpec, count: int, seed: int, norms
@@ -172,20 +170,27 @@ def _resolve_profile(profile, n: int) -> AnalyticProfile:
 # Lipschitz transfer through an arbitrary map
 # ---------------------------------------------------------------------------
 
+_MAP_KEYS = {"identity": (), "scale": ("factor",), "coordinate": ("index",)}
+
+
 def build_map(cfg: dict, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], int, str]:
-    """Row-wise map from a config descriptor; returns (fn, out_dim, label)."""
+    """Row-wise map from a config descriptor; returns (fn, out_dim, label).
+    A descriptor holds ``kind`` and that kind's own key only."""
     kind = cfg.get("kind")
+    if not isinstance(kind, str) or kind not in _MAP_KEYS:
+        raise ValueError(f"unknown map kind {kind!r}; known: {sorted(_MAP_KEYS)}")
+    extra = sorted(set(cfg) - {"kind", *_MAP_KEYS[kind]})
+    if extra:
+        raise ValueError(f"map kind {kind!r} takes no keys {extra}")
     if kind == "identity":
         return (lambda x: x), dim, "identity"
     if kind == "scale":
-        factor = float(cfg["factor"])
+        factor = parse_float(cfg["factor"])
         return (lambda x: factor * x), dim, f"scale:{factor}"
-    if kind == "coordinate":
-        index = int(cfg.get("index", 0))
-        if not 0 <= index < dim:
-            raise ValueError(f"coordinate index {index} out of range for n={dim}")
-        return (lambda x: x[:, index:index + 1]), 1, f"coordinate:{index}"
-    raise ValueError(f"unknown map kind {cfg.get('kind')!r}")
+    index = parse_int(cfg.get("index", 0))
+    if not 0 <= index < dim:
+        raise ValueError(f"coordinate index {index} out of range for n={dim}")
+    return (lambda x: x[:, index:index + 1]), 1, f"coordinate:{index}"
 
 
 def _empirical_lipschitz(map_rows: Callable[[np.ndarray], np.ndarray], data: np.ndarray,
@@ -230,14 +235,13 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
     curve = concentration_lower_curve(image, metric_out, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
-    rhs = prof(eps_grid / lip)
     inputs = {"measure": measure.to_config(), "map": label, "lip": lip,
               "metric_in": metric_in.to_config(), "metric_out": metric_out.to_config(),
               "count": count, "seed": seed, "eps": eps_grid.tolist(),
               "profile": prof.to_config()}
     quantities = {"empirical_lipschitz": emp_lip, "family_size": curve.family_size}
     return _finish("lipschitz_transfer", inputs, quantities, eps_grid,
-                   curve.alpha_hat, rhs, curve.ci, 0.0, True, "le")
+                   curve.alpha_hat, curve.ci)
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +268,6 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     curve = concentration_lower_curve(image, L_r, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
 
-    def rhs_fn(m_k, m_l, scale=14.0):
-        return 16.0 * prof(eps_grid * m_l / (scale * cc.lam * m_k))
-
-    rhs = rhs_fn(med_k.value, med_l.value)
-    pre = 16.0 * prof(eps_grid * med_l.value / (7.0 * cc.lam * med_k.value)) <= 1.0
-    slack = _median_slack(rhs_fn, {"m_k": med_k, "m_l": med_l})
-
     inputs = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
               "count": count, "seed": seed, "eps": eps_grid.tolist(),
               "profile": prof.to_config()}
@@ -280,7 +277,7 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
                   "median_L_ci": med_l.half_width, "family_size": curve.family_size}
     notes = ["lhs is a statistical lower bound of the image concentration function"]
     return _finish("norm_ratio_transfer", inputs, quantities, eps_grid,
-                   curve.alpha_hat, rhs, curve.ci, slack, pre, "le", notes)
+                   curve.alpha_hat, curve.ci, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +330,7 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
                   "delta": delta, "probe_radius": radius,
                   "shell_set_size": int(members.size)}
     if members.size == 0:
-        return _finish("shell_inclusion", inputs, quantities, [eps], [0.0],
-                       [eps], [0.0], [0.0], [False], "le",
+        return _finish("shell_inclusion", inputs, quantities, [eps], [0.0], 0.0,
                        ["shell preimage set is empirically empty"])
 
     # probes in chunks of rows: only the two per-probe results are kept
@@ -364,22 +360,17 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
         piy = norm_ratio_map(K, L_r, y)
         moved[lo:lo + idx.size] = norm_eval(L_r, pix - piy)
         overshoot[lo:lo + idx.size] = pix @ theta - (t_cut + eps * dual_w)
-    bound = 7.0 * delta * med_k
-    tol = _ALGEBRAIC_TOL * max(bound, 1.0)
-    bad_move = moved > bound + tol
-    bad_member = overshoot > tol
-    violations = int(bad_move.sum() + bad_member.sum())
-
     quantities.update({"max_displacement": float(moved.max()),
-                       "displacement_bound": bound,
-                       "membership_failures": int(bad_member.sum())})
+                       "displacement_bound": 7.0 * delta * med_k})
     # grid rows summarize the two probe-wise assertions; the violation
-    # count is per probe, not per row
+    # count is per probe, against the two caps of the rows
     report = _finish("shell_inclusion", inputs, quantities, [eps, eps],
-                     [moved.max(), overshoot.max()], [bound + tol, tol], 0.0,
-                     0.0, True, "le",
+                     [moved.max(), overshoot.max()], 0.0,
                      ["pointwise algebraic chain; zero tolerance beyond round-off"])
-    return replace(report, violations=violations)
+    move_cap, member_cap = report.rhs
+    failures = int((overshoot > member_cap).sum())
+    return replace(report, quantities={**quantities, "membership_failures": failures},
+                   violations=int((moved > move_cap).sum()) + failures)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +412,6 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec,
     ci = 1.96 * np.sqrt(np.maximum(var, 0.0)) + 1.0 / count
     half_dist = 0.5 * gap / dual_w
     order = np.argsort(half_dist)
-    rhs = prof(half_dist)
 
     inputs = {"measure": measure.to_config(), "metric": metric.to_config(),
               "num_pairs": num_pairs, "count": count, "seed": seed,
@@ -430,7 +420,7 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec,
                   "min_half_distance": float(half_dist.min()),
                   "max_half_distance": float(half_dist.max())}
     return _finish("separated_sets", inputs, quantities, half_dist[order],
-                   lhs[order], 4.0 * rhs[order], ci[order], 0.0, True, "le")
+                   lhs[order], ci[order])
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +443,13 @@ def check_cube_floor(*, n: int, eps_grid: Sequence[float], count: int = 100000,
     curve = concentration_lower_curve(batch.data, metric, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
     small_mass = np.array([(sup_norm <= e).mean() for e in eps_grid])
-    floor = np.array([cube_concentration_floor(m, n) for m in small_mass])
 
     inputs = {"n": n, "measure": measure.to_config(), "count": count,
               "seed": seed, "eps": eps_grid.tolist()}
     quantities = {"family_size": curve.family_size,
                   "small_ball_mass": small_mass.tolist()}
     return _finish("cube_floor", inputs, quantities, eps_grid, curve.alpha_hat,
-                   floor, curve.ci, 0.0, True, "ge",
-                   ["floor uses the empirical eps-cube mass"])
+                   curve.ci, ["floor uses the empirical eps-cube mass"])
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +485,13 @@ def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
         alpha = prof(eps_grid)
         alpha_label = prof.to_config()
 
-    bound = np.array([embedding_lower_bound(a, m) for a, m in zip(alpha, small_mass)])
-    pre = (eps_grid < 1.0 / d) & (alpha > 0.0)
-
     inputs = {"K": K.to_config(), "measure": measure.to_config(),
               "n_functionals": n_func, "d": d, "count": count, "seed": seed,
               "eps": eps_grid.tolist(), "alpha_source": alpha_label}
     quantities = {"small_ball_mass": small_mass.tolist(),
                   "alpha_values": alpha.tolist()}
     lhs = np.full(eps_grid.shape, float(n_func))
-    return _finish("sup_embedding", inputs, quantities, eps_grid, lhs, bound,
-                   0.0, _ALGEBRAIC_TOL, pre, "ge")
+    return _finish("sup_embedding", inputs, quantities, eps_grid, lhs, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -561,15 +545,6 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     curve = concentration_lower_curve(image, metric, eps_grid,
                                       direction_seed=rng.derive_seed(seed, 0xD17))
 
-    rhs = 16.0 * prof(eps_grid / (14.0 * u_lip * lam))
-
-    def pre_fn(m_l, m_u):
-        return 8.0 * (prof(eps_grid / (7.0 * u_lip * lam))
-                      + prof(eps_grid * m_u / (7.0 * u_lip ** 2 * m_l)))
-
-    # the rhs has no median dependence; medians only gate the precondition
-    pre = pre_fn(med_l.value, med_u.value) <= 1.0
-
     inputs = {"p": p, "n": n, "count": count, "seed": seed,
               "eps": eps_grid.tolist(), "profile": prof.to_config(),
               "lambda": lam}
@@ -577,7 +552,7 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
                   "median_u": med_u.value, "u_knots": int(u.knots.size),
                   "family_size": curve.family_size}
     return _finish("radial_transfer", inputs, quantities, eps_grid,
-                   curve.alpha_hat, rhs, curve.ci, 0.0, pre, "le",
+                   curve.alpha_hat, curve.ci,
                    ["u built from analytic radial laws; image sampled by "
                     "pushing the source batch through the radial map"])
 
@@ -743,20 +718,41 @@ def _param(key, kind, arg=None, default=None) -> Param:
     return Param(key, kind, arg or key, default)
 
 
+class Statement(NamedTuple):
+    """What a check tests: lhs <relation> rhs(eps, t) wherever pre(eps, t), with
+    t = {**inputs, **quantities} of the report and t["prof"] its profile."""
+
+    relation: str           # "le": lhs - ci <= rhs + slack ; "ge": lhs + ci >= rhs - slack
+    rhs: Callable           # (eps, t) -> the right side at each eps
+    pre: Callable = lambda eps, t: True
+    medians: tuple = ()     # terms whose "<key>_ci" half-width feeds the slack
+    slack: float = 0.0
+
+
+def _shell_caps(eps, t):
+    # caps on the largest displacement (7 delta m_K) and the largest overshoot
+    # past the expanded half-space (0), up to round-off; eps with no shell set
+    if not t["shell_set_size"]:
+        return eps
+    tol = _ALGEBRAIC_TOL * max(t["displacement_bound"], 1.0)
+    return [t["displacement_bound"] + tol, tol]
+
+
 class CheckSpec(NamedTuple):
     fn: Callable[..., CheckReport]
     n: int                  # dimension when run_check is given none
     required: frozenset     # config keys a job must give besides n
+    statement: Statement
     params: tuple
     # parsed job keywords -> (config key, reason) when they break the
     # check's hypothesis, else None
     fault: Optional[Callable[[dict], Optional[tuple[str, str]]]] = None
 
 
-def _spec(fn, n: int, required, *params: Param, fault=None) -> CheckSpec:
+def _spec(fn, n: int, required, statement, *params: Param, fault=None) -> CheckSpec:
     # every check samples, so every row takes N and seed
     common = (_param("N", "size", "count"), _param("seed", "int"))
-    return CheckSpec(fn, n, frozenset(required), params + common, fault)
+    return CheckSpec(fn, n, frozenset(required), statement, params + common, fault)
 
 
 def default_eps_grid() -> list:
@@ -769,6 +765,7 @@ _N = _param("n", "size", default=lambda n: n)
 CHECK_SPECS: dict[str, CheckSpec] = {
     "lipschitz_transfer": _spec(
         check_lipschitz_transfer, 16, ("measure", "map", "lip"),
+        Statement("le", lambda eps, t: t["prof"](eps / t["lip"])),
         _param("measure", "measure", default=lambda n: ggp(2.0, n)),
         _param("map", "map", "map_cfg", lambda n: {"kind": "identity"}),
         _param("lip", "positive", default=lambda n: 1.0),
@@ -777,6 +774,11 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _PROFILE),
     "norm_ratio_transfer": _spec(
         check_norm_ratio_transfer, 32, ("K", "L", "measure"),
+        Statement("le", lambda eps, t: 16.0 * t["prof"](
+                      eps * t["median_L"] / (14.0 * t["lambda"] * t["median_K"])),
+                  lambda eps, t: 16.0 * t["prof"](
+                      eps * t["median_L"] / (7.0 * t["lambda"] * t["median_K"])) <= 1.0,
+                  medians=("median_K", "median_L")),
         _param("K", "norm", default=lambda n: lp(2, n)),
         _param("L", "norm", default=lambda n: lp(1, n)),
         _param("measure", "measure", default=haar_sphere),
@@ -784,6 +786,7 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _PROFILE),
     "shell_inclusion": _spec(
         check_shell_inclusion, 16, ("K", "L", "measure", "eps"),
+        Statement("le", _shell_caps, lambda eps, t: t["shell_set_size"] > 0),
         _param("K", "norm", default=lambda n: lp(2, n)),
         _param("L", "norm", default=lambda n: lp(1, n)),
         _param("measure", "measure", default=haar_sphere),
@@ -791,17 +794,24 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _param("probes", "size")),
     "separated_sets": _spec(
         check_separated_sets, 64, ("measure",),
+        Statement("le", lambda eps, t: 4.0 * t["prof"](eps)),
         _param("measure", "measure", default=haar_sphere),
         _param("metric", "norm", default=lambda n: lp(2, n)),
         _param("num_pairs", "size"),
         _PROFILE),
     "cube_floor": _spec(
         check_cube_floor, 8, (),
+        Statement("ge", lambda eps, t: [cube_concentration_floor(m, t["n"])
+                                        for m in t["small_ball_mass"]]),
         _N,
         _param("measure", "measure"),
         _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 0.9, 9))),
     "sup_embedding": _spec(
         check_sup_embedding, 8, ("d",),
+        Statement("ge", lambda eps, t: [embedding_lower_bound(a, m) for a, m in
+                                        zip(t["alpha_values"], t["small_ball_mass"])],
+                  lambda eps, t: (eps < 1.0 / t["d"]) & (np.asarray(t["alpha_values"]) > 0.0),
+                  slack=_ALGEBRAIC_TOL),
         _param("K", "norm", default=lambda n: lp(INF, n)),
         _param("measure", "measure", default=lambda n: uniform_ball(lp(INF, n))),
         _param(None, None, "functionals", np.eye),
@@ -810,6 +820,13 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _PROFILE),
     "radial_transfer": _spec(
         check_radial_transfer, 16, ("p",),
+        Statement("le", lambda eps, t: 16.0 * t["prof"](
+                      eps / (14.0 * t["u_lipschitz"] * t["lambda"])),
+                  # the rhs has no median dependence; medians only gate this
+                  lambda eps, t: 8.0 * (
+                      t["prof"](eps / (7.0 * t["u_lipschitz"] * t["lambda"]))
+                      + t["prof"](eps * t["median_u"]
+                                  / (7.0 * t["u_lipschitz"] ** 2 * t["median_L"]))) <= 1.0),
         _N,
         _param("p", "float", default=lambda n: 1.0),
         _param("eps", "eps", "eps_grid", lambda n: default_eps_grid()),

@@ -5,10 +5,12 @@ import inspect
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from concmeter import cli
 from concmeter import measures as ms
 from concmeter import normspace as ns
 from concmeter import transport as tr
@@ -180,8 +182,9 @@ def test_separated_sets_matches_per_pair_oracle(n, p, num_pairs, count):
     assert rep.lhs == lhs.tolist() and rep.ci == ci.tolist()
     np.testing.assert_allclose(rep.eps, eps, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(rep.rhs, rhs, rtol=1e-13, atol=0.0)
-    oracle = vf._finish("separated_sets", {}, {}, eps, lhs, rhs, ci, 0.0, True, "le")
-    assert (rep.violations, rep.verdict) == (oracle.violations, oracle.verdict)
+    violations = int(((lhs - ci) - rhs > 0.0).sum())
+    assert rep.violations == violations
+    assert rep.verdict == ("pass" if violations == 0 else "fail")
 
 
 def _traced_peak(fn) -> int:
@@ -253,9 +256,33 @@ def test_streamed_images_equal_the_maps_of_the_batch(n, count):
     assert np.array_equal(image, tr._scale_rows(data, u(r), r))
 
 
-# SHA-256 of CheckReport.to_json(): the reports of the checks that stream
-# their images, probes or projection blocks, bit for bit
+# SHA-256 of CheckReport.to_json(), bit for bit: the reports of every check,
+# with the streamed images, probes and projection blocks
 FROZEN_REPORTS = {
+    "lipschitz_identity_n8": (
+        lambda: vf.check_lipschitz_transfer(
+            measure=ms.gaussian(8), map_cfg={"kind": "identity"}, lip=1.0,
+            metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.1, 4.0, 15), count=5001, seed=1),
+        "5e0edf90e557d654d7e8d52a646fa30f55ea9f8223f907ec34617c3dd3f7b151"),
+    "lipschitz_scale_n16": (
+        lambda: vf.check_lipschitz_transfer(
+            measure=ms.gaussian(16), map_cfg={"kind": "scale", "factor": 0.5}, lip=0.5,
+            metric_in=ns.lp(2, 16), eps_grid=np.linspace(0.1, 3.0, 12), count=5001, seed=2),
+        "1b746a8156ace0d5db5b2666d95283541e8f77af4afb2870265026785bbd3480"),
+    "lipschitz_coordinate_n8": (
+        lambda: vf.check_lipschitz_transfer(
+            measure=ms.gaussian(8), map_cfg={"kind": "coordinate", "index": 2}, lip=1.0,
+            metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.2, 3.0, 10), count=5001, seed=3),
+        "119a23c764af3abbe67d3f12061f001484528a8a455b391627c6af4f747ccc8b"),
+    "cube_floor_n8": (
+        lambda: vf.check_cube_floor(n=8, eps_grid=np.linspace(0.1, 0.9, 9),
+                                    count=5001, seed=10),
+        "36162a013a173a40c4f73df82e1a21560b09e135921a3ef428ac25022b25ab19"),
+    "shell_empty_preimage": (   # shell_set_size 0: not applicable
+        lambda: vf.check_shell_inclusion(
+            K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
+            eps=1e-9, count=1000, probes=100, seed=7),
+        "e1164edaf425742cf6b6d95bffe6dbb922a99648fbf3b3cc7914b343aa97025a"),
     "norm_ratio_l2_l1_n16": (
         lambda: vf.check_norm_ratio_transfer(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
@@ -319,6 +346,44 @@ FROZEN_REPORTS = {
 def test_report_digests_frozen(name):
     run, digest = FROZEN_REPORTS[name]
     assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest
+
+
+_DEMO = {job["id"]: (check, params) for job, check, params in cli.validate_config(
+    json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text()))}
+
+
+def _frozen_or_demo_report(name):
+    if name in FROZEN_REPORTS:
+        return FROZEN_REPORTS[name][0]()
+    check, params = _DEMO[name]
+    return vf.run_check(check, **params)
+
+
+def test_demo_runs_every_check():
+    assert sorted(check for check, _ in _DEMO.values()) == sorted(vf.CHECK_SPECS)
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_REPORTS) + sorted(_DEMO))
+def test_restate_reproduces_the_report(name):
+    payload = json.loads(_frozen_or_demo_report(name).to_json())
+    # restate merges inputs and quantities: a shared key would hide one of them
+    assert not set(payload["inputs"]) & set(payload["quantities"])
+    assert "prof" not in {**payload["inputs"], **payload["quantities"]}
+    rhs, slack, pre = vf.restate(payload)
+    assert rhs.tolist() == payload["grid"]["rhs"]
+    assert slack.tolist() == payload["grid"]["slack"]
+    assert pre.tolist() == payload["grid"]["precondition"]
+
+
+def test_restate_follows_an_edited_term():
+    # the statement reads its terms from the report: a larger lambda shrinks
+    # the profile's argument, which raises the rhs and admits no new point
+    payload = json.loads(FROZEN_REPORTS["norm_ratio_l2_l1_n16"][0]().to_json())
+    rhs, _, pre = vf.restate(payload)
+    payload["quantities"]["lambda"] *= 2.0
+    slower, _, pre_slower = vf.restate(payload)
+    assert np.all(slower >= rhs) and np.any(slower > rhs)
+    assert np.all(pre_slower <= pre)
 
 
 def test_cube_floor_small_dims():
@@ -450,3 +515,33 @@ def test_config_rejects_a_json_true_as_a_number(job, field):
         vf.config_params({**_RATIO_JOB, **job}, "jobs[0]")
     # the CLI's exponent strings still parse
     assert (ns._as_p("1.5"), ns._as_p("inf")) == (1.5, math.inf)
+
+
+_LIPSCHITZ_JOB = {"check": "lipschitz_transfer", "n": 4, "measure": "gaussian", "lip": 1.0}
+
+
+@pytest.mark.parametrize("job, field", [
+    ({**_RATIO_JOB, "profile": {"name": "custom", "C": "1", "c": 0.5}}, "profile"),
+    ({**_RATIO_JOB, "profile": {"name": "sphere", "C": "2"}}, "profile"),
+    ({**_LIPSCHITZ_JOB, "map": {"kind": "scale", "factor": True}}, "map"),
+    ({**_LIPSCHITZ_JOB, "map": {"kind": "scale", "factor": "0.5"}}, "map"),
+    ({**_LIPSCHITZ_JOB, "map": {"kind": "coordinate", "index": 1.7}}, "map"),
+    ({**_LIPSCHITZ_JOB, "map": {"kind": "coordinate", "index": True}}, "map"),
+    ({**_LIPSCHITZ_JOB, "map": {"kind": "identity", "factor": 3}}, "map"),
+    ({**_LIPSCHITZ_JOB, "map": {"kind": "scale", "factor": 2, "index": 0}}, "map"),
+])
+def test_config_rejects_a_profile_or_map_value_it_would_misread(job, field):
+    # without these checks a string constant crashed the run (custom) or was
+    # read as a number (an override), a bool or fractional map value ran as 1,
+    # and a stray map key was ignored
+    with pytest.raises(vf.ConfigError, match=rf"^jobs\[0\]\.{field}: "):
+        vf.config_params(job, "jobs[0]")
+
+
+def test_config_reads_integral_map_and_profile_numbers():
+    _, params = vf.config_params({**_LIPSCHITZ_JOB, "map": {"kind": "coordinate", "index": 2.0}},
+                                 "jobs[0]")
+    assert vf.build_map(params["map_cfg"], 4)[2] == "coordinate:2"
+    assert vf.build_map({"kind": "scale", "factor": 2}, 4)[2] == "scale:2.0"
+    custom = vf._resolve_profile({"name": "custom", "C": 1, "c": 1}, 4).to_config()
+    assert (type(custom["C"]), type(custom["c"])) == (float, float)
