@@ -72,9 +72,10 @@ def validate_config(cfg: dict) -> list[tuple[dict, str, dict]]:
     jobs = cfg.get("jobs", [])
     if not isinstance(jobs, list):
         raise ConfigError("'jobs' must be a list")
-    out_dir = cfg.get("output_dir", "concmeter-out")
-    if not isinstance(out_dir, str) or not out_dir:   # Path("") is the working directory
-        raise ConfigError(f"output_dir: expected a nonempty string, got {out_dir!r}")
+    if "output_dir" in cfg:   # cmd_run gives the default
+        out_dir = cfg["output_dir"]
+        if not isinstance(out_dir, str) or not out_dir:   # Path("") is the working directory
+            raise ConfigError(f"output_dir: expected a nonempty string, got {out_dir!r}")
     try:
         default_seed = parse_int(cfg.get("seed", 1))
     except ConfigError as exc:

@@ -54,6 +54,10 @@ class MedianEstimate:
         return max(self.ci_high - self.value, self.value - self.ci_low)
 
 
+# the fewest samples empirical_median takes
+MEDIAN_MIN_COUNT = 100
+
+
 def empirical_median(values: np.ndarray) -> MedianEstimate:
     """Median of a sample with order-statistic confidence bounds.
 
@@ -63,8 +67,9 @@ def empirical_median(values: np.ndarray) -> MedianEstimate:
     """
     v = np.sort(np.asarray(values, dtype=np.float64))
     n = v.size
-    if n < 100:
-        raise ValueError(f"need at least 100 samples for a median estimate, got {n}")
+    if n < MEDIAN_MIN_COUNT:
+        raise ValueError(f"need at least {MEDIAN_MIN_COUNT} samples for a median "
+                         f"estimate, got {n}")
     med = float(0.5 * (v[(n - 1) // 2] + v[n // 2]))
     spread = 0.5 * _Z95 * np.sqrt(n)
     lo_rank = int(np.floor(0.5 * n - spread)) - 1
@@ -269,11 +274,12 @@ PROFILE_CATALOG = {
 def analytic_profile(name: str, n: int, *, C: Optional[float] = None,
                      c: Optional[float] = None) -> AnalyticProfile:
     """Profile from the catalog, with optional constant overrides; the
-    constants must be positive numbers (int or float, not bool)."""
+    constants must be positive finite numbers (int or float, not bool)."""
     for key, value in (("C", C), ("c", c)):
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if value is not None and not (number and value > 0.0):
-            raise ValueError(f"profile constant {key} must be a positive number, got {value!r}")
+        if value is not None and not (number and 0.0 < value < np.inf):
+            raise ValueError(f"profile constant {key} must be a positive finite number, "
+                             f"got {value!r}")
     if name == "custom":
         if C is None or c is None:
             raise ValueError("custom profile requires explicit C and c")

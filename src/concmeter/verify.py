@@ -5,7 +5,8 @@ the source measure, builds the push-forward (or probe sets) it needs,
 computes the left side from the sound lower-bound estimator, and emits
 a CheckReport.  The right side, slack and smallness precondition come
 from the check's Statement in CHECK_SPECS, which :func:`restate`
-evaluates from the report's own terms.  Grid points where the
+evaluates from the report's own terms; the same row holds the check's
+argument defaults, which :func:`run_check` fills in.  Grid points where the
 precondition fails are excluded from violation counts but listed.
 Empirical medians stand in for true medians, with their CI propagated
 into the slack by finite differences on the right side.
@@ -35,7 +36,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .concentration import (AnalyticProfile, analytic_profile,
+from .concentration import (MEDIAN_MIN_COUNT, AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
                             eps_grid_fault, linear_quantiles, sorted_projections)
 from .measures import (MAX_GAMMA_SHAPE, MeasureSpec, ggp, haar_sphere, radial_cdf,
@@ -151,6 +152,21 @@ def _pushed_batch(measure: MeasureSpec, count: int, seed: int, norms
     return sample_map(measure, count, seed, push)
 
 
+def _curve_report(check_id: str, image: np.ndarray, metric: NormSpec,
+                  eps_grid: Sequence[float], seed: int, inputs: dict, quantities: dict,
+                  notes: Sequence[str]) -> CheckReport:
+    """The tail of every check whose lhs is the half-space curve of
+    ``image`` in ``metric``: the curve, its grid and family size added to
+    the report's terms, and the report."""
+    eps_grid = np.asarray(eps_grid, dtype=np.float64)
+    curve = concentration_lower_curve(image, metric, eps_grid,
+                                      direction_seed=rng.derive_seed(seed, 0xD17))
+    inputs = {**inputs, "eps": eps_grid.tolist()}
+    quantities = {**quantities, "family_size": curve.family_size}
+    return _finish(check_id, inputs, quantities, eps_grid, curve.alpha_hat,
+                   curve.ci, notes)
+
+
 def _resolve_profile(profile, n: int) -> AnalyticProfile:
     if isinstance(profile, AnalyticProfile):
         return profile
@@ -215,8 +231,7 @@ def _empirical_lipschitz(map_rows: Callable[[np.ndarray], np.ndarray], data: np.
 
 def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
                              metric_in: NormSpec, eps_grid: Sequence[float],
-                             count: int = 100000, seed: int = 1,
-                             profile="gaussian") -> CheckReport:
+                             count: int, seed: int, profile) -> CheckReport:
     """Push-forward through an L-Lipschitz map can only slow concentration
     down by the factor L: image curve at r versus source profile at r/L."""
     if lip <= 0.0:
@@ -227,21 +242,16 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
 
     data = sample(measure, count, seed).data
     emp_lip = _empirical_lipschitz(map_rows, data, metric_in, metric_out, seed)
-    if emp_lip > lip * (1.0 + 1e-9):
+    if emp_lip > lip * (1.0 + _ALGEBRAIC_TOL):
         raise CheckError(f"map is not {lip}-Lipschitz on samples: observed {emp_lip}")
 
     image = map_rows(data)
     del data  # the curve needs only the image; a copying map frees the batch here
-    eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    curve = concentration_lower_curve(image, metric_out, eps_grid,
-                                      direction_seed=rng.derive_seed(seed, 0xD17))
     inputs = {"measure": measure.to_config(), "map": label, "lip": lip,
               "metric_in": metric_in.to_config(), "metric_out": metric_out.to_config(),
-              "count": count, "seed": seed, "eps": eps_grid.tolist(),
-              "profile": prof.to_config()}
-    quantities = {"empirical_lipschitz": emp_lip, "family_size": curve.family_size}
-    return _finish("lipschitz_transfer", inputs, quantities, eps_grid,
-                   curve.alpha_hat, curve.ci)
+              "count": count, "seed": seed, "profile": prof.to_config()}
+    return _curve_report("lipschitz_transfer", image, metric_out, eps_grid, seed,
+                         inputs, {"empirical_lipschitz": emp_lip}, ())
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +259,8 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
 # ---------------------------------------------------------------------------
 
 def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
-                              eps_grid: Sequence[float], count: int = 100000,
-                              seed: int = 1, profile="sphere") -> CheckReport:
+                              eps_grid: Sequence[float], count: int, seed: int,
+                              profile) -> CheckReport:
     """Concentration of the norm-ratio push-forward, against the source
     profile slowed by 14 lam m_K / m_L, on the grid points where the
     smallness precondition (16 x profile at the 7-scale) holds."""
@@ -264,20 +274,15 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     if med_k.value <= 0.0:
         raise CheckError("the source measure must give the K-norm a positive median")
 
-    eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    curve = concentration_lower_curve(image, L_r, eps_grid,
-                                      direction_seed=rng.derive_seed(seed, 0xD17))
-
     inputs = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
-              "count": count, "seed": seed, "eps": eps_grid.tolist(),
-              "profile": prof.to_config()}
+              "count": count, "seed": seed, "profile": prof.to_config()}
     quantities = {"lambda": cc.lam, "containment_scale": cc.scale,
                   "exact_lambda": cc.exact, "median_K": med_k.value,
                   "median_K_ci": med_k.half_width, "median_L": med_l.value,
-                  "median_L_ci": med_l.half_width, "family_size": curve.family_size}
-    notes = ["lhs is a statistical lower bound of the image concentration function"]
-    return _finish("norm_ratio_transfer", inputs, quantities, eps_grid,
-                   curve.alpha_hat, curve.ci, notes)
+                  "median_L_ci": med_l.half_width}
+    return _curve_report("norm_ratio_transfer", image, L_r, eps_grid, seed, inputs,
+                         quantities, ["lhs is a statistical lower bound of the "
+                                      "image concentration function"])
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +290,7 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
 # ---------------------------------------------------------------------------
 
 def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
-                          eps: float, count: int = 100000, probes: int = 100000,
-                          seed: int = 1) -> CheckReport:
+                          eps: float, count: int, probes: int, seed: int) -> CheckReport:
     """Pointwise chain behind the norm-ratio transfer: any point within
     delta m_L / lam (K-distance) of the median-shell preimage of a target
     half-space maps within 7 delta m_K of it, hence into the eps-expansion.
@@ -377,9 +381,8 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
 # Two-set product bound
 # ---------------------------------------------------------------------------
 
-def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec,
-                         num_pairs: int = 1000, count: int = 100000,
-                         seed: int = 1, profile="sphere") -> CheckReport:
+def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: int,
+                         count: int, seed: int, profile) -> CheckReport:
     """Product of the masses of two sets against 4 x profile at half
     their distance, over random parallel half-space pairs whose metric
     distance is exact through the dual norm."""
@@ -427,29 +430,21 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec,
 # Cube floor
 # ---------------------------------------------------------------------------
 
-def check_cube_floor(*, n: int, eps_grid: Sequence[float], count: int = 100000,
-                     seed: int = 1, measure: Optional[MeasureSpec] = None
-                     ) -> CheckReport:
+def check_cube_floor(*, n: int, eps_grid: Sequence[float], count: int, seed: int,
+                     measure: MeasureSpec) -> CheckReport:
     """No symmetric measure on the cube concentrates past (1 - mass of
     the eps-cube) / 2n; the half-space estimator must clear that floor."""
-    measure = measure if measure is not None else uniform_ball(lp(math.inf, n))
     metric = lp(math.inf, n)
     batch = sample(measure, count, seed)
     sup_norm = norm_eval(metric, batch.data)
     if float(sup_norm.max()) > 1.0 + 1e-12:
         raise CheckError("measure is not supported on the unit cube")
 
-    eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    curve = concentration_lower_curve(batch.data, metric, eps_grid,
-                                      direction_seed=rng.derive_seed(seed, 0xD17))
-    small_mass = np.array([(sup_norm <= e).mean() for e in eps_grid])
-
-    inputs = {"n": n, "measure": measure.to_config(), "count": count,
-              "seed": seed, "eps": eps_grid.tolist()}
-    quantities = {"family_size": curve.family_size,
-                  "small_ball_mass": small_mass.tolist()}
-    return _finish("cube_floor", inputs, quantities, eps_grid, curve.alpha_hat,
-                   curve.ci, ["floor uses the empirical eps-cube mass"])
+    small_mass = [float((sup_norm <= e).mean()) for e in eps_grid]
+    inputs = {"n": n, "measure": measure.to_config(), "count": count, "seed": seed}
+    return _curve_report("cube_floor", batch.data, metric, eps_grid, seed, inputs,
+                         {"small_ball_mass": small_mass},
+                         ["floor uses the empirical eps-cube mass"])
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +453,8 @@ def check_cube_floor(*, n: int, eps_grid: Sequence[float], count: int = 100000,
 
 def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
                         functionals: np.ndarray, d: float,
-                        eps_grid: Sequence[float], count: int = 100000,
-                        seed: int = 1, profile=None) -> CheckReport:
+                        eps_grid: Sequence[float], count: int, seed: int,
+                        profile) -> CheckReport:
     """A d-embedding into a sup-normed space needs at least
     (1 - mass(d eps K)) / (2 alpha(eps)) coordinates; alpha comes from a
     profile upper bound when one exists, else from the cube floor, so
@@ -469,7 +464,7 @@ def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
     # the two row statistics, from the sample stream: no batch is held
     vk, sup_f = sample_map(measure, count, seed, lambda rows: (
         norm_eval(K, rows), np.abs(rows @ functionals.T).max(axis=1)))
-    tol = 1e-9
+    tol = _ALGEBRAIC_TOL
     if np.any(sup_f > vk * (1.0 + tol)) or np.any(sup_f < vk / d * (1.0 - tol)):
         raise CheckError("functionals do not form a d-embedding on samples")
 
@@ -511,8 +506,7 @@ def _radial_fault(p: float, n: int) -> Optional[tuple[str, str]]:
 
 
 def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
-                          count: int = 100000, seed: int = 1,
-                          profile=None, lam: float = 1.0) -> CheckReport:
+                          count: int, seed: int, profile, lam: float) -> CheckReport:
     """Transfer from the generalized-gaussian product to the uniform lp
     ball through the radial quantile map u: image curve at eps versus
     16 x source profile at eps / (14 |u|_Lip lam), where the two-median
@@ -541,20 +535,13 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     med_l = empirical_median(r_mu)
     med_u = empirical_median(u_mu)
 
-    eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    curve = concentration_lower_curve(image, metric, eps_grid,
-                                      direction_seed=rng.derive_seed(seed, 0xD17))
-
     inputs = {"p": p, "n": n, "count": count, "seed": seed,
-              "eps": eps_grid.tolist(), "profile": prof.to_config(),
-              "lambda": lam}
+              "profile": prof.to_config(), "lambda": lam}
     quantities = {"u_lipschitz": u_lip, "median_L": med_l.value,
-                  "median_u": med_u.value, "u_knots": int(u.knots.size),
-                  "family_size": curve.family_size}
-    return _finish("radial_transfer", inputs, quantities, eps_grid,
-                   curve.alpha_hat, curve.ci,
-                   ["u built from analytic radial laws; image sampled by "
-                    "pushing the source batch through the radial map"])
+                  "median_u": med_u.value, "u_knots": int(u.knots.size)}
+    return _curve_report("radial_transfer", image, metric, eps_grid, seed, inputs,
+                         quantities, ["u built from analytic radial laws; image sampled "
+                                      "by pushing the source batch through the radial map"])
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +594,12 @@ def parse_eps(spec) -> list:
         try:
             if isinstance(token, bool):   # float() reads True as 1
                 raise TypeError
-            return float(token)
+            value = float(token)
         except (TypeError, ValueError):
             raise ConfigError(f"cannot parse eps grid {text!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"eps grid {text!r} holds a non-finite number")
+        return value
 
     if isinstance(spec, str):
         parts = spec.split(":")
@@ -657,9 +647,10 @@ def parse_size(token) -> int:
 
 
 def parse_float(token) -> float:
-    if type(token) in (int, float):
+    """A finite JSON number (JSON's Infinity and NaN are refused)."""
+    if type(token) in (int, float) and math.isfinite(token):
         return float(token)
-    raise ConfigError(f"expected a number, got {token!r}")
+    raise ConfigError(f"expected a finite number, got {token!r}")
 
 
 def parse_positive(token) -> float:
@@ -671,7 +662,7 @@ def parse_positive(token) -> float:
 
 def parse_profile(token, n: int):
     """A profile name or object, checked against the catalog; returned as
-    given (null keeps the check's default)."""
+    given (null keeps the row's default)."""
     if token is not None:
         _resolve_profile(token, n)
     return token
@@ -679,7 +670,7 @@ def parse_profile(token, n: int):
 
 def parse_map(token, n: int):
     """A map object, checked against the kinds of build_map; returned as
-    given (null keeps the check's default)."""
+    given (null keeps the row's default)."""
     if token is not None:
         if not isinstance(token, dict):
             raise ConfigError(f"expected a map object, got {token!r}")
@@ -711,10 +702,10 @@ class Param(NamedTuple):
     key: Optional[str]      # config key; None: not settable from a config
     kind: Optional[str]     # token kind that parses the key: a key of _PARSERS
     arg: str                # check_* argument and run_check keyword
-    default: Optional[Callable[[int], object]] = None   # of n; None: the check's own
+    default: Callable[[int], object]   # of n: the argument's one default
 
 
-def _param(key, kind, arg=None, default=None) -> Param:
+def _param(key, kind, default, arg=None) -> Param:
     return Param(key, kind, arg or key, default)
 
 
@@ -751,27 +742,35 @@ class CheckSpec(NamedTuple):
 
 def _spec(fn, n: int, required, statement, *params: Param, fault=None) -> CheckSpec:
     # every check samples, so every row takes N and seed
-    common = (_param("N", "size", "count"), _param("seed", "int"))
+    common = (_param("N", "size", lambda n: 100000, "count"),
+              _param("seed", "int", lambda n: 1))
     return CheckSpec(fn, n, frozenset(required), statement, params + common, fault)
+
+
+def _median_fault(kw: dict) -> Optional[tuple[str, str]]:
+    """("N", why) when a job's N is too small for the check's medians, else None."""
+    if kw.get("count", MEDIAN_MIN_COUNT) < MEDIAN_MIN_COUNT:
+        return "N", (f"the check's medians need at least {MEDIAN_MIN_COUNT} "
+                     f"samples, got {kw['count']}")
+    return None
 
 
 def default_eps_grid() -> list:
     return np.geomspace(0.05, 12.0, 40).tolist()
 
 
-_PROFILE = _param("profile", "profile")
-_N = _param("n", "size", default=lambda n: n)
+_N = _param("n", "size", lambda n: n)
 
 CHECK_SPECS: dict[str, CheckSpec] = {
     "lipschitz_transfer": _spec(
         check_lipschitz_transfer, 16, ("measure", "map", "lip"),
         Statement("le", lambda eps, t: t["prof"](eps / t["lip"])),
-        _param("measure", "measure", default=lambda n: ggp(2.0, n)),
-        _param("map", "map", "map_cfg", lambda n: {"kind": "identity"}),
-        _param("lip", "positive", default=lambda n: 1.0),
-        _param("metric", "norm", "metric_in", lambda n: lp(2, n)),
-        _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 4.0, 20)),
-        _PROFILE),
+        _param("measure", "measure", lambda n: ggp(2.0, n)),
+        _param("map", "map", lambda n: {"kind": "identity"}, "map_cfg"),
+        _param("lip", "positive", lambda n: 1.0),
+        _param("metric", "norm", lambda n: lp(2, n), "metric_in"),
+        _param("eps", "eps", lambda n: np.linspace(0.1, 4.0, 20), "eps_grid"),
+        _param("profile", "profile", lambda n: "gaussian")),
     "norm_ratio_transfer": _spec(
         check_norm_ratio_transfer, 32, ("K", "L", "measure"),
         Statement("le", lambda eps, t: 16.0 * t["prof"](
@@ -779,45 +778,48 @@ CHECK_SPECS: dict[str, CheckSpec] = {
                   lambda eps, t: 16.0 * t["prof"](
                       eps * t["median_L"] / (7.0 * t["lambda"] * t["median_K"])) <= 1.0,
                   medians=("median_K", "median_L")),
-        _param("K", "norm", default=lambda n: lp(2, n)),
-        _param("L", "norm", default=lambda n: lp(1, n)),
-        _param("measure", "measure", default=haar_sphere),
-        _param("eps", "eps", "eps_grid", lambda n: default_eps_grid()),
-        _PROFILE),
+        _param("K", "norm", lambda n: lp(2, n)),
+        _param("L", "norm", lambda n: lp(1, n)),
+        _param("measure", "measure", haar_sphere),
+        _param("eps", "eps", lambda n: default_eps_grid(), "eps_grid"),
+        _param("profile", "profile", lambda n: "sphere"),
+        fault=_median_fault),
     "shell_inclusion": _spec(
         check_shell_inclusion, 16, ("K", "L", "measure", "eps"),
         Statement("le", _shell_caps, lambda eps, t: t["shell_set_size"] > 0),
-        _param("K", "norm", default=lambda n: lp(2, n)),
-        _param("L", "norm", default=lambda n: lp(1, n)),
-        _param("measure", "measure", default=haar_sphere),
-        _param("eps", "positive", default=lambda n: 0.5),
-        _param("probes", "size")),
+        _param("K", "norm", lambda n: lp(2, n)),
+        _param("L", "norm", lambda n: lp(1, n)),
+        _param("measure", "measure", haar_sphere),
+        _param("eps", "positive", lambda n: 0.5),
+        _param("probes", "size", lambda n: 100000),
+        fault=_median_fault),
     "separated_sets": _spec(
         check_separated_sets, 64, ("measure",),
         Statement("le", lambda eps, t: 4.0 * t["prof"](eps)),
-        _param("measure", "measure", default=haar_sphere),
-        _param("metric", "norm", default=lambda n: lp(2, n)),
-        _param("num_pairs", "size"),
-        _PROFILE),
+        _param("measure", "measure", haar_sphere),
+        _param("metric", "norm", lambda n: lp(2, n)),
+        _param("num_pairs", "size", lambda n: 1000),
+        _param("profile", "profile", lambda n: "sphere")),
     "cube_floor": _spec(
         check_cube_floor, 8, (),
         Statement("ge", lambda eps, t: [cube_concentration_floor(m, t["n"])
                                         for m in t["small_ball_mass"]]),
         _N,
-        _param("measure", "measure"),
-        _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 0.9, 9))),
+        _param("measure", "measure", lambda n: uniform_ball(lp(INF, n))),
+        _param("eps", "eps", lambda n: np.linspace(0.1, 0.9, 9), "eps_grid")),
     "sup_embedding": _spec(
         check_sup_embedding, 8, ("d",),
         Statement("ge", lambda eps, t: [embedding_lower_bound(a, m) for a, m in
                                         zip(t["alpha_values"], t["small_ball_mass"])],
                   lambda eps, t: (eps < 1.0 / t["d"]) & (np.asarray(t["alpha_values"]) > 0.0),
                   slack=_ALGEBRAIC_TOL),
-        _param("K", "norm", default=lambda n: lp(INF, n)),
-        _param("measure", "measure", default=lambda n: uniform_ball(lp(INF, n))),
-        _param(None, None, "functionals", np.eye),
-        _param("d", "positive", default=lambda n: 1.0),
-        _param("eps", "eps", "eps_grid", lambda n: np.linspace(0.1, 0.9, 9)),
-        _PROFILE),
+        _param("K", "norm", lambda n: lp(INF, n)),
+        _param("measure", "measure", lambda n: uniform_ball(lp(INF, n))),
+        _param(None, None, np.eye, "functionals"),
+        _param("d", "positive", lambda n: 1.0),
+        _param("eps", "eps", lambda n: np.linspace(0.1, 0.9, 9), "eps_grid"),
+        # None: the cube floor bounds alpha
+        _param("profile", "profile", lambda n: None)),
     "radial_transfer": _spec(
         check_radial_transfer, 16, ("p",),
         Statement("le", lambda eps, t: 16.0 * t["prof"](
@@ -828,11 +830,12 @@ CHECK_SPECS: dict[str, CheckSpec] = {
                       + t["prof"](eps * t["median_u"]
                                   / (7.0 * t["u_lipschitz"] ** 2 * t["median_L"]))) <= 1.0),
         _N,
-        _param("p", "float", default=lambda n: 1.0),
-        _param("eps", "eps", "eps_grid", lambda n: default_eps_grid()),
-        _PROFILE,
-        _param("lambda", "positive", "lam"),
-        fault=lambda kw: _radial_fault(kw["p"], kw["n"])),
+        _param("p", "float", lambda n: 1.0),
+        _param("eps", "eps", lambda n: default_eps_grid(), "eps_grid"),
+        # None: the body picks gaussian at p = 2, else gamma1
+        _param("profile", "profile", lambda n: None),
+        _param("lambda", "positive", lambda n: 1.0, "lam"),
+        fault=lambda kw: _radial_fault(kw["p"], kw["n"]) or _median_fault(kw)),
 }
 
 
@@ -880,18 +883,14 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
 
 def run_check(check_id: str, **params) -> CheckReport:
     """Run one check by id; keywords left out (or None) take the row's
-    defaults at dimension n, or the check function's own defaults."""
+    defaults at dimension n."""
     if check_id not in CHECK_SPECS:
         raise CheckError(f"unknown check id {check_id!r}; known: {sorted(CHECK_SPECS)}")
     spec = CHECK_SPECS[check_id]
     params = {k: v for k, v in params.items() if v is not None}
     n = params.pop("n", spec.n)
-    args = {}
-    for par in spec.params:
-        if par.arg in params:
-            args[par.arg] = params.pop(par.arg)
-        elif par.default is not None:
-            args[par.arg] = par.default(n)
+    args = {par.arg: params.pop(par.arg) if par.arg in params else par.default(n)
+            for par in spec.params}
     if params:
         raise TypeError(f"check {check_id!r} takes no keywords {sorted(params)}")
     # call the module's current binding, so that a wrapper installed on the

@@ -150,7 +150,7 @@ def test_criterion_6_cube_floor():
     eps = np.linspace(0.1, 0.9, 9)
     results = []
     for n in (2, 8, 32):
-        rep = vf.check_cube_floor(n=n, eps_grid=eps, count=N, seed=106)
+        rep = vf.run_check("cube_floor", n=n, eps_grid=eps, count=N, seed=106)
         results.append((n, rep.verdict, rep.violations))
     ok = all(v == "pass" and viol == 0 for _, v, viol in results)
     report(6, "cube floor", ok, watch,
@@ -255,8 +255,8 @@ def test_criterion_9_radial_transfer():
     curves = {}
     for p in (1.0, 2.0):
         for n in (16, 32, 64):
-            rep = vf.check_radial_transfer(p=p, n=n, eps_grid=ACCEPTANCE_EPS,
-                                           count=N, seed=109)
+            rep = vf.run_check("radial_transfer", p=p, n=n, eps_grid=ACCEPTANCE_EPS,
+                               count=N, seed=109)
             results.append((p, n, rep.verdict, int(np.sum(rep.precondition))))
             if p == 1.0:
                 curves[n] = (np.asarray(rep.eps), np.asarray(rep.lhs))

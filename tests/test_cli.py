@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -225,6 +226,23 @@ RADIAL = {"check": "radial_transfer", "n": 16, "p": 1}
      "jobs[1].profile"),
     ({"output_dir": 3, "jobs": [CUBE]}, "output_dir"),
     ({"output_dir": "", "jobs": [CUBE]}, "output_dir"),   # Path("") is the working directory
+    ({"output_dir": None, "jobs": [CUBE]}, "output_dir"),
+    # JSON's Infinity and NaN are no numbers a check can test with
+    ({"jobs": [CUBE, {**PAIRS, "profile": {"name": "custom", "C": math.inf, "c": 0.5}}]},
+     "jobs[1].profile"),
+    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "c": math.inf}}]},
+     "jobs[1].profile"),
+    ({"jobs": [CUBE, {**LIP, "lip": math.inf}]}, "jobs[1].lip"),
+    ({"jobs": [CUBE, {**LIP, "map": {"kind": "scale", "factor": math.inf}}]}, "jobs[1].map"),
+    ({"jobs": [CUBE, {**LIP, "map": {"kind": "scale", "factor": math.nan}}]}, "jobs[1].map"),
+    ({"jobs": [CUBE, {**EMBED, "d": math.inf}]}, "jobs[1].d"),
+    ({"jobs": [CUBE, {**RADIAL, "lambda": math.inf}]}, "jobs[1].lambda"),
+    ({"jobs": [CUBE, {**CUBE, "eps": [0.1, math.inf]}]}, "jobs[1].eps"),
+    ({"jobs": [CUBE, {**CUBE, "eps": "0.1,inf"}]}, "jobs[1].eps"),
+    # a check that takes medians needs a sample of at least MEDIAN_MIN_COUNT
+    ({"jobs": [CUBE, {**RATIO, "N": 50}]}, "jobs[1].N"),
+    ({"jobs": [CUBE, {**SHELL, "N": 99}]}, "jobs[1].N"),
+    ({"jobs": [CUBE, {**RADIAL, "N": 1}]}, "jobs[1].N"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -250,7 +268,7 @@ def test_run_rejects_non_positive_sizes_by_name(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("eps", ["0.1:0.9", "0.1:0.9:3:lg", "0.1:0.9:1.7", "0.5,0.1", "",
-                                 "0.1:x:3"])
+                                 "0.1:x:3", "0.1,inf"])
 def test_alpha_rejects_malformed_eps(tmp_path, capsys, eps):
     out = tmp_path / "a.csv"
     code = cli.main(["alpha", "--measure", "gaussian", "--eps", eps, "--n", "4",
@@ -541,6 +559,36 @@ def test_verify_command(tmp_path):
     assert payload["verdict"] == "pass"
     res = run_cli("verify", "never_heard_of_it")
     assert res.returncode == 1
+
+
+# SHA-256 and exit code of `concmeter verify <id> --N 2000 --out <file>`:
+# each check's report with every argument but N taken from its row's default
+# (recorded before the defaults moved from the check signatures to the rows)
+VERIFY_REPORTS = {
+    "cube_floor": (
+        0, "aed3596647c3401008f5465ea92f92dc9d85ae98e19ea1864dd295763e498b98"),
+    "lipschitz_transfer": (
+        0, "c65cc9ab384c96f1d2f7c6ed59fb0f386d6f64012333fd78f7f8aac45b8c9524"),
+    "norm_ratio_transfer": (
+        0, "6a6ce7a1d09827b2edd7af1a7dbb2c9c3f4244202a79c130224be9f807068402"),
+    "radial_transfer": (
+        0, "590f69a7854f7631cf373806d82576945cba839aaf92c97097f2858741ab37a3"),
+    "separated_sets": (
+        0, "278fab736480ec29887527594d74fb7e37c1228f6cf40e311b3097cee471c360"),
+    "shell_inclusion": (
+        0, "89e6c36032412d602e3abf0143c798b6fe2cdce00d41addfa6ffff08af14a155"),
+    "sup_embedding": (
+        0, "5d9bf510fec5c2dd0f15263998f2aad68dc4fed90e1f7c1e5ce27acbcbfe2e94"),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(cli.verify.CHECK_SPECS))
+def test_verify_default_report_frozen(tmp_path, check_id):
+    code, digest = VERIFY_REPORTS[check_id]
+    out = tmp_path / "report.json"
+    res = run_cli("verify", check_id, "--N", "2000", "--out", str(out))
+    assert res.returncode == code, res.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_parse_helpers():

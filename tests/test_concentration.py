@@ -251,7 +251,7 @@ for size in (1, 2, 3):
         digest.update(curve.argmax_direction.tobytes())
         out[f"pool {size}, N {count}"] = digest.hexdigest()
     rep = vf.check_separated_sets(measure=ms.haar_sphere(64), metric=ns.lp(2, 64),
-                                  num_pairs=100, count=5001, seed=9)
+                                  num_pairs=100, count=5001, seed=9, profile="sphere")
     out[f"pool {size}, pairs"] = hashlib.sha256(rep.to_json().encode()).hexdigest()
 print(json.dumps(out))
 """

@@ -50,7 +50,7 @@ def test_lipschitz_transfer_rejects_false_claim():
         vf.check_lipschitz_transfer(
             measure=ms.gaussian(4), map_cfg={"kind": "identity"}, lip=0.5,
             metric_in=ns.lp(2, 4), eps_grid=np.linspace(0.1, 1.0, 5),
-            count=10000, seed=4)
+            count=10000, seed=4, profile="gaussian")
 
 
 def test_norm_ratio_transfer_identity_pair():
@@ -176,7 +176,7 @@ def _separated_sets_oracle(measure, metric, num_pairs, count, seed, profile):
 def test_separated_sets_matches_per_pair_oracle(n, p, num_pairs, count):
     measure, metric = ms.haar_sphere(n), ns.lp(p, n)
     rep = vf.check_separated_sets(measure=measure, metric=metric,
-                                  num_pairs=num_pairs, count=count, seed=4)
+                                  num_pairs=num_pairs, count=count, seed=4, profile="sphere")
     eps, lhs, rhs, ci = _separated_sets_oracle(measure, metric, num_pairs,
                                                count, 4, "sphere")
     assert rep.lhs == lhs.tolist() and rep.ci == ci.tolist()
@@ -262,21 +262,24 @@ FROZEN_REPORTS = {
     "lipschitz_identity_n8": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(8), map_cfg={"kind": "identity"}, lip=1.0,
-            metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.1, 4.0, 15), count=5001, seed=1),
+            metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.1, 4.0, 15), count=5001, seed=1,
+            profile="gaussian"),
         "5e0edf90e557d654d7e8d52a646fa30f55ea9f8223f907ec34617c3dd3f7b151"),
     "lipschitz_scale_n16": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(16), map_cfg={"kind": "scale", "factor": 0.5}, lip=0.5,
-            metric_in=ns.lp(2, 16), eps_grid=np.linspace(0.1, 3.0, 12), count=5001, seed=2),
+            metric_in=ns.lp(2, 16), eps_grid=np.linspace(0.1, 3.0, 12), count=5001, seed=2,
+            profile="gaussian"),
         "1b746a8156ace0d5db5b2666d95283541e8f77af4afb2870265026785bbd3480"),
     "lipschitz_coordinate_n8": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(8), map_cfg={"kind": "coordinate", "index": 2}, lip=1.0,
-            metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.2, 3.0, 10), count=5001, seed=3),
+            metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.2, 3.0, 10), count=5001, seed=3,
+            profile="gaussian"),
         "119a23c764af3abbe67d3f12061f001484528a8a455b391627c6af4f747ccc8b"),
     "cube_floor_n8": (
-        lambda: vf.check_cube_floor(n=8, eps_grid=np.linspace(0.1, 0.9, 9),
-                                    count=5001, seed=10),
+        lambda: vf.run_check("cube_floor", n=8, eps_grid=np.linspace(0.1, 0.9, 9),
+                             count=5001, seed=10),
         "36162a013a173a40c4f73df82e1a21560b09e135921a3ef428ac25022b25ab19"),
     "shell_empty_preimage": (   # shell_set_size 0: not applicable
         lambda: vf.check_shell_inclusion(
@@ -286,7 +289,7 @@ FROZEN_REPORTS = {
     "norm_ratio_l2_l1_n16": (
         lambda: vf.check_norm_ratio_transfer(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
-            eps_grid=vf.default_eps_grid(), count=5001, seed=11),
+            eps_grid=vf.default_eps_grid(), count=5001, seed=11, profile="sphere"),
         "fb0a6d6453387babec8d871e9fb7c6d14711a5978355e7b6a39156ac6f6814f0"),
     "norm_ratio_l1_l2_n8": (   # L is rescaled: a transformed norm
         lambda: vf.check_norm_ratio_transfer(
@@ -294,12 +297,12 @@ FROZEN_REPORTS = {
             eps_grid=vf.default_eps_grid(), count=5001, seed=11, profile="gaussian"),
         "0c36c0baaa5e0020e004bf12d383c06d7b346943576164e3a83a4b8e33a4ca0b"),
     "radial_p1_n32": (
-        lambda: vf.check_radial_transfer(
-            p=1.0, n=32, eps_grid=vf.default_eps_grid(), count=5001, seed=12),
+        lambda: vf.run_check(
+            "radial_transfer", p=1.0, n=32, eps_grid=vf.default_eps_grid(), count=5001, seed=12),
         "3563ab9c5bb1a94ff0c84143db0a6a4552745b12dea6902b7f086bb1c4df907f"),
     "radial_p2_n8": (
-        lambda: vf.check_radial_transfer(
-            p=2.0, n=8, eps_grid=vf.default_eps_grid(), count=3001, seed=12),
+        lambda: vf.run_check(
+            "radial_transfer", p=2.0, n=8, eps_grid=vf.default_eps_grid(), count=3001, seed=12),
         "70983b9a2cca7108ae89414a4309ce87da8bbf13e04233eb8e41a6f1f7e689f2"),
     "shell_n16_probes2000": (
         lambda: vf.check_shell_inclusion(
@@ -319,12 +322,12 @@ FROZEN_REPORTS = {
     "pairs_n64": (
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(64), metric=ns.lp(2, 64), num_pairs=100,
-            count=5001, seed=9),
+            count=5001, seed=9, profile="sphere"),
         "25a31700dd2953ca71cb2ed605178622d83733e86419ffd0b3910432962a7ed2"),
     "pairs_n16_l1": (
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(16), metric=ns.lp(1, 16), num_pairs=70,
-            count=5001, seed=9),
+            count=5001, seed=9, profile="sphere"),
         "03349b51533efa5b1bc5a82a4a771002c1a8dc8a52ef9de14229f83d792dfdda"),
     "sup_n3": (   # unaligned sample chunks of 10922 rows
         lambda: vf.run_check("sup_embedding", n=3, count=30001, seed=3),
@@ -388,13 +391,13 @@ def test_restate_follows_an_edited_term():
 
 def test_cube_floor_small_dims():
     for n in (1, 2, 8):
-        rep = vf.check_cube_floor(n=n, eps_grid=np.linspace(0.1, 0.9, 9),
-                                  count=N, seed=10)
+        rep = vf.run_check("cube_floor", n=n, eps_grid=np.linspace(0.1, 0.9, 9),
+                           count=N, seed=10)
         assert rep.verdict == "pass", f"n={n}"
     # the 1-d case is tight: estimator and floor agree up to sampling
     # noise (binomial CI plus median placement, both O(1/sqrt N))
-    rep = vf.check_cube_floor(n=1, eps_grid=np.linspace(0.1, 0.9, 9),
-                              count=N, seed=11)
+    rep = vf.run_check("cube_floor", n=1, eps_grid=np.linspace(0.1, 0.9, 9),
+                       count=N, seed=11)
     gap = np.abs(np.asarray(rep.lhs) - np.asarray(rep.rhs))
     assert np.all(gap <= 4.0 / math.sqrt(N))
 
@@ -403,7 +406,7 @@ def test_sup_embedding_identity_on_cube():
     rep = vf.check_sup_embedding(
         K=ns.lp(np.inf, 8), measure=ms.uniform_ball(ns.lp(np.inf, 8)),
         functionals=np.eye(8), d=1.0, eps_grid=np.linspace(0.1, 0.9, 9),
-        count=N, seed=12)
+        count=N, seed=12, profile=None)
     assert rep.verdict == "pass"
     # the floor chain is tight here: requirement equals the dimension
     assert np.allclose(np.asarray(rep.rhs)[np.asarray(rep.precondition)], 8.0)
@@ -426,13 +429,13 @@ def test_sup_embedding_rejects_bad_functionals():
         vf.check_sup_embedding(
             K=ns.lp(np.inf, 6), measure=ms.uniform_ball(ns.lp(np.inf, 6)),
             functionals=0.3 * np.eye(6), d=1.0,
-            eps_grid=np.array([0.5]), count=5000, seed=14)
+            eps_grid=np.array([0.5]), count=5000, seed=14, profile=None)
 
 
 @pytest.mark.parametrize("p,n", [(1.0, 16), (2.0, 32)])
 def test_radial_transfer(p, n):
-    rep = vf.check_radial_transfer(p=p, n=n, eps_grid=vf.default_eps_grid(),
-                                   count=N, seed=15)
+    rep = vf.run_check("radial_transfer", p=p, n=n, eps_grid=vf.default_eps_grid(),
+                       count=N, seed=15)
     assert rep.verdict == "pass"
     assert any(rep.precondition)
     assert rep.quantities["u_lipschitz"] > 0
@@ -440,7 +443,7 @@ def test_radial_transfer(p, n):
 
 def test_radial_transfer_rejects_bad_p():
     with pytest.raises(vf.CheckError):
-        vf.check_radial_transfer(p=3.0, n=8, eps_grid=[0.5], count=1000, seed=16)
+        vf.run_check("radial_transfer", p=3.0, n=8, eps_grid=[0.5], count=1000, seed=16)
 
 
 def test_reports_are_deterministic_and_serializable():
@@ -463,15 +466,15 @@ def test_run_check_defaults_and_unknown():
 
 @pytest.mark.parametrize("check_id", sorted(vf.CHECK_SPECS))
 def test_check_table_matches_signature(check_id):
+    # the row is the one home of a check's defaults: the check takes every
+    # argument by keyword with no default, and exactly one Param of the row
+    # fills each, with a default of n
     spec = vf.CHECK_SPECS[check_id]
     signature = inspect.signature(spec.fn).parameters
-    filled = {par.arg for par in spec.params}
-    assert filled <= set(signature)
-    covered = {par.arg for par in spec.params
-               if par.key in spec.required or par.default is not None}
-    bare = {name for name, prm in signature.items()
-            if prm.default is inspect.Parameter.empty}
-    assert bare <= covered
+    assert all(prm.kind is prm.KEYWORD_ONLY and prm.default is prm.empty
+               for prm in signature.values())
+    assert sorted(par.arg for par in spec.params) == sorted(signature)
+    assert all(callable(par.default) for par in spec.params)
     assert spec.required <= {par.key for par in spec.params}
 
 
