@@ -216,8 +216,13 @@ def cmd_transport(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run_check(args.check_id, n=args.n, count=args.N,
-                              seed=env_seed(args.seed))
+    try:
+        report = verify.run_check(args.check_id, n=args.n, count=args.N,
+                                  seed=env_seed(args.seed))
+    except verify.CheckError as exc:
+        if exc.key is None:
+            raise
+        raise ConfigError(f"--{exc.key}: {exc}") from None
     text = report.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -301,15 +301,16 @@ def _ggp_rows(p: float, seed: int, rows: np.ndarray, dim: int) -> np.ndarray:
     """Generalized-gaussian product rows; slot 0 = sign, 1.. = magnitude."""
     i = rows[:, None].astype(np.uint64)
     j = np.arange(dim, dtype=np.uint64)[None, :]
-    sgn = rng.signs(seed, i, j, 0)
     if p == 1.0:
         mag = rng.exponentials(seed, i, j, 1)
     elif p == 2.0:
         mag = np.abs(rng.normals(seed, i, j, 1))
     else:
-        w = rng.gammas(1.0 / p, seed, i, j, base_slot=1)
-        mag = (p * w) ** (1.0 / p)
-    return sgn * mag
+        mag = rng.gammas(1.0 / p, seed, i, j, base_slot=1)   # (p * w) ** (1 / p)
+        mag *= p
+        mag **= 1.0 / p
+    mag *= rng.signs(seed, i, j, 0)
+    return mag
 
 
 def _generate(measure: MeasureSpec, seed: int, start: int, stop: int,

@@ -17,7 +17,9 @@ shape, and each slot an element consumes (two for a normal) costs one
 more ``mix(prefix ^ slot)``.  The work runs in place on reused buffers,
 in blocks of about 32k output elements, so temporaries stay in cache and
 peak memory is bounded by the block rather than by the output.  Neither
-changes a bit: the result is the chain above, element by element.
+changes a bit: the result is the chain above, element by element.  The
+gamma sampler is the exception to the block bound: it keeps the prefix of
+every element for its later slots, in uint64 arrays of its output's size.
 
 Rejection samplers (the gamma generator below) draw from a per-element
 sub-stream indexed by the slot, so the number of attempts one element
@@ -115,8 +117,10 @@ def _cuts(stop: int, parts: int, step: int = 1) -> list:
 
 
 # Slots consumed per rejection round of the gamma sampler (two for the
-# normal draw, one for the accept test).
+# normal draw, one for the accept test); the rounds after the first are
+# drawn _GAMMA_LATE_ROUNDS at a time, up to the cap of _GAMMA_MAX_ROUNDS.
 _GAMMA_ROUND_SLOTS = 3
+_GAMMA_LATE_ROUNDS = 3
 _GAMMA_MAX_ROUNDS = 64
 
 
@@ -213,19 +217,23 @@ def signs(seed: int, i, j, slot) -> np.ndarray:
     return _draw(seed, i, j, (slot,), fill)
 
 
+def _box_muller(out: np.ndarray, bits, spare: np.ndarray) -> None:
+    """Standard normals into ``out`` from the radius bits ``bits(0)`` and the
+    angle bits ``bits(1)``; ``spare`` is a float64 buffer of out's shape."""
+    radius = _to_unit(bits(0), out)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = _to_unit(bits(1), spare)
+    angle *= 2.0 * np.pi
+    np.cos(angle, out=angle)
+    radius *= angle
+
+
 def normals(seed: int, i, j, slot) -> np.ndarray:
     """Standard normals via Box-Muller; consumes slots (slot, slot+1)."""
-    def fill(out, bits, spare):
-        radius = _to_unit(bits(0), out)
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle = _to_unit(bits(1), spare)
-        angle *= 2.0 * np.pi
-        np.cos(angle, out=angle)
-        radius *= angle
     slot = np.asarray(slot, dtype=np.uint64)
-    return _draw(seed, i, j, (slot, slot + np.uint64(1)), fill)
+    return _draw(seed, i, j, (slot, slot + np.uint64(1)), _box_muller)
 
 
 def exponentials(seed: int, i, j, slot) -> np.ndarray:
@@ -243,8 +251,25 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
     Uses the Marsaglia-Tsang squeeze for shape >= 1 and the boost
     Gamma(a) = Gamma(a+1) * U^(1/a) for shape < 1.  Slot layout per
     element: ``base_slot`` holds the boost uniform, round r consumes
-    slots ``base_slot + 1 + 3r .. base_slot + 3 + 3r``.  Acceptance is
-    ~95% per round, so the 64-round cap is unreachable in practice.
+    slots ``base_slot + 1 + 3r .. base_slot + 3 + 3r`` (the normal, then
+    the accept uniform).  Acceptance is ~95% per round, so the 64-round
+    cap is unreachable in practice.
+
+    The (seed, i, j) prefix is hashed once per call, and every slot but
+    round 0's normal is drawn from it: round 0's uniform, the boost
+    uniform, and the normal and uniform of each later round.  Round 0's
+    normal is a call of :func:`normals`, which hashes the prefix again per
+    block; it stays public so that a tracer of this module sees the one
+    normal draw per element.  The elements that round 0 rejects draw the
+    next ``_GAMMA_LATE_ROUNDS`` rounds at once, on a (rejected, rounds)
+    slot grid, and take their first accepting round; the rest repeat
+    until none is left.  Every variate is that of the round-by-round
+    loop, bit for bit.
+
+    Memory: beside the float64 output and its round-0 temporaries, the
+    call holds up to three uint64 arrays of the output's size at once (the
+    prefix and one ``mix`` with its scratch), 24 bytes an element, not one
+    block's worth as :func:`normals` does.
     """
     a = float(shape)
     if not a > 0.0:
@@ -257,38 +282,59 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
     i, j = np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64)
     shape = np.broadcast_shapes(i.shape, j.shape)
     base = int(base_slot)
+    z = np.reshape(normals(seed, i, j, base + 1), -1)
+    prefix = _prefix(seed, i, j, np.empty(shape, dtype=np.uint64),
+                     np.empty(i.size, dtype=np.uint64),
+                     np.empty(max(z.size, i.size), dtype=np.uint64)).reshape(-1)
 
-    def attempt(ki, kj, r: int):
-        """Round r on keys (ki, kj): candidates d*v and their accept flags, flat."""
-        s0 = base + 1 + _GAMMA_ROUND_SLOTS * r
-        z = np.reshape(normals(seed, ki, kj, s0), -1)
-        u = np.reshape(uniforms(seed, ki, kj, s0 + 2), -1)
-        v = (1.0 + c * z) ** 3
+    def mixed(pre: np.ndarray, slot) -> np.ndarray:
+        """``mix(pre ^ slot)``, in a new array of their broadcast shape."""
+        h = np.bitwise_xor(pre, slot)
+        return _mix64(h, np.empty_like(h))
+
+    def accept(z: np.ndarray, u: np.ndarray):
+        """The candidates d*v of normals z and their accept flags against
+        uniforms u (u is overwritten)."""
+        v = c * z
+        v += 1.0
+        v **= 3
+        ok = v > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            logv = np.log(v)   # v <= 0 is rejected by the first factor below
-        ok = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * logv)
+            logv = np.log(v)   # v <= 0 is rejected by ok's first factor
+        logv *= d
         v *= d
+        rhs = 0.5 * z
+        rhs *= z
+        rhs += d
+        rhs -= v
+        rhs += logv
+        ok &= np.log(u, out=u) < rhs
         return v, ok
 
-    # round 0 runs on the caller's keys, whose (seed, i, j) prefix is hashed
-    # per block of the broadcast shape; later rounds gather the keys of the
-    # rejected elements only
-    flat_out, ok = attempt(i, j, 0)
+    u = _to_unit(mixed(prefix, base + 3), np.empty(prefix.size))
+    out, ok = accept(z, u)
     todo = np.flatnonzero(~ok)
-    i_all, j_all = np.broadcast_to(i, shape), np.broadcast_to(j, shape)
-    for r in range(1, _GAMMA_MAX_ROUNDS):
-        if todo.size == 0:
-            break
-        at = np.unravel_index(todo, shape)
-        value, ok = attempt(i_all[at], j_all[at], r)
-        flat_out[todo[ok]] = value[ok]
-        todo = todo[~ok]
-    if todo.size:
-        raise RuntimeError("gamma sampler failed to accept within the slot budget")
+    r = 1
+    while todo.size:
+        if r == _GAMMA_MAX_ROUNDS:
+            raise RuntimeError("gamma sampler failed to accept within the slot budget")
+        # rounds r .. r + m - 1 of the rejected elements, on a (k, m) slot grid
+        rounds = np.arange(r, min(r + _GAMMA_LATE_ROUNDS, _GAMMA_MAX_ROUNDS), dtype=np.uint64)
+        slot = base + 1 + _GAMMA_ROUND_SLOTS * rounds
+        pre = prefix[todo, None]
+        z, late_u = np.empty((2, todo.size, rounds.size))
+        _box_muller(z, lambda k: mixed(pre, slot + k), late_u)
+        value, ok = accept(z, _to_unit(mixed(pre, slot + 2), late_u))
+        hit = ok.any(axis=1)
+        out[todo[hit]] = value[hit, ok[hit].argmax(axis=1)]
+        todo = todo[~hit]
+        r += rounds.size
 
-    out = flat_out.reshape(shape)
+    out = out.reshape(shape)
     if boost:
-        out *= uniforms(seed, i, j, base) ** (1.0 / a)
+        b = _to_unit(mixed(prefix, base), u).reshape(shape)
+        b **= 1.0 / a
+        out *= b
     return out
 
 

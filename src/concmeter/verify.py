@@ -51,7 +51,12 @@ _ALGEBRAIC_TOL = 1e-9
 
 
 class CheckError(RuntimeError):
-    """A check could not be run (failed hypothesis, bad inputs)."""
+    """A check could not be run (failed hypothesis, bad inputs); ``key``
+    names the config key at fault, when the check's row knows it."""
+
+    def __init__(self, message: str, key: Optional[str] = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -883,7 +888,8 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
 
 def run_check(check_id: str, **params) -> CheckReport:
     """Run one check by id; keywords left out (or None) take the row's
-    defaults at dimension n."""
+    defaults at dimension n.  The row's hypothesis is tested on the filled
+    arguments before anything is sampled."""
     if check_id not in CHECK_SPECS:
         raise CheckError(f"unknown check id {check_id!r}; known: {sorted(CHECK_SPECS)}")
     spec = CHECK_SPECS[check_id]
@@ -893,6 +899,9 @@ def run_check(check_id: str, **params) -> CheckReport:
             for par in spec.params}
     if params:
         raise TypeError(f"check {check_id!r} takes no keywords {sorted(params)}")
+    fault = spec.fault({"n": n, **args}) if spec.fault else None
+    if fault is not None:
+        raise CheckError(fault[1], key=fault[0])
     # call the module's current binding, so that a wrapper installed on the
     # module (a tracer, a test double) sees the call
     return globals()[spec.fn.__name__](**args)

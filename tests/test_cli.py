@@ -561,6 +561,18 @@ def test_verify_command(tmp_path):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["norm_ratio_transfer", "--N", "50"], "--N"),
+    (["radial_transfer", "--n", "5000", "--N", "200"], "--n"),
+])
+def test_verify_names_the_flag_at_fault(capsys, monkeypatch, argv, flag):
+    # the row's fault hook runs on the filled arguments before any check runs
+    check = cli.verify.CHECK_SPECS[argv[0]].fn.__name__
+    monkeypatch.setattr(cli.verify, check, lambda **kw: pytest.fail("the check ran"))
+    assert cli.main(["verify", *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
+
 # SHA-256 and exit code of `concmeter verify <id> --N 2000 --out <file>`:
 # each check's report with every argument but N taken from its row's default
 # (recorded before the defaults moved from the check signatures to the rows)

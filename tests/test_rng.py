@@ -85,6 +85,91 @@ def test_gamma_rejects_bad_shape():
         rng.gammas(0.0, 1, ROWS[:10], COLS)
 
 
+def _gammas_round_by_round(shape, seed, i, j, base_slot=0):
+    """The gamma sampler one rejection round at a time, each round drawn
+    with the public generators: the reference for the batched late rounds."""
+    a = float(shape)
+    boost = a < 1.0
+    d = (a + 1.0 if boost else a) - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    i, j = np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64)
+    shape = np.broadcast_shapes(i.shape, j.shape)
+
+    def attempt(ki, kj, r):
+        s0 = base_slot + 1 + 3 * r
+        z = np.reshape(rng.normals(seed, ki, kj, s0), -1)
+        u = np.reshape(rng.uniforms(seed, ki, kj, s0 + 2), -1)
+        v = (1.0 + c * z) ** 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logv = np.log(v)
+        ok = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * logv)
+        return d * v, ok
+
+    out, ok = attempt(i, j, 0)
+    todo = np.flatnonzero(~ok)
+    i_all, j_all = np.broadcast_to(i, shape), np.broadcast_to(j, shape)
+    for r in range(1, rng._GAMMA_MAX_ROUNDS):
+        if todo.size == 0:
+            break
+        at = np.unravel_index(todo, shape)
+        value, ok = attempt(i_all[at], j_all[at], r)
+        out[todo[ok]] = value[ok]
+        todo = todo[~ok]
+    if todo.size:
+        raise RuntimeError("no accepting round within the cap")
+    out = out.reshape(shape)
+    if boost:
+        out *= rng.uniforms(seed, i, j, base_slot) ** (1.0 / a)
+    return out
+
+
+GAMMA_KEYS = {
+    "chunk": (np.arange(128, dtype=np.uint64)[:, None], np.arange(256, dtype=np.uint64)[None, :]),
+    "1d": (np.arange(5000, dtype=np.uint64), np.arange(5000, dtype=np.uint64)),
+    "scalar_i_long_j": (7, np.arange(40000, dtype=np.uint64)),
+    "column_row": (np.arange(300, dtype=np.uint64)[:, None], np.arange(3, dtype=np.uint64)[None, :]),
+}
+
+
+@pytest.mark.parametrize("keys", sorted(GAMMA_KEYS))
+@pytest.mark.parametrize("shape", [0.5, 2.0 / 3.0, 0.9, 1.0, 4.0])
+def test_gamma_equals_the_round_by_round_loop(shape, keys):
+    i, j = GAMMA_KEYS[keys]
+    got = rng.gammas(shape, 4, i, j, base_slot=2)
+    want = _gammas_round_by_round(shape, 4, i, j, base_slot=2)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_gamma_scalar_keys_reach_the_late_rounds(monkeypatch):
+    # round 0 rejects (seed 129, i = j = 0) at shape 1.5, so a scalar key
+    # takes a late round; it equals the one-element key's variate
+    got = rng.gammas(1.5, 129, 0, 0)
+    assert got.shape == ()
+    assert got == _gammas_round_by_round(1.5, 129, np.zeros(1, dtype=np.uint64), 0)[0]
+    monkeypatch.setattr(rng, "_GAMMA_MAX_ROUNDS", 1)
+    with pytest.raises(RuntimeError):
+        rng.gammas(1.5, 129, 0, 0)
+
+
+# j keys of seed 2 (i = 0, shape 1) whose first accepting round is 1 .. 5;
+# every j below 16 accepts in round 0
+LATE_J = {1: 16, 2: 46, 3: 898, 4: 159137, 5: 177739}
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+def test_gamma_cap_cuts_the_late_rounds_where_the_loop_stops(monkeypatch, cap):
+    # the cap ends the first three-round batch after 1, 2 or 3 rounds, or the
+    # second after one; an element that needs round `cap` exceeds it
+    monkeypatch.setattr(rng, "_GAMMA_MAX_ROUNDS", cap)
+    within = np.array(list(range(16)) + [LATE_J[r] for r in range(1, cap)], dtype=np.uint64)
+    assert np.array_equal(rng.gammas(1.0, 2, 0, within), _gammas_round_by_round(1.0, 2, 0, within))
+    beyond = np.append(within, np.uint64(LATE_J[cap]))
+    for sampler in (rng.gammas, _gammas_round_by_round):
+        with pytest.raises(RuntimeError):
+            sampler(1.0, 2, 0, beyond)
+
+
 def test_derive_seed_spreads():
     seeds = {rng.derive_seed(42, t) for t in range(100)}
     assert len(seeds) == 100
@@ -103,6 +188,11 @@ def _transformed_ball():
     from concmeter.normspace import NormSpec
     a = np.array([[2.0, 0.3, 0.0], [0.1, 1.0, -0.4], [0.0, 0.2, 0.5]])
     return sample(uniform_ball(NormSpec(dim=3, p=1.5, transform=a)), 20000, 8).data
+
+
+def _ggp_batch(p, n):
+    from concmeter.measures import ggp, sample
+    return sample(ggp(p, n), 3000, 11).data
 
 
 STREAM_CASES = {
@@ -125,6 +215,12 @@ STREAM_CASES = {
         + [rng.derive_seed(42), rng.derive_seed(42, 3, 5), rng.derive_seed(-1, 7)],
         dtype=np.uint64),
     "uniform_ball_transformed": _transformed_ball,
+    # recorded before the gamma sampler drew its uniforms and late rounds
+    # from one hash of the (seed, i, j) prefix
+    "gammas_chunk": lambda: rng.gammas(
+        1.0 / 1.5, 3, GRID_I[:128], np.arange(256, dtype=np.uint64)[None, :], base_slot=1),
+    "gammas_scalar_i_long_j": lambda: rng.gammas(0.5, 9, 5, LONG),
+    **{f"ggp_{p}_n{n}": (lambda p=p, n=n: _ggp_batch(p, n)) for p in (1.2, 1.5) for n in (3, 256)},
 }
 
 FROZEN_DIGESTS = {
@@ -134,6 +230,12 @@ FROZEN_DIGESTS = {
     "gammas_1": "812f375af33656c662a40038a589624c87dc1be43961558b046938e7f50205b7",
     "gammas_2/3": "6a88be13863b0197a5937a70862653612cfc0998b8de8e4c930dc695115131f1",
     "gammas_4": "f6c44e2faaf325faf755974c7684f1fef0d630cda81f25ea9185a94ec800c221",
+    "gammas_chunk": "649a1e514caa16d8ca2cc088bfbd47ee1fe514c84bed6920b86a7ab6ed1688b0",
+    "gammas_scalar_i_long_j": "5af9833ee5de887313abd5c7398b8042b4426e66526e01781ff59422be7bfe00",
+    "ggp_1.2_n256": "fc70efb060a54a15f77da5a1ed3ddf0eb3abcccc76f500d5038ae52d9e77ba9c",
+    "ggp_1.2_n3": "1a237301e3a0b863eacb9c340b97adf0132eab9451919f63cc071dd0e8feebf7",
+    "ggp_1.5_n256": "b5d141bcbd3828858037b28cdd4436bade43756f24a2c5c8ab6cd8ef6d8a2be2",
+    "ggp_1.5_n3": "60cf87daf3ff5062b73c50d50adc72b047c01357ff015ddd636f52719cbbec66",
     "normals_grid": "bdcb6dc18f0622a0b560b4985884c3961ce0db97d395bb2378dde6ac3bf19489",
     "normals_scalar_i_cols": "017c7f9901974e7e9294948bb3eb2c587a1daccc93d86fa889c8502c7baaba29",
     "normals_slot_array": "4575991f8fba8f1bec2ec4b500164d0f2c7d160a9aeab602ac490c0908e97cd8",

@@ -13,6 +13,7 @@ import pytest
 from concmeter import cli
 from concmeter import measures as ms
 from concmeter import normspace as ns
+from concmeter import rng
 from concmeter import transport as tr
 from concmeter import verify as vf
 
@@ -221,14 +222,20 @@ def test_check_peak_stays_within_its_readme_row(check_id):
 
 
 @pytest.mark.parametrize("check_id", sorted(PEAK_ROWS))
-def test_check_peak_does_not_grow_at_unaligned_count(check_id):
-    # N = 20001 is not a multiple of 8: the projections copy no input
+def test_check_peak_does_not_grow_at_unaligned_count(monkeypatch, check_id):
+    # N = 20001 is not a multiple of 8: the projections copy no input.  With
+    # two stream threads the peak follows how many chunks the threads hold
+    # at once, which thread timing decides: allow one more chunk (one RNG
+    # block of doubles) per stream thread
     n, extra, _, _ = PEAK_ROWS[check_id]
     vf.run_check(check_id, n=n, count=2000, seed=3, **extra)   # lazy imports
-    aligned, unaligned = (
-        _traced_peak(lambda: vf.run_check(check_id, n=n, count=count, seed=3, **extra))
-        for count in (20000, 20001))
-    assert unaligned <= aligned + _MIB
+    for threads in (1, 2):
+        monkeypatch.setattr(rng, "_pool_size", threads)
+        aligned, unaligned = (
+            _traced_peak(lambda: vf.run_check(check_id, n=n, count=count, seed=3, **extra))
+            for count in (20000, 20001))
+        chunks = 0 if threads == 1 else threads
+        assert unaligned <= aligned + _MIB + chunks * rng._BLOCK * 8, threads
 
 
 @pytest.mark.parametrize("n, count", [(3, 5001), (64, 2000)])
@@ -442,8 +449,22 @@ def test_radial_transfer(p, n):
 
 
 def test_radial_transfer_rejects_bad_p():
-    with pytest.raises(vf.CheckError):
+    with pytest.raises(vf.CheckError) as err:
         vf.run_check("radial_transfer", p=3.0, n=8, eps_grid=[0.5], count=1000, seed=16)
+    assert err.value.key == "p"
+
+
+@pytest.mark.parametrize("check_id, kw, key", [
+    ("norm_ratio_transfer", {"count": 50}, "N"),
+    ("radial_transfer", {"n": 5000, "count": 200}, "n"),
+])
+def test_run_check_names_the_key_at_fault(monkeypatch, check_id, kw, key):
+    # the row's hypothesis is tested on the filled arguments, before the check runs
+    monkeypatch.setattr(vf, vf.CHECK_SPECS[check_id].fn.__name__,
+                        lambda **args: pytest.fail("the check ran"))
+    with pytest.raises(vf.CheckError) as err:
+        vf.run_check(check_id, **kw)
+    assert err.value.key == key
 
 
 def test_reports_are_deterministic_and_serializable():
