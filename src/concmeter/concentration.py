@@ -106,78 +106,84 @@ def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
     return np.vstack([axes, rng.normals(seed, rows, cols, 0)])
 
 
-def sorted_projections(data: np.ndarray, directions: np.ndarray):
-    """Yield ``(offset, chunk, rows)`` for each block of up to 32 directions.
+def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> None:
+    """Call ``reduce(rows, first)`` on the projections of ``data``, block by
+    block of up to 32 directions.
 
-    ``rows[k]`` holds the projections <directions[offset + k], x> of every
-    sample row x, sorted ascending.  One ``(min(32, D), N8)`` buffer is
-    allocated per call, N8 being N rounded up to a multiple of 8.  Each
-    block is written into that buffer by GEMMs ``chunk @ piece.T``, one
-    per piece of sample rows (``piece.T`` is passed as a transpose flag,
-    not copied); its first N columns are then sorted in place along the
-    rows and yielded as ``rows``.  ``rows`` is a view of the shared
-    buffer: it is valid only until the next iteration, which overwrites
-    it.
+    ``rows[k]`` holds the projections <directions[first + k], x> of every
+    sample row x, in an order of the rows that is not theirs; ``reduce``
+    may reorder each of its rows in place (a sort or a partition) and
+    keeps what it needs, because the next block overwrites them.  One
+    ``(min(32, D), N8)`` buffer is allocated per call, N8 being N rounded
+    up to a multiple of 8.
 
-    The pieces, one per projection thread, run at once, and then the
-    threads sort the block's rows, split by directions; GEMM and sort
-    release the interpreter lock.  The threads are the calling thread and
-    an executor of ``threads - 1`` workers made for this call and shut
-    down when it ends, so no thread outlives the generator.  With OpenBLAS
-    a GEMM gives each element the bits of the whole product when its
-    piece is a multiple of 8 rows long and its output has more than
+    Each block runs in two steps on the stream threads of
+    ``rng._stream_pool``, made for this call and joined when it ends; GEMM,
+    sort and partition release the interpreter lock.  First the block is
+    written into the buffer by GEMMs ``chunk @ piece.T``, one per piece of
+    sample rows (``piece.T`` is passed as a transpose flag, not copied),
+    the pieces running at once.  Then each thread calls ``reduce`` on its
+    share of the block's directions, ``first`` being the index of the
+    share's first direction in ``directions``.  With OpenBLAS a GEMM gives
+    each element the bits of the whole product when its piece is a
+    multiple of 8 rows long and its output has more than
     ``_SMALL_PRODUCT`` elements, so every piece is cut so, and the result
-    depends neither on the number of threads nor on the BLAS thread count.  When N is not a
-    multiple of 8 there are at least two pieces, and the last one starts
-    N8 - N rows early and ends at N.  The projections of those early rows
-    are computed twice; their first copies are then overwritten by the
-    block's last N8 - N columns, so the first N columns hold every
-    projection once, in an order the sort removes.  Only an input too
-    short for such pieces is copied, with zero rows appended up to N8.
+    depends neither on the number of threads nor on the BLAS thread count.
+    When N is not a multiple of 8 there are at least two pieces, and the
+    last one starts N8 - N rows early and ends at N.  The projections of
+    those early rows are computed twice; the last piece then overwrites
+    their first copies with the block's last N8 - N columns, so the first
+    N columns hold every projection once.  Only an input too short for
+    such pieces is copied, with zero rows appended up to N8.
     """
     count, dim = data.shape
     body, spare = count - count % 8, -count % 8
-    threads = rng._threads()
     last_rows = (directions.shape[0] - 1) % _DIRECTION_CHUNK + 1   # the smallest block
     width = (_SMALL_PRODUCT // last_rows + 8) // 8 * 8    # the fewest columns of a piece
     least = 2 if spare else 1
-    parts = min(max(threads, least), body // width)
+    parts = min(max(rng._threads(), least), body // width)
     if parts < least:       # too few rows for such pieces: one GEMM
         if spare:
             data = np.concatenate([data, np.zeros((spare, dim))])
         body, spare, parts = len(data), 0, 1
-    pieces = [(data[a:b], a) for a, b in rng._cuts(body, parts, 8)]
-    if spare:
-        early = pieces[-1][1]
-        pieces[-1] = (data[early - spare:], early)
     buf = np.empty((min(_DIRECTION_CHUNK, directions.shape[0]), len(data) + spare))
-    with rng._executor(threads) as pool:
+    with rng._stream_pool(max(parts, len(buf))) as spread:
         for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
             chunk = directions[lo:lo + _DIRECTION_CHUNK]
             block = buf[:chunk.shape[0]]
-            rng._run_all(pool, lambda src, a: np.matmul(chunk, src.T,
-                                                        out=block[:, a:a + src.shape[0]]),
-                         pieces)
-            if spare:
-                block[:, early:early + spare] = block[:, count:]
+
+            def gemm(a: int, b: int) -> None:
+                if b < body or not spare:
+                    np.matmul(chunk, data[a:b].T, out=block[:, a:b])
+                else:   # the last piece, from `spare` rows early to N
+                    np.matmul(chunk, data[a - spare:].T, out=block[:, a:])
+                    block[:, a:a + spare] = block[:, count:]
+
+            spread(gemm, body, 8, parts)
             rows = block[:, :count]
-            rng._run_all(pool, lambda a, b: rows[a:b].sort(axis=1),
-                         rng._cuts(chunk.shape[0], threads))
-            yield lo, chunk, rows
+            spread(lambda a, b: reduce(rows[a:b], lo + a), chunk.shape[0])
 
 
 def linear_quantiles(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The q[k]-quantile of each ascending row ``rows[k]``, q[k] in [0, 1],
-    bit for bit as ``np.quantile(rows[k], q[k])`` (numpy's linear rule)."""
+    """The q[k]-quantile of each row ``rows[k]``, q[k] in [0, 1], bit for
+    bit as ``np.quantile(rows[k], q[k])`` (numpy's linear rule).
+
+    The quantile interpolates between the order statistics at the rank
+    below it and the next.  They are found by selection: each row is
+    partitioned in place at the rank below (a single-kth partition, which
+    numpy runs on its SIMD path; a multi-kth one does not), and the next
+    statistic is the least value above that rank.
+    """
     q = np.asarray(q, dtype=np.float64)
     last = rows.shape[1] - 1
     virtual = last * q
     below = np.floor(virtual)
     gamma = virtual - below
-    below = below.astype(np.intp)
-    above = np.minimum(below + 1, last)
-    picked = np.arange(rows.shape[0])
-    a, b = rows[picked, below], rows[picked, above]
+    a, b = np.empty((2, rows.shape[0]))
+    for k, (row, rank) in enumerate(zip(rows, below.astype(np.intp))):
+        row.partition(rank)
+        a[k] = row[rank]
+        b[k] = row[rank + 1:].min() if rank < last else a[k]
     diff = b - a
     # numpy's _lerp: interpolate from the nearer end
     return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
@@ -220,23 +226,22 @@ def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
         raise ValueError("metric dimension mismatch")
     if directions is None:
         directions = direction_family(dim, DEFAULT_EXTRA_DIRECTIONS, direction_seed)
-    dual = dual_norm(metric)
+    dual_w = norm_eval(dual_norm(metric), directions)
+    # the mass beyond each direction's expanded half-space, at every eps
+    beyond = np.empty((directions.shape[0], eps_grid.size))
 
-    best = np.full(eps_grid.size, -1.0)
-    best_dir = np.zeros(eps_grid.size, dtype=np.int64)
-    for lo, chunk, rows in sorted_projections(data, directions):
+    def masses(rows: np.ndarray, first: int) -> None:
+        rows.sort(axis=1)
         med = 0.5 * (rows[:, (n_samples - 1) // 2] + rows[:, n_samples // 2])
-        dual_w = norm_eval(dual, chunk)
-        for k in range(chunk.shape[0]):
-            thresholds = med[k] + eps_grid * dual_w[k]
-            beyond = n_samples - np.searchsorted(rows[k], thresholds, side="right")
-            frac = beyond / n_samples
-            better = frac > best
-            best = np.where(better, frac, best)
-            best_dir = np.where(better, lo + k, best_dir)
+        thresholds = med[:, None] + eps_grid * dual_w[first:first + len(rows), None]
+        for k, row in enumerate(rows):
+            inside = np.searchsorted(row, thresholds[k], side="right")
+            beyond[first + k] = (n_samples - inside) / n_samples
 
-    ci = binomial_ci(best, n_samples)
-    return ConcentrationCurve(eps=eps_grid, alpha_hat=best, ci=ci,
+    reduce_projections(data, directions, masses)
+    best = beyond.max(axis=0)
+    best_dir = beyond.argmax(axis=0)
+    return ConcentrationCurve(eps=eps_grid, alpha_hat=best, ci=binomial_ci(best, n_samples),
                               argmax_direction=best_dir,
                               family_size=directions.shape[0], count=n_samples)
 

@@ -380,12 +380,11 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
     of arrays (``rows`` may be changed in place); each is written into
     the chunk's rows of one output.  The first chunk runs in the calling
     thread and sizes the outputs; the others are cut into contiguous
-    ranges of whole chunks, one per stream thread (``rng._threads``), run
-    on the calling thread and an executor made for this call, so ``fn``
-    must be safe to call from several threads at once.  The chunks are
-    the same whatever the thread count, so a matrix product in ``fn`` or
-    in a transformed body's pull-back sees the same row counts, and the
-    bits do not depend on the number of threads.  Peak memory is the
+    ranges of whole chunks, one per stream thread of ``rng._stream_pool``,
+    so ``fn`` must be safe to call from several threads at once.  The
+    chunks are the same whatever the thread count, so a matrix product in
+    ``fn`` or in a transformed body's pull-back sees the same row counts,
+    and the bits do not depend on the number of threads.  Peak memory is the
     outputs plus one chunk's temporaries per stream thread.
     """
     if count < 1:
@@ -405,11 +404,8 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
         out[:len(part)] = part
     del first
     if count > step:
-        chunks = (count - 1) // step        # after the first
-        threads = min(rng._threads(), chunks)
-        with rng._executor(threads) as pool:
-            rng._run_all(pool, fill, [(step + a, step + b)
-                                      for a, b in rng._cuts(count - step, threads, step)])
+        with rng._stream_pool((count - 1) // step) as spread:    # the chunks after the first
+            spread(lambda a, b: fill(step + a, step + b), count - step, step)
     return outs
 
 

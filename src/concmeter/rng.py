@@ -83,37 +83,43 @@ def _threads() -> int:
     return _pool_size or _usable_cpus()
 
 
-@contextlib.contextmanager
-def _executor(threads: int):
-    """An executor of ``threads - 1`` workers (None for one thread), shut
-    down on exit, so no thread outlives the call or is inherited through
-    fork."""
-    pool = concurrent.futures.ThreadPoolExecutor(threads - 1) if threads > 1 else None
-    try:
-        yield pool
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-
-def _run_all(pool, work, args) -> None:
-    """``work(*a)`` for each ``a`` in ``args``: the first in this thread and
-    the others on the pool, when there is one."""
-    if pool is None:
-        for a in args:
-            work(*a)
-        return
-    rest = [pool.submit(work, *a) for a in args[1:]]
-    work(*args[0])
-    for done in rest:
-        done.result()
-
-
 def _cuts(stop: int, parts: int, step: int = 1) -> list:
     """At most ``parts`` ranges ``(a, b)`` of nearly equal length that
     cover [0, stop), cut at multiples of ``step``."""
     cuts = sorted({stop * k // parts // step * step for k in range(parts)} | {stop})
     return list(zip(cuts[:-1], cuts[1:]))
+
+
+@contextlib.contextmanager
+def _stream_pool(most: int):
+    """The stream threads of one call, at most ``most`` of them.
+
+    Yields ``spread(work, stop, step=1, parts=threads)``, which calls
+    ``work(a, b)`` for each range of ``_cuts(stop, parts, step)``: the first
+    in the calling thread and the others on an executor of ``threads - 1``
+    workers (none for one thread).  The executor is shut down on exit, so no
+    thread outlives the call or is inherited through fork.
+    """
+    threads = min(_threads(), most)
+    pool = concurrent.futures.ThreadPoolExecutor(threads - 1) if threads > 1 else None
+
+    def spread(work, stop: int, step: int = 1, parts: int = threads) -> None:
+        ranges = _cuts(stop, parts, step)
+        if pool is None:
+            for r in ranges:
+                work(*r)
+            return
+        rest = [pool.submit(work, *r) for r in ranges[1:]]
+        for r in ranges[:1]:
+            work(*r)
+        for done in rest:
+            done.result()
+
+    try:
+        yield spread
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 # Slots consumed per rejection round of the gamma sampler (two for the
@@ -170,6 +176,8 @@ def _draw(seed: int, i, j, slots: tuple, fill) -> np.ndarray:
     """
     keys = [np.asarray(a, dtype=np.uint64) for a in (i, j, *slots)]
     shape = np.broadcast_shapes(*(k.shape for k in keys))
+    if math.prod(shape) == 0:   # no variate, and no key to hash
+        return np.empty(shape)
     nd = max(len(shape), 1)
     keys = [k.reshape((1,) * (nd - k.ndim) + k.shape) for k in keys]
     out = np.empty(shape, dtype=np.float64).reshape((1,) * (nd - len(shape)) + shape)

@@ -17,12 +17,15 @@ bounds), so every comparison is one-sided: a violation indicates a
 real bug or a false profile, never Monte Carlo bad luck beyond CI.
 
 Memory: a check holds one sample-sized array (the batch, or the image
-of a push-forward) plus one block of at most 32 sorted projections.
-The norm-ratio and radial transfers never hold their source batch: they
-fill the image from the sample stream through ``measures.sample_map``.
-The sup-norm embedding check maps the stream to two numbers per row and
-holds no batch at all.  The shell chain keeps its batch and streams its
-probes.
+of a push-forward) plus one block of at most 32 projections, which the
+curve sorts and the set pairs partition, direction by direction on the
+stream threads (``concentration.reduce_projections``).  The norm-ratio
+and radial transfers never hold their source batch: they fill the image
+from the sample stream through ``measures.sample_map``.  The sup-norm
+embedding check maps the stream to two numbers per row and holds no
+batch at all.  The shell chain keeps its batch, with its two norms from
+the same stream, and projects its image and runs its probes in chunks
+of rows, one chunk per stream thread at a time.
 README.md lists each check's peak.
 """
 
@@ -38,7 +41,7 @@ import numpy as np
 from . import rng
 from .concentration import (MEDIAN_MIN_COUNT, AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
-                            eps_grid_fault, linear_quantiles, sorted_projections)
+                            eps_grid_fault, linear_quantiles, reduce_projections)
 from .measures import (MAX_GAMMA_SHAPE, MeasureSpec, ggp, haar_sphere, radial_cdf,
                        sample, sample_map, uniform_ball)
 from .normspace import (INF, NormSpec, _as_p, dual_norm, lp, norm_eval,
@@ -307,9 +310,8 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
         raise CheckError("eps must be positive")
     L_r, cc = normalize_containment(K, L)
     lam = cc.lam
-    data = sample(measure, count, seed).data
-    vk = norm_eval(K, data)
-    vl = norm_eval(L_r, data)
+    data, vk, vl = sample_map(measure, count, seed,
+                              lambda rows: (rows, norm_eval(K, rows), norm_eval(L_r, rows)))
     med_k = empirical_median(vk).value
     med_l = empirical_median(vl).value
     delta = eps / (7.0 * med_k)
@@ -318,14 +320,20 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     n = measure.dim
     # chunks of a multiple of 8 rows: with OpenBLAS a matrix-vector product
     # taken in such chunks has the whole product's bits at one thread (odd
-    # chunks do not), and the same bits under any thread count
+    # chunks do not), and the same bits under any thread count; the stream
+    # threads take contiguous ranges of whole chunks, each writing its rows
     step = rng.block_rows(n, 8)
     theta = rng.normals(rng.derive_seed(seed, 0xA0), 0, np.arange(n, dtype=np.uint64), 0)
     # projections of the image norm_ratio_map(K, L_r, data), one chunk at a time
     proj = np.empty(count)
-    for lo in range(0, count, step):
-        rows = slice(lo, lo + step)
-        proj[rows] = _scale_rows(data[rows], vk[rows], vl[rows]) @ theta
+
+    def project(a: int, b: int) -> None:
+        for lo in range(a, b, step):
+            rows = slice(lo, min(lo + step, b))
+            proj[rows] = _scale_rows(data[rows], vk[rows], vl[rows]) @ theta
+
+    with rng._stream_pool(-(-count // step)) as spread:
+        spread(project, count, step)
     t_cut = float(np.median(proj))
     dual_w = float(norm_eval(dual_norm(L_r), theta))
 
@@ -348,27 +356,32 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     half, n_col = probes // 2, probes // 10
     moved = np.empty(probes)
     overshoot = np.empty(probes)
-    for lo in range(0, probes, step):
-        idx = np.arange(lo, min(lo + step, probes), dtype=np.uint64)
-        pick = (rng.uniforms(pseed, idx, 0, 0) * members.size).astype(np.int64)
-        y = data[members[pick]]
-        direction = rng.normals(pseed, idx[:, None], cols, 1)
-        direction /= norm_eval(K, direction)[:, None]
-        scale_u = rng.uniforms(pseed, idx, 0, 3)
-        # half the probes sit exactly on the K-ball boundary, the worst case;
-        # the last tenth is collinear with y and the tenth after the first
-        # half repeats y itself (slices by absolute probe index)
-        scale_u[idx < half] = 1.0
-        x = y + direction * (radius * scale_u)[:, None]
-        col = idx >= probes - n_col
-        x[col] = y[col] * (1.0 + radius / norm_eval(K, y[col]))[:, None]
-        same = (idx >= half) & (idx < half + n_col)
-        x[same] = y[same]
 
-        pix = norm_ratio_map(K, L_r, x)
-        piy = norm_ratio_map(K, L_r, y)
-        moved[lo:lo + idx.size] = norm_eval(L_r, pix - piy)
-        overshoot[lo:lo + idx.size] = pix @ theta - (t_cut + eps * dual_w)
+    def probe(a: int, b: int) -> None:
+        for lo in range(a, b, step):
+            idx = np.arange(lo, min(lo + step, b), dtype=np.uint64)
+            pick = (rng.uniforms(pseed, idx, 0, 0) * members.size).astype(np.int64)
+            y = data[members[pick]]
+            direction = rng.normals(pseed, idx[:, None], cols, 1)
+            direction /= norm_eval(K, direction)[:, None]
+            scale_u = rng.uniforms(pseed, idx, 0, 3)
+            # half the probes sit exactly on the K-ball boundary, the worst case;
+            # the last tenth is collinear with y and the tenth after the first
+            # half repeats y itself (slices by absolute probe index)
+            scale_u[idx < half] = 1.0
+            x = y + direction * (radius * scale_u)[:, None]
+            col = idx >= probes - n_col
+            x[col] = y[col] * (1.0 + radius / norm_eval(K, y[col]))[:, None]
+            same = (idx >= half) & (idx < half + n_col)
+            x[same] = y[same]
+
+            pix = norm_ratio_map(K, L_r, x)
+            piy = norm_ratio_map(K, L_r, y)
+            moved[lo:lo + idx.size] = norm_eval(L_r, pix - piy)
+            overshoot[lo:lo + idx.size] = pix @ theta - (t_cut + eps * dual_w)
+
+    with rng._stream_pool(-(-probes // step)) as spread:
+        spread(probe, probes, step)
     quantities.update({"max_displacement": float(moved.max()),
                        "displacement_bound": 7.0 * delta * med_k})
     # grid rows summarize the two probe-wise assertions; the violation
@@ -400,19 +413,18 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: i
     q_lo = 0.02 + 0.43 * rng.uniforms(dseed, np.arange(num_pairs, dtype=np.uint64), 0, 2)
     q_hi = 0.55 + 0.43 * rng.uniforms(dseed, np.arange(num_pairs, dtype=np.uint64), 1, 2)
 
-    pa = np.empty(num_pairs)
-    pb = np.empty(num_pairs)
-    gap = np.empty(num_pairs)
-    dual_w = np.empty(num_pairs)
-    dual = dual_norm(metric)
-    for lo, chunk, rows in sorted_projections(batch.data, thetas):
-        pairs = slice(lo, lo + chunk.shape[0])
+    pa, pb, gap = np.empty((3, num_pairs))
+
+    def masses(rows: np.ndarray, first: int) -> None:
+        pairs = slice(first, first + len(rows))
         a = linear_quantiles(rows, q_lo[pairs])
         b = linear_quantiles(rows, q_hi[pairs])
-        pa[pairs] = [np.searchsorted(row, t, "right") for row, t in zip(rows, a)]
-        pb[pairs] = [count - np.searchsorted(row, t, "left") for row, t in zip(rows, b)]
+        pa[pairs] = [np.count_nonzero(row <= t) for row, t in zip(rows, a)]
+        pb[pairs] = [np.count_nonzero(row >= t) for row, t in zip(rows, b)]
         gap[pairs] = np.maximum(b - a, 0.0)
-        dual_w[pairs] = norm_eval(dual, chunk)
+
+    reduce_projections(batch.data, thetas, masses)
+    dual_w = norm_eval(dual_norm(metric), thetas)
     pa /= count
     pb /= count
     lhs = pa * pb

@@ -183,18 +183,47 @@ def test_curve_matches_column_sort_oracle(n, count, p, ties):
         assert np.array_equal(curve.argmax_direction, best_dir)
 
 
+def _sorted_projections(data, dirs):
+    """The sorted projections onto every direction, from one
+    ``reduce_projections`` call, and ``(first, shape, strides, base shape)``
+    of the rows each ``reduce`` call saw, in order of ``first``."""
+    out = np.empty((dirs.shape[0], data.shape[0]))
+    calls = []
+
+    def record(rows, first):
+        rows.sort(axis=1)
+        out[first:first + len(rows)] = rows
+        calls.append((first, rows.shape, rows.strides, rows.base.shape))
+
+    con.reduce_projections(data, dirs, record)
+    return out, sorted(calls)
+
+
+def _blocks_of_shares(calls, count):
+    """The (first, stop) of each 32-direction block, from the shares of
+    ``calls``: they tile the directions in order, none crosses a block,
+    and each holds ``count`` unit-stride columns of one block buffer."""
+    seen = 0
+    for first, shape, strides, base in calls:
+        assert first == seen and shape[1] == count and strides[1] == 8
+        assert first // 32 == (first + shape[0] - 1) // 32
+        assert base[0] <= con._DIRECTION_CHUNK
+        seen += shape[0]
+    return [(lo, min(lo + con._DIRECTION_CHUNK, seen))
+            for lo in range(0, seen, con._DIRECTION_CHUNK)]
+
+
 def test_sorted_projections_blocks():
     # N = 501 is not a multiple of 8: rows are the first 501 columns of a
     # 504-column block, with the bits of data @ chunk.T
     data = ms.sample(ms.gaussian(5), 501, seed=3).data
     dirs = con.direction_family(5, 70, seed=4)
-    seen = 0
-    for lo, chunk, rows in con.sorted_projections(data, dirs):
-        assert lo == seen and rows.shape == (chunk.shape[0], 501)
-        assert rows.strides[1] == 8
-        assert np.array_equal(rows, np.sort((data @ chunk.T).T, axis=1))
-        seen += chunk.shape[0]
-    assert seen == 75
+    rows, calls = _sorted_projections(data, dirs)
+    blocks = _blocks_of_shares(calls, 501)
+    assert blocks[-1][1] == 75 and calls[0][3] == (32, 504)
+    for lo, hi in blocks:
+        chunk = dirs[lo:hi]
+        assert np.array_equal(rows[lo:hi], np.sort((data @ chunk.T).T, axis=1))
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
@@ -208,26 +237,35 @@ def test_sorted_projections_at_any_pool_size(monkeypatch, size):
         data = ms.sample(ms.gaussian(40), count, seed=3).data
         dirs = con.direction_family(40, extra, seed=4)
         padded = np.concatenate([data, np.zeros((-count % 8, 40))])
-        seen = 0
-        for lo, chunk, rows in con.sorted_projections(data, dirs):
-            assert lo == seen and rows.shape == (chunk.shape[0], count)
-            assert np.array_equal(rows, np.sort((chunk @ padded.T)[:, :count], axis=1))
-            seen += chunk.shape[0]
-        assert seen == dirs.shape[0]
+        rows, calls = _sorted_projections(data, dirs)
+        blocks = _blocks_of_shares(calls, count)
+        assert blocks[-1][1] == dirs.shape[0]
+        for lo, hi in blocks:
+            chunk = dirs[lo:hi]
+            assert np.array_equal(rows[lo:hi], np.sort((chunk @ padded.T)[:, :count], axis=1))
+
+
+class _Stop(Exception):
+    pass
 
 
 def test_projection_pool_leaves_no_thread_behind(monkeypatch):
-    # the executor lives for one call: a whole curve, and a generator
-    # closed after its first block, leave the thread count as it was
+    # the executor lives for one call: a whole curve, and a call whose
+    # reduce raises in the first block, leave the thread count as it was
     monkeypatch.setattr(rng, "_pool_size", 2)
     data = ms.sample(ms.gaussian(16), 5000, seed=3).data
     before = threading.active_count()
     con.concentration_lower_curve(data, ns.lp(2, 16), np.linspace(0.1, 1.0, 5))
     assert threading.active_count() == before
-    blocks = con.sorted_projections(data, con.direction_family(16, 64, seed=4))
-    next(blocks)
-    assert threading.active_count() == before + 1     # the block used a worker
-    blocks.close()
+    seen = []
+
+    def stop(rows, first):
+        seen.append(threading.active_count())
+        raise _Stop
+
+    with pytest.raises(_Stop):
+        con.reduce_projections(data, con.direction_family(16, 64, seed=4), stop)
+    assert max(seen) == before + 1     # the block used a worker
     assert threading.active_count() == before
 
 
@@ -242,9 +280,14 @@ for size in (1, 2, 3):
     for count in (5000, 5001):
         data = ms.sample(ms.gaussian(64), count, seed=3).data
         dirs = con.direction_family(64, 256, seed=5)
-        digest = hashlib.sha256()
-        for _, _, rows in con.sorted_projections(data, dirs):
-            digest.update(rows.tobytes())
+        rows = np.empty((dirs.shape[0], count))
+
+        def record(block, first):
+            block.sort(axis=1)
+            rows[first:first + len(block)] = block
+
+        con.reduce_projections(data, dirs, record)
+        digest = hashlib.sha256(rows.tobytes())
         curve = con.concentration_lower_curve(data, ns.lp(2, 64), np.linspace(0.02, 1.0, 25),
                                               directions=dirs)
         digest.update(curve.alpha_hat.tobytes())
@@ -281,18 +324,24 @@ def test_projections_do_not_depend_on_blas_threads():
 
 
 def test_sorted_projections_block_allocates_no_copy():
-    # one 32-direction block: the GEMM writes the (32, N) rows and the
-    # sort works in place, so the peak is one block, not block plus copy
+    # 32-direction blocks: the GEMM writes the (32, N) rows and the sort
+    # works in place, so the peak is one block, not block plus copy
     data = ms.sample(ms.gaussian(16), 20000, seed=3).data
     dirs = con.direction_family(16, 48, seed=4)
+    bases = []
+
+    def sort(rows, first):
+        rows.sort(axis=1)
+        bases.append(rows.base.shape)
+
     tracemalloc.start()
     try:
-        _, _, rows = next(con.sorted_projections(data, dirs))
+        con.reduce_projections(data, dirs, sort)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows.shape == (con._DIRECTION_CHUNK, 20000) == (32, 20000)
-    assert peak <= 1.25 * rows.nbytes
+    assert set(bases) == {(con._DIRECTION_CHUNK, 20000)} == {(32, 20000)}
+    assert peak <= 1.25 * 32 * 20000 * 8
 
 
 def test_curve_holds_one_projection_block():
@@ -317,11 +366,13 @@ def test_linear_quantiles_match_numpy(count):
     smooth = gen.normal(size=(q.size, count))
     tied = gen.integers(-3, 4, size=(q.size, count)).astype(np.float64)
     for rows in (smooth, tied, 1e-300 * tied, np.zeros((q.size, count))):
-        rows = np.sort(rows, axis=1)
         expect = np.array([np.quantile(row, qk) for row, qk in zip(rows, q)])
-        got = con.linear_quantiles(rows, q)
-        assert np.array_equal(got, expect)
-        assert np.array_equal(np.signbit(got), np.signbit(expect))
+        # selection partitions each row in place: sorted or not, the values stay
+        for given in (np.sort(rows, axis=1), rows.copy()):
+            got = con.linear_quantiles(given, q)
+            assert np.array_equal(got, expect)
+            assert np.array_equal(np.signbit(got), np.signbit(expect))
+            assert np.array_equal(np.sort(given, axis=1), np.sort(rows, axis=1))
 
 
 def test_curve_validation():

@@ -170,6 +170,18 @@ def test_gamma_cap_cuts_the_late_rounds_where_the_loop_stops(monkeypatch, cap):
             sampler(1.0, 2, 0, beyond)
 
 
+def test_empty_broadcast_shape_gives_an_empty_array():
+    # keys that broadcast to no element: an empty array of that shape,
+    # also when one key alone is not empty
+    full, empty = np.arange(5, dtype=np.uint64)[:, None], np.arange(0, dtype=np.uint64)
+    for i, j in ((full, empty), (empty, full), (empty[:, None], empty)):
+        shape = np.broadcast_shapes(i.shape, j.shape)
+        for out in (rng.uniforms(1, i, j, 0), rng.signs(1, i, j, 0), rng.normals(1, i, j, 0),
+                    rng.exponentials(1, i, j, 0), rng.gammas(0.5, 1, i, j),
+                    rng.gammas(2.5, 1, i, j)):
+            assert out.shape == shape and out.dtype == np.float64
+
+
 def test_derive_seed_spreads():
     seeds = {rng.derive_seed(42, t) for t in range(100)}
     assert len(seeds) == 100

@@ -146,22 +146,23 @@ def test_separated_sets_sphere():
     assert rep.violations == 0
 
 
-def _separated_sets_oracle(measure, metric, num_pairs, count, seed, profile):
-    """One projection, two np.quantile calls and one dual norm per pair."""
-    prof = vf._resolve_profile(profile, measure.dim)
-    data = ms.sample(measure, count, seed).data
+def _separated_sets_oracle(data, metric, num_pairs, seed, profile):
+    """One projection, two np.quantile calls, two counts by searchsorted and
+    one dual norm per pair."""
+    count, n = data.shape
+    prof = vf._resolve_profile(profile, n)
     dseed = vf.rng.derive_seed(seed, 0xC2)
     pairs = np.arange(num_pairs, dtype=np.uint64)
-    thetas = vf.rng.normals(dseed, pairs[:, None],
-                            np.arange(measure.dim, dtype=np.uint64)[None, :], 0)
+    thetas = vf.rng.normals(dseed, pairs[:, None], np.arange(n, dtype=np.uint64)[None, :], 0)
     q_lo = 0.02 + 0.43 * vf.rng.uniforms(dseed, pairs, 0, 2)
     q_hi = 0.55 + 0.43 * vf.rng.uniforms(dseed, pairs, 1, 2)
     dual = ns.dual_norm(metric)
     lhs, ci, half_dist = [], [], []
     for k in range(num_pairs):
-        s = data @ thetas[k]
+        s = np.sort(data @ thetas[k])
         a, b = np.quantile(s, q_lo[k]), np.quantile(s, q_hi[k])
-        pa, pb = float((s <= a).mean()), float((s >= b).mean())
+        pa = np.searchsorted(s, a, "right") / count
+        pb = (count - np.searchsorted(s, b, "left")) / count
         lhs.append(pa * pb)
         var = (pb * pb * pa * (1 - pa) + pa * pa * pb * (1 - pb)) / count
         ci.append(1.96 * math.sqrt(max(var, 0.0)) + 1.0 / count)
@@ -169,23 +170,49 @@ def _separated_sets_oracle(measure, metric, num_pairs, count, seed, profile):
     order = np.argsort(half_dist)
     half_dist = np.array(half_dist)[order]
     return (half_dist, np.array(lhs)[order], 4.0 * prof(half_dist),
-            np.array(ci)[order])
+            np.array(ci)[order], (q_lo.min(), q_hi.max()))
 
 
-@pytest.mark.parametrize("n, p, num_pairs, count", [
-    (16, 2, 150, 5001), (7, 1, 64, 4000), (33, np.inf, 1, 999)])
-def test_separated_sets_matches_per_pair_oracle(n, p, num_pairs, count):
-    measure, metric = ms.haar_sphere(n), ns.lp(p, n)
+def _assert_separated_sets_match_oracle(measure, metric, num_pairs, count, seed):
     rep = vf.check_separated_sets(measure=measure, metric=metric,
-                                  num_pairs=num_pairs, count=count, seed=4, profile="sphere")
-    eps, lhs, rhs, ci = _separated_sets_oracle(measure, metric, num_pairs,
-                                               count, 4, "sphere")
+                                  num_pairs=num_pairs, count=count, seed=seed, profile="sphere")
+    data = vf.sample(measure, count, seed).data
+    eps, lhs, rhs, ci, q_range = _separated_sets_oracle(data, metric, num_pairs, seed, "sphere")
     assert rep.lhs == lhs.tolist() and rep.ci == ci.tolist()
     np.testing.assert_allclose(rep.eps, eps, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(rep.rhs, rhs, rtol=1e-13, atol=0.0)
     violations = int(((lhs - ci) - rhs > 0.0).sum())
     assert rep.violations == violations
     assert rep.verdict == ("pass" if violations == 0 else "fail")
+    return rep, q_range
+
+
+@pytest.mark.parametrize("n, p, num_pairs, count", [
+    (16, 2, 150, 5001), (7, 1, 64, 4000), (33, np.inf, 1, 999),
+    (5, 2, 40, 1), (5, 1, 40, 2), (5, np.inf, 40, 3), (5, 2, 200, 101)])
+def test_separated_sets_matches_per_pair_oracle(n, p, num_pairs, count):
+    rep, _ = _assert_separated_sets_match_oracle(ms.haar_sphere(n), ns.lp(p, n),
+                                                 num_pairs, count, 4)
+    if count == 1:      # one sample lies in both sets
+        assert rep.lhs == [1.0] * num_pairs
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 101, 5001])
+def test_separated_sets_matches_per_pair_oracle_on_ties(monkeypatch, count):
+    # rows of {-1, 0, 1}^2: nine distinct rows, so every projection ties
+    # with many others; 200 pairs draw q_lo down to 0.0202 and q_hi up to
+    # 0.9798, the ends of their ranges
+    def integer_rows(measure, count, seed):
+        u = rng.uniforms(seed, np.arange(count, dtype=np.uint64)[:, None],
+                         np.arange(measure.dim, dtype=np.uint64)[None, :], 0)
+        return ms.SampleBatch(measure=measure, seed=seed, data=np.floor(3.0 * u) - 1.0)
+
+    monkeypatch.setattr(vf, "sample", integer_rows)
+    rep, (q_lo, q_hi) = _assert_separated_sets_match_oracle(
+        ms.haar_sphere(2), ns.lp(2, 2), 200, count, 6)
+    assert q_lo < 0.0205 and q_hi > 0.9795
+    data = vf.sample(ms.haar_sphere(2), count, 6).data
+    assert len(np.unique(data, axis=0)) <= 9
 
 
 def _traced_peak(fn) -> int:
@@ -199,7 +226,7 @@ def _traced_peak(fn) -> int:
 
 # README.md "Memory": each check's peak in units of N * 8 bytes, as
 # (n, extra run_check keywords, row at n, whether the row adds a chunk's
-# 3 MiB of temporaries); the test allows 2 MiB more
+# 3 MiB of temporaries per stream thread); the test allows 2 MiB more
 _MIB = 1 << 20
 PEAK_ROWS = {
     "lipschitz_transfer": (16, {}, lambda n: n + 32, False),
@@ -213,12 +240,14 @@ PEAK_ROWS = {
 
 
 @pytest.mark.parametrize("check_id", sorted(PEAK_ROWS))
-def test_check_peak_stays_within_its_readme_row(check_id):
+def test_check_peak_stays_within_its_readme_row(monkeypatch, check_id):
     n, extra, row, chunk = PEAK_ROWS[check_id]
     vf.run_check(check_id, n=n, count=2000, seed=3, **extra)   # lazy imports
     count = 20000
-    peak = _traced_peak(lambda: vf.run_check(check_id, n=n, count=count, seed=3, **extra))
-    assert peak <= row(n) * count * 8 + 3 * _MIB * chunk + 2 * _MIB
+    for threads in (1, 2):
+        monkeypatch.setattr(rng, "_pool_size", threads)
+        peak = _traced_peak(lambda: vf.run_check(check_id, n=n, count=count, seed=3, **extra))
+        assert peak <= row(n) * count * 8 + 3 * _MIB * chunk * threads + 2 * _MIB, threads
 
 
 @pytest.mark.parametrize("check_id", sorted(PEAK_ROWS))
@@ -360,6 +389,18 @@ def test_report_digests_frozen(name):
 
 _DEMO = {job["id"]: (check, params) for job, check, params in cli.validate_config(
     json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text()))}
+
+
+@pytest.mark.parametrize("name", ["shell_n16_probes4096", "shell_n64_probes5001",
+                                  "pairs_n64", "pairs_n16_l1", "norm_ratio_l2_l1_n16"])
+def test_pool_paths_keep_their_bits(monkeypatch, name):
+    # the shell chain's image projections and probes, the set pairs'
+    # selections and the curve's per-direction counts run on the stream
+    # threads: every pool size gives the frozen report
+    run, digest = FROZEN_REPORTS[name]
+    for size in (1, 2, 3):
+        monkeypatch.setattr(rng, "_pool_size", size)
+        assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest, size
 
 
 def _frozen_or_demo_report(name):
