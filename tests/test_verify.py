@@ -225,29 +225,32 @@ def _traced_peak(fn) -> int:
 
 
 # README.md "Memory": each check's peak in units of N * 8 bytes, as
-# (n, extra run_check keywords, row at n, whether the row adds a chunk's
-# 3 MiB of temporaries per stream thread); the test allows 2 MiB more
+# (n, extra run_check keywords, row at n, chunks of 3 MiB of temporaries
+# the row adds: 0, 1, or one per stream thread for the shell chain, whose
+# probe chunks run at once); the test allows 2 MiB more
 _MIB = 1 << 20
+PER_THREAD = "per thread"
 PEAK_ROWS = {
-    "lipschitz_transfer": (16, {}, lambda n: n + 32, False),
-    "norm_ratio_transfer": (64, {}, lambda n: n + 32 + 2, False),
-    "shell_inclusion": (16, {"probes": 20000}, lambda n: n + 8 + 2, True),
-    "separated_sets": (64, {"num_pairs": 200}, lambda n: n + 32, False),
-    "cube_floor": (8, {}, lambda n: n + 32 + 1, False),
-    "sup_embedding": (32, {}, lambda n: 2, True),
-    "radial_transfer": (32, {}, lambda n: n + 32 + 2, False),
+    "lipschitz_transfer": (16, {}, lambda n: n + 32, 0),
+    "norm_ratio_transfer": (64, {}, lambda n: n + 32 + 2, 0),
+    "shell_inclusion": (16, {"probes": 20000}, lambda n: n + 8 + 2, PER_THREAD),
+    "separated_sets": (64, {"num_pairs": 200}, lambda n: n + 32, 0),
+    "cube_floor": (8, {}, lambda n: n + 32 + 1, 0),
+    "sup_embedding": (32, {}, lambda n: 2, 1),
+    "radial_transfer": (32, {}, lambda n: n + 32 + 2, 0),
 }
 
 
 @pytest.mark.parametrize("check_id", sorted(PEAK_ROWS))
 def test_check_peak_stays_within_its_readme_row(monkeypatch, check_id):
-    n, extra, row, chunk = PEAK_ROWS[check_id]
+    n, extra, row, chunks = PEAK_ROWS[check_id]
     vf.run_check(check_id, n=n, count=2000, seed=3, **extra)   # lazy imports
     count = 20000
     for threads in (1, 2):
         monkeypatch.setattr(rng, "_pool_size", threads)
+        held = threads if chunks == PER_THREAD else chunks
         peak = _traced_peak(lambda: vf.run_check(check_id, n=n, count=count, seed=3, **extra))
-        assert peak <= row(n) * count * 8 + 3 * _MIB * chunk * threads + 2 * _MIB, threads
+        assert peak <= row(n) * count * 8 + 3 * _MIB * held + 2 * _MIB, threads
 
 
 @pytest.mark.parametrize("check_id", sorted(PEAK_ROWS))
@@ -355,6 +358,11 @@ FROZEN_REPORTS = {
             K=ns.lp(2, 64), L=ns.lp(1, 64), measure=ms.haar_sphere(64),
             eps=0.5, count=5001, probes=5001, seed=13),
         "8d8ba4e3fac73e199f62399ba1ff6cb332ccd668912beb99fea3e088d7e0f36e"),
+    "shell_l1_l2_n64": (   # L_r is a scaled norm, taken on unaligned sample chunks
+        lambda: vf.check_shell_inclusion(
+            K=ns.lp(1, 64), L=ns.lp(2, 64), measure=ms.haar_sphere(64),
+            eps=0.5, count=5001, probes=5001, seed=13),
+        "ddaf67bc01f44457b095de98d5665c7f8b67961c6425a8f05cb28d3db54aa14c"),
     "pairs_n64": (
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(64), metric=ns.lp(2, 64), num_pairs=100,
@@ -365,6 +373,17 @@ FROZEN_REPORTS = {
             measure=ms.haar_sphere(16), metric=ns.lp(1, 16), num_pairs=70,
             count=5001, seed=9, profile="sphere"),
         "03349b51533efa5b1bc5a82a4a771002c1a8dc8a52ef9de14229f83d792dfdda"),
+    "pairs_n16_scaled_l2": (   # a scaled norm: dual norms through a transform
+        lambda: vf.check_separated_sets(
+            measure=ms.haar_sphere(16), metric=ns.scaled(ns.lp(2, 16), 0.7), num_pairs=70,
+            count=5001, seed=9, profile="sphere"),
+        "4edbc8e90fb1b59d9526a875d718d48129e8a688b6dbd505760100de8b2d6c79"),
+    "pairs_n16_l3_transform": (   # a full lower-triangular transform
+        lambda: vf.check_separated_sets(
+            measure=ms.haar_sphere(16),
+            metric=ns.NormSpec(dim=16, p=3.0, transform=np.eye(16) + 0.1 * np.tri(16)),
+            num_pairs=70, count=5001, seed=9, profile="sphere"),
+        "0d38d666539ccef3432b82e2372cbac1de86c6f8b47eb829c7a2f369e046c2a1"),
     "sup_n3": (   # unaligned sample chunks of 10922 rows
         lambda: vf.run_check("sup_embedding", n=3, count=30001, seed=3),
         "76537576347aea47fa4406edde4f02a31219dfb6081050e393c1113a1c9fa595"),
@@ -391,12 +410,15 @@ _DEMO = {job["id"]: (check, params) for job, check, params in cli.validate_confi
     json.loads((Path(__file__).parents[1] / "configs" / "demo.json").read_text()))}
 
 
-@pytest.mark.parametrize("name", ["shell_n16_probes4096", "shell_n64_probes5001",
-                                  "pairs_n64", "pairs_n16_l1", "norm_ratio_l2_l1_n16"])
+@pytest.mark.parametrize("name", [
+    "shell_n16_probes4096", "shell_n64_probes5001", "shell_l1_l2_n64", "pairs_n64",
+    "pairs_n16_l1", "pairs_n16_scaled_l2", "pairs_n16_l3_transform", "norm_ratio_l2_l1_n16",
+    "norm_ratio_l1_l2_n8"])
 def test_pool_paths_keep_their_bits(monkeypatch, name):
     # the shell chain's image projections and probes, the set pairs'
     # selections and the curve's per-direction counts run on the stream
-    # threads: every pool size gives the frozen report
+    # threads, and the norms through a transform are taken on sample chunks
+    # or all directions at once: every pool size gives the frozen report
     run, digest = FROZEN_REPORTS[name]
     for size in (1, 2, 3):
         monkeypatch.setattr(rng, "_pool_size", size)
