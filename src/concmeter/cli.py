@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a JSON config of check jobs")
     run.add_argument("config")
     run.add_argument("--out", default=None)
-    run.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1)
+    run.add_argument("--jobs", type=positive_int, default=rng._usable_cpus())
     run.set_defaults(fn=cmd_run)
 
     alpha = sub.add_parser("alpha", help="one-shot concentration curve to CSV")

@@ -31,13 +31,14 @@ T^{-1}(lp ball), so samples are base-body samples mapped through T^{-1}.
 All samplers draw from the counter-based streams in :mod:`.rng`, keyed
 by (seed, sample index, coordinate index), so batches are reproducible
 bit-for-bit under any chunking of the sample range.  Batches are drawn
-in chunks of one RNG block (2^15 elements, 256 KiB of doubles) written
-straight into the output, so sampling and streamed norm evaluation keep
-their temporaries in cache and add only a chunk's worth of memory per
-stream thread (:func:`sample_map`).  The
-one exception to the chunking claim is a transformed body: its pull-back
-``base @ inv.T`` is a BLAS product whose last bits can depend on the row
-count of the chunk under more than one BLAS thread.
+in chunks of ``rng.block_rows`` rows (about one RNG block, 2^15
+elements, rounded down to a multiple of 8 rows) written straight into
+the output, so sampling and streamed norm evaluation keep their
+temporaries in cache and add only a chunk's worth of memory per stream
+thread (:func:`sample_map`).  The one exception to the chunking claim is
+a transformed body: its pull-back ``base @ inv.T`` is a BLAS product
+whose last bits can depend on the row count of the chunk under more
+than one BLAS thread.
 """
 
 from __future__ import annotations
@@ -378,35 +379,16 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
 
     For each chunk of :func:`sample_chunks`, ``fn(rows)`` returns a tuple
     of arrays (``rows`` may be changed in place); each is written into
-    the chunk's rows of one output.  The first chunk runs in the calling
-    thread and sizes the outputs; the others are cut into contiguous
-    ranges of whole chunks, one per stream thread of ``rng._stream_pool``,
-    so ``fn`` must be safe to call from several threads at once.  The
-    chunks are the same whatever the thread count, so a matrix product in
-    ``fn`` or in a transformed body's pull-back sees the same row counts,
-    and the bits do not depend on the number of threads.  Peak memory is the
-    outputs plus one chunk's temporaries per stream thread.
+    the chunk's rows of one output, on the stream threads of
+    ``rng._chunk_map`` (``fn`` must be thread-safe; the bits do not depend
+    on the thread count).  Peak memory is the outputs plus one chunk's
+    temporaries per stream thread.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     inv = _inverse(measure)
-    step = rng.block_rows(measure.dim)
-
-    def fill(lo: int, hi: int) -> None:
-        for start in range(lo, hi, step):
-            parts = fn(_generate(measure, seed, start, min(start + step, count), inv))
-            for out, part in zip(outs, parts):
-                out[start:start + len(part)] = part
-
-    first = fn(_generate(measure, seed, 0, min(step, count), inv))
-    outs = tuple(np.empty((count,) + part.shape[1:], part.dtype) for part in first)
-    for out, part in zip(outs, first):
-        out[:len(part)] = part
-    del first
-    if count > step:
-        with rng._stream_pool((count - 1) // step) as spread:    # the chunks after the first
-            spread(lambda a, b: fill(step + a, step + b), count - step, step)
-    return outs
+    return rng._chunk_map(count, rng.block_rows(measure.dim),
+                          lambda lo, hi: fn(_generate(measure, seed, lo, hi, inv)))
 
 
 def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:

@@ -106,11 +106,11 @@ def norm_eval(norm: NormSpec, x: np.ndarray) -> np.ndarray:
 
     Finite-p evaluation rescales by the max coordinate before
     exponentiating, so large p cannot overflow.  Rows are reduced in
-    chunks of about one RNG block (``rng.block_rows`` rows), so the
-    temporaries stay cache-sized whatever the input; every row is
-    reduced on its own, so the chunking moves no bit.  A transform is
-    applied to the whole input first, ``x @ T.T`` in one product: a
-    chunked product's last bits would follow the BLAS thread count.
+    chunks of ``rng.block_rows`` rows on the stream threads, so the
+    temporaries stay cache-sized; every row is reduced on its own, so the
+    chunking moves no bit.  A transform is applied to the whole input
+    first, ``x @ T.T`` in one product: a chunked product's last bits would
+    follow the BLAS thread count.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -122,20 +122,20 @@ def norm_eval(norm: NormSpec, x: np.ndarray) -> np.ndarray:
     if norm.transform is not None:
         with np.errstate(invalid="ignore"):   # non-finite input raises below
             y = x @ norm.transform.T
-    out = np.empty(x.shape[0])
-    step = rng.block_rows(norm.dim)
-    for lo in range(0, x.shape[0], step):
-        if not np.isfinite(x[lo:lo + step]).all():
+
+    def reduce(lo: int, hi: int) -> tuple:
+        if not np.isfinite(x[lo:hi]).all():
             raise ValueError("non-finite input component")
-        ax = np.abs(y[lo:lo + step])
+        ax = np.abs(y[lo:hi])
         m = ax.max(axis=1)
         if norm.p == INF:
-            out[lo:lo + step] = m
-        else:
-            # in place on the abs buffer: one chunk-size temporary
-            ax /= np.where(m > 0.0, m, 1.0)[:, None]
-            ax **= norm.p
-            out[lo:lo + step] = m * ax.sum(axis=1) ** (1.0 / norm.p)
+            return (m,)
+        # in place on the abs buffer: one chunk-size temporary
+        ax /= np.where(m > 0.0, m, 1.0)[:, None]
+        ax **= norm.p
+        return (m * ax.sum(axis=1) ** (1.0 / norm.p),)
+
+    out, = rng._chunk_map(x.shape[0], rng.block_rows(norm.dim), reduce)
     return out[0] if single else out
 
 

@@ -50,10 +50,12 @@ _S11, _S27, _S30, _S31, _S63 = (np.uint64(k) for k in (11, 27, 30, 31, 63))
 _BLOCK = 1 << 15
 
 
-def block_rows(dim: int, multiple: int = 1) -> int:
-    """Rows of ``dim`` elements per chunk of a streamed loop: about one
-    block, rounded down to a multiple of ``multiple`` and at least that."""
-    return max(multiple, _BLOCK // dim // multiple * multiple)
+def block_rows(dim: int) -> int:
+    """Rows of ``dim`` elements per chunk of a row loop: about one block,
+    a multiple of 8 and at least 8.  With OpenBLAS a matrix-vector product
+    taken in such chunks has the whole product's bits at one thread (odd
+    chunks do not), and the same bits under any thread count."""
+    return max(8, _BLOCK // dim // 8 * 8)
 
 
 # Streamed work (sample chunks, projection pieces) runs on the calling
@@ -120,6 +122,32 @@ def _stream_pool(most: int):
     finally:
         if pool is not None:
             pool.shutdown()
+
+
+def _chunk_map(count: int, step: int, fn) -> tuple:
+    """Full-length outputs of ``fn(lo, hi)``, a tuple of arrays for rows
+    [lo, hi), over the chunks of ``step`` rows of [0, count) from row 0.
+
+    The first chunk runs in the calling thread and sizes the outputs (a
+    call of one chunk starts no thread); the stream threads take the rest
+    in contiguous ranges of whole chunks, so ``fn`` must be thread-safe.
+    The chunks, and the bits, do not depend on the number of threads.
+    """
+    first = fn(0, min(step, count))
+    outs = tuple(np.empty((count,) + part.shape[1:], part.dtype) for part in first)
+    for out, part in zip(outs, first):
+        out[:len(part)] = part
+    del first
+
+    def fill(lo: int, hi: int) -> None:
+        for start in range(lo, hi, step):
+            for out, part in zip(outs, fn(start, min(start + step, hi))):
+                out[start:start + len(part)] = part
+
+    if count > step:
+        with _stream_pool((count - 1) // step) as spread:    # the chunks after the first
+            spread(lambda a, b: fill(step + a, step + b), count - step, step)
+    return outs
 
 
 # Slots consumed per rejection round of the gamma sampler (two for the

@@ -23,10 +23,10 @@ stream threads (``concentration.reduce_projections``).  The norm-ratio
 and radial transfers never hold their source batch: they fill the image
 from the sample stream through ``measures.sample_map``.  The sup-norm
 embedding check maps the stream to two numbers per row and holds no
-batch at all.  The shell chain keeps its batch, with its two norms from
-the same stream, and projects its image and runs its probes in chunks
-of rows, one chunk per stream thread at a time.
-README.md lists each check's peak.
+batch at all.  The cube floor and the shell chain keep their batch, with
+its norms (and the shell chain's image projections) from the same
+stream; every other row loop goes in chunks of rows through
+``rng._chunk_map``.  README.md lists each check's peak.
 """
 
 from __future__ import annotations
@@ -220,21 +220,21 @@ def build_map(cfg: dict, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], 
 def _empirical_lipschitz(map_rows: Callable[[np.ndarray], np.ndarray], data: np.ndarray,
                          metric_in: NormSpec, metric_out: NormSpec, seed: int) -> float:
     """Max of |f(x) - f(y)|_out / |x - y|_in over up to 20000 sample pairs,
-    taken over chunks of pairs (a max is exact, so the chunking moves no bit)."""
+    a pair of equal points counting 0."""
     count = data.shape[0]
     m = min(20000, count)
-    idx_a = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 0, 7) * count).astype(np.int64)
-    idx_b = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), 1, 7) * count).astype(np.int64)
-    step = rng.block_rows(data.shape[1], 8)
-    maxima = []
-    for lo in range(0, m, step):
-        xa, xb = data[idx_a[lo:lo + step]], data[idx_b[lo:lo + step]]
+    idx_a, idx_b = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), [[0], [1]], 7)
+                    * count).astype(np.int64)
+
+    def ratios(lo: int, hi: int) -> tuple:
+        xa, xb = data[idx_a[lo:hi]], data[idx_b[lo:hi]]
         num = norm_eval(metric_out, np.atleast_2d(map_rows(xa)) - np.atleast_2d(map_rows(xb)))
         den = norm_eval(metric_in, xa - xb)
-        ok = den > 0.0
-        if ok.any():
-            maxima.append(np.max(num[ok] / den[ok]))
-    return float(np.max(maxima)) if maxima else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (np.where(den > 0.0, num / den, 0.0),)
+
+    ratio, = rng._chunk_map(m, rng.block_rows(data.shape[1]), ratios)
+    return float(ratio.max())
 
 
 def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
@@ -310,30 +310,18 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
         raise CheckError("eps must be positive")
     L_r, cc = normalize_containment(K, L)
     lam = cc.lam
-    data, vk, vl = sample_map(measure, count, seed,
-                              lambda rows: (rows, norm_eval(K, rows), norm_eval(L_r, rows)))
+    n = measure.dim
+    theta = rng.normals(rng.derive_seed(seed, 0xA0), 0, np.arange(n, dtype=np.uint64), 0)
+
+    def norms(rows):   # with the projections of norm_ratio_map(K, L_r, rows)
+        vk, vl = norm_eval(K, rows), norm_eval(L_r, rows)
+        return rows, vk, vl, _scale_rows(rows, vk, vl) @ theta
+
+    data, vk, vl, proj = sample_map(measure, count, seed, norms)
     med_k = empirical_median(vk).value
     med_l = empirical_median(vl).value
     delta = eps / (7.0 * med_k)
     radius = delta * med_l / lam
-
-    n = measure.dim
-    # chunks of a multiple of 8 rows: with OpenBLAS a matrix-vector product
-    # taken in such chunks has the whole product's bits at one thread (odd
-    # chunks do not), and the same bits under any thread count; the stream
-    # threads take contiguous ranges of whole chunks, each writing its rows
-    step = rng.block_rows(n, 8)
-    theta = rng.normals(rng.derive_seed(seed, 0xA0), 0, np.arange(n, dtype=np.uint64), 0)
-    # projections of the image norm_ratio_map(K, L_r, data), one chunk at a time
-    proj = np.empty(count)
-
-    def project(a: int, b: int) -> None:
-        for lo in range(a, b, step):
-            rows = slice(lo, min(lo + step, b))
-            proj[rows] = _scale_rows(data[rows], vk[rows], vl[rows]) @ theta
-
-    with rng._stream_pool(-(-count // step)) as spread:
-        spread(project, count, step)
     t_cut = float(np.median(proj))
     dual_w = float(norm_eval(dual_norm(L_r), theta))
 
@@ -350,38 +338,32 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
         return _finish("shell_inclusion", inputs, quantities, [eps], [0.0], 0.0,
                        ["shell preimage set is empirically empty"])
 
-    # probes in chunks of rows: only the two per-probe results are kept
     pseed = rng.derive_seed(seed, 0xB1)
     cols = np.arange(n, dtype=np.uint64)[None, :]
     half, n_col = probes // 2, probes // 10
-    moved = np.empty(probes)
-    overshoot = np.empty(probes)
 
-    def probe(a: int, b: int) -> None:
-        for lo in range(a, b, step):
-            idx = np.arange(lo, min(lo + step, b), dtype=np.uint64)
-            pick = (rng.uniforms(pseed, idx, 0, 0) * members.size).astype(np.int64)
-            y = data[members[pick]]
-            direction = rng.normals(pseed, idx[:, None], cols, 1)
-            direction /= norm_eval(K, direction)[:, None]
-            scale_u = rng.uniforms(pseed, idx, 0, 3)
-            # half the probes sit exactly on the K-ball boundary, the worst case;
-            # the last tenth is collinear with y and the tenth after the first
-            # half repeats y itself (slices by absolute probe index)
-            scale_u[idx < half] = 1.0
-            x = y + direction * (radius * scale_u)[:, None]
-            col = idx >= probes - n_col
-            x[col] = y[col] * (1.0 + radius / norm_eval(K, y[col]))[:, None]
-            same = (idx >= half) & (idx < half + n_col)
-            x[same] = y[same]
+    def probe(lo: int, hi: int) -> tuple:
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        pick = (rng.uniforms(pseed, idx, 0, 0) * members.size).astype(np.int64)
+        y = data[members[pick]]
+        direction = rng.normals(pseed, idx[:, None], cols, 1)
+        direction /= norm_eval(K, direction)[:, None]
+        scale_u = rng.uniforms(pseed, idx, 0, 3)
+        # half the probes sit exactly on the K-ball boundary, the worst case;
+        # the last tenth is collinear with y and the tenth after the first
+        # half repeats y itself (slices by absolute probe index)
+        scale_u[idx < half] = 1.0
+        x = y + direction * (radius * scale_u)[:, None]
+        col = idx >= probes - n_col
+        x[col] = y[col] * (1.0 + radius / norm_eval(K, y[col]))[:, None]
+        same = (idx >= half) & (idx < half + n_col)
+        x[same] = y[same]
 
-            pix = norm_ratio_map(K, L_r, x)
-            piy = norm_ratio_map(K, L_r, y)
-            moved[lo:lo + idx.size] = norm_eval(L_r, pix - piy)
-            overshoot[lo:lo + idx.size] = pix @ theta - (t_cut + eps * dual_w)
+        pix = norm_ratio_map(K, L_r, x)
+        piy = norm_ratio_map(K, L_r, y)
+        return norm_eval(L_r, pix - piy), pix @ theta - (t_cut + eps * dual_w)
 
-    with rng._stream_pool(-(-probes // step)) as spread:
-        spread(probe, probes, step)
+    moved, overshoot = rng._chunk_map(probes, rng.block_rows(n), probe)
     quantities.update({"max_displacement": float(moved.max()),
                        "displacement_bound": 7.0 * delta * med_k})
     # grid rows summarize the two probe-wise assertions; the violation
@@ -452,14 +434,13 @@ def check_cube_floor(*, n: int, eps_grid: Sequence[float], count: int, seed: int
     """No symmetric measure on the cube concentrates past (1 - mass of
     the eps-cube) / 2n; the half-space estimator must clear that floor."""
     metric = lp(math.inf, n)
-    batch = sample(measure, count, seed)
-    sup_norm = norm_eval(metric, batch.data)
+    data, sup_norm = sample_map(measure, count, seed, lambda rows: (rows, norm_eval(metric, rows)))
     if float(sup_norm.max()) > 1.0 + 1e-12:
         raise CheckError("measure is not supported on the unit cube")
 
     small_mass = [float((sup_norm <= e).mean()) for e in eps_grid]
     inputs = {"n": n, "measure": measure.to_config(), "count": count, "seed": seed}
-    return _curve_report("cube_floor", batch.data, metric, eps_grid, seed, inputs,
+    return _curve_report("cube_floor", data, metric, eps_grid, seed, inputs,
                          {"small_ball_mass": small_mass},
                          ["floor uses the empirical eps-cube mass"])
 
@@ -584,6 +565,10 @@ def parse_norm(token, dim: int) -> NormSpec:
     raise ConfigError(f"cannot parse norm {token!r} (expected 'l<p>' or a config object)")
 
 
+# the measure tokens that read the job's lp exponent p
+_LP_TOKENS = ("uniform_ball", "cone_surface", "ggp")
+
+
 def parse_measure(token, dim: int, p=None) -> MeasureSpec:
     if isinstance(token, dict):
         cfg = dict(token)
@@ -594,7 +579,7 @@ def parse_measure(token, dim: int, p=None) -> MeasureSpec:
     if isinstance(token, str):
         if token in ("gaussian", "haar_sphere"):
             return MeasureSpec(family=token, dim=dim)
-        if token in ("uniform_ball", "cone_surface", "ggp"):
+        if token in _LP_TOKENS:
             if p is None:
                 raise ConfigError(f"measure {token!r} needs an lp exponent (p)")
             return MeasureSpec(family=token, dim=dim, p=p)
@@ -860,7 +845,8 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
     """Parse one config job into its check id and check_* arguments.
 
     A job must give n and its row's required keys, may give only keys of
-    its row (plus id, and p as the exponent of a measure token), and
+    its row (plus id, and p as the exponent of a measure token that reads
+    one), and
     every error names the field at fault: ``<where>.<key>: <reason>``.
     """
     check = job.get("check")
@@ -869,7 +855,10 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
                           f"known: {sorted(CHECK_SPECS)}")
     spec = CHECK_SPECS[check]
     accepted = {"id", "check", "n"} | {par.key for par in spec.params if par.key}
-    if "measure" in job:
+    if "measure" in job and "p" not in accepted:
+        if "p" in job and job["measure"] not in _LP_TOKENS:
+            raise ConfigError(f"{where}.p: measure {job['measure']!r} reads no job-level p; "
+                              f"only the tokens {list(_LP_TOKENS)} do")
         accepted.add("p")
     extra = sorted(set(job) - accepted)
     if extra:

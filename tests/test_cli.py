@@ -243,6 +243,10 @@ RADIAL = {"check": "radial_transfer", "n": 16, "p": 1}
     ({"jobs": [CUBE, {**RATIO, "N": 50}]}, "jobs[1].N"),
     ({"jobs": [CUBE, {**SHELL, "N": 99}]}, "jobs[1].N"),
     ({"jobs": [CUBE, {**RADIAL, "N": 1}]}, "jobs[1].N"),
+    # a job-level p must be read by its measure token
+    ({"jobs": [{"check": "cube_floor", "n": 8, "measure": "haar_sphere", "p": 3}]}, "jobs[0].p"),
+    ({"jobs": [CUBE, {**CUBE, "measure": "gaussian", "p": "inf"}]}, "jobs[1].p"),
+    ({"jobs": [CUBE, {**CUBE, "measure": {"family": "ggp", "p": 1}, "p": 2}]}, "jobs[1].p"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -548,6 +552,17 @@ def test_run_sizes_its_workers_by_the_jobs_it_has(tmp_path, monkeypatch):
     assert names == ["embed.json", "floor.json", "summary.csv"]
     for name in names:
         assert (tmp_path / "8" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+    # the default --jobs is the usable core count, not the machine's: on 2
+    # of 8 cores a three-job config runs on two workers of one thread each
+    made.clear()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    three = {**GOOD_CONFIG, "jobs": GOOD_CONFIG["jobs"] + [
+        {**GOOD_CONFIG["jobs"][0], "id": "floor2"}]}
+    assert cli.main(["run", str(write_config(tmp_path, three)),
+                     "--out", str(tmp_path / "default")]) == 0
+    assert made == [(2, rng._set_pool_size, (1,))]
 
 
 def test_verify_command(tmp_path):

@@ -288,13 +288,26 @@ def test_sample_map_bits_do_not_depend_on_pool_size():
         assert len(set(values)) == 1, key
 
 
+def _recording_chunk_map(monkeypatch, seen):
+    """Install an ``rng._chunk_map`` that appends each chunk's row count to
+    ``seen``: it shows the chunks of a row loop that calls the helper."""
+    real = rng._chunk_map
+
+    def recorded(count, step, fn):
+        return real(count, step, lambda lo, hi: seen.append(hi - lo) or fn(lo, hi))
+
+    monkeypatch.setattr(rng, "_chunk_map", recorded)
+
+
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_sample_map_keeps_its_chunks_at_any_pool_size(monkeypatch, size):
-    # fn sees the chunks of rng.block_rows rows at every pool size, so a
-    # matrix product in fn keeps its row counts (and its bits)
+    # sample_map, the row-loop helper and norm_eval see the chunks of
+    # rng.block_rows rows at every pool size, so a matrix product in a
+    # chunk keeps its row counts (and its bits)
     monkeypatch.setattr(rng, "_pool_size", size)
     step = rng.block_rows(40)
     count = 3 * step + step // 2 + 1
+    chunks = sorted([step] * 3 + [count - 3 * step])
     seen = []
 
     def first_column(rows):
@@ -302,15 +315,33 @@ def test_sample_map_keeps_its_chunks_at_any_pool_size(monkeypatch, size):
         return (rows[:, 0],)
 
     ms.sample_map(ms.gaussian(40), count, 5, first_column)
-    assert sorted(seen) == sorted([step] * 3 + [count - 3 * step])
+    assert sorted(seen) == chunks, "sample_map"
+
+    seen.clear()
+    index, = rng._chunk_map(count, step, lambda lo, hi: (
+        seen.append(hi - lo) or np.arange(lo, hi),))
+    assert sorted(seen) == chunks, "_chunk_map"
+    assert np.array_equal(index, np.arange(count))
+
+    data = ms.sample(ms.gaussian(40), count, 5).data
+    norm = ns.lp(1.5, 40)
+    seen.clear()
+    _recording_chunk_map(monkeypatch, seen)
+    vals = ns.norm_eval(norm, data)
+    assert sorted(seen) == chunks, "norm_eval"
+    # every row is reduced on its own: pieces of 7 rows give the same bits
+    assert np.array_equal(vals, np.concatenate(
+        [ns.norm_eval(norm, data[lo:lo + 7]) for lo in range(0, count, 7)]))
 
 
 def test_sample_map_reraises_a_worker_error_and_leaves_no_thread(monkeypatch):
-    # a non-finite row reaches norm_eval on a worker thread only: its
-    # ValueError reaches the caller, and no stream thread outlives a call
+    # an error raised in a chunk on a worker thread of sample_map, of the
+    # row-loop helper or of norm_eval reaches the caller, and no stream
+    # thread outlives a call
     monkeypatch.setattr(rng, "_pool_size", 2)
     spec, norm = ms.gaussian(16), ns.lp(2, 16)
-    count = 4 * rng.block_rows(16)
+    step = rng.block_rows(16)
+    count = 4 * step
     caller = threading.get_ident()
 
     def poisoned(rows):
@@ -318,13 +349,40 @@ def test_sample_map_reraises_a_worker_error_and_leaves_no_thread(monkeypatch):
             rows[0, 0] = np.nan
         return (ns.norm_eval(norm, rows),)
 
+    def failing(lo, hi):
+        if threading.get_ident() != caller:
+            raise ValueError("non-finite chunk on a worker")
+        return (np.zeros(hi - lo),)
+
     before = threading.active_count()
     vals, = ms.sample_map(spec, count, 3, lambda rows: (ns.norm_eval(norm, rows),))
-    assert np.array_equal(vals, ns.norm_eval(norm, ms.sample(spec, count, 3).data))
+    data = ms.sample(spec, count, 3).data.copy()
+    assert np.array_equal(vals, ns.norm_eval(norm, data))
     assert threading.active_count() == before
-    with pytest.raises(ValueError, match="non-finite"):
-        ms.sample_map(spec, count, 3, poisoned)
-    assert threading.active_count() == before
+    data[count - 1, 0] = np.inf     # the last chunk: not the caller's first
+    for name, call in [("sample_map", lambda: ms.sample_map(spec, count, 3, poisoned)),
+                       ("_chunk_map", lambda: rng._chunk_map(count, step, failing)),
+                       ("norm_eval", lambda: ns.norm_eval(norm, data))]:
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+        assert threading.active_count() == before, name
+
+
+def test_one_chunk_starts_no_thread(monkeypatch):
+    # a call of at most one chunk runs in the calling thread: a norm_eval
+    # inside a stream worker, on that worker's chunk, nests no pool
+    def no_pool(most):
+        raise AssertionError("a one-chunk call started a stream pool")
+
+    monkeypatch.setattr(rng, "_pool_size", 2)
+    monkeypatch.setattr(rng, "_stream_pool", no_pool)
+    spec, norm = ms.gaussian(16), ns.lp(2, 16)
+    step = rng.block_rows(16)
+    for count in (1, step):
+        rows, = ms.sample_map(spec, count, 3, lambda rows: (rows,))
+        assert ns.norm_eval(norm, rows).shape == (count,)
+        index, = rng._chunk_map(count, step, lambda lo, hi: (np.arange(lo, hi),))
+        assert np.array_equal(index, np.arange(count))
 
 
 def test_sample_validation():

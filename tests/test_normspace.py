@@ -44,6 +44,12 @@ def test_definite_at_zero(norm):
     assert np.all(ns.norm_eval(norm, x) > 1e-12)
 
 
+def test_norm_eval_of_no_rows_is_empty():
+    for norm in NORMS:
+        out = ns.norm_eval(norm, np.empty((0, 6)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+
 def test_norm_eval_examples():
     assert ns.norm_eval(ns.lp(2, 2), np.array([3.0, 4.0])) == pytest.approx(5.0)
     assert ns.norm_eval(ns.lp(np.inf, 3), np.array([1.0, -2.0, 0.5])) == 2.0

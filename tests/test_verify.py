@@ -363,6 +363,11 @@ FROZEN_REPORTS = {
             K=ns.lp(1, 64), L=ns.lp(2, 64), measure=ms.haar_sphere(64),
             eps=0.5, count=5001, probes=5001, seed=13),
         "ddaf67bc01f44457b095de98d5665c7f8b67961c6425a8f05cb28d3db54aa14c"),
+    "shell_l1_l2_n100": (   # L_r through a transform on sample chunks of 320 rows
+        lambda: vf.check_shell_inclusion(
+            K=ns.lp(1, 100), L=ns.lp(2, 100), measure=ms.haar_sphere(100),
+            eps=0.5, count=5001, probes=5001, seed=13),
+        "f5534ead358d71e1b29a125d12bf0b029131be61cfcc09c6a1e2c92056d62625"),
     "pairs_n64": (
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(64), metric=ns.lp(2, 64), num_pairs=100,
@@ -384,9 +389,12 @@ FROZEN_REPORTS = {
             metric=ns.NormSpec(dim=16, p=3.0, transform=np.eye(16) + 0.1 * np.tri(16)),
             num_pairs=70, count=5001, seed=9, profile="sphere"),
         "0d38d666539ccef3432b82e2372cbac1de86c6f8b47eb829c7a2f369e046c2a1"),
-    "sup_n3": (   # unaligned sample chunks of 10922 rows
+    "sup_n3": (   # sample chunks of 10920 rows, the last one partial
         lambda: vf.run_check("sup_embedding", n=3, count=30001, seed=3),
         "76537576347aea47fa4406edde4f02a31219dfb6081050e393c1113a1c9fa595"),
+    "sup_n100": (   # the functionals' product on sample chunks of 320 rows
+        lambda: vf.run_check("sup_embedding", n=100, count=5001, seed=3),
+        "173f42a1b8950b62d4fcb962baab52b951fc646bb169aa3eb7e5209e190817d2"),
     "sup_n33": (
         lambda: vf.run_check("sup_embedding", n=33, count=5001, seed=3),
         "7b0461aabee3e57d1da49ef5a80a41e983faecb9625974ae4eb5e96d069b4c07"),
@@ -411,14 +419,15 @@ _DEMO = {job["id"]: (check, params) for job, check, params in cli.validate_confi
 
 
 @pytest.mark.parametrize("name", [
-    "shell_n16_probes4096", "shell_n64_probes5001", "shell_l1_l2_n64", "pairs_n64",
-    "pairs_n16_l1", "pairs_n16_scaled_l2", "pairs_n16_l3_transform", "norm_ratio_l2_l1_n16",
-    "norm_ratio_l1_l2_n8"])
+    "shell_n16_probes4096", "shell_n64_probes5001", "shell_l1_l2_n64", "shell_l1_l2_n100",
+    "pairs_n64", "pairs_n16_l1", "pairs_n16_scaled_l2", "pairs_n16_l3_transform",
+    "norm_ratio_l2_l1_n16", "norm_ratio_l1_l2_n8", "sup_n100"])
 def test_pool_paths_keep_their_bits(monkeypatch, name):
     # the shell chain's image projections and probes, the set pairs'
     # selections and the curve's per-direction counts run on the stream
-    # threads, and the norms through a transform are taken on sample chunks
-    # or all directions at once: every pool size gives the frozen report
+    # threads, and the norms through a transform and the functionals'
+    # product are taken on sample chunks or all directions at once: every
+    # pool size gives the frozen report
     run, digest = FROZEN_REPORTS[name]
     for size in (1, 2, 3):
         monkeypatch.setattr(rng, "_pool_size", size)
