@@ -846,8 +846,7 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
 
     A job must give n and its row's required keys, may give only keys of
     its row (plus id, and p as the exponent of a measure token that reads
-    one), and
-    every error names the field at fault: ``<where>.<key>: <reason>``.
+    one), and every error names the field at fault: ``<where>.<key>: <reason>``.
     """
     check = job.get("check")
     if not isinstance(check, str) or check not in CHECK_SPECS:
