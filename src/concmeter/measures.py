@@ -52,7 +52,8 @@ import numpy as np
 from . import rng
 from .normspace import INF, NormSpec, _as_p, lp
 
-FAMILIES = ("uniform_ball", "cone_surface", "ggp", "gaussian", "haar_sphere")
+LP_FAMILIES = ("uniform_ball", "cone_surface", "ggp")    # the families that read p
+FAMILIES = LP_FAMILIES + ("gaussian", "haar_sphere")
 
 MAX_GAMMA_SHAPE = 2048.0
 
@@ -222,10 +223,12 @@ class MeasureSpec:
             raise ValueError(f"unknown measure family {self.family!r}")
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        if self.family in ("uniform_ball", "cone_surface", "ggp"):
+        if self.family in LP_FAMILIES:
             if self.p is None:
-                raise ValueError(f"{self.family} requires an lp exponent")
+                raise ValueError(f"{self.family} requires an lp exponent p")
             object.__setattr__(self, "p", _as_p(self.p))
+        elif self.p is not None:
+            raise ValueError(f"{self.family} reads no lp exponent p, got p={self.p!r}")
         if self.family == "ggp" and not self.p <= 2.0:
             raise ValueError("ggp requires p in [1, 2]")
         if self.transform is not None:

@@ -4,8 +4,9 @@ norm_ratio_map rescales each point so that its L-norm equals its
 K-norm, ``x -> x * |x|_K / |x|_L``; it carries any measure on the
 K-sphere onto the L-sphere while moving points as little as the norm
 gap forces.  Under the sandwich |.|_K <= |.|_L <= lam |.|_K it is
-(2 lam + 1)-Lipschitz from the K-metric to the L-metric, which the
-harness probes empirically.
+(2 lam + 1)-Lipschitz from the K-metric to the L-metric, which
+:func:`empirical_lipschitz` probes on pairs of points.  Each map is
+defined once by its row norms (:func:`ratio_norms`, :func:`radial_norms`).
 
 radial_transport couples two radially symmetric measures through their
 radial quantiles: u = F_target^{-1} o F_source is the unique monotone
@@ -26,30 +27,62 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import rng
 from .measures import RadialCdf
 from .normspace import NormSpec, norm_eval
 
 
 # ---------------------------------------------------------------------------
-# Norm-ratio map
+# Both maps are x -> x num / den, with the row norms (num, den) of each map
 # ---------------------------------------------------------------------------
+
+def ratio_norms(K: NormSpec, L: NormSpec) -> Callable:
+    """rows -> (|x|_K, |x|_L): the row norms of the norm-ratio map."""
+    return lambda rows: (norm_eval(K, rows), norm_eval(L, rows))
+
+
+def radial_norms(u: Callable, L: NormSpec) -> Callable:
+    """rows -> (u(|x|_L), |x|_L): the row norms of the radial map."""
+    def norms(rows):
+        r = norm_eval(L, rows)
+        return u(r), r
+    return norms
+
+
+def _lift(norms: Callable, rows: np.ndarray, out: Optional[np.ndarray] = None) -> tuple:
+    """``(image, num, den)``: row k of ``rows`` times num[k] / den[k], and 0
+    where den[k] = 0, for ``(num, den) = norms(rows)``; ``out`` (``rows``
+    itself allowed) receives the image.  Every step is row by row."""
+    num, den = norms(rows)
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    return np.multiply(rows, ratio[:, None], out=out), num, den
+
+
+def _push(norms: Callable, x) -> np.ndarray:
+    """The lift of a vector, or row-wise of a matrix; 0 -> 0."""
+    x = np.asarray(x, dtype=np.float64)
+    return _lift(norms, np.atleast_2d(x))[0].reshape(x.shape)
+
+
+def empirical_lipschitz(f: Callable, metric_in: NormSpec, metric_out: NormSpec,
+                        pairs: Callable, count: int) -> float:
+    """Max of |f(x) - f(y)|_out / |x - y|_in over the ``count`` pairs of
+    ``pairs(lo, hi) -> (xa, xb)`` (rows [lo, hi) of the pairs), a pair of
+    equal points counting 0; drawn in chunks through ``rng._chunk_map``,
+    so ``pairs`` and ``f`` are row-wise and thread-safe."""
+    def ratios(lo: int, hi: int) -> tuple:
+        xa, xb = pairs(lo, hi)
+        num = norm_eval(metric_out, f(xa) - f(xb))
+        den = norm_eval(metric_in, xa - xb)
+        return (np.divide(num, den, out=np.zeros_like(num), where=den > 0.0),)
+
+    ratio, = rng._chunk_map(count, rng.block_rows(metric_in.dim), ratios)
+    return float(ratio.max())
+
 
 def norm_ratio_map(K: NormSpec, L: NormSpec, x: np.ndarray) -> np.ndarray:
     """x * |x|_K / |x|_L for a vector or row-wise for a matrix; 0 -> 0."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
-    out = _scale_rows(rows, norm_eval(K, rows), norm_eval(L, rows))
-    return out[0] if single else out
-
-
-def _scale_rows(rows: np.ndarray, num: np.ndarray, den: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row k of ``rows`` times num[k] / den[k], and 0 where den[k] = 0: the
-    scaling behind both maps, for callers that already hold the norms;
-    ``out`` (``rows`` itself allowed) receives the result."""
-    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    return np.multiply(rows, ratio[:, None], out=out)
+    return _push(ratio_norms(K, L), x)
 
 
 def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,
@@ -58,32 +91,27 @@ def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,
 
     Half the pairs are independent point pairs, half are local
     perturbations of a point (scale ~ 1e-3 of the typical K-norm),
-    which probe the worst-case local ratio.  Coincident pairs are
-    skipped.
+    which probe the worst-case local ratio.  Coincident pairs count 0.
+    One chunk of pairs per stream thread is held at a time.
     """
-    from . import rng
-
     points = np.asarray(points, dtype=np.float64)
     n_pts, dim = points.shape
     half = pairs // 2
-    i_a = (rng.uniforms(seed, np.arange(pairs, dtype=np.uint64), 0, 0)
-           * n_pts).astype(np.int64)
-    i_b = (rng.uniforms(seed, np.arange(pairs, dtype=np.uint64), 1, 0)
-           * n_pts).astype(np.int64)
-    xa = points[i_a]
-    xb = points[i_b].copy()
-
     perturbation_scale = 1e-3 * float(np.median(norm_eval(K, points)))
-    rows = np.arange(half, dtype=np.uint64)[:, None]
     cols = np.arange(dim, dtype=np.uint64)[None, :]
-    noise = rng.normals(seed, rows, cols, 2)
-    noise *= perturbation_scale / norm_eval(K, noise)[:, None]
-    xb[:half] = xa[:half] + noise
 
-    num = norm_eval(L, norm_ratio_map(K, L, xa) - norm_ratio_map(K, L, xb))
-    den = norm_eval(K, xa - xb)
-    ok = den > 0.0
-    return float(np.max(num[ok] / den[ok]))
+    def draw(lo: int, hi: int) -> tuple:
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        xa = points[(rng.uniforms(seed, idx, 0, 0) * n_pts).astype(np.int64)]
+        xb = points[(rng.uniforms(seed, idx, 1, 0) * n_pts).astype(np.int64)]
+        local = idx[:max(0, min(hi, half) - lo)]    # the pairs below half
+        noise = rng.normals(seed, local[:, None], cols, 2)
+        noise *= perturbation_scale / norm_eval(K, noise)[:, None]
+        xb[:local.size] = xa[:local.size] + noise
+        return xa, xb
+
+    pi = ratio_norms(K, L)
+    return empirical_lipschitz(lambda x: _lift(pi, x)[0], K, L, draw, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +260,5 @@ def lipschitz_constant(u: MonotoneMap) -> float:
 
 def radial_map(u: MonotoneMap, L: NormSpec, x: np.ndarray) -> np.ndarray:
     """x * u(|x|_L) / |x|_L for a vector or row-wise matrix; 0 -> 0."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
-    r = norm_eval(L, rows)
-    out = _scale_rows(rows, u(r), r)
-    return out[0] if single else out
+    return _push(radial_norms(u, L), x)
 

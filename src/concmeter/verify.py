@@ -3,7 +3,8 @@
 Each check re-creates one transfer statement numerically: it samples
 the source measure, builds the push-forward (or probe sets) it needs,
 computes the left side from the sound lower-bound estimator, and emits
-a CheckReport.  The right side, slack and smallness precondition come
+a CheckReport.  The maps (their row norms) and the Lipschitz pair probe
+come from :mod:`.transport`, the families that read p from :mod:`.measures`.  The right side, slack and smallness precondition come
 from the check's Statement in CHECK_SPECS, which :func:`restate`
 evaluates from the report's own terms; the same row holds the check's
 argument defaults, which :func:`run_check` fills in.  Grid points where the
@@ -25,7 +26,7 @@ from the sample stream through ``measures.sample_map``.  The sup-norm
 embedding check maps the stream to two numbers per row and holds no
 batch at all.  The cube floor and the shell chain keep their batch, with
 its norms (and the shell chain's image projections) from the same
-stream; every other row loop goes in chunks of rows through
+stream; the probes and the Lipschitz pairs go in chunks of rows through
 ``rng._chunk_map``.  README.md lists each check's peak.
 """
 
@@ -42,13 +43,13 @@ from . import rng
 from .concentration import (MEDIAN_MIN_COUNT, AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
                             eps_grid_fault, linear_quantiles, reduce_projections)
-from .measures import (MAX_GAMMA_SHAPE, MeasureSpec, ggp, haar_sphere, radial_cdf,
-                       sample, sample_map, uniform_ball)
+from .measures import (FAMILIES, LP_FAMILIES, MAX_GAMMA_SHAPE, MeasureSpec, ggp,
+                       haar_sphere, radial_cdf, sample, sample_map, uniform_ball)
 from .normspace import (INF, NormSpec, _as_p, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
-from .transport import (_scale_rows, lipschitz_constant, norm_ratio_map,
-                        radial_transport)
+from .transport import (_lift, empirical_lipschitz, lipschitz_constant, norm_ratio_map,
+                        radial_norms, radial_transport, ratio_norms)
 
 _ALGEBRAIC_TOL = 1e-9
 
@@ -148,16 +149,11 @@ def restate(report: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _pushed_batch(measure: MeasureSpec, count: int, seed: int, norms
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(image, num, den)``: the batch of ``measure`` pushed through
-    x -> x num / den, ``(num, den) = norms(rows)``, with the full-length
-    norm vectors, built by :func:`concmeter.measures.sample_map` scaling
-    each chunk in place; the source batch is never held.  Every step is
+    """``(image, num, den)``: the batch of ``measure`` pushed through the map
+    of ``norms`` (``ratio_norms`` or ``radial_norms``), lifting each chunk of
+    ``sample_map`` in place; the source batch is never held.  Every step is
     row by row, so the bits equal the map applied to the whole batch."""
-    def push(rows):
-        num, den = norms(rows)
-        return _scale_rows(rows, num, den, out=rows), num, den
-
-    return sample_map(measure, count, seed, push)
+    return sample_map(measure, count, seed, lambda rows: _lift(norms, rows, out=rows))
 
 
 def _curve_report(check_id: str, image: np.ndarray, metric: NormSpec,
@@ -217,26 +213,6 @@ def build_map(cfg: dict, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], 
     return (lambda x: x[:, index:index + 1]), 1, f"coordinate:{index}"
 
 
-def _empirical_lipschitz(map_rows: Callable[[np.ndarray], np.ndarray], data: np.ndarray,
-                         metric_in: NormSpec, metric_out: NormSpec, seed: int) -> float:
-    """Max of |f(x) - f(y)|_out / |x - y|_in over up to 20000 sample pairs,
-    a pair of equal points counting 0."""
-    count = data.shape[0]
-    m = min(20000, count)
-    idx_a, idx_b = (rng.uniforms(seed, np.arange(m, dtype=np.uint64), [[0], [1]], 7)
-                    * count).astype(np.int64)
-
-    def ratios(lo: int, hi: int) -> tuple:
-        xa, xb = data[idx_a[lo:hi]], data[idx_b[lo:hi]]
-        num = norm_eval(metric_out, np.atleast_2d(map_rows(xa)) - np.atleast_2d(map_rows(xb)))
-        den = norm_eval(metric_in, xa - xb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (np.where(den > 0.0, num / den, 0.0),)
-
-    ratio, = rng._chunk_map(m, rng.block_rows(data.shape[1]), ratios)
-    return float(ratio.max())
-
-
 def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
                              metric_in: NormSpec, eps_grid: Sequence[float],
                              count: int, seed: int, profile) -> CheckReport:
@@ -249,7 +225,15 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
     prof = _resolve_profile(profile, measure.dim)
 
     data = sample(measure, count, seed).data
-    emp_lip = _empirical_lipschitz(map_rows, data, metric_in, metric_out, seed)
+    # up to 20000 sample pairs, on a stream of their own
+    lseed = rng.derive_seed(seed, 0xE4)
+
+    def pairs(lo: int, hi: int) -> tuple:
+        idx = np.arange(lo, hi, dtype=np.uint64)
+        return tuple(data[(rng.uniforms(lseed, idx, k, 0) * count).astype(np.int64)]
+                     for k in (0, 1))
+
+    emp_lip = empirical_lipschitz(map_rows, metric_in, metric_out, pairs, min(20000, count))
     if emp_lip > lip * (1.0 + _ALGEBRAIC_TOL):
         raise CheckError(f"map is not {lip}-Lipschitz on samples: observed {emp_lip}")
 
@@ -275,8 +259,7 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     L_r, cc = normalize_containment(K, L)
     prof = _resolve_profile(profile, measure.dim)
     # norm_ratio_map(K, L_r, data), built from the sample stream
-    image, vk, vl = _pushed_batch(measure, count, seed,
-                                  lambda rows: (norm_eval(K, rows), norm_eval(L_r, rows)))
+    image, vk, vl = _pushed_batch(measure, count, seed, ratio_norms(K, L_r))
     med_k = empirical_median(vk)
     med_l = empirical_median(vl)
     if med_k.value <= 0.0:
@@ -313,11 +296,13 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     n = measure.dim
     theta = rng.normals(rng.derive_seed(seed, 0xA0), 0, np.arange(n, dtype=np.uint64), 0)
 
-    def norms(rows):   # with the projections of norm_ratio_map(K, L_r, rows)
-        vk, vl = norm_eval(K, rows), norm_eval(L_r, rows)
-        return rows, vk, vl, _scale_rows(rows, vk, vl) @ theta
+    pi = ratio_norms(K, L_r)
 
-    data, vk, vl, proj = sample_map(measure, count, seed, norms)
+    def chain(rows):   # with the projections of norm_ratio_map(K, L_r, rows)
+        image, vk, vl = _lift(pi, rows)
+        return rows, vk, vl, image @ theta
+
+    data, vk, vl, proj = sample_map(measure, count, seed, chain)
     med_k = empirical_median(vk).value
     med_l = empirical_median(vl).value
     delta = eps / (7.0 * med_k)
@@ -524,12 +509,8 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     u = radial_transport(F_mu, F_nu)
     u_lip = lipschitz_constant(u)
 
-    def radii(rows):
-        r = norm_eval(metric, rows)
-        return u(r), r
-
     # radial_map(u, metric, data), built from the sample stream
-    image, u_mu, r_mu = _pushed_batch(mu, count, seed, radii)
+    image, u_mu, r_mu = _pushed_batch(mu, count, seed, radial_norms(u, metric))
     med_l = empirical_median(r_mu)
     med_u = empirical_median(u_mu)
 
@@ -565,24 +546,16 @@ def parse_norm(token, dim: int) -> NormSpec:
     raise ConfigError(f"cannot parse norm {token!r} (expected 'l<p>' or a config object)")
 
 
-# the measure tokens that read the job's lp exponent p
-_LP_TOKENS = ("uniform_ball", "cone_surface", "ggp")
-
-
 def parse_measure(token, dim: int, p=None) -> MeasureSpec:
+    """A family token, with ``p`` for the LP_FAMILIES only, or a config dict."""
     if isinstance(token, dict):
         cfg = dict(token)
         cfg.setdefault("dim", dim)
         if cfg["dim"] != dim:
             raise ConfigError(f"measure dim {cfg['dim']} conflicts with n={dim}")
         return MeasureSpec.from_config(cfg)
-    if isinstance(token, str):
-        if token in ("gaussian", "haar_sphere"):
-            return MeasureSpec(family=token, dim=dim)
-        if token in _LP_TOKENS:
-            if p is None:
-                raise ConfigError(f"measure {token!r} needs an lp exponent (p)")
-            return MeasureSpec(family=token, dim=dim, p=p)
+    if isinstance(token, str) and token in FAMILIES:
+        return MeasureSpec(family=token, dim=dim, p=p)
     raise ConfigError(f"cannot parse measure {token!r}")
 
 
@@ -855,9 +828,9 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
     spec = CHECK_SPECS[check]
     accepted = {"id", "check", "n"} | {par.key for par in spec.params if par.key}
     if "measure" in job and "p" not in accepted:
-        if "p" in job and job["measure"] not in _LP_TOKENS:
+        if "p" in job and job["measure"] not in LP_FAMILIES:
             raise ConfigError(f"{where}.p: measure {job['measure']!r} reads no job-level p; "
-                              f"only the tokens {list(_LP_TOKENS)} do")
+                              f"only the tokens {list(LP_FAMILIES)} do")
         accepted.add("p")
     extra = sorted(set(job) - accepted)
     if extra:

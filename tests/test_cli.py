@@ -105,6 +105,13 @@ def test_run_workers_fork_from_a_process_with_live_projection_threads(tmp_path):
         assert (tmp_path / "out2" / name).read_bytes() == (tmp_path / "out1" / name).read_bytes()
 
 
+def test_benchmark_demo_config_is_the_users_demo():
+    # the benchmark runs its own copy of the demo config
+    root = Path(__file__).parents[1]
+    assert ((root / "benchmarks" / "demo.json").read_bytes()
+            == (root / "configs" / "demo.json").read_bytes())
+
+
 def test_run_empty_job_list(tmp_path):
     cfg = write_config(tmp_path, {"jobs": []})
     out = tmp_path / "out"
@@ -247,6 +254,9 @@ RADIAL = {"check": "radial_transfer", "n": 16, "p": 1}
     ({"jobs": [{"check": "cube_floor", "n": 8, "measure": "haar_sphere", "p": 3}]}, "jobs[0].p"),
     ({"jobs": [CUBE, {**CUBE, "measure": "gaussian", "p": "inf"}]}, "jobs[1].p"),
     ({"jobs": [CUBE, {**CUBE, "measure": {"family": "ggp", "p": 1}, "p": 2}]}, "jobs[1].p"),
+    # and a measure object's p must be read by its family
+    ({"jobs": [CUBE, {**CUBE, "measure": {"family": "haar_sphere", "p": 1.5}}]},
+     "jobs[1].measure"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -314,6 +324,15 @@ def test_alpha_rejects_malformed_eps(tmp_path, capsys, eps):
       "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got ''"),
     (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4,,8",
       "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got '4,,8'"),
+    # a --p that the measure does not read
+    (["median", "--measure", "gaussian", "--p", "3", "--norm", "l2", "--n", "4"],
+     "gaussian reads no lp exponent p"),
+    (["alpha", "--measure", "gaussian", "--p", "3", "--n", "4", "--eps", "0.5",
+      "--out", "a.csv"], "gaussian reads no lp exponent p"),
+    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--p", "3", "--n", "4",
+      "--out", "b.csv"], "gaussian reads no lp exponent p"),
+    (["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--p", "3",
+      "--n", "4", "--out", "p.csv"], "gaussian reads no lp exponent p"),
 ])
 def test_malformed_invocation_exits_1_with_one_error_line(tmp_path, argv, message):
     # exit 2 is kept for a failed check; usage, input and file errors all exit 1

@@ -392,6 +392,10 @@ def test_sample_validation():
         ms.MeasureSpec("ggp", 4, p=3.0)
     with pytest.raises(ValueError):
         ms.MeasureSpec("nonsense", 4)
+    # p is read by the lp families only, and they need it
+    for family in ms.FAMILIES:
+        with pytest.raises(ValueError, match=r"lp exponent p"):
+            ms.MeasureSpec(family, 4, p=None if family in ms.LP_FAMILIES else 2.0)
 
 
 def test_measure_spec_roundtrip():

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,27 @@ def test_ratio_map_lipschitz_bound_l2_l1(n):
     pts = ms.sample(ms.gaussian(n), 20000, seed=2).data
     est = tr.ratio_map_lipschitz(K, L, pts, pairs=50000)
     assert est <= 2 * lam + 1 + 1e-9
+
+
+# recorded before the pairs were drawn in chunks: 20000 gaussian points at
+# seed 2, 1e5 pairs at the default seed
+RATIO_MAP_LIPSCHITZ = {16: 1.731437994459006, 64: 1.2523165150135407,
+                       256: 1.1125142456553692}
+
+
+@pytest.mark.parametrize("n", sorted(RATIO_MAP_LIPSCHITZ))
+def test_ratio_map_lipschitz_values_frozen_and_pairs_chunked(n):
+    K, L = ns.lp(2, n), ns.lp(1, n)
+    pts = ms.sample(ms.gaussian(n), 20000, seed=2).data
+    tracemalloc.start()
+    try:
+        est = tr.ratio_map_lipschitz(K, L, pts, pairs=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est == RATIO_MAP_LIPSCHITZ[n]
+    # a chunk of pairs per stream thread, not all 1e5 pairs at once (225 MiB at n = 64)
+    assert peak < 16 * 2**20
 
 
 def test_ratio_map_collinear_pairs():

@@ -54,6 +54,26 @@ def test_lipschitz_transfer_rejects_false_claim():
             count=10000, seed=4, profile="gaussian")
 
 
+@pytest.mark.parametrize("measure", [ms.gaussian(8), ms.ggp(1.5, 8),
+                                     ms.uniform_ball(ns.lp(1.5, 8))])
+def test_lipschitz_precheck_pairs_draw_no_variate_of_the_sample(monkeypatch, measure):
+    # keyed by the sample's own seed, the pair indices would reuse the
+    # sampler's variates: for ggp(1.5) the gamma rounds' accept uniforms
+    seeds = []
+    real = rng.uniforms
+
+    def recorded(seed, *args):
+        seeds.append(seed)
+        return real(seed, *args)
+
+    monkeypatch.setattr(rng, "uniforms", recorded)
+    rep = vf.check_lipschitz_transfer(
+        measure=measure, map_cfg={"kind": "coordinate", "index": 1}, lip=1.0,
+        metric_in=ns.lp(2, 8), eps_grid=[0.5, 1.0], count=3000, seed=5, profile="gaussian")
+    assert seeds and 5 not in seeds
+    assert 0.0 < rep.quantities["empirical_lipschitz"] <= 1.0
+
+
 def test_norm_ratio_transfer_identity_pair():
     rep = vf.check_norm_ratio_transfer(
         K=ns.lp(2, 64), L=ns.lp(2, 64), measure=ms.haar_sphere(64),
@@ -273,8 +293,7 @@ def test_check_peak_does_not_grow_at_unaligned_count(monkeypatch, check_id):
 @pytest.mark.parametrize("n, count", [(3, 5001), (64, 2000)])
 def test_streamed_images_equal_the_maps_of_the_batch(n, count):
     K, L = ns.lp(2, n), ns.lp(1, n)
-    image, vk, vl = vf._pushed_batch(
-        ms.haar_sphere(n), count, 5, lambda rows: (ns.norm_eval(K, rows), ns.norm_eval(L, rows)))
+    image, vk, vl = vf._pushed_batch(ms.haar_sphere(n), count, 5, tr.ratio_norms(K, L))
     data = ms.sample(ms.haar_sphere(n), count, 5).data
     assert np.array_equal(image, tr.norm_ratio_map(K, L, data))
     assert np.array_equal(vk, ns.norm_eval(K, data))
@@ -283,16 +302,13 @@ def test_streamed_images_equal_the_maps_of_the_batch(n, count):
     metric = ns.lp(1, n)
     u = tr.radial_transport(ms.radial_cdf(ms.ggp(1, n), metric),
                             ms.radial_cdf(ms.uniform_ball(metric), metric))
-
-    def radii(rows):
-        r = ns.norm_eval(metric, rows)
-        return u(r), r
-
-    image, u_r, r = vf._pushed_batch(ms.ggp(1, n), count, 5, radii)
+    image, u_r, r = vf._pushed_batch(ms.ggp(1, n), count, 5, tr.radial_norms(u, metric))
     data = ms.sample(ms.ggp(1, n), count, 5).data
     assert np.array_equal(r, ns.norm_eval(metric, data))
     assert np.array_equal(u_r, u(r))
-    assert np.array_equal(image, tr._scale_rows(data, u(r), r))
+    whole, _, _ = tr._lift(tr.radial_norms(u, metric), data)
+    assert np.array_equal(image, whole)
+    assert np.array_equal(image, tr.radial_map(u, metric, data))
 
 
 # SHA-256 of CheckReport.to_json(), bit for bit: the reports of every check,
@@ -315,7 +331,8 @@ FROZEN_REPORTS = {
             measure=ms.gaussian(8), map_cfg={"kind": "coordinate", "index": 2}, lip=1.0,
             metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.2, 3.0, 10), count=5001, seed=3,
             profile="gaussian"),
-        "119a23c764af3abbe67d3f12061f001484528a8a455b391627c6af4f747ccc8b"),
+        # recorded after the pre-check's pairs moved to a stream of their own
+        "521b058fc94e50da90c9c69f272b09f7c8e0ea764a048381b47f0b8ec857a3b3"),
     "cube_floor_n8": (
         lambda: vf.run_check("cube_floor", n=8, eps_grid=np.linspace(0.1, 0.9, 9),
                              count=5001, seed=10),
