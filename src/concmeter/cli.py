@@ -27,7 +27,7 @@ import numpy as np
 from . import parameters, rng, verify
 from .concentration import concentration_lower_curve, empirical_median
 from .measures import ggp, radial_cdf, sample, sample_chunks, uniform_ball
-from .normspace import lp
+from .normspace import _config_object, lp
 from .transport import lipschitz_constant, norm_ratio_map, radial_transport
 from .verify import (ConfigError, parse_eps, parse_int, parse_measure, parse_norm,
                      parse_size)
@@ -64,11 +64,7 @@ def validate_config(cfg: dict) -> list[tuple[dict, str, dict]]:
     """Parse every job before any job runs: one (job record, check id,
     run_check keywords) triple per job, seeds and ids resolved.  Errors
     name the field."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("top-level config must be an object")
-    extra = set(cfg) - {"jobs", "seed", "output_dir"}
-    if extra:
-        raise ConfigError(f"unknown top-level keys {sorted(extra)}")
+    _config_object(cfg, ("jobs", "seed", "output_dir"), "a config")
     jobs = cfg.get("jobs", [])
     if not isinstance(jobs, list):
         raise ConfigError("'jobs' must be a list")
@@ -270,47 +266,45 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=positive_int, default=rng._usable_cpus())
     run.set_defaults(fn=cmd_run)
 
-    alpha = sub.add_parser("alpha", help="one-shot concentration curve to CSV")
-    alpha.add_argument("--measure", required=True)
-    alpha.add_argument("--p", default=None)
+    # the flags that the one-shot estimators share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--measure", required=True)
+    shared.add_argument("--p", default=None)
+    shared.add_argument("--seed", type=int, default=1)
+
+    alpha = sub.add_parser("alpha", parents=[shared],
+                           help="one-shot concentration curve to CSV")
     alpha.add_argument("--metric", default="l2")
     alpha.add_argument("--eps", required=True)
     alpha.add_argument("--n", type=positive_int, required=True)
     alpha.add_argument("--N", type=positive_int, default=100000)
-    alpha.add_argument("--seed", type=int, default=1)
     alpha.add_argument("--out", required=True)
     alpha.set_defaults(fn=cmd_alpha)
 
-    beta_p = sub.add_parser("beta", help="beta / beta_tilde table vs n to CSV")
+    beta_p = sub.add_parser("beta", parents=[shared],
+                            help="beta / beta_tilde table vs n to CSV")
     beta_p.add_argument("--K", required=True)
     beta_p.add_argument("--L", required=True)
-    beta_p.add_argument("--measure", required=True)
-    beta_p.add_argument("--p", default=None)
     beta_p.add_argument("--variant", choices=("beta", "beta_tilde"), default="beta")
     beta_p.add_argument("--n", type=dimension_list, required=True,
                         help="comma list of dimensions")
     beta_p.add_argument("--N", type=positive_int, default=100000)
-    beta_p.add_argument("--seed", type=int, default=1)
     beta_p.add_argument("--out", required=True)
     beta_p.set_defaults(fn=cmd_beta)
 
-    med = sub.add_parser("median", help="empirical median of a norm, JSON to stdout")
-    med.add_argument("--measure", required=True)
-    med.add_argument("--p", default=None)
+    med = sub.add_parser("median", parents=[shared],
+                         help="empirical median of a norm, JSON to stdout")
     med.add_argument("--norm", required=True)
     med.add_argument("--n", type=positive_int, required=True)
     med.add_argument("--N", type=positive_int, default=100000)
-    med.add_argument("--seed", type=int, default=1)
     med.set_defaults(fn=cmd_median)
 
-    push = sub.add_parser("pushforward", help="norm-ratio image sample to CSV")
+    push = sub.add_parser("pushforward", parents=[shared],
+                          help="norm-ratio image sample to CSV")
     push.add_argument("--K", required=True)
     push.add_argument("--L", required=True)
-    push.add_argument("--measure", required=True)
-    push.add_argument("--p", default=None)
     push.add_argument("--n", type=positive_int, required=True)
     push.add_argument("--N", type=positive_int, default=10000)
-    push.add_argument("--seed", type=int, default=1)
     push.add_argument("--out", required=True)
     push.set_defaults(fn=cmd_pushforward)
 

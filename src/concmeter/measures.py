@@ -27,6 +27,9 @@ two closed forms are the whole catalog of :func:`radial_cdf`.
 
 Transformed bodies: if K carries a map T (|x|_K = |Tx|_p), the body is
 T^{-1}(lp ball), so samples are base-body samples mapped through T^{-1}.
+A spec builds its body norm once (``MeasureSpec.body_norm``), and that
+NormSpec holds the one validated T and its one inverse, which every
+sampled chunk reads.
 
 All samplers draw from the counter-based streams in :mod:`.rng`, keyed
 by (seed, sample index, coordinate index), so batches are reproducible
@@ -50,7 +53,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import rng
-from .normspace import INF, NormSpec, _as_p, lp
+from .normspace import INF, NormSpec, _as_p, _config_object, lp
 
 LP_FAMILIES = ("uniform_ball", "cone_surface", "ggp")    # the families that read p
 FAMILIES = LP_FAMILIES + ("gaussian", "haar_sphere")
@@ -217,6 +220,9 @@ class MeasureSpec:
     dim: int
     p: Optional[float] = None
     transform: Optional[np.ndarray] = None
+    # the norm whose unit body carries the measure, when there is one
+    body_norm: Optional[NormSpec] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -231,21 +237,16 @@ class MeasureSpec:
             raise ValueError(f"{self.family} reads no lp exponent p, got p={self.p!r}")
         if self.family == "ggp" and not self.p <= 2.0:
             raise ValueError("ggp requires p in [1, 2]")
-        if self.transform is not None:
-            if self.family not in ("uniform_ball", "cone_surface"):
-                raise ValueError(f"{self.family} does not accept a transform")
+        body = None
+        if self.family in ("uniform_ball", "cone_surface"):
             # validation (invertibility, conditioning) delegated to NormSpec
             body = NormSpec(dim=self.dim, p=self.p, transform=self.transform)
             object.__setattr__(self, "transform", body.transform)
-
-    @property
-    def body_norm(self) -> Optional[NormSpec]:
-        """The norm whose unit body carries the measure, when there is one."""
-        if self.family in ("uniform_ball", "cone_surface"):
-            return NormSpec(dim=self.dim, p=self.p, transform=self.transform)
-        if self.family == "haar_sphere":
-            return lp(2, self.dim)
-        return None
+        elif self.transform is not None:
+            raise ValueError(f"{self.family} does not accept a transform")
+        elif self.family == "haar_sphere":
+            body = lp(2, self.dim)
+        object.__setattr__(self, "body_norm", body)
 
     def to_config(self) -> dict:
         cfg = {"family": self.family, "dim": self.dim}
@@ -257,6 +258,7 @@ class MeasureSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "MeasureSpec":
+        cfg = _config_object(cfg, ("family", "dim", "p", "transform"), "a measure")
         return MeasureSpec(family=cfg["family"], dim=int(cfg["dim"]),
                            p=cfg.get("p"), transform=cfg.get("transform"))
 
@@ -317,10 +319,8 @@ def _ggp_rows(p: float, seed: int, rows: np.ndarray, dim: int) -> np.ndarray:
     return mag
 
 
-def _generate(measure: MeasureSpec, seed: int, start: int, stop: int,
-              inv: Optional[np.ndarray]) -> np.ndarray:
-    """Rows [start, stop) of the infinite sample table for (measure, seed);
-    ``inv`` is the inverse of ``measure.transform`` (None without one)."""
+def _generate(measure: MeasureSpec, seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the infinite sample table for (measure, seed)."""
     n = measure.dim
     rows = np.arange(start, stop, dtype=np.uint64)
     i = rows[:, None]
@@ -351,14 +351,10 @@ def _generate(measure: MeasureSpec, seed: int, start: int, stop: int,
             z = rng.exponentials(seed, rows[:, None], np.uint64(n), 1)
             w_sum = (np.abs(t) ** p).sum(axis=1, keepdims=True) / p
             base = t / (p * (w_sum + z)) ** (1.0 / p)
+    inv = measure.body_norm.transform_inv
     if inv is not None:
         base = base @ inv.T
     return base
-
-
-def _inverse(measure: MeasureSpec) -> Optional[np.ndarray]:
-    """The inverse of ``measure.transform``, None without one."""
-    return None if measure.transform is None else np.linalg.inv(measure.transform)
 
 
 def sample_chunks(measure: MeasureSpec, count: int, seed: int
@@ -369,10 +365,9 @@ def sample_chunks(measure: MeasureSpec, count: int, seed: int
     A chunk holds one RNG block (``rng.block_rows`` rows), so it and the
     temporaries built from it stay in cache whatever the dimension.
     """
-    inv = _inverse(measure)
     step = rng.block_rows(measure.dim)
     for start in range(0, count, step):
-        yield start, _generate(measure, seed, start, min(start + step, count), inv)
+        yield start, _generate(measure, seed, start, min(start + step, count))
 
 
 def sample_map(measure: MeasureSpec, count: int, seed: int,
@@ -389,9 +384,8 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    inv = _inverse(measure)
     return rng._chunk_map(count, rng.block_rows(measure.dim),
-                          lambda lo, hi: fn(_generate(measure, seed, lo, hi, inv)))
+                          lambda lo, hi: fn(_generate(measure, seed, lo, hi)))
 
 
 def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:

@@ -44,6 +44,17 @@ def _as_p(p) -> float:
     return p
 
 
+def _config_object(obj, keys, what: str) -> dict:
+    """``obj`` as a config object of the given keys: anything but a dict,
+    and any key outside ``keys``, is refused by name."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected {what} object, got {obj!r}")
+    extra = sorted(set(obj) - set(keys))
+    if extra:
+        raise ValueError(f"{what} takes no keys {extra}; it takes {sorted(keys)}")
+    return obj
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """An lp norm on R^dim, optionally precomposed with an invertible map."""
@@ -82,6 +93,7 @@ class NormSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "NormSpec":
+        cfg = _config_object(cfg, ("kind", "p", "dim", "transform"), "a norm")
         if cfg.get("kind", "lp") != "lp":
             raise ValueError(f"unknown norm kind {cfg.get('kind')!r}")
         return NormSpec(dim=int(cfg["dim"]), p=_as_p(cfg["p"]),

@@ -45,7 +45,7 @@ from .concentration import (MEDIAN_MIN_COUNT, AnalyticProfile, analytic_profile,
                             eps_grid_fault, linear_quantiles, reduce_projections)
 from .measures import (FAMILIES, LP_FAMILIES, MAX_GAMMA_SHAPE, MeasureSpec, ggp,
                        haar_sphere, radial_cdf, sample, sample_map, uniform_ball)
-from .normspace import (INF, NormSpec, _as_p, dual_norm, lp, norm_eval,
+from .normspace import (INF, NormSpec, _as_p, _config_object, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
 from .transport import (_lift, empirical_lipschitz, lipschitz_constant, norm_ratio_map,
@@ -176,14 +176,9 @@ def _resolve_profile(profile, n: int) -> AnalyticProfile:
         return profile
     if isinstance(profile, str):
         return analytic_profile(profile, n)
-    if isinstance(profile, dict):
-        extra = set(profile) - {"name", "C", "c"}
-        if extra:
-            raise ValueError(f"unknown profile keys {sorted(extra)}; a profile "
-                             "takes name, C and c")
-        return analytic_profile(profile.get("name", "custom"), n,
-                                C=profile.get("C"), c=profile.get("c"))
-    raise ValueError(f"cannot interpret profile spec {profile!r}")
+    profile = _config_object(profile, ("name", "C", "c"), "a profile")
+    return analytic_profile(profile.get("name", "custom"), n,
+                            C=profile.get("C"), c=profile.get("c"))
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +191,11 @@ _MAP_KEYS = {"identity": (), "scale": ("factor",), "coordinate": ("index",)}
 def build_map(cfg: dict, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], int, str]:
     """Row-wise map from a config descriptor; returns (fn, out_dim, label).
     A descriptor holds ``kind`` and that kind's own key only."""
-    kind = cfg.get("kind")
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
     if not isinstance(kind, str) or kind not in _MAP_KEYS:
-        raise ValueError(f"unknown map kind {kind!r}; known: {sorted(_MAP_KEYS)}")
-    extra = sorted(set(cfg) - {"kind", *_MAP_KEYS[kind]})
-    if extra:
-        raise ValueError(f"map kind {kind!r} takes no keys {extra}")
+        raise ValueError(f"expected a map object of a kind in {sorted(_MAP_KEYS)}, "
+                         f"got {cfg!r}")
+    _config_object(cfg, ("kind", *_MAP_KEYS[kind]), f"map kind {kind!r}")
     if kind == "identity":
         return (lambda x: x), dim, "identity"
     if kind == "scale":
@@ -560,23 +554,23 @@ def parse_measure(token, dim: int, p=None) -> MeasureSpec:
 
 
 def parse_eps(spec) -> list:
-    """Grid from a list, a comma list or 'lo:hi:num[:scale]' string, or a
-    range object; scale is 'linear' (the default) or 'log'.  The grid
-    must pass :func:`eps_grid_fault`, as the half-space curve requires."""
-    text = spec
-
-    def number(token) -> float:
-        try:
-            if isinstance(token, bool):   # float() reads True as 1
-                raise TypeError
-            value = float(token)
-        except (TypeError, ValueError):
-            raise ConfigError(f"cannot parse eps grid {text!r}") from None
-        if not math.isfinite(value):
-            raise ConfigError(f"eps grid {text!r} holds a non-finite number")
-        return value
-
+    """Grid from a list of numbers, a range object, or the text forms of a
+    comma list and 'lo:hi:num[:scale]'; scale is 'linear' (the default) or
+    'log'.  Only the text forms parse text: a list entry and a range's
+    start and stop are JSON numbers.  The grid must pass
+    :func:`eps_grid_fault`, as the half-space curve requires."""
     if isinstance(spec, str):
+        text = spec
+
+        def number(token: str) -> float:
+            try:
+                value = float(token)
+            except ValueError:
+                raise ConfigError(f"cannot parse eps grid {text!r}") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"eps grid {text!r} holds a non-finite number")
+            return value
+
         parts = spec.split(":")
         if len(parts) not in (1, 3, 4):
             raise ConfigError(f"cannot parse eps grid {spec!r}: expected "
@@ -584,11 +578,10 @@ def parse_eps(spec) -> list:
         if len(parts) == 1:
             spec = [number(tok) for tok in spec.split(",")] if spec.strip() else []
         else:
-            spec = dict(zip(("start", "stop", "num", "scale"), parts), num=number(parts[2]))
+            spec = dict(zip(("start", "stop", "num", "scale"),
+                            [number(tok) for tok in parts[:3]] + parts[3:]))
     if isinstance(spec, dict):
-        extra = set(spec) - {"start", "stop", "num", "scale"}
-        if extra:
-            raise ConfigError(f"unknown eps keys {sorted(extra)}")
+        spec = _config_object(spec, ("start", "stop", "num", "scale"), "an eps grid")
         fn = {"linear": np.linspace, "log": np.geomspace}.get(spec.get("scale", "linear"))
         if fn is None:
             raise ConfigError(f"eps grid scale must be 'linear' or 'log', got {spec['scale']!r}")
@@ -596,9 +589,9 @@ def parse_eps(spec) -> list:
             num = parse_size(spec["num"])
         except ConfigError as exc:
             raise ConfigError(f"eps grid num: {exc}") from None
-        grid = fn(number(spec["start"]), number(spec["stop"]), num).tolist()
+        grid = fn(parse_float(spec["start"]), parse_float(spec["stop"]), num).tolist()
     elif isinstance(spec, (list, tuple)):
-        grid = [number(v) for v in spec]
+        grid = [parse_float(v) for v in spec]
     else:
         raise ConfigError(f"cannot parse eps grid {spec!r}")
     fault = eps_grid_fault(grid)
@@ -647,8 +640,6 @@ def parse_map(token, n: int):
     """A map object, checked against the kinds of build_map; returned as
     given (null keeps the row's default)."""
     if token is not None:
-        if not isinstance(token, dict):
-            raise ConfigError(f"expected a map object, got {token!r}")
         build_map(token, n)
     return token
 

@@ -257,6 +257,16 @@ RADIAL = {"check": "radial_transfer", "n": 16, "p": 1}
     # and a measure object's p must be read by its family
     ({"jobs": [CUBE, {**CUBE, "measure": {"family": "haar_sphere", "p": 1.5}}]},
      "jobs[1].measure"),
+    # a misspelled key of a measure or norm object once ran an untransformed body
+    ({"jobs": [CUBE, {**CUBE, "measure": {"family": "uniform_ball", "p": "inf",
+                                          "transfrom": [[2, 0], [0, 2]]}}]},
+     "jobs[1].measure"),
+    ({"jobs": [CUBE, {**PAIRS, "n": 2, "metric": {"p": 2, "transfrom": [[2, 0], [0, 2]]}}]},
+     "jobs[1].metric"),
+    # eps numbers are JSON numbers; only the CLI's text forms parse text
+    ({"jobs": [CUBE, {**CUBE, "eps": ["0.1", "0.5"]}]}, "jobs[1].eps"),
+    ({"jobs": [CUBE, {**CUBE, "eps": {"start": "0.1", "stop": "0.5", "num": 3}}]},
+     "jobs[1].eps"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -272,6 +282,36 @@ def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys
     assert code == 1
     assert f"{field}:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    ({"jobs": [CUBE], "jobz": []},
+     "a config takes no keys ['jobz']"),
+    ({"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stpo": 0.9, "num": 3}}]},
+     "jobs[1].eps: an eps grid takes no keys ['stpo']"),
+    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "cc": 9}}]},
+     "jobs[1].profile: a profile takes no keys ['cc']"),
+    ({"jobs": [CUBE, {**LIP, "map": {"kind": "identity", "factor": 2}}]},
+     "jobs[1].map: map kind 'identity' takes no keys ['factor']"),
+    ({"jobs": [CUBE, {**RATIO, "K": {"p": 2, "transfrom": [[2, 0, 0, 0]] * 4}}]},
+     "jobs[1].K: a norm takes no keys ['transfrom']"),
+    ({"jobs": [CUBE, {**CUBE, "measure": {"family": "uniform_ball", "p": "inf",
+                                          "trans": [[1, 0], [0, 1]]}}]},
+     "jobs[1].measure: a measure takes no keys ['trans']"),
+], ids=["config", "eps", "profile", "map", "norm", "measure"])
+def test_every_config_object_refuses_an_unknown_key(tmp_path, monkeypatch, capsys,
+                                                    cfg, message):
+    def ran(*args, **kwargs):
+        raise AssertionError("a job ran before the config was validated")
+
+    monkeypatch.delenv("CONCMETER_SEED", raising=False)
+    monkeypatch.setattr(cli.verify, "run_check", ran)
+    code = cli.main(["run", str(write_config(tmp_path, cfg)), "--out",
+                     str(tmp_path / "out"), "--jobs", "1"])
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert code == 1
+    assert len(errors) == 1 and message in errors[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_non_positive_sizes_by_name(tmp_path, capsys):

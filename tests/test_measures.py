@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -186,7 +187,7 @@ def test_sample_is_chunk_invariant(make, n):
     spec = make(n)
     step = rng.block_rows(n)
     count = 2 * step + step // 2 + 1
-    whole = ms._generate(spec, 5, 0, count, None)
+    whole = ms._generate(spec, 5, 0, count)
     assert np.array_equal(ms.sample(spec, count, seed=5).data, whole)
     norms = [ns.lp(2, n), ns.lp(np.inf, n)]
     for norm, vals in zip(norms, par.norm_values(spec, norms, count, seed=5)):
@@ -265,7 +266,7 @@ for size in (1, 2, 3):
     out.setdefault("sup_embedding", []).append(hashlib.sha256(rep.to_json().encode()).hexdigest())
 for count in (step // 2, step, 3 * step + step // 2 + 1):
     for name, spec in plain.items():
-        put(f"{name}, N {count}", ms._generate(spec, 5, 0, count, None))
+        put(f"{name}, N {count}", ms._generate(spec, 5, 0, count))
 print(json.dumps(out))
 """
 
@@ -403,6 +404,34 @@ def test_measure_spec_roundtrip():
                  ms.haar_sphere(4)]:
         back = ms.MeasureSpec.from_config(spec.to_config())
         assert back == spec
+
+
+_TRANSFORM = [[2.0, 0.5], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("spec", [
+    ms.uniform_ball(ns.lp(np.inf, 2)), ms.cone_surface(ns.lp(1.5, 2)), ms.ggp(1.2, 2),
+    ms.gaussian(2), ms.haar_sphere(2),
+    ms.MeasureSpec("uniform_ball", 2, "inf", _TRANSFORM),
+    ms.MeasureSpec("cone_surface", 2, 1.0, _TRANSFORM)])
+def test_from_config_round_trips_and_refuses_an_unknown_key(spec):
+    # a misspelled key once gave a measure or norm without its transform
+    cases = [(ms.MeasureSpec, spec.to_config(), "a measure")]
+    if spec.body_norm is not None:
+        cases.append((ns.NormSpec, spec.body_norm.to_config(), "a norm"))
+    for cls, cfg, what in cases:
+        assert cls.from_config(cfg).to_config() == cfg
+        with pytest.raises(ValueError, match=re.escape(f"{what} takes no keys ['transfrom']")):
+            cls.from_config({**cfg, "transfrom": _TRANSFORM})
+
+
+def test_body_norm_is_built_once():
+    spec = ms.MeasureSpec("uniform_ball", 2, 2.0, _TRANSFORM)
+    body = spec.body_norm
+    assert spec.body_norm is body and body.transform is spec.transform
+    assert np.array_equal(body.transform_inv, np.linalg.inv(spec.transform))
+    assert ms.haar_sphere(3).body_norm.to_config() == ns.lp(2, 3).to_config()
+    assert ms.ggp(1.5, 3).body_norm is None and ms.gaussian(3).body_norm is None
 
 
 # ---------------------------------------------------------------------------
