@@ -33,15 +33,15 @@ sampled chunk reads.
 
 All samplers draw from the counter-based streams in :mod:`.rng`, keyed
 by (seed, sample index, coordinate index), so batches are reproducible
-bit-for-bit under any chunking of the sample range.  Batches are drawn
-in chunks of ``rng.block_rows`` rows (about one RNG block, 2^15
-elements, rounded down to a multiple of 8 rows) written straight into
-the output, so sampling and streamed norm evaluation keep their
-temporaries in cache and add only a chunk's worth of memory per stream
+bit-for-bit under any chunking of the sample range.  Batches are
+processed in chunks of ``rng.block_rows`` rows (about 2^15 elements,
+rounded down to a multiple of 8 rows) written straight into the output,
+and drawn two chunks per RNG call, so sampling and streamed norm
+evaluation add only a draw's and a chunk's worth of memory per stream
 thread (:func:`sample_map`).  The one exception to the chunking claim is
-a transformed body: its pull-back ``base @ inv.T`` is a BLAS product
-whose last bits can depend on the row count of the chunk under more
-than one BLAS thread.
+a transformed body: its pull-back ``base @ inv.T`` is a BLAS product,
+taken once per chunk, whose last bits depend on the chunk's row count
+(also at one BLAS thread) and on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import rng
-from .normspace import INF, NormSpec, _as_p, _config_object, lp
+from .normspace import INF, NormSpec, _as_p, _config_object, _config_transform, lp
 
 LP_FAMILIES = ("uniform_ball", "cone_surface", "ggp")    # the families that read p
 FAMILIES = LP_FAMILIES + ("gaussian", "haar_sphere")
@@ -71,15 +71,21 @@ def _gamma_series_log(a: float, xs: np.ndarray) -> np.ndarray:
     The series total is bounded by (a+1)/(a+1-x), so it never overflows,
     and working in logs keeps the result meaningful far below the double
     underflow threshold (radial transports need P down to e^-600).
+
+    Convergence is tested every 16 terms.  Since x < a + 1 the terms
+    decrease, so once every term is at most 1e-17 of its total (below half
+    an ulp of it), the terms added before the next test leave the totals
+    unchanged: the result is that of a test after every term.
     """
     term = np.ones_like(xs)
     total = np.ones_like(xs)
     k = 0.0
     while True:
         k += 1.0
-        term = term * xs / (a + k)
+        term *= xs
+        term /= a + k
         total += term
-        if np.all(term <= 1e-17 * total) or k > 10000:
+        if k > 10000 or k % 16 == 0 and np.all(term <= 1e-17 * total):
             break
     return np.log(total) + a * np.log(xs) - xs - math.lgamma(a + 1.0)
 
@@ -260,7 +266,7 @@ class MeasureSpec:
     def from_config(cfg: dict) -> "MeasureSpec":
         cfg = _config_object(cfg, ("family", "dim", "p", "transform"), "a measure")
         return MeasureSpec(family=cfg["family"], dim=int(cfg["dim"]),
-                           p=cfg.get("p"), transform=cfg.get("transform"))
+                           p=cfg.get("p"), transform=_config_transform(cfg.get("transform")))
 
 
 def uniform_ball(norm: NormSpec) -> MeasureSpec:
@@ -331,7 +337,8 @@ def _generate(measure: MeasureSpec, seed: int, start: int, stop: int) -> np.ndar
         return rng.normals(seed, i, j, 0)
     if fam == "haar_sphere":
         g = rng.normals(seed, i, j, 0)
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        return g
 
     if fam == "ggp":
         return _ggp_rows(p, seed, rows, n)
@@ -353,7 +360,11 @@ def _generate(measure: MeasureSpec, seed: int, start: int, stop: int) -> np.ndar
             base = t / (p * (w_sum + z)) ** (1.0 / p)
     inv = measure.body_norm.transform_inv
     if inv is not None:
-        base = base @ inv.T
+        # one product per row chunk from start: a GEMM's last bits follow its
+        # row count, so a draw of several chunks keeps the chunks' bits
+        step = rng.block_rows(n)
+        for lo in range(0, len(base), step):
+            base[lo:lo + step] = base[lo:lo + step] @ inv.T
     return base
 
 
@@ -375,17 +386,26 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
     """Full-length outputs of a row-wise ``fn`` over rows [0, count) of
     the sample table, which is never held whole.
 
-    For each chunk of :func:`sample_chunks`, ``fn(rows)`` returns a tuple
-    of arrays (``rows`` may be changed in place); each is written into
-    the chunk's rows of one output, on the stream threads of
-    ``rng._chunk_map`` (``fn`` must be thread-safe; the bits do not depend
-    on the thread count).  Peak memory is the outputs plus one chunk's
-    temporaries per stream thread.
+    Rows are drawn ``rng._DRAW_CHUNKS`` chunks of :func:`sample_chunks` at
+    a time, so each RNG pass is long enough that the stream threads do not
+    trade the interpreter lock after every pass; ``fn`` still sees one chunk
+    at a time.  For each chunk ``fn(rows)`` returns a tuple of arrays
+    (``rows`` may be changed in place); each is written into the chunk's
+    rows of one output, on the stream threads of ``rng._draw_map`` (``fn``
+    must be thread-safe; the bits do not depend on the thread count).  Peak
+    memory is the outputs plus, per stream thread, one draw and one chunk's
+    temporaries.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return rng._chunk_map(count, rng.block_rows(measure.dim),
-                          lambda lo, hi: fn(_generate(measure, seed, lo, hi)))
+    step = rng.block_rows(measure.dim)
+
+    def draw(lo: int, hi: int):
+        rows = _generate(measure, seed, lo, hi)
+        for start in range(0, hi - lo, step):
+            yield fn(rows[start:start + step])
+
+    return rng._draw_map(count, step, rng._DRAW_CHUNKS, draw)
 
 
 def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:

@@ -17,6 +17,7 @@ and vertex candidate directions and flagged as a heuristic lower bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -53,6 +54,21 @@ def _config_object(obj, keys, what: str) -> dict:
     if extra:
         raise ValueError(f"{what} takes no keys {extra}; it takes {sorted(keys)}")
     return obj
+
+
+def _config_transform(rows):
+    """A config's transform: null, or a list of rows of finite JSON numbers.
+    Strings and booleans are refused, which numpy would read as numbers."""
+    if rows is None:
+        return None
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"a transform is a list of rows, got {rows!r}")
+    for row in rows:
+        for value in row:
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(f"transform entries are finite numbers, got {value!r}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -97,7 +113,7 @@ class NormSpec:
         if cfg.get("kind", "lp") != "lp":
             raise ValueError(f"unknown norm kind {cfg.get('kind')!r}")
         return NormSpec(dim=int(cfg["dim"]), p=_as_p(cfg["p"]),
-                        transform=cfg.get("transform"))
+                        transform=_config_transform(cfg.get("transform")))
 
 
 def lp(p, dim: int) -> NormSpec:

@@ -14,12 +14,26 @@ The stream is a keyed hash chain built from the SplitMix64 finalizer
 It is evaluated as a shared prefix plus one mix per slot: the slot-free
 (seed, i, j) part is hashed once per element of the broadcast (i, j)
 shape, and each slot an element consumes (two for a normal) costs one
-more ``mix(prefix ^ slot)``.  The work runs in place on reused buffers,
-in blocks of about 32k output elements, so temporaries stay in cache and
-peak memory is bounded by the block rather than by the output.  Neither
-changes a bit: the result is the chain above, element by element.  The
-gamma sampler is the exception to the block bound: it keeps the prefix of
-every element for its later slots, in uint64 arrays of its output's size.
+more ``mix(prefix ^ slot)``.  The work runs in place, in draw blocks of
+about 64k output elements (``_DRAW_BLOCK``, two row chunks of the sample
+stream), so peak memory is bounded by the block rather than by the
+output.  Neither changes a bit: the result is the chain above, element by
+element.  The gamma sampler is the exception to the block bound: it keeps
+the prefix of every element for its later slots, in uint64 arrays of its
+output's size.
+
+A block needs two buffers besides its output: the prefix, in which the
+last slot is mixed, and a float64 spare that is also the shift scratch of
+every mix; every earlier slot is mixed in the output block itself and
+converted there before the next slot is mixed (:func:`_draw`).  The block
+is two row chunks long because the stream threads share the interpreter
+lock: a numpy pass over one 32k-element chunk lasts 10-15 us, shorter
+than a waiting thread takes to wake, so at one chunk per block the two
+threads handed the lock back and forth after nearly every pass
+(10.7-12.9k voluntary context switches in one ``beta_tilde`` call at
+n = 1024 and N = 3e4, 3.7-4.1k at two chunks).  Two buffers of the
+doubled block hold 1 MiB, against 1.25 MiB for the five of the one-chunk
+block they replace.
 
 Rejection samplers (the gamma generator below) draw from a per-element
 sub-stream indexed by the slot, so the number of attempts one element
@@ -45,9 +59,14 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SEED_TAG = np.uint64(0x5DEECE66D1CE4E5B)
 _S11, _S27, _S30, _S31, _S63 = (np.uint64(k) for k in (11, 27, 30, 31, 63))
 
-# Output elements per block: the uint64 temporaries of a block stay in
-# cache, and peak memory grows with the block, not with the output.
+# Output elements per row chunk: the temporaries of a chunk stay in cache,
+# and peak memory grows with the chunk, not with the output.
 _BLOCK = 1 << 15
+# Row chunks per draw of the sample stream, and so per block of _draw: one
+# numpy pass over a block lasts long enough that the stream threads do not
+# trade the interpreter lock after every pass.
+_DRAW_CHUNKS = 2
+_DRAW_BLOCK = _DRAW_CHUNKS * _BLOCK
 
 
 def block_rows(dim: int) -> int:
@@ -126,27 +145,43 @@ def _stream_pool(most: int):
 
 def _chunk_map(count: int, step: int, fn) -> tuple:
     """Full-length outputs of ``fn(lo, hi)``, a tuple of arrays for rows
-    [lo, hi), over the chunks of ``step`` rows of [0, count) from row 0.
+    [lo, hi), over the chunks of ``step`` rows of [0, count) from row 0: the
+    row loop of :func:`_draw_map` at one chunk per call."""
+    return _draw_map(count, step, 1, lambda lo, hi: (fn(lo, hi),))
 
-    The first chunk runs in the calling thread and sizes the outputs (a
-    call of one chunk starts no thread); the stream threads take the rest
-    in contiguous ranges of whole chunks, so ``fn`` must be thread-safe.
-    The chunks, and the bits, do not depend on the number of threads.
+
+def _draw_map(count: int, step: int, chunks: int, draw) -> tuple:
+    """Full-length outputs of a row loop over [0, count) whose calls
+    ``draw(lo, hi)`` take up to ``chunks`` chunks of ``step`` rows each and
+    yield, for each chunk of [lo, hi) in order, a tuple of arrays for its
+    rows, which are written into the outputs as they come.
+
+    The first chunk is drawn alone in the calling thread and sizes the
+    outputs (a call of one chunk starts no thread); the stream threads take
+    the rest in contiguous ranges of whole draws, so ``draw`` must be
+    thread-safe.  The chunks, and the bits, do not depend on the number of
+    threads.
     """
-    first = fn(0, min(step, count))
+    first, = draw(0, min(step, count))
     outs = tuple(np.empty((count,) + part.shape[1:], part.dtype) for part in first)
-    for out, part in zip(outs, first):
-        out[:len(part)] = part
+
+    def put(start: int, pieces) -> None:
+        for k, piece in enumerate(pieces):
+            for out, part in zip(outs, piece):
+                out[start + k * step:start + k * step + len(part)] = part
+
+    put(0, (first,))
     del first
+    width = chunks * step
 
     def fill(lo: int, hi: int) -> None:
-        for start in range(lo, hi, step):
-            for out, part in zip(outs, fn(start, min(start + step, hi))):
-                out[start:start + len(part)] = part
+        for start in range(lo, hi, width):
+            put(start, draw(start, min(start + width, hi)))
 
     if count > step:
-        with _stream_pool((count - 1) // step) as spread:    # the chunks after the first
-            spread(lambda a, b: fill(step + a, step + b), count - step, step)
+        rest = count - step
+        with _stream_pool(-(-rest // width)) as spread:    # the draws after the first chunk
+            spread(lambda a, b: fill(step + a, step + b), rest, width)
     return outs
 
 
@@ -178,16 +213,18 @@ def _view(buf: np.ndarray, shape) -> np.ndarray:
 
 
 def _prefix(seed: int, i: np.ndarray, j: np.ndarray, out: np.ndarray,
-            scratch: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+            tmp: np.ndarray) -> np.ndarray:
     """The slot-free head of the chain, ``mix(mix(mix(seed) ^ i) ^ j)``, into
-    ``out`` (the broadcast shape of i and j); ``scratch`` and ``tmp`` are flat
-    uint64 buffers of at least ``out.size`` elements."""
+    ``out`` (the broadcast shape of i and j, contiguous); ``tmp`` is a flat
+    uint64 buffer of at least ``out.size`` elements.  The row hash
+    ``mix(mix(seed) ^ i)`` is built in ``tmp`` with the head of ``out`` as
+    its shift scratch, so the call allocates nothing of the keys' size."""
     h = np.array(seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
     h ^= _SEED_TAG
     _mix64(h, np.empty_like(h))
-    hi = _view(scratch, i.shape)
+    hi = _view(tmp, i.shape)
     np.bitwise_xor(h, i, out=hi)
-    _mix64(hi, _view(tmp, i.shape))
+    _mix64(hi, _view(out.reshape(-1), i.shape))
     np.bitwise_xor(hi, j, out=out)
     return _mix64(out, _view(tmp, out.shape))
 
@@ -195,36 +232,61 @@ def _prefix(seed: int, i: np.ndarray, j: np.ndarray, out: np.ndarray,
 def _draw(seed: int, i, j, slots: tuple, fill) -> np.ndarray:
     """Variates over the broadcast shape of ``(i, j, *slots)``, block by block.
 
-    The output is cut along its first axis into blocks of about ``_BLOCK``
-    elements.  Per block the (seed, i, j) prefix is hashed once, then
-    ``fill(out, bits, spare)`` writes the block's variates into ``out``:
-    ``bits(k)`` returns ``mix(prefix ^ slots[k])`` in a reused uint64
-    buffer, and ``spare`` is a float64 buffer of out's shape.  The buffers
-    are allocated once per call.
+    The output is cut along its first axis into blocks of about
+    ``_DRAW_BLOCK`` elements.  Per block the (seed, i, j) prefix is hashed
+    once, then ``fill(out, bits, spare)`` writes the block's variates into
+    ``out``, where ``spare`` is a float64 buffer of out's size and
+    ``bits(k)`` returns ``mix(prefix ^ slots[k])`` in place:
+
+    - every slot but the last is mixed in ``out`` itself, viewed as uint64,
+      so a fill converts one slot's bits into out before it asks for the
+      next;
+    - the last slot is mixed in the prefix buffer, which it consumes;
+    - ``spare``, viewed as uint64, is the shift scratch of every mix, so a
+      fill writes it only after its last ``bits`` call.
+
+    The prefix and the spare are the only buffers, allocated once per call.
+    A fill sees its arrays flat: numpy casts a 1-d array onto its own memory
+    in place, but copies it first when it has more dimensions.
     """
     keys = [np.asarray(a, dtype=np.uint64) for a in (i, j, *slots)]
     shape = np.broadcast_shapes(*(k.shape for k in keys))
-    if math.prod(shape) == 0:   # no variate, and no key to hash
+    size = math.prod(shape)
+    if size == 0:   # no variate, and no key to hash
         return np.empty(shape)
     nd = max(len(shape), 1)
     keys = [k.reshape((1,) * (nd - k.ndim) + k.shape) for k in keys]
-    out = np.empty(shape, dtype=np.float64).reshape((1,) * (nd - len(shape)) + shape)
-    lead, inner = out.shape[0], math.prod(out.shape[1:])
-    step = max(1, min(lead, _BLOCK // max(inner, 1)))
-    prefix_buf, bits_buf, scratch_buf, tmp_buf = np.empty((4, step * inner), dtype=np.uint64)
+    lead, *rest = (1,) * (nd - len(shape)) + shape
+    inner = math.prod(rest)
+    step = max(1, min(lead, _DRAW_BLOCK // inner))
+    out = np.empty(size)
+    prefix_buf = np.empty(step * inner, dtype=np.uint64)
     spare_buf = np.empty(step * inner, dtype=np.float64)
+    tmp_buf = spare_buf.view(np.uint64)
+    last = len(slots) - 1
     for lo in range(0, lead, step):
         ib, jb, *sb = (k if k.shape[0] == 1 else k[lo:lo + step] for k in keys)
-        ob = out[lo:lo + step]
+        block = (min(step, lead - lo), *rest)
+        m = math.prod(block)
+        ob, spare, tmp = out[lo * inner:lo * inner + m], spare_buf[:m], tmp_buf[:m]
         prefix = _prefix(seed, ib, jb, _view(prefix_buf, np.broadcast_shapes(ib.shape, jb.shape)),
-                         scratch_buf, tmp_buf)
-        bits, tmp = _view(bits_buf, ob.shape), _view(tmp_buf, ob.shape)
+                         tmp_buf)
 
         def slot_bits(k: int) -> np.ndarray:
-            np.bitwise_xor(prefix, sb[k], out=bits)
+            head = prefix
+            if k < last:
+                bits = ob.view(np.uint64)
+            else:
+                bits = prefix_buf[:ob.size]
+                if prefix.shape != block:
+                    # slot keys broadcast past (i, j): spread the prefix over
+                    # the block from a copy, as it shares bits' memory
+                    head = _view(tmp_buf, prefix.shape)
+                    np.copyto(head, prefix)
+            np.bitwise_xor(head, sb[k], out=bits.reshape(block))
             return _mix64(bits, tmp)
 
-        fill(ob, slot_bits, _view(spare_buf, ob.shape))
+        fill(ob, slot_bits, spare)
     return out.reshape(shape)[()]  # scalar keys give a numpy scalar, as ufuncs do
 
 
@@ -317,11 +379,12 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
 
     i, j = np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64)
     shape = np.broadcast_shapes(i.shape, j.shape)
+    if math.prod(shape) == 0:   # no variate, and no key to hash
+        return np.empty(shape)
     base = int(base_slot)
     z = np.reshape(normals(seed, i, j, base + 1), -1)
     prefix = _prefix(seed, i, j, np.empty(shape, dtype=np.uint64),
-                     np.empty(i.size, dtype=np.uint64),
-                     np.empty(max(z.size, i.size), dtype=np.uint64)).reshape(-1)
+                     np.empty(math.prod(shape), dtype=np.uint64)).reshape(-1)
 
     def mixed(pre: np.ndarray, slot) -> np.ndarray:
         """``mix(pre ^ slot)``, in a new array of their broadcast shape."""
@@ -330,7 +393,7 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
 
     def accept(z: np.ndarray, u: np.ndarray):
         """The candidates d*v of normals z and their accept flags against
-        uniforms u (u is overwritten)."""
+        uniforms u (z and u are overwritten)."""
         v = c * z
         v += 1.0
         v **= 3
@@ -339,15 +402,19 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
             logv = np.log(v)   # v <= 0 is rejected by ok's first factor
         logv *= d
         v *= d
-        rhs = 0.5 * z
+        # (z * z) * 0.5 is (0.5 * z) * z: a Box-Muller |z| exceeds 1e-30, so
+        # halving is exact
+        rhs = z
         rhs *= z
+        rhs *= 0.5
         rhs += d
         rhs -= v
         rhs += logv
         ok &= np.log(u, out=u) < rhs
         return v, ok
 
-    u = _to_unit(mixed(prefix, base + 3), np.empty(prefix.size))
+    u = mixed(prefix, base + 3)
+    u = _to_unit(u, u.view(np.float64))
     out, ok = accept(z, u)
     todo = np.flatnonzero(~ok)
     r = 1
@@ -367,8 +434,9 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
         r += rounds.size
 
     out = out.reshape(shape)
-    if boost:
-        b = _to_unit(mixed(prefix, base), u).reshape(shape)
+    if boost:   # the last slot: mixed in u's memory, the spent prefix its scratch
+        bits = np.bitwise_xor(prefix, base, out=u.view(np.uint64))
+        b = _to_unit(_mix64(bits, prefix), u).reshape(shape)
         b **= 1.0 / a
         out *= b
     return out
@@ -377,8 +445,8 @@ def gammas(shape: float, seed: int, i, j, base_slot: int = 0) -> np.ndarray:
 def derive_seed(seed: int, *tags: int) -> int:
     """Derive an independent stream seed from a parent seed and integer tags."""
     zero = np.zeros(1, dtype=np.uint64)
-    h, scratch, tmp = np.empty((3, 1), dtype=np.uint64)
-    _prefix(seed, zero, zero, h, scratch, tmp)
+    h, tmp = np.empty((2, 1), dtype=np.uint64)
+    _prefix(seed, zero, zero, h, tmp)
     for t in (0, *tags):  # slot 0 ends the (seed, 0, 0, 0) key; then one mix per tag
         h ^= np.uint64(t & 0xFFFFFFFFFFFFFFFF)
         _mix64(h, tmp)

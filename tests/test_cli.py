@@ -267,6 +267,9 @@ RADIAL = {"check": "radial_transfer", "n": 16, "p": 1}
     ({"jobs": [CUBE, {**CUBE, "eps": ["0.1", "0.5"]}]}, "jobs[1].eps"),
     ({"jobs": [CUBE, {**CUBE, "eps": {"start": "0.1", "stop": "0.5", "num": 3}}]},
      "jobs[1].eps"),
+    # a transform's entries are JSON numbers: text and booleans once read as numbers
+    ({"jobs": [{"check": "separated_sets", "n": 2, "measure": "gaussian",
+                "metric": {"p": 2, "transform": [["2", "0"], [True, "2"]]}}]}, "jobs[0].metric"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):

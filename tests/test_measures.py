@@ -194,6 +194,20 @@ def test_sample_is_chunk_invariant(make, n):
         assert np.array_equal(vals, ns.norm_eval(norm, whole))
 
 
+@pytest.mark.parametrize("n", [40, 100])
+def test_transformed_body_pulls_back_chunk_by_chunk(n):
+    # a GEMM's last bits follow its row count, even at one BLAS thread, so
+    # the pull-back of a draw of several chunks is taken chunk by chunk
+    t = np.eye(n) + 0.1 * np.cos(np.add.outer(np.arange(n), 2.0 * np.arange(n)))
+    spec = ms.uniform_ball(ns.NormSpec(dim=n, p=1.5, transform=t))
+    step = rng.block_rows(n)
+    count = 3 * rng._DRAW_CHUNKS * step + 7
+    chunks = np.concatenate([ms._generate(spec, 5, lo, min(lo + step, count))
+                             for lo in range(0, count, step)])
+    assert np.array_equal(ms.sample(spec, count, seed=5).data, chunks)
+    assert np.array_equal(ms._generate(spec, 5, 0, count), chunks)
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -335,6 +349,22 @@ def test_sample_map_keeps_its_chunks_at_any_pool_size(monkeypatch, size):
         [ns.norm_eval(norm, data[lo:lo + 7]) for lo in range(0, count, 7)]))
 
 
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("n", [3, 64, 1024])
+def test_sample_map_hands_fn_one_chunk_at_a_time(monkeypatch, size, n):
+    # rows are drawn several chunks at a time, but fn never sees more than
+    # one chunk, so a callback's temporaries stay those of one chunk
+    monkeypatch.setattr(rng, "_pool_size", size)
+    step = rng.block_rows(n)
+    count = 3 * rng._DRAW_CHUNKS * step + step // 2 + 1
+    seen = []
+    for spec in (ms.gaussian(n), ms.ggp(1.5, n), ms.uniform_ball(ns.lp(1.5, n))):
+        seen.clear()
+        rows, = ms.sample_map(spec, count, 5, lambda rows: seen.append(len(rows)) or (rows,))
+        assert max(seen) <= step and sum(seen) == count
+        assert np.array_equal(rows, ms._generate(spec, 5, 0, count))
+
+
 def test_sample_map_reraises_a_worker_error_and_leaves_no_thread(monkeypatch):
     # an error raised in a chunk on a worker thread of sample_map, of the
     # row-loop helper or of norm_eval reaches the caller, and no stream
@@ -342,7 +372,7 @@ def test_sample_map_reraises_a_worker_error_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(rng, "_pool_size", 2)
     spec, norm = ms.gaussian(16), ns.lp(2, 16)
     step = rng.block_rows(16)
-    count = 4 * step
+    count = 3 * rng._DRAW_CHUNKS * step   # sized in draws, so that a thread takes one
     caller = threading.get_ident()
 
     def poisoned(rows):
@@ -423,6 +453,21 @@ def test_from_config_round_trips_and_refuses_an_unknown_key(spec):
         assert cls.from_config(cfg).to_config() == cfg
         with pytest.raises(ValueError, match=re.escape(f"{what} takes no keys ['transfrom']")):
             cls.from_config({**cfg, "transfrom": _TRANSFORM})
+
+
+@pytest.mark.parametrize("entry", ["2", True, math.inf, math.nan])
+def test_from_config_refuses_a_transform_entry_that_is_no_finite_number(entry):
+    # numpy reads "2" and True as numbers, so a config once ran [[2, 0], [1, 2]]
+    rows = [[2.0, 0.0], [entry, 2.0]]
+    configs = [(ms.MeasureSpec, {"family": "uniform_ball", "dim": 2, "p": 2, "transform": rows}),
+               (ns.NormSpec, {"kind": "lp", "p": 2, "dim": 2, "transform": rows})]
+    for cls, cfg in configs:
+        with pytest.raises(ValueError, match="transform entries are finite numbers"):
+            cls.from_config(cfg)
+        with pytest.raises(ValueError, match="a transform is a list of rows"):
+            cls.from_config({**cfg, "transform": "[[2, 0], [0, 2]]"})
+    # the constructors still take arrays
+    assert ns.NormSpec(dim=2, p=2, transform=np.eye(2)).transform_inv is not None
 
 
 def test_body_norm_is_built_once():

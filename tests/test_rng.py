@@ -1,6 +1,7 @@
 """Stream quality and reproducibility of the counter-based generator."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,26 @@ def test_empty_broadcast_shape_gives_an_empty_array():
                     rng.exponentials(1, i, j, 0), rng.gammas(0.5, 1, i, j),
                     rng.gammas(2.5, 1, i, j)):
             assert out.shape == shape and out.dtype == np.float64
+
+
+def test_a_draw_holds_two_block_buffers_besides_its_output():
+    # one rng.normals call of one draw block: the output plus the prefix and
+    # the spare buffer, each of the block's size, and at most 160 KiB of
+    # small arrays and numpy's fixed iteration buffers (128 KiB) for the
+    # broadcast key hash; a third block buffer would be 512 KiB
+    i = np.arange(rng._DRAW_BLOCK // 1024, dtype=np.uint64)[:, None]
+    j = np.arange(1024, dtype=np.uint64)[None, :]
+    buffer = rng._DRAW_BLOCK * 8
+    rng.normals(3, i, j, 0)
+    tracemalloc.start()
+    try:
+        rng.normals(3, i, j, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rng._DRAW_BLOCK == 2 * rng._BLOCK
+    output = buffer
+    assert peak <= output + 2 * buffer + 160 * 2**10
 
 
 def test_derive_seed_spreads():
