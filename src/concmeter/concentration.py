@@ -20,6 +20,7 @@ one-sided and conservative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -164,29 +165,50 @@ def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> None
             spread(lambda a, b: reduce(rows[a:b], lo + a), chunk.shape[0])
 
 
-def linear_quantiles(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The q[k]-quantile of each row ``rows[k]``, q[k] in [0, 1], bit for
-    bit as ``np.quantile(rows[k], q[k])`` (numpy's linear rule).
+def quantile_cuts(row: np.ndarray, q_lo: float, q_hi: float) -> tuple:
+    """``(a, b, #{x <= a}, #{x >= b})`` for the q_lo- and q_hi-quantiles a
+    and b of ``row``, 0 <= q_lo <= q_hi <= 1, bit for bit as ``np.quantile``
+    (numpy's linear rule) and ``np.count_nonzero`` give them.
 
-    The quantile interpolates between the order statistics at the rank
-    below it and the next.  They are found by selection: each row is
-    partitioned in place at the rank below (a single-kth partition, which
-    numpy runs on its SIMD path; a multi-kth one does not), and the next
-    statistic is the least value above that rank.
+    A quantile interpolates between the order statistics x(r) at the rank
+    r below it and x(r+1).  They are found by selection, reordering the
+    row in place: it is partitioned at r1 (a single-kth partition, which
+    numpy runs on its SIMD path; a multi-kth one does not) and its tail
+    beyond r1 at r2, and x(r1+1) and x(r2+1) are the least values of the
+    segments after the two partition points.  When x(r1) <= a < x(r1+1),
+    r1 + 1 values lie at or below a, and when x(r2) < b <= x(r2+1),
+    N - r2 - 1 lie at or above b, so the row is compared with a cut only
+    on ties.
     """
-    q = np.asarray(q, dtype=np.float64)
-    last = rows.shape[1] - 1
+    last = row.size - 1
+    (r1, g1), (r2, g2) = (_rank_below(last, q) for q in (q_lo, q_hi))
+    row.partition(r1)
+    if r2 > r1:
+        row[r1 + 1:].partition(r2 - r1 - 1)
+    x1, x2 = row[r1], row[r2]
+    y2 = row[r2 + 1:].min() if r2 < last else x2
+    y1 = row[r1 + 1:r2 + 1].min() if r2 > r1 else y2
+    a, b = _lerp(x1, y1, g1), _lerp(x2, y2, g2)
+    below = r1 + 1 if x1 <= a < y1 else np.count_nonzero(row <= a)
+    above = last - r2 if x2 < b <= y2 else np.count_nonzero(row >= b)
+    return a, b, below, above
+
+
+def _rank_below(last: int, q: float) -> tuple:
+    """The rank below the q-quantile of N = last + 1 values and the
+    fraction of the way to the next, as numpy's linear rule takes them
+    (at or past the last rank, numpy counts the fraction from rank -1)."""
     virtual = last * q
-    below = np.floor(virtual)
-    gamma = virtual - below
-    a, b = np.empty((2, rows.shape[0]))
-    for k, (row, rank) in enumerate(zip(rows, below.astype(np.intp))):
-        row.partition(rank)
-        a[k] = row[rank]
-        b[k] = row[rank + 1:].min() if rank < last else a[k]
-    diff = b - a
-    # numpy's _lerp: interpolate from the nearer end
-    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+    if virtual >= last:
+        return last, virtual + 1.0
+    below = math.floor(virtual)
+    return below, virtual - below
+
+
+def _lerp(lo: float, hi: float, gamma: float) -> float:
+    """numpy's _lerp: interpolate from the nearer end."""
+    diff = hi - lo
+    return hi - diff * (1.0 - gamma) if gamma >= 0.5 else lo + diff * gamma
 
 
 def eps_grid_fault(eps_grid) -> Optional[str]:

@@ -3,7 +3,10 @@
 A norm here is an lp norm, optionally composed with an invertible linear
 map T, i.e. ``|x| = |T x|_p``.  The unit body of such a norm is the
 preimage of the lp ball under T, which is how uniform-ball and
-cone-surface samplers handle transformed bodies.
+cone-surface samplers handle transformed bodies.  Several norms of the
+same rows are taken in one pass (:func:`norm_evals`): the norms without
+a transform share the rows' absolute values, their maxima and the rows
+rescaled by them, and each norm keeps the bits it has alone.
 
 The containment constant of a pair (K, L) is the tightest sandwich
 
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -129,42 +132,76 @@ def scaled(norm: NormSpec, factor: float) -> NormSpec:
     return NormSpec(dim=norm.dim, p=norm.p, transform=factor * t)
 
 
-def norm_eval(norm: NormSpec, x: np.ndarray) -> np.ndarray:
-    """|x| for a single vector or row-wise for an (N, dim) matrix.
+def _lp_rows(ax: np.ndarray, ps) -> list:
+    """The lp norm of each row, one vector per exponent of ``ps``, from
+    ``ax``, the rows' absolute values, which it overwrites.
 
-    Finite-p evaluation rescales by the max coordinate before
-    exponentiating, so large p cannot overflow.  Rows are reduced in
-    chunks of ``rng.block_rows`` rows on the stream threads, so the
-    temporaries stay cache-sized; every row is reduced on its own, so the
-    chunking moves no bit.  A transform is applied to the whole input
-    first, ``x @ T.T`` in one product: a chunked product's last bits would
-    follow the BLAS thread count.
+    Finite-p evaluation rescales by the row maxima m before
+    exponentiating, so large p cannot overflow; the exponents share m and
+    the rescaled rows |x|/m, each finite p raising its own copy of them
+    to p but the last, which raises them in place.
+    """
+    m = ax.max(axis=1)
+    finite = [k for k, p in enumerate(ps) if p != INF]
+    if finite:
+        ax /= np.where(m > 0.0, m, 1.0)[:, None]
+    out = [m] * len(ps)
+    for k in finite:
+        if k == finite[-1]:
+            ax **= ps[k]
+            powers = ax
+        else:
+            powers = ax ** ps[k]
+        out[k] = m * powers.sum(axis=1) ** (1.0 / ps[k])
+    return out
+
+
+def norm_evals(norms: Sequence[NormSpec], x: np.ndarray) -> tuple:
+    """``(|x|_1, |x|_2, ...)`` for the norms of ``norms``, each for a single
+    vector or row-wise for an (N, dim) matrix, from one pass over the rows.
+
+    Rows are reduced in chunks of ``rng.block_rows`` rows on the stream
+    threads, so the temporaries stay cache-sized; every row is reduced on
+    its own, so the chunking moves no bit.  Each chunk is tested for
+    finite entries once, and the plain norms share one |x| buffer and its
+    rescaled rows (:func:`_lp_rows`), so every norm gets the float
+    operations, and the bits, of its own evaluation.  A transform is
+    applied to the whole input first, ``x @ T.T`` in one product per
+    transformed norm: a chunked product's last bits would follow the BLAS
+    thread count.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != norm.dim:
-        raise ValueError(f"dimension mismatch: norm has dim {norm.dim}, input has {x.shape[1]}")
-    y = x
-    if norm.transform is not None:
-        with np.errstate(invalid="ignore"):   # non-finite input raises below
-            y = x @ norm.transform.T
+    for norm in norms:
+        if x.shape[1] != norm.dim:
+            raise ValueError(f"dimension mismatch: norm has dim {norm.dim}, "
+                             f"input has {x.shape[1]}")
+    # the plain norms reduce x's own rows together, each transformed one its image
+    plain = [k for k, norm in enumerate(norms) if norm.is_plain]
+    groups = [(plain, x)] if plain else []
+    with np.errstate(invalid="ignore"):   # non-finite input raises below
+        groups += [([k], x @ norm.transform.T) for k, norm in enumerate(norms)
+                   if not norm.is_plain]
 
     def reduce(lo: int, hi: int) -> tuple:
         if not np.isfinite(x[lo:hi]).all():
             raise ValueError("non-finite input component")
-        ax = np.abs(y[lo:hi])
-        m = ax.max(axis=1)
-        if norm.p == INF:
-            return (m,)
-        # in place on the abs buffer: one chunk-size temporary
-        ax /= np.where(m > 0.0, m, 1.0)[:, None]
-        ax **= norm.p
-        return (m * ax.sum(axis=1) ** (1.0 / norm.p),)
+        out = [None] * len(norms)
+        for ks, y in groups:
+            for k, value in zip(ks, _lp_rows(np.abs(y[lo:hi]), [norms[k].p for k in ks])):
+                out[k] = value
+        return tuple(out)
 
-    out, = rng._chunk_map(x.shape[0], rng.block_rows(norm.dim), reduce)
-    return out[0] if single else out
+    outs = rng._chunk_map(x.shape[0], rng.block_rows(x.shape[1]), reduce)
+    return tuple(out[0] for out in outs) if single else outs
+
+
+def norm_eval(norm: NormSpec, x: np.ndarray) -> np.ndarray:
+    """|x| for a single vector or row-wise for an (N, dim) matrix: the one
+    norm of :func:`norm_evals`."""
+    return norm_evals((norm,), x)[0]
 
 
 def dual_norm(norm: NormSpec) -> NormSpec:

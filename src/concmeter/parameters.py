@@ -33,7 +33,7 @@ import numpy as np
 
 from .concentration import _Z95, MedianEstimate, empirical_median
 from .measures import MeasureSpec, sample_map
-from .normspace import ContainmentConstant, NormSpec, containment_constant, norm_eval
+from .normspace import ContainmentConstant, NormSpec, containment_constant, norm_evals
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,11 @@ def norm_values(measure: MeasureSpec, norms: Sequence[NormSpec], count: int,
     """Norm evaluations of a batch, streamed through
     :func:`concmeter.measures.sample_map` so the batch is never held.
 
-    ``norm_eval`` reduces row by row, so results are identical to
+    ``norm_evals`` reduces row by row, so results are identical to
     materializing the batch first (up to the last bits of a transform's
     matrix product under more than one BLAS thread).
     """
-    return list(sample_map(measure, count, seed,
-                           lambda rows: tuple(norm_eval(norm, rows) for norm in norms)))
+    return list(sample_map(measure, count, seed, lambda rows: norm_evals(norms, rows)))
 
 
 def _mean_stat(values: np.ndarray) -> StatEstimate:

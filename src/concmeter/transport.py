@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .measures import RadialCdf
-from .normspace import NormSpec, norm_eval
+from .normspace import NormSpec, norm_eval, norm_evals
 
 
 # ---------------------------------------------------------------------------
@@ -37,8 +37,9 @@ from .normspace import NormSpec, norm_eval
 # ---------------------------------------------------------------------------
 
 def ratio_norms(K: NormSpec, L: NormSpec) -> Callable:
-    """rows -> (|x|_K, |x|_L): the row norms of the norm-ratio map."""
-    return lambda rows: (norm_eval(K, rows), norm_eval(L, rows))
+    """rows -> (|x|_K, |x|_L): the row norms of the norm-ratio map, from
+    one pass over the rows."""
+    return lambda rows: norm_evals((K, L), rows)
 
 
 def radial_norms(u: Callable, L: NormSpec) -> Callable:

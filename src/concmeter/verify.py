@@ -28,6 +28,10 @@ batch at all.  The cube floor and the shell chain keep their batch, with
 its norms (and the shell chain's image projections) from the same
 stream; the probes and the Lipschitz pairs go in chunks of rows through
 ``rng._chunk_map``.  README.md lists each check's peak.
+
+Row norms come from one pass over each chunk for all the norms a map
+reads (``normspace.norm_evals`` through ``transport.ratio_norms``), and
+the shell chain's probe partners reuse the norms sampled with them.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 from . import rng
 from .concentration import (MEDIAN_MIN_COUNT, AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
-                            eps_grid_fault, linear_quantiles, reduce_projections)
+                            eps_grid_fault, quantile_cuts, reduce_projections)
 from .measures import (FAMILIES, LP_FAMILIES, MAX_GAMMA_SHAPE, MeasureSpec, ggp,
                        haar_sphere, radial_cdf, sample, sample_map, uniform_ball)
 from .normspace import (INF, NormSpec, _as_p, _config_object, dual_norm, lp, norm_eval,
@@ -323,8 +327,8 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
 
     def probe(lo: int, hi: int) -> tuple:
         idx = np.arange(lo, hi, dtype=np.uint64)
-        pick = (rng.uniforms(pseed, idx, 0, 0) * members.size).astype(np.int64)
-        y = data[members[pick]]
+        rows = members[(rng.uniforms(pseed, idx, 0, 0) * members.size).astype(np.int64)]
+        y, yk, yl = data[rows], vk[rows], vl[rows]   # the partners and their norms
         direction = rng.normals(pseed, idx[:, None], cols, 1)
         direction /= norm_eval(K, direction)[:, None]
         scale_u = rng.uniforms(pseed, idx, 0, 3)
@@ -334,12 +338,12 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
         scale_u[idx < half] = 1.0
         x = y + direction * (radius * scale_u)[:, None]
         col = idx >= probes - n_col
-        x[col] = y[col] * (1.0 + radius / norm_eval(K, y[col]))[:, None]
+        x[col] = y[col] * (1.0 + radius / yk[col])[:, None]
         same = (idx >= half) & (idx < half + n_col)
         x[same] = y[same]
 
         pix = norm_ratio_map(K, L_r, x)
-        piy = norm_ratio_map(K, L_r, y)
+        piy = _lift(lambda _: (yk, yl), y)[0]
         return norm_eval(L_r, pix - piy), pix @ theta - (t_cut + eps * dual_w)
 
     moved, overshoot = rng._chunk_map(probes, rng.block_rows(n), probe)
@@ -377,12 +381,9 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: i
     pa, pb, gap = np.empty((3, num_pairs))
 
     def masses(rows: np.ndarray, first: int) -> None:
-        pairs = slice(first, first + len(rows))
-        a = linear_quantiles(rows, q_lo[pairs])
-        b = linear_quantiles(rows, q_hi[pairs])
-        pa[pairs] = [np.count_nonzero(row <= t) for row, t in zip(rows, a)]
-        pb[pairs] = [np.count_nonzero(row >= t) for row, t in zip(rows, b)]
-        gap[pairs] = np.maximum(b - a, 0.0)
+        for k, row in enumerate(rows, first):
+            a, b, pa[k], pb[k] = quantile_cuts(row, q_lo[k], q_hi[k])
+            gap[k] = np.maximum(b - a, 0.0)
 
     reduce_projections(batch.data, thetas, masses)
     dual_w = norm_eval(dual_norm(metric), thetas)

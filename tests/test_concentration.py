@@ -357,21 +357,34 @@ def test_curve_holds_one_projection_block():
     assert peak <= 1.2 * block
 
 
-@pytest.mark.parametrize("count", [1, 2, 999, 1000])
-def test_linear_quantiles_match_numpy(count):
+@pytest.mark.parametrize("count", [1, 2, 3, 101, 999, 1000, 5001])
+def test_quantile_cuts_match_numpy(count):
     gen = np.random.default_rng(count)
-    q = np.concatenate([[0.0, 1e-12, 1e-6, 0.25, 0.5, 0.75, 1 - 1e-6, 1 - 1e-12, 1.0],
+    q = np.concatenate([[0.0, 1e-12, 1e-6, 0.02, 0.25, 0.45, 0.5, 0.55, 0.75, 0.98,
+                         1 - 1e-6, 1 - 1e-12, 1.0],
                         gen.uniform(size=40), 0.02 + 0.43 * gen.uniform(size=15),
                         0.55 + 0.43 * gen.uniform(size=15)])
-    smooth = gen.normal(size=(q.size, count))
-    tied = gen.integers(-3, 4, size=(q.size, count)).astype(np.float64)
-    for rows in (smooth, tied, 1e-300 * tied, np.zeros((q.size, count))):
-        expect = np.array([np.quantile(row, qk) for row, qk in zip(rows, q)])
-        # selection partitions each row in place: sorted or not, the values stay
+    other = gen.permutation(q)
+    # q_lo <= q_hi, with the ends of the set pairs' ranges among them
+    pairs = np.concatenate([np.column_stack([np.minimum(q, other), np.maximum(q, other)]),
+                            [[0.02, 0.98], [0.02, 0.55], [0.45, 0.98], [0.45, 0.55],
+                             [0.02, 0.02], [0.98, 0.98]]])
+    smooth = gen.normal(size=(len(pairs), count))
+    tied = gen.integers(-3, 4, size=(len(pairs), count)).astype(np.float64)
+    zeros = np.zeros((len(pairs), count))
+    for rows in (smooth, tied, 1e-300 * tied, zeros, -zeros):
+        expect = []
+        for row, (q_lo, q_hi) in zip(rows, pairs):
+            a, b = np.quantile(row, q_lo), np.quantile(row, q_hi)
+            expect.append((a, b, np.count_nonzero(row <= a), np.count_nonzero(row >= b)))
+        # selection reorders each row in place: sorted or not, the values stay
         for given in (np.sort(rows, axis=1), rows.copy()):
-            got = con.linear_quantiles(given, q)
-            assert np.array_equal(got, expect)
-            assert np.array_equal(np.signbit(got), np.signbit(expect))
+            for row, (q_lo, q_hi), want in zip(given, pairs, expect):
+                got = con.quantile_cuts(row, q_lo, q_hi)
+                assert got[2:] == want[2:]
+                cuts = np.array(got[:2], dtype=np.float64)
+                assert np.array_equal(cuts.view(np.uint64),
+                                      np.array(want[:2]).view(np.uint64))
             assert np.array_equal(np.sort(given, axis=1), np.sort(rows, axis=1))
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from concmeter import normspace as ns
+from concmeter import normspace as ns, rng
 
 RNG = np.random.default_rng(2024)
 
@@ -98,6 +98,67 @@ def test_norm_eval_peak_stays_cache_sized():
     finally:
         tracemalloc.stop()
     assert peak <= 2 ** 20   # the whole input is 9.8 MiB
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.asarray(a).view(np.uint64),
+                                                 np.asarray(b).view(np.uint64))
+
+
+def test_norm_evals_match_each_norm_eval():
+    # the plain norms share one |x| pass and its rescaled rows, each
+    # transformed norm keeps its own product: every norm keeps its bits
+    gen = np.random.default_rng(6)
+    t = gen.normal(size=(6, 6)) + 4 * np.eye(6)
+    mixes = [
+        [ns.lp(1, 6), ns.lp(1.5, 6), ns.lp(2, 6), ns.lp(np.inf, 6)],
+        [ns.lp(np.inf, 6), ns.lp(2, 6), ns.lp(1.5, 6), ns.lp(1, 6)],
+        [ns.NormSpec(dim=6, p=2, transform=t), ns.lp(1.5, 6),
+         ns.NormSpec(dim=6, p=1, transform=t), ns.NormSpec(dim=6, p=2, transform=t)],
+        [ns.lp(2, 6), ns.lp(2, 6)],
+        [ns.lp(np.inf, 6)],
+    ]
+    x = gen.normal(size=(3000, 6)) * gen.exponential(size=(3000, 1))
+    x[11] = 0.0
+    for norms in mixes:
+        for given in (x, x[7], np.empty((0, 6))):
+            got = ns.norm_evals(norms, given)
+            assert len(got) == len(norms)
+            for norm, value in zip(norms, got):
+                assert _same_bits(value, ns.norm_eval(norm, given))
+
+
+def test_norm_evals_across_chunks():
+    # 40001 rows at n = 3 span four row chunks, the last one partial
+    x = np.random.default_rng(3).normal(size=(40001, 3))
+    x[7] = 0.0
+    t = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, 3.0]])
+    norms = [ns.lp(1.5, 3), ns.lp(np.inf, 3), ns.NormSpec(dim=3, p=2, transform=t),
+             ns.lp(1, 3)]
+    for norm, value in zip(norms, ns.norm_evals(norms, x)):
+        assert _same_bits(value, ns.norm_eval(norm, x))
+    x[-1, 2] = np.nan   # in the last chunk
+    with pytest.raises(ValueError, match="^non-finite input component$"):
+        ns.norm_evals(norms, x)
+
+
+def test_norm_evals_peak_for_two_norms(monkeypatch):
+    # two plain finite-p norms hold the two outputs plus, per stream thread,
+    # two chunk-sized buffers (|x|/m and the first norm's powers): bounded
+    # by three chunks of 256 KiB per thread, 1.11 MB at one thread and
+    # 1.89 MB at two (the whole input is 9.8 MiB)
+    x = np.random.default_rng(5).normal(size=(20000, 64))
+    chunk = rng.block_rows(64) * 64 * 8
+    outputs = 2 * 20000 * 8
+    for threads in (1, 2):
+        monkeypatch.setattr(rng, "_pool_size", threads)
+        tracemalloc.start()
+        try:
+            ns.norm_evals((ns.lp(1.5, 64), ns.lp(2, 64)), x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= outputs + threads * 3 * chunk, threads
 
 
 def test_large_p_no_overflow():

@@ -113,15 +113,15 @@ def test_shell_inclusion_counts_violations_per_probe(monkeypatch):
     def planted(K, L, x):
         out = real(K, L, x)
         calls.append(x)
-        if len(calls) == 1:     # the calls map the probes, then their partners
-            out[:5] = 0.0
+        out[:5] = 0.0
         return out
 
     monkeypatch.setattr(vf, "norm_ratio_map", planted)
     rep = vf.check_shell_inclusion(
         K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
         eps=0.5, count=20000, probes=2000, seed=7)
-    assert len(calls) == 2
+    # one call maps the probes; the partners' images come from their sampled norms
+    assert len(calls) == 1 and calls[0].shape == (2000, 16)
     assert rep.quantities["membership_failures"] == 0
     assert rep.violations == 5
     assert rep.verdict == "fail"
@@ -132,18 +132,25 @@ def test_shell_inclusion_few_probes_keep_the_boundary_half(monkeypatch):
     # at probes < 10 the collinear and repeated slices are empty: half the
     # probes sit on the K-sphere of the probe radius around their partner
     # and the rest strictly inside it, in random directions
-    real = vf.norm_ratio_map
-    calls = []
+    real_map, real_lift = vf.norm_ratio_map, vf._lift
+    probes, lifted = [], []
 
-    def recorded(K, L, x):
-        calls.append(np.array(x))
-        return real(K, L, x)
+    def mapped(K, L, x):
+        probes.append(np.array(x))
+        return real_map(K, L, x)
 
-    monkeypatch.setattr(vf, "norm_ratio_map", recorded)
+    def lift(norms, rows, out=None):
+        lifted.append(np.array(rows))
+        return real_lift(norms, rows, out)
+
+    monkeypatch.setattr(vf, "norm_ratio_map", mapped)
+    monkeypatch.setattr(vf, "_lift", lift)
     K = ns.lp(2, 16)
     rep = vf.check_shell_inclusion(K=K, L=ns.lp(1, 16), measure=ms.haar_sphere(16),
                                    eps=0.5, count=5000, probes=5, seed=7)
-    x, y = calls
+    # the sample chunks are lifted first and the probes' partners last
+    (x,), y = probes, lifted[-1]
+    assert y.shape == (5, 16) and np.allclose(ns.norm_eval(K, y), 1.0, rtol=1e-12)
     dist = ns.norm_eval(K, x - y)
     radius = rep.quantities["probe_radius"]
     np.testing.assert_allclose(dist[:2], radius, rtol=1e-12)
