@@ -5,7 +5,7 @@ K-norm, ``x -> x * |x|_K / |x|_L``; it carries any measure on the
 K-sphere onto the L-sphere while moving points as little as the norm
 gap forces.  Under the sandwich |.|_K <= |.|_L <= lam |.|_K it is
 (2 lam + 1)-Lipschitz from the K-metric to the L-metric, which
-:func:`empirical_lipschitz` probes on pairs of points.  Each map is
+:func:`ratio_map_lipschitz` probes on pairs of points.  Each map is
 defined once by its row norms (:func:`ratio_norms`, :func:`radial_norms`).
 
 radial_transport couples two radially symmetric measures through their
@@ -65,22 +65,6 @@ def _push(norms: Callable, x) -> np.ndarray:
     return _lift(norms, np.atleast_2d(x))[0].reshape(x.shape)
 
 
-def empirical_lipschitz(f: Callable, metric_in: NormSpec, metric_out: NormSpec,
-                        pairs: Callable, count: int) -> float:
-    """Max of |f(x) - f(y)|_out / |x - y|_in over the ``count`` pairs of
-    ``pairs(lo, hi) -> (xa, xb)`` (rows [lo, hi) of the pairs), a pair of
-    equal points counting 0; drawn in chunks through ``rng._chunk_map``,
-    so ``pairs`` and ``f`` are row-wise and thread-safe."""
-    def ratios(lo: int, hi: int) -> tuple:
-        xa, xb = pairs(lo, hi)
-        num = norm_eval(metric_out, f(xa) - f(xb))
-        den = norm_eval(metric_in, xa - xb)
-        return (np.divide(num, den, out=np.zeros_like(num), where=den > 0.0),)
-
-    ratio, = rng._chunk_map(count, rng.block_rows(metric_in.dim), ratios)
-    return float(ratio.max())
-
-
 def norm_ratio_map(K: NormSpec, L: NormSpec, x: np.ndarray) -> np.ndarray:
     """x * |x|_K / |x|_L for a vector or row-wise for a matrix; 0 -> 0."""
     return _push(ratio_norms(K, L), x)
@@ -93,15 +77,17 @@ def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,
     Half the pairs are independent point pairs, half are local
     perturbations of a point (scale ~ 1e-3 of the typical K-norm),
     which probe the worst-case local ratio.  Coincident pairs count 0.
-    One chunk of pairs per stream thread is held at a time.
+    The pairs go in chunks through ``rng._chunk_map``, so one chunk of
+    pairs per stream thread is held at a time.
     """
     points = np.asarray(points, dtype=np.float64)
     n_pts, dim = points.shape
     half = pairs // 2
     perturbation_scale = 1e-3 * float(np.median(norm_eval(K, points)))
     cols = np.arange(dim, dtype=np.uint64)[None, :]
+    pi = ratio_norms(K, L)
 
-    def draw(lo: int, hi: int) -> tuple:
+    def ratios(lo: int, hi: int) -> tuple:
         idx = np.arange(lo, hi, dtype=np.uint64)
         xa = points[(rng.uniforms(seed, idx, 0, 0) * n_pts).astype(np.int64)]
         xb = points[(rng.uniforms(seed, idx, 1, 0) * n_pts).astype(np.int64)]
@@ -109,10 +95,12 @@ def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,
         noise = rng.normals(seed, local[:, None], cols, 2)
         noise *= perturbation_scale / norm_eval(K, noise)[:, None]
         xb[:local.size] = xa[:local.size] + noise
-        return xa, xb
+        num = norm_eval(L, _lift(pi, xa)[0] - _lift(pi, xb)[0])
+        den = norm_eval(K, xa - xb)
+        return (np.divide(num, den, out=np.zeros_like(num), where=den > 0.0),)
 
-    pi = ratio_norms(K, L)
-    return empirical_lipschitz(lambda x: _lift(pi, x)[0], K, L, draw, pairs)
+    ratio, = rng._chunk_map(pairs, rng.block_rows(dim), ratios)
+    return float(ratio.max())
 
 
 # ---------------------------------------------------------------------------

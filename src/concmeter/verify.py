@@ -3,14 +3,15 @@
 Each check re-creates one transfer statement numerically: it samples
 the source measure, builds the push-forward (or probe sets) it needs,
 computes the left side from the sound lower-bound estimator, and emits
-a CheckReport.  The maps (their row norms) and the Lipschitz pair probe
-come from :mod:`.transport`, the families that read p from :mod:`.measures`.  The right side, slack and smallness precondition come
-from the check's Statement in CHECK_SPECS, which :func:`restate`
-evaluates from the report's own terms; the same row holds the check's
-argument defaults, which :func:`run_check` fills in.  Grid points where the
-precondition fails are excluded from violation counts but listed.
-Empirical medians stand in for true medians, with their CI propagated
-into the slack by finite differences on the right side.
+a CheckReport.  The push-forward maps (their row norms) come from
+:mod:`.transport`, the families that read p from :mod:`.measures`.  The
+right side, slack and smallness precondition come from the check's
+Statement in CHECK_SPECS, which :func:`restate` evaluates from the
+report's own terms; the same row holds the check's argument defaults,
+which :func:`run_check` fills in.  Grid points where the precondition
+fails are excluded from violation counts but listed.  Empirical medians
+stand in for true medians, with their CI propagated into the slack by
+finite differences on the right side.
 
 Left sides always come from the half-space estimator (a lower bound of
 the true concentration function) and right sides from profiles (upper
@@ -20,13 +21,13 @@ real bug or a false profile, never Monte Carlo bad luck beyond CI.
 Memory: a check holds one sample-sized array (the batch, or the image
 of a push-forward) plus one block of at most 32 projections, which the
 curve sorts and the set pairs partition, direction by direction on the
-stream threads (``concentration.reduce_projections``).  The norm-ratio
-and radial transfers never hold their source batch: they fill the image
-from the sample stream through ``measures.sample_map``.  The sup-norm
-embedding check maps the stream to two numbers per row and holds no
-batch at all.  The cube floor and the shell chain keep their batch, with
-its norms (and the shell chain's image projections) from the same
-stream; the probes and the Lipschitz pairs go in chunks of rows through
+stream threads (``concentration.reduce_projections``).  The Lipschitz,
+norm-ratio and radial transfers never hold their source batch: they fill
+the image from the sample stream through ``measures.sample_map``.  The
+sup-norm embedding check maps the stream to two numbers per row and
+holds no batch at all.  The cube floor and the shell chain keep their
+batch, with its norms (and the shell chain's image projections) from the
+same stream; the shell chain's probes go in chunks of rows through
 ``rng._chunk_map``.  README.md lists each check's peak.
 
 Row norms come from one pass over each chunk for all the norms a map
@@ -52,8 +53,8 @@ from .measures import (FAMILIES, LP_FAMILIES, MAX_GAMMA_SHAPE, MeasureSpec, ggp,
 from .normspace import (INF, NormSpec, _as_p, _config_object, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
-from .transport import (_lift, empirical_lipschitz, lipschitz_constant, norm_ratio_map,
-                        radial_norms, radial_transport, ratio_norms)
+from .transport import (_lift, lipschitz_constant, norm_ratio_map, radial_norms,
+                        radial_transport, ratio_norms)
 
 _ALGEBRAIC_TOL = 1e-9
 
@@ -192,23 +193,40 @@ def _resolve_profile(profile, n: int) -> AnalyticProfile:
 _MAP_KEYS = {"identity": (), "scale": ("factor",), "coordinate": ("index",)}
 
 
-def build_map(cfg: dict, dim: int) -> tuple[Callable[[np.ndarray], np.ndarray], int, str]:
-    """Row-wise map from a config descriptor; returns (fn, out_dim, label).
-    A descriptor holds ``kind`` and that kind's own key only."""
+def build_map(cfg: dict, metric_in: NormSpec
+              ) -> tuple[Callable[[np.ndarray], np.ndarray], NormSpec, str, float]:
+    """Row-wise map from a config descriptor (``kind`` and that kind's own
+    key only): ``(fn, metric_out, label, lip)``, ``lip`` being the map's
+    exact Lipschitz constant from ``metric_in`` to ``metric_out``.  The
+    n-wide maps keep the metric, so identity's is 1 and scale's |factor|.
+    Coordinate i maps into lp(p, 1); its constant sup{|x_i| : |x| <= 1} is
+    |e_i|_* in the dual norm: 1 in plain lp, |T^-T e_i|_q in |Tx|_p."""
     kind = cfg.get("kind") if isinstance(cfg, dict) else None
     if not isinstance(kind, str) or kind not in _MAP_KEYS:
         raise ValueError(f"expected a map object of a kind in {sorted(_MAP_KEYS)}, "
                          f"got {cfg!r}")
     _config_object(cfg, ("kind", *_MAP_KEYS[kind]), f"map kind {kind!r}")
     if kind == "identity":
-        return (lambda x: x), dim, "identity"
+        return (lambda x: x), metric_in, "identity", 1.0
     if kind == "scale":
+        if "factor" not in cfg:
+            raise ValueError("missing key 'factor'")
         factor = parse_float(cfg["factor"])
-        return (lambda x: factor * x), dim, f"scale:{factor}"
+        return (lambda x: factor * x), metric_in, f"scale:{factor}", abs(factor)
     index = parse_int(cfg.get("index", 0))
-    if not 0 <= index < dim:
-        raise ValueError(f"coordinate index {index} out of range for n={dim}")
-    return (lambda x: x[:, index:index + 1]), 1, f"coordinate:{index}"
+    if not 0 <= index < metric_in.dim:
+        raise ValueError(f"coordinate index {index} out of range for n={metric_in.dim}")
+    axis = np.where(np.arange(metric_in.dim) == index, 1.0, 0.0)
+    return ((lambda x: x[:, index:index + 1]), lp(metric_in.p, 1), f"coordinate:{index}",
+            float(norm_eval(dual_norm(metric_in), axis)))
+
+
+def _lip_fault(lip: float, map_lip: float) -> Optional[tuple[str, str]]:
+    """("lip", why) when ``lip`` is not positive or is below ``map_lip``, the
+    map's exact constant (a false claim), else None."""
+    if not (lip > 0.0 and lip >= map_lip):
+        return "lip", f"must be positive and at least the map's constant {map_lip!r}, got {lip!r}"
+    return None
 
 
 def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
@@ -216,32 +234,18 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
                              count: int, seed: int, profile) -> CheckReport:
     """Push-forward through an L-Lipschitz map can only slow concentration
     down by the factor L: image curve at r versus source profile at r/L."""
-    if lip <= 0.0:
-        raise CheckError("Lipschitz constant must be positive")
-    map_rows, out_dim, label = build_map(map_cfg, measure.dim)
-    metric_out = lp(metric_in.p, out_dim)
+    map_rows, metric_out, label, map_lip = build_map(map_cfg, metric_in)
+    fault = _lip_fault(lip, map_lip)
+    if fault is not None:
+        raise CheckError(fault[1], key=fault[0])
     prof = _resolve_profile(profile, measure.dim)
-
-    data = sample(measure, count, seed).data
-    # up to 20000 sample pairs, on a stream of their own
-    lseed = rng.derive_seed(seed, 0xE4)
-
-    def pairs(lo: int, hi: int) -> tuple:
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        return tuple(data[(rng.uniforms(lseed, idx, k, 0) * count).astype(np.int64)]
-                     for k in (0, 1))
-
-    emp_lip = empirical_lipschitz(map_rows, metric_in, metric_out, pairs, min(20000, count))
-    if emp_lip > lip * (1.0 + _ALGEBRAIC_TOL):
-        raise CheckError(f"map is not {lip}-Lipschitz on samples: observed {emp_lip}")
-
-    image = map_rows(data)
-    del data  # the curve needs only the image; a copying map frees the batch here
+    # every map is row-wise: the image is built from the sample stream
+    image, = sample_map(measure, count, seed, lambda rows: (map_rows(rows),))
     inputs = {"measure": measure.to_config(), "map": label, "lip": lip,
               "metric_in": metric_in.to_config(), "metric_out": metric_out.to_config(),
               "count": count, "seed": seed, "profile": prof.to_config()}
     return _curve_report("lipschitz_transfer", image, metric_out, eps_grid, seed,
-                         inputs, {"empirical_lipschitz": emp_lip}, ())
+                         inputs, {}, ())
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +643,10 @@ def parse_profile(token, n: int):
 
 def parse_map(token, n: int):
     """A map object, checked against the kinds of build_map; returned as
-    given (null keeps the row's default)."""
+    given (null keeps the row's default).  The metric moves only the map's
+    constant, which the row's fault hook tests against ``lip``."""
     if token is not None:
-        build_map(token, n)
+        build_map(token, lp(2, n))
     return token
 
 
@@ -716,7 +721,7 @@ def _spec(fn, n: int, required, statement, *params: Param, fault=None) -> CheckS
 
 def _median_fault(kw: dict) -> Optional[tuple[str, str]]:
     """("N", why) when a job's N is too small for the check's medians, else None."""
-    if kw.get("count", MEDIAN_MIN_COUNT) < MEDIAN_MIN_COUNT:
+    if kw["count"] < MEDIAN_MIN_COUNT:
         return "N", (f"the check's medians need at least {MEDIAN_MIN_COUNT} "
                      f"samples, got {kw['count']}")
     return None
@@ -737,7 +742,8 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         _param("lip", "positive", lambda n: 1.0),
         _param("metric", "norm", lambda n: lp(2, n), "metric_in"),
         _param("eps", "eps", lambda n: np.linspace(0.1, 4.0, 20), "eps_grid"),
-        _param("profile", "profile", lambda n: "gaussian")),
+        _param("profile", "profile", lambda n: "gaussian"),
+        fault=lambda kw: _lip_fault(kw["lip"], build_map(kw["map_cfg"], kw["metric_in"])[3])),
     "norm_ratio_transfer": _spec(
         check_norm_ratio_transfer, 32, ("K", "L", "measure"),
         Statement("le", lambda eps, t: 16.0 * t["prof"](
@@ -845,9 +851,10 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
     for par in spec.params:
         if par.key in job:
             params[par.arg] = parse(par.key, par.kind, n)
-    fault = spec.fault(params) if spec.fault else None
-    if fault is not None:
-        raise ConfigError(f"{where}.{fault[0]}: {fault[1]}")
+    if spec.fault:   # the row's hypothesis, on the arguments run_check fills in
+        fault = spec.fault({**{par.arg: par.default(n) for par in spec.params}, **params})
+        if fault is not None:
+            raise ConfigError(f"{where}.{fault[0]}: {fault[1]}")
     return check, params
 
 

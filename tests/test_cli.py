@@ -270,6 +270,11 @@ RADIAL = {"check": "radial_transfer", "n": 16, "p": 1}
     # a transform's entries are JSON numbers: text and booleans once read as numbers
     ({"jobs": [{"check": "separated_sets", "n": 2, "measure": "gaussian",
                 "metric": {"p": 2, "transform": [["2", "0"], [True, "2"]]}}]}, "jobs[0].metric"),
+    # a Lipschitz constant below the map's exact one is a false claim
+    ({"jobs": [CUBE, {**LIP, "lip": 0.5}]}, "jobs[1].lip"),
+    ({"jobs": [CUBE, {**LIP, "map": {"kind": "scale", "factor": 3}, "lip": 2}]}, "jobs[1].lip"),
+    ({"jobs": [CUBE, {**LIP, "n": 64, "map": {"kind": "coordinate"}, "lip": 0.5}]},
+     "jobs[1].lip"),
 ])
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -657,7 +662,8 @@ VERIFY_REPORTS = {
     "cube_floor": (
         0, "aed3596647c3401008f5465ea92f92dc9d85ae98e19ea1864dd295763e498b98"),
     "lipschitz_transfer": (
-        0, "c65cc9ab384c96f1d2f7c6ed59fb0f386d6f64012333fd78f7f8aac45b8c9524"),
+        # the earlier report with its empirical_lipschitz quantity deleted
+        0, "a022b261e51c02f5244ddb2937e17437ea0e7a2d5f4bde15a43f7ce7cd9ec0f0"),
     "norm_ratio_transfer": (
         0, "6a6ce7a1d09827b2edd7af1a7dbb2c9c3f4244202a79c130224be9f807068402"),
     "radial_transfer": (

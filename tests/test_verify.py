@@ -21,13 +21,16 @@ N = 50000
 
 
 def test_lipschitz_transfer_identity():
-    rep = vf.check_lipschitz_transfer(
-        measure=ms.gaussian(8), map_cfg={"kind": "identity"}, lip=1.0,
-        metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.1, 4.0, 15),
-        count=N, seed=1, profile="gaussian")
+    kw = dict(measure=ms.gaussian(8), metric_in=ns.lp(2, 8), count=N, seed=1,
+              profile="gaussian")
+    eps = np.linspace(0.1, 4.0, 15)
+    rep = vf.check_lipschitz_transfer(map_cfg={"kind": "identity"}, lip=1.0, eps_grid=eps, **kw)
     assert rep.verdict == "pass"
     assert rep.violations == 0
-    assert rep.quantities["empirical_lipschitz"] <= 1.0 + 1e-9
+    # the map x -> 2x at 2 eps tests the same statement, bit for bit
+    doubled = vf.check_lipschitz_transfer(map_cfg={"kind": "scale", "factor": 2}, lip=2.0,
+                                          eps_grid=2.0 * eps, **kw)
+    assert (doubled.lhs, doubled.rhs, doubled.ci) == (rep.lhs, rep.rhs, rep.ci)
 
 
 def test_lipschitz_transfer_contraction():
@@ -54,24 +57,47 @@ def test_lipschitz_transfer_rejects_false_claim():
             count=10000, seed=4, profile="gaussian")
 
 
-@pytest.mark.parametrize("measure", [ms.gaussian(8), ms.ggp(1.5, 8),
-                                     ms.uniform_ball(ns.lp(1.5, 8))])
-def test_lipschitz_precheck_pairs_draw_no_variate_of_the_sample(monkeypatch, measure):
-    # keyed by the sample's own seed, the pair indices would reuse the
-    # sampler's variates: for ggp(1.5) the gamma rounds' accept uniforms
-    seeds = []
-    real = rng.uniforms
+@pytest.mark.parametrize("map_cfg, metric, constant, metric_out", [
+    ({"kind": "identity"}, ns.lp(1.5, 4), 1.0, ns.lp(1.5, 4)),
+    ({"kind": "scale", "factor": -3}, ns.lp(2, 4), 3.0, ns.lp(2, 4)),
+    ({"kind": "scale", "factor": 2}, ns.scaled(ns.lp(1, 4), 2.0), 2.0,
+     ns.scaled(ns.lp(1, 4), 2.0)),
+    ({"kind": "coordinate", "index": 3}, ns.lp(1, 4), 1.0, ns.lp(1, 1)),
+    ({"kind": "coordinate"}, ns.lp(1.5, 4), 1.0, ns.lp(1.5, 1)),
+    ({"kind": "coordinate", "index": 1}, ns.lp(math.inf, 4), 1.0, ns.lp(math.inf, 1)),
+    # sup |x_1| over |2x|_2 <= 1
+    ({"kind": "coordinate", "index": 1}, ns.scaled(ns.lp(2, 4), 2.0), 0.5, ns.lp(2, 1)),
+])
+def test_build_map_gives_the_exact_lipschitz_constant(map_cfg, metric, constant, metric_out):
+    fn, out, _, lip = vf.build_map(map_cfg, metric)
+    assert lip == constant
+    assert out.to_config() == metric_out.to_config()
+    # no pair of points beats the constant, and the pairs come near it
+    x = rng.normals(7, np.arange(2000, dtype=np.uint64)[:, None],
+                    np.arange(4, dtype=np.uint64)[None, :], 0)
+    ratios = (ns.norm_eval(out, fn(x[::2]) - fn(x[1::2]))
+              / ns.norm_eval(metric, x[::2] - x[1::2]))
+    assert 0.5 * lip < ratios.max() <= lip * (1.0 + 1e-12)
 
-    def recorded(seed, *args):
-        seeds.append(seed)
-        return real(seed, *args)
 
-    monkeypatch.setattr(rng, "uniforms", recorded)
-    rep = vf.check_lipschitz_transfer(
-        measure=measure, map_cfg={"kind": "coordinate", "index": 1}, lip=1.0,
-        metric_in=ns.lp(2, 8), eps_grid=[0.5, 1.0], count=3000, seed=5, profile="gaussian")
-    assert seeds and 5 not in seeds
-    assert 0.0 < rep.quantities["empirical_lipschitz"] <= 1.0
+def test_build_map_names_a_missing_factor():
+    with pytest.raises(ValueError, match="missing key 'factor'"):
+        vf.build_map({"kind": "scale"}, ns.lp(2, 4))
+    with pytest.raises(vf.ConfigError, match=r"^jobs\[0\]\.map: missing key 'factor'$"):
+        vf.config_params({**_LIPSCHITZ_JOB, "map": {"kind": "scale"}}, "jobs[0]")
+
+
+@pytest.mark.parametrize("map_cfg, lip", [({"kind": "identity"}, 0.5),
+                                          ({"kind": "scale", "factor": 3}, 2.0),
+                                          ({"kind": "coordinate"}, 0.9),
+                                          ({"kind": "identity"}, 0.0)])
+def test_lipschitz_transfer_refuses_a_false_claim_before_sampling(monkeypatch, map_cfg, lip):
+    monkeypatch.setattr(vf, "sample_map", lambda *args: pytest.fail("the check sampled"))
+    with pytest.raises(vf.CheckError) as err:
+        vf.check_lipschitz_transfer(
+            measure=ms.gaussian(4), map_cfg=map_cfg, lip=lip, metric_in=ns.lp(2, 4),
+            eps_grid=[0.5], count=1000, seed=4, profile="gaussian")
+    assert err.value.key == "lip"
 
 
 def test_norm_ratio_transfer_identity_pair():
@@ -258,7 +284,8 @@ def _traced_peak(fn) -> int:
 _MIB = 1 << 20
 PER_THREAD = "per thread"
 PEAK_ROWS = {
-    "lipschitz_transfer": (16, {}, lambda n: n + 32, 0),
+    # the image of one coordinate, not the batch (the identity map's peak is sample's)
+    "lipschitz_transfer": (64, {"map_cfg": {"kind": "coordinate"}}, lambda n: 1 + 32, 0),
     "norm_ratio_transfer": (64, {}, lambda n: n + 32 + 2, 0),
     "shell_inclusion": (16, {"probes": 20000}, lambda n: n + 8 + 2, PER_THREAD),
     "separated_sets": (64, {"num_pairs": 200}, lambda n: n + 32, 0),
@@ -326,20 +353,20 @@ FROZEN_REPORTS = {
             measure=ms.gaussian(8), map_cfg={"kind": "identity"}, lip=1.0,
             metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.1, 4.0, 15), count=5001, seed=1,
             profile="gaussian"),
-        "5e0edf90e557d654d7e8d52a646fa30f55ea9f8223f907ec34617c3dd3f7b151"),
+        # each lipschitz_* digest: the earlier report with its empirical_lipschitz deleted
+        "2ff0e9d869645f48881972357ebbed984b78c878b9ad288f154fd47e777062f2"),
     "lipschitz_scale_n16": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(16), map_cfg={"kind": "scale", "factor": 0.5}, lip=0.5,
             metric_in=ns.lp(2, 16), eps_grid=np.linspace(0.1, 3.0, 12), count=5001, seed=2,
             profile="gaussian"),
-        "1b746a8156ace0d5db5b2666d95283541e8f77af4afb2870265026785bbd3480"),
+        "4ec0093455e628932b835c5a2c95ab31616e85c2ad14f418fd5a60bfb27dcc76"),
     "lipschitz_coordinate_n8": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(8), map_cfg={"kind": "coordinate", "index": 2}, lip=1.0,
             metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.2, 3.0, 10), count=5001, seed=3,
             profile="gaussian"),
-        # recorded after the pre-check's pairs moved to a stream of their own
-        "521b058fc94e50da90c9c69f272b09f7c8e0ea764a048381b47f0b8ec857a3b3"),
+        "b13e7f77904c3124d5e7add71d2c85ebcb1764e05307a7a2491cdfe14a626c88"),
     "cube_floor_n8": (
         lambda: vf.run_check("cube_floor", n=8, eps_grid=np.linspace(0.1, 0.9, 9),
                              count=5001, seed=10),
@@ -553,6 +580,9 @@ def test_radial_transfer_rejects_bad_p():
 @pytest.mark.parametrize("check_id, kw, key", [
     ("norm_ratio_transfer", {"count": 50}, "N"),
     ("radial_transfer", {"n": 5000, "count": 200}, "n"),
+    ("lipschitz_transfer", {"lip": 0.5}, "lip"),
+    ("lipschitz_transfer", {"map_cfg": {"kind": "scale", "factor": 3}, "lip": 2.0}, "lip"),
+    ("lipschitz_transfer", {"n": 64, "map_cfg": {"kind": "coordinate"}, "lip": 0.5}, "lip"),
 ])
 def test_run_check_names_the_key_at_fault(monkeypatch, check_id, kw, key):
     # the row's hypothesis is tested on the filled arguments, before the check runs
@@ -561,6 +591,11 @@ def test_run_check_names_the_key_at_fault(monkeypatch, check_id, kw, key):
     with pytest.raises(vf.CheckError) as err:
         vf.run_check(check_id, **kw)
     assert err.value.key == key
+
+
+def test_lipschitz_transfer_takes_a_weaker_claim():
+    rep = vf.run_check("lipschitz_transfer", n=4, lip=1.5, count=2000, seed=4)
+    assert rep.inputs["lip"] == 1.5 and rep.verdict == "pass"
 
 
 def test_reports_are_deterministic_and_serializable():
@@ -661,7 +696,7 @@ def test_config_rejects_a_profile_or_map_value_it_would_misread(job, field):
 def test_config_reads_integral_map_and_profile_numbers():
     _, params = vf.config_params({**_LIPSCHITZ_JOB, "map": {"kind": "coordinate", "index": 2.0}},
                                  "jobs[0]")
-    assert vf.build_map(params["map_cfg"], 4)[2] == "coordinate:2"
-    assert vf.build_map({"kind": "scale", "factor": 2}, 4)[2] == "scale:2.0"
+    assert vf.build_map(params["map_cfg"], ns.lp(2, 4))[2] == "coordinate:2"
+    assert vf.build_map({"kind": "scale", "factor": 2}, ns.lp(2, 4))[2] == "scale:2.0"
     custom = vf._resolve_profile({"name": "custom", "C": 1, "c": 1}, 4).to_config()
     assert (type(custom["C"]), type(custom["c"])) == (float, float)
