@@ -197,9 +197,7 @@ def cmd_pushforward(args) -> int:
 
 def cmd_transport(args) -> int:
     n = args.n
-    fault = verify._radial_fault(args.p, n)
-    if fault is not None:
-        raise ConfigError(f"--{fault[0]}: {fault[1]}")
+    verify._refuse(verify._radial_fault(args.p, n))
     metric = lp(args.p, n)
     u = radial_transport(radial_cdf(ggp(args.p, n), metric),
                          radial_cdf(uniform_ball(metric), metric))
@@ -212,13 +210,7 @@ def cmd_transport(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = verify.run_check(args.check_id, n=args.n, count=args.N,
-                                  seed=env_seed(args.seed))
-    except verify.CheckError as exc:
-        if exc.key is None:
-            raise
-        raise ConfigError(f"--{exc.key}: {exc}") from None
+    report = verify.run_check(args.check_id, n=args.n, count=args.N, seed=env_seed(args.seed))
     text = report.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -330,7 +322,10 @@ def main(argv=None) -> int:
         env_seed(0)   # a malformed CONCMETER_SEED fails every subcommand alike
         return args.fn(args)
     except (ValueError, verify.CheckError, OSError) as exc:   # ConfigError too
-        print(f"error: {exc}", file=sys.stderr)
+        # a check's fault hook names its key, which is the flag at fault: a
+        # config's jobs pass every hook before any job runs
+        flag = f"--{exc.key}: " if getattr(exc, "key", None) else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 1
 
 

@@ -6,8 +6,9 @@ computes the left side from the sound lower-bound estimator, and emits
 a CheckReport.  The push-forward maps (their row norms) come from
 :mod:`.transport`, the families that read p from :mod:`.measures`.  The
 right side, slack and smallness precondition come from the check's
-Statement in CHECK_SPECS, which :func:`restate` evaluates from the
-report's own terms; the same row holds the check's argument defaults,
+Statement in CHECK_SPECS; :func:`restate` turns a report's own terms
+into all of its verdict, so an edited copy of a report gets the verdict
+its terms imply.  The same row holds the check's argument defaults,
 which :func:`run_check` fills in.  Grid points where the precondition
 fails are excluded from violation counts but listed.  Empirical medians
 stand in for true medians, with their CI propagated into the slack by
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -111,35 +112,27 @@ class CheckReport:
 
 
 def _finish(check_id: str, inputs: dict, quantities: dict, eps, lhs, ci, notes=()) -> CheckReport:
+    """A check's report, its verdict from :func:`restate` (lists keep float64 bits)."""
     eps = np.asarray(eps, dtype=np.float64)
-    lhs = np.asarray(lhs, dtype=np.float64)
-    ci = np.broadcast_to(np.asarray(ci, dtype=np.float64), eps.shape)
-    rhs, slack, pre = restate({"check_id": check_id, "inputs": inputs,
-                               "quantities": quantities, "grid": {"eps": eps}})
-    relation = CHECK_SPECS[check_id].statement.relation
-    margin = ((lhs - ci) - (rhs + slack) if relation == "le"
-              else (rhs - slack) - (lhs + ci))
-    admitted = margin[pre]
-    violations = int((admitted > 0.0).sum())
-    worst = float(admitted.max()) if admitted.size else float("nan")
-    if not pre.any():
-        verdict = "not-applicable"
-    else:
-        verdict = "pass" if violations == 0 else "fail"
-    return CheckReport(check_id=check_id, inputs=inputs, quantities=quantities,
-                       eps=eps.tolist(), lhs=lhs.tolist(), rhs=rhs.tolist(),
-                       ci=ci.tolist(), slack=slack.tolist(),
-                       precondition=pre.tolist(), relation=relation,
-                       violations=violations, worst_margin=worst,
-                       verdict=verdict, notes=list(notes))
+    grid = {"eps": eps.tolist(), "lhs": np.asarray(lhs, dtype=np.float64).tolist(),
+            "ci": np.broadcast_to(np.asarray(ci, dtype=np.float64), eps.shape).tolist()}
+    rhs, slack, pre, violations, worst, verdict = restate(
+        {"check_id": check_id, "inputs": inputs, "quantities": quantities, "grid": grid})
+    return CheckReport(check_id=check_id, inputs=inputs, quantities=quantities, **grid,
+                       rhs=rhs.tolist(), slack=slack.tolist(), precondition=pre.tolist(),
+                       relation=CHECK_SPECS[check_id].statement.relation,
+                       violations=violations, worst_margin=worst, verdict=verdict,
+                       notes=list(notes))
 
 
-def restate(report: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rhs, slack, precondition)`` of a report, from its JSON alone: its
-    check's :class:`Statement` at the grid's eps, the slack being the constant
-    plus, per median, the central difference of the rhs across its CI."""
+def restate(report: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float, str]:
+    """``(rhs, slack, precondition, violations, worst_margin, verdict)`` of a
+    report, from its JSON alone: its check's :class:`Statement` at the grid's
+    eps, the slack being the constant plus, per median, the central difference
+    of the rhs across its CI, and the grid's lhs and ci measured against them."""
     stmt = CHECK_SPECS[report["check_id"]].statement
-    eps = np.asarray(report["grid"]["eps"], dtype=np.float64)
+    grid = report["grid"]
+    eps = np.asarray(grid["eps"], dtype=np.float64)
     t = {**report["inputs"], **report["quantities"]}
     t["prof"] = AnalyticProfile(**t["profile"]) if "profile" in t else None
     rhs = np.asarray(stmt.rhs(eps, t), dtype=np.float64)
@@ -149,7 +142,15 @@ def restate(report: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if h != 0.0:
             slack += 0.5 * np.abs(stmt.rhs(eps, {**t, key: m + h})
                                   - stmt.rhs(eps, {**t, key: max(m - h, 1e-300)}))
-    return rhs, slack, np.broadcast_to(np.asarray(stmt.pre(eps, t), dtype=bool), eps.shape)
+    pre = np.broadcast_to(np.asarray(stmt.pre(eps, t), dtype=bool), eps.shape)
+    lhs, ci = (np.asarray(grid[key], dtype=np.float64) for key in ("lhs", "ci"))
+    margin = ((lhs - ci) - (rhs + slack) if stmt.relation == "le"
+              else (rhs - slack) - (lhs + ci))
+    admitted = margin[pre]
+    violations = int((admitted > 0.0).sum())
+    worst = float(admitted.max()) if admitted.size else float("nan")
+    verdict = "fail" if violations else "pass" if pre.any() else "not-applicable"
+    return rhs, slack, pre, violations, worst, verdict
 
 
 def _pushed_batch(measure: MeasureSpec, count: int, seed: int, norms
@@ -221,6 +222,12 @@ def build_map(cfg: dict, metric_in: NormSpec
             float(norm_eval(dual_norm(metric_in), axis)))
 
 
+def _refuse(fault: Optional[tuple[str, str]]) -> None:
+    """Raise the CheckError of a fault hook's ``(key, why)``, if any."""
+    if fault is not None:
+        raise CheckError(fault[1], key=fault[0])
+
+
 def _lip_fault(lip: float, map_lip: float) -> Optional[tuple[str, str]]:
     """("lip", why) when ``lip`` is not positive or is below ``map_lip``, the
     map's exact constant (a false claim), else None."""
@@ -235,9 +242,7 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
     """Push-forward through an L-Lipschitz map can only slow concentration
     down by the factor L: image curve at r versus source profile at r/L."""
     map_rows, metric_out, label, map_lip = build_map(map_cfg, metric_in)
-    fault = _lip_fault(lip, map_lip)
-    if fault is not None:
-        raise CheckError(fault[1], key=fault[0])
+    _refuse(_lip_fault(lip, map_lip))
     prof = _resolve_profile(profile, measure.dim)
     # every map is row-wise: the image is built from the sample stream
     image, = sample_map(measure, count, seed, lambda rows: (map_rows(rows),))
@@ -294,21 +299,18 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     if eps <= 0.0:
         raise CheckError("eps must be positive")
     L_r, cc = normalize_containment(K, L)
-    lam = cc.lam
     n = measure.dim
     theta = rng.normals(rng.derive_seed(seed, 0xA0), 0, np.arange(n, dtype=np.uint64), 0)
 
-    pi = ratio_norms(K, L_r)
-
     def chain(rows):   # with the projections of norm_ratio_map(K, L_r, rows)
-        image, vk, vl = _lift(pi, rows)
+        image, vk, vl = _lift(ratio_norms(K, L_r), rows)
         return rows, vk, vl, image @ theta
 
     data, vk, vl, proj = sample_map(measure, count, seed, chain)
     med_k = empirical_median(vk).value
     med_l = empirical_median(vl).value
     delta = eps / (7.0 * med_k)
-    radius = delta * med_l / lam
+    radius = delta * med_l / cc.lam
     t_cut = float(np.median(proj))
     dual_w = float(norm_eval(dual_norm(L_r), theta))
 
@@ -318,7 +320,7 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     members = np.flatnonzero(shell_l & shell_k & in_a)
     inputs = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
               "eps": eps, "count": count, "probes": probes, "seed": seed}
-    quantities = {"lambda": lam, "median_K": med_k, "median_L": med_l,
+    quantities = {"lambda": cc.lam, "median_K": med_k, "median_L": med_l,
                   "delta": delta, "probe_radius": radius,
                   "shell_set_size": int(members.size)}
     if members.size == 0:
@@ -353,15 +355,14 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     moved, overshoot = rng._chunk_map(probes, rng.block_rows(n), probe)
     quantities.update({"max_displacement": float(moved.max()),
                        "displacement_bound": 7.0 * delta * med_k})
-    # grid rows summarize the two probe-wise assertions; the violation
-    # count is per probe, against the two caps of the rows
-    report = _finish("shell_inclusion", inputs, quantities, [eps, eps],
-                     [moved.max(), overshoot.max()], 0.0,
-                     ["pointwise algebraic chain; zero tolerance beyond round-off"])
-    move_cap, member_cap = report.rhs
-    failures = int((overshoot > member_cap).sum())
-    return replace(report, quantities={**quantities, "membership_failures": failures},
-                   violations=int((moved > move_cap).sum()) + failures)
+    # grid rows summarize the two probe-wise assertions, a row failing
+    # exactly when some probe passes its cap; the probes are counted apart
+    move_cap, member_cap = _shell_caps([eps, eps], quantities)
+    quantities.update({"displacement_failures": int((moved > move_cap).sum()),
+                       "membership_failures": int((overshoot > member_cap).sum())})
+    return _finish("shell_inclusion", inputs, quantities, [eps, eps],
+                   [moved.max(), overshoot.max()], 0.0,
+                   ["pointwise algebraic chain; zero tolerance beyond round-off"])
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +414,25 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: i
 # Cube floor
 # ---------------------------------------------------------------------------
 
+def _cube_fault(measure: MeasureSpec) -> Optional[tuple[str, str]]:
+    """("measure", why) unless ``measure`` lives on the unit cube, else None:
+    it needs a body norm (a bounded support), whose body lies in [-1, 1]^n
+    exactly when every sup{|x_i| : |x| <= 1} = |e_i|_* is at most 1."""
+    body = measure.body_norm
+    reach = math.inf if body is None else norm_eval(dual_norm(body), np.eye(body.dim)).max()
+    if reach > 1.0 + 1e-12:
+        return "measure", (f"{measure.family} reaches {float(reach)!r} along an axis: "
+                           "not supported on the unit cube")
+    return None
+
+
 def check_cube_floor(*, n: int, eps_grid: Sequence[float], count: int, seed: int,
                      measure: MeasureSpec) -> CheckReport:
     """No symmetric measure on the cube concentrates past (1 - mass of
     the eps-cube) / 2n; the half-space estimator must clear that floor."""
+    _refuse(_cube_fault(measure))
     metric = lp(math.inf, n)
     data, sup_norm = sample_map(measure, count, seed, lambda rows: (rows, norm_eval(metric, rows)))
-    if float(sup_norm.max()) > 1.0 + 1e-12:
-        raise CheckError("measure is not supported on the unit cube")
-
     small_mass = [float((sup_norm <= e).mean()) for e in eps_grid]
     inputs = {"n": n, "measure": measure.to_config(), "count": count, "seed": seed}
     return _curve_report("cube_floor", data, metric, eps_grid, seed, inputs,
@@ -439,8 +450,9 @@ def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
                         profile) -> CheckReport:
     """A d-embedding into a sup-normed space needs at least
     (1 - mass(d eps K)) / (2 alpha(eps)) coordinates; alpha comes from a
-    profile upper bound when one exists, else from the cube floor, so
-    the computed requirement never overshoots the true one."""
+    profile upper bound when one exists, else from the cube floor (the
+    row's statement evaluates both), so the computed requirement never
+    overshoots the true one."""
     functionals = np.asarray(functionals, dtype=np.float64)
     n_func = functionals.shape[0]
     # the two row statistics, from the sample stream: no batch is held
@@ -451,24 +463,14 @@ def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
         raise CheckError("functionals do not form a d-embedding on samples")
 
     eps_grid = np.asarray(eps_grid, dtype=np.float64)
-    small_mass = np.array([(vk <= d * e).mean() for e in eps_grid])
-    if profile is None:
-        # cube case: the dimension floor is the only valid alpha source
-        alpha = np.array([cube_concentration_floor(m, measure.dim)
-                          for m in small_mass])
-        alpha_label = "cube_floor"
-    else:
-        prof = _resolve_profile(profile, measure.dim)
-        alpha = prof(eps_grid)
-        alpha_label = prof.to_config()
-
+    small_mass = [float((vk <= d * e).mean()) for e in eps_grid]
     inputs = {"K": K.to_config(), "measure": measure.to_config(),
               "n_functionals": n_func, "d": d, "count": count, "seed": seed,
-              "eps": eps_grid.tolist(), "alpha_source": alpha_label}
-    quantities = {"small_ball_mass": small_mass.tolist(),
-                  "alpha_values": alpha.tolist()}
-    lhs = np.full(eps_grid.shape, float(n_func))
-    return _finish("sup_embedding", inputs, quantities, eps_grid, lhs, 0.0)
+              "eps": eps_grid.tolist()}
+    if profile is not None:   # else the cube floor bounds alpha
+        inputs["profile"] = _resolve_profile(profile, measure.dim).to_config()
+    return _finish("sup_embedding", inputs, {"small_ball_mass": small_mass}, eps_grid,
+                   np.full(eps_grid.shape, float(n_func)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +495,7 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     ball through the radial quantile map u: image curve at eps versus
     16 x source profile at eps / (14 |u|_Lip lam), where the two-median
     smallness precondition holds."""
-    fault = _radial_fault(p, n)
-    if fault is not None:
-        raise CheckError(fault[1])
+    _refuse(_radial_fault(p, n))
     metric = lp(p, n)
     mu = ggp(p, n)
     nu = uniform_ball(metric)
@@ -503,9 +503,7 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
         profile = "gaussian" if p == 2.0 else "gamma1"
     prof = _resolve_profile(profile, n)
 
-    F_mu = radial_cdf(mu, metric)
-    F_nu = radial_cdf(nu, metric)
-    u = radial_transport(F_mu, F_nu)
+    u = radial_transport(radial_cdf(mu, metric), radial_cdf(nu, metric))
     u_lip = lipschitz_constant(u)
 
     # radial_map(u, metric, data), built from the sample stream
@@ -701,6 +699,12 @@ def _shell_caps(eps, t):
     return [t["displacement_bound"] + tol, tol]
 
 
+def _embedding_alpha(eps, t):
+    # the profile at eps, else the cube floor, the only valid bound on the cube
+    return t["prof"](eps) if t["prof"] is not None else np.array(
+        [cube_concentration_floor(m, t["measure"]["dim"]) for m in t["small_ball_mass"]])
+
+
 class CheckSpec(NamedTuple):
     fn: Callable[..., CheckReport]
     n: int                  # dimension when run_check is given none
@@ -709,10 +713,10 @@ class CheckSpec(NamedTuple):
     params: tuple
     # parsed job keywords -> (config key, reason) when they break the
     # check's hypothesis, else None
-    fault: Optional[Callable[[dict], Optional[tuple[str, str]]]] = None
+    fault: Callable[[dict], Optional[tuple[str, str]]]
 
 
-def _spec(fn, n: int, required, statement, *params: Param, fault=None) -> CheckSpec:
+def _spec(fn, n: int, required, statement, *params: Param, fault=lambda kw: None) -> CheckSpec:
     # every check samples, so every row takes N and seed
     common = (_param("N", "size", lambda n: 100000, "count"),
               _param("seed", "int", lambda n: 1))
@@ -779,12 +783,13 @@ CHECK_SPECS: dict[str, CheckSpec] = {
                                         for m in t["small_ball_mass"]]),
         _N,
         _param("measure", "measure", lambda n: uniform_ball(lp(INF, n))),
-        _param("eps", "eps", lambda n: np.linspace(0.1, 0.9, 9), "eps_grid")),
+        _param("eps", "eps", lambda n: np.linspace(0.1, 0.9, 9), "eps_grid"),
+        fault=lambda kw: _cube_fault(kw["measure"])),
     "sup_embedding": _spec(
         check_sup_embedding, 8, ("d",),
         Statement("ge", lambda eps, t: [embedding_lower_bound(a, m) for a, m in
-                                        zip(t["alpha_values"], t["small_ball_mass"])],
-                  lambda eps, t: (eps < 1.0 / t["d"]) & (np.asarray(t["alpha_values"]) > 0.0),
+                                        zip(_embedding_alpha(eps, t), t["small_ball_mass"])],
+                  lambda eps, t: (eps < 1.0 / t["d"]) & (_embedding_alpha(eps, t) > 0.0),
                   slack=_ALGEBRAIC_TOL),
         _param("K", "norm", lambda n: lp(INF, n)),
         _param("measure", "measure", lambda n: uniform_ball(lp(INF, n))),
@@ -851,10 +856,10 @@ def config_params(job: dict, where: str) -> tuple[str, dict]:
     for par in spec.params:
         if par.key in job:
             params[par.arg] = parse(par.key, par.kind, n)
-    if spec.fault:   # the row's hypothesis, on the arguments run_check fills in
-        fault = spec.fault({**{par.arg: par.default(n) for par in spec.params}, **params})
-        if fault is not None:
-            raise ConfigError(f"{where}.{fault[0]}: {fault[1]}")
+    # the row's hypothesis, on the arguments run_check fills in
+    fault = spec.fault({**{par.arg: par.default(n) for par in spec.params}, **params})
+    if fault is not None:
+        raise ConfigError(f"{where}.{fault[0]}: {fault[1]}")
     return check, params
 
 
@@ -871,9 +876,7 @@ def run_check(check_id: str, **params) -> CheckReport:
             for par in spec.params}
     if params:
         raise TypeError(f"check {check_id!r} takes no keywords {sorted(params)}")
-    fault = spec.fault({"n": n, **args}) if spec.fault else None
-    if fault is not None:
-        raise CheckError(fault[1], key=fault[0])
+    _refuse(spec.fault({"n": n, **args}))
     # call the module's current binding, so that a wrapper installed on the
     # module (a tracer, a test double) sees the call
     return globals()[spec.fn.__name__](**args)

@@ -160,122 +160,148 @@ EMBED = {"check": "sup_embedding", "n": 4, "d": 1.0}
 RADIAL = {"check": "radial_transfer", "n": 16, "p": 1}
 
 
-@pytest.mark.parametrize("cfg, field", [
-    ({"jobs": [{**CUBE, "profile": "sphere"}]}, "jobs[0].profile"),
-    ({"jobs": [{"check": "shell_inclusion", "n": 4, "K": "l2", "L": "l1",
-                "measure": "haar_sphere", "eps": 0.5, "profile": "sphere"}]},
+def _named(cases):
+    """pytest params from ``(name, *values)`` rows.  A row's id is its name,
+    then ``-`` and its last value when that is text (the field or message
+    the case expects), so inserting a row renames no other test."""
+    names = [name for name, *_ in cases]
+    assert len(set(names)) == len(names), "case names must be unique"
+    return [pytest.param(*values, id=name + (f"-{values[-1]}" if isinstance(values[-1], str)
+                                             else ""))
+            for name, *values in cases]
+
+
+@pytest.mark.parametrize("cfg, field", _named([
+    ("cfg0", {"jobs": [{**CUBE, "profile": "sphere"}]}, "jobs[0].profile"),
+    ("cfg1", {"jobs": [{"check": "shell_inclusion", "n": 4, "K": "l2", "L": "l1",
+                        "measure": "haar_sphere", "eps": 0.5, "profile": "sphere"}]},
      "jobs[0].profile"),
-    ({"jobs": [{"check": "separated_sets", "n": 4, "measure": "haar_sphere",
-                "eps": [0.1, 0.2]}]}, "jobs[0].eps"),
-    ({"seed": "x", "jobs": [CUBE]}, "seed"),
-    ({"jobs": [{**CUBE, "n": "abc"}]}, "jobs[0].n"),
-    ({"jobs": [{**CUBE, "N": 500.7}]}, "jobs[0].N"),
-    ({"jobs": [{**CUBE, "measure": "uniform_ball"}]}, "jobs[0].measure"),
-    ({"jobs": [{**RATIO, "probes": 100}]}, "jobs[0].probes"),
-    ({"jobs": [{**RATIO, "lambda": 2.0}]}, "jobs[0].lambda"),
-    ({"jobs": [CUBE, {"check": "separated_sets", "n": 4, "measure": "weibull"}]},
+    ("cfg2", {"jobs": [{"check": "separated_sets", "n": 4, "measure": "haar_sphere",
+                        "eps": [0.1, 0.2]}]}, "jobs[0].eps"),
+    ("cfg3", {"seed": "x", "jobs": [CUBE]}, "seed"),
+    ("cfg4", {"jobs": [{**CUBE, "n": "abc"}]}, "jobs[0].n"),
+    ("cfg5", {"jobs": [{**CUBE, "N": 500.7}]}, "jobs[0].N"),
+    ("cfg6", {"jobs": [{**CUBE, "measure": "uniform_ball"}]}, "jobs[0].measure"),
+    ("cfg7", {"jobs": [{**RATIO, "probes": 100}]}, "jobs[0].probes"),
+    ("cfg8", {"jobs": [{**RATIO, "lambda": 2.0}]}, "jobs[0].lambda"),
+    ("cfg9", {"jobs": [CUBE, {"check": "separated_sets", "n": 4, "measure": "weibull"}]},
      "jobs[1].measure"),
-    ({"jobs": [{**CUBE, "check": ["cube_floor"]}]}, "jobs[0].check"),
-    ({"jobs": [{**CUBE, "id": "a"}, CUBE, {**CUBE, "id": "a"}]}, "jobs[2].id"),
-    ({"jobs": [{**CUBE, "id": "job001"}, CUBE]}, "jobs[1].id"),
-    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "nope"}}]}, "jobs[1].profile"),
-    ({"jobs": [{**RATIO, "profile": {"name": "custom", "C": 1.0}}]}, "jobs[0].profile"),
-    ({"jobs": [{**RATIO, "profile": 3}]}, "jobs[0].profile"),
-    ({"jobs": [CUBE, {**LIP, "map": {"kind": "rotate"}}]}, "jobs[1].map"),
-    ({"jobs": [{**LIP, "map": {"kind": "scale"}}]}, "jobs[0].map"),
-    ({"jobs": [{**LIP, "map": "identity"}]}, "jobs[0].map"),
-    ({"jobs": [{**LIP, "map": {"kind": "coordinate", "index": 4}}]}, "jobs[0].map"),
-    ({"jobs": [{**CUBE, "n": 0}]}, "jobs[0].n"),
-    ({"jobs": [CUBE, {**RATIO, "n": -3}]}, "jobs[1].n"),
-    ({"jobs": [{**CUBE, "N": 0}]}, "jobs[0].N"),
-    ({"jobs": [{**LIP, "N": -1.0}]}, "jobs[0].N"),
-    ({"jobs": [CUBE, {**PAIRS, "num_pairs": 0}]}, "jobs[1].num_pairs"),
-    ({"jobs": [{**PAIRS, "num_pairs": -2}]}, "jobs[0].num_pairs"),
-    ({"jobs": [{**SHELL, "probes": 0}]}, "jobs[0].probes"),
-    ({"jobs": [{**SHELL, "probes": True}]}, "jobs[0].probes"),
-    ({"jobs": [CUBE, {"check": "radial_transfer", "n": 16, "p": 3}]}, "jobs[1].p"),
-    ({"jobs": [CUBE, {"check": "radial_transfer", "n": 4100, "p": 2}]}, "jobs[1].n"),
+    ("cfg10", {"jobs": [{**CUBE, "check": ["cube_floor"]}]}, "jobs[0].check"),
+    ("cfg11", {"jobs": [{**CUBE, "id": "a"}, CUBE, {**CUBE, "id": "a"}]}, "jobs[2].id"),
+    ("cfg12", {"jobs": [{**CUBE, "id": "job001"}, CUBE]}, "jobs[1].id"),
+    ("cfg13", {"jobs": [CUBE, {**RATIO, "profile": {"name": "nope"}}]}, "jobs[1].profile"),
+    ("cfg14", {"jobs": [{**RATIO, "profile": {"name": "custom", "C": 1.0}}]}, "jobs[0].profile"),
+    ("cfg15", {"jobs": [{**RATIO, "profile": 3}]}, "jobs[0].profile"),
+    ("cfg16", {"jobs": [CUBE, {**LIP, "map": {"kind": "rotate"}}]}, "jobs[1].map"),
+    ("cfg17", {"jobs": [{**LIP, "map": {"kind": "scale"}}]}, "jobs[0].map"),
+    ("cfg18", {"jobs": [{**LIP, "map": "identity"}]}, "jobs[0].map"),
+    ("cfg19", {"jobs": [{**LIP, "map": {"kind": "coordinate", "index": 4}}]}, "jobs[0].map"),
+    ("cfg20", {"jobs": [{**CUBE, "n": 0}]}, "jobs[0].n"),
+    ("cfg21", {"jobs": [CUBE, {**RATIO, "n": -3}]}, "jobs[1].n"),
+    ("cfg22", {"jobs": [{**CUBE, "N": 0}]}, "jobs[0].N"),
+    ("cfg23", {"jobs": [{**LIP, "N": -1.0}]}, "jobs[0].N"),
+    ("cfg24", {"jobs": [CUBE, {**PAIRS, "num_pairs": 0}]}, "jobs[1].num_pairs"),
+    ("cfg25", {"jobs": [{**PAIRS, "num_pairs": -2}]}, "jobs[0].num_pairs"),
+    ("cfg26", {"jobs": [{**SHELL, "probes": 0}]}, "jobs[0].probes"),
+    ("cfg27", {"jobs": [{**SHELL, "probes": True}]}, "jobs[0].probes"),
+    ("cfg28", {"jobs": [CUBE, {"check": "radial_transfer", "n": 16, "p": 3}]}, "jobs[1].p"),
+    ("cfg29", {"jobs": [CUBE, {"check": "radial_transfer", "n": 4100, "p": 2}]}, "jobs[1].n"),
     # malformed eps grids: short strings, empty, decreasing or negative
     # grids, fractional counts and unknown scales
-    ({"jobs": [{**CUBE, "eps": "0.1:0.9"}]}, "jobs[0].eps"),
-    ({"jobs": [CUBE, {**CUBE, "eps": "0.1:0.9:3:lg"}]}, "jobs[1].eps"),
-    ({"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stop": 0.9, "num": 0}}]},
+    ("cfg30", {"jobs": [{**CUBE, "eps": "0.1:0.9"}]}, "jobs[0].eps"),
+    ("cfg31", {"jobs": [CUBE, {**CUBE, "eps": "0.1:0.9:3:lg"}]}, "jobs[1].eps"),
+    ("cfg32", {"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stop": 0.9, "num": 0}}]},
      "jobs[1].eps"),
-    ({"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stop": 0.9, "num": 1.7}}]},
+    ("cfg33", {"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stop": 0.9, "num": 1.7}}]},
      "jobs[1].eps"),
-    ({"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stop": 0.9, "num": 3,
-                                      "scale": "Log"}}]}, "jobs[1].eps"),
-    ({"jobs": [CUBE, {**CUBE, "eps": [0.5, 0.1]}]}, "jobs[1].eps"),
-    ({"jobs": [CUBE, {**CUBE, "eps": [-0.1, 0.5]}]}, "jobs[1].eps"),
-    ({"jobs": [CUBE, {**CUBE, "eps": []}]}, "jobs[1].eps"),
+    ("cfg34", {"jobs": [CUBE, {**CUBE, "eps": {"start": 0.1, "stop": 0.9, "num": 3,
+                                               "scale": "Log"}}]}, "jobs[1].eps"),
+    ("cfg35", {"jobs": [CUBE, {**CUBE, "eps": [0.5, 0.1]}]}, "jobs[1].eps"),
+    ("cfg36", {"jobs": [CUBE, {**CUBE, "eps": [-0.1, 0.5]}]}, "jobs[1].eps"),
+    ("cfg37", {"jobs": [CUBE, {**CUBE, "eps": []}]}, "jobs[1].eps"),
     # a Lipschitz constant and a single eps must be positive
-    ({"jobs": [CUBE, {**LIP, "lip": -1}]}, "jobs[1].lip"),
-    ({"jobs": [CUBE, {**SHELL, "eps": -0.5}]}, "jobs[1].eps"),
+    ("cfg38", {"jobs": [CUBE, {**LIP, "lip": -1}]}, "jobs[1].lip"),
+    ("cfg39", {"jobs": [CUBE, {**SHELL, "eps": -0.5}]}, "jobs[1].eps"),
     # so must an embedding's d and a radial transfer's lambda
-    ({"jobs": [CUBE, {**EMBED, "d": 0}]}, "jobs[1].d"),
-    ({"jobs": [CUBE, {**RADIAL, "lambda": -1}]}, "jobs[1].lambda"),
+    ("cfg40", {"jobs": [CUBE, {**EMBED, "d": 0}]}, "jobs[1].d"),
+    ("cfg41", {"jobs": [CUBE, {**RADIAL, "lambda": -1}]}, "jobs[1].lambda"),
     # a measure's lp exponent is at least 1, as a norm's is
-    ({"jobs": [CUBE, {**CUBE, "measure": "uniform_ball", "p": 0.5}]}, "jobs[1].measure"),
-    ({"jobs": [CUBE, {**CUBE, "measure": "cone_surface", "p": "x"}]}, "jobs[1].measure"),
+    ("cfg42", {"jobs": [CUBE, {**CUBE, "measure": "uniform_ball", "p": 0.5}]}, "jobs[1].measure"),
+    ("cfg43", {"jobs": [CUBE, {**CUBE, "measure": "cone_surface", "p": "x"}]}, "jobs[1].measure"),
     # an id is the stem of a report file inside the output directory
-    ({"jobs": [CUBE, {**CUBE, "id": 5}]}, "jobs[1].id"),
-    ({"jobs": [CUBE, {**CUBE, "id": ""}]}, "jobs[1].id"),
-    ({"jobs": [CUBE, {**CUBE, "id": ".hidden"}]}, "jobs[1].id"),
-    ({"jobs": [CUBE, {**CUBE, "id": "../escaped"}]}, "jobs[1].id"),
-    ({"jobs": [CUBE, {**CUBE, "id": "a/b"}]}, "jobs[1].id"),
-    ({"jobs": [CUBE, {**CUBE, "id": "a\0b"}]}, "jobs[1].id"),
+    ("cfg44", {"jobs": [CUBE, {**CUBE, "id": 5}]}, "jobs[1].id"),
+    ("cfg45", {"jobs": [CUBE, {**CUBE, "id": ""}]}, "jobs[1].id"),
+    ("cfg46", {"jobs": [CUBE, {**CUBE, "id": ".hidden"}]}, "jobs[1].id"),
+    ("cfg47", {"jobs": [CUBE, {**CUBE, "id": "../escaped"}]}, "jobs[1].id"),
+    ("cfg48", {"jobs": [CUBE, {**CUBE, "id": "a/b"}]}, "jobs[1].id"),
+    ("cfg49", {"jobs": [CUBE, {**CUBE, "id": "a\0b"}]}, "jobs[1].id"),
     # a profile object takes name, C and c, and its constants are positive
-    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "cc": 9}}]},
+    ("cfg50", {"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "cc": 9}}]},
      "jobs[1].profile"),
-    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "custom", "C": 0, "c": 0.25}}]},
+    ("cfg51", {"jobs": [CUBE, {**RATIO, "profile": {"name": "custom", "C": 0, "c": 0.25}}]},
      "jobs[1].profile"),
-    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "c": -1}}]},
+    ("cfg52", {"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "c": -1}}]},
      "jobs[1].profile"),
-    ({"output_dir": 3, "jobs": [CUBE]}, "output_dir"),
-    ({"output_dir": "", "jobs": [CUBE]}, "output_dir"),   # Path("") is the working directory
-    ({"output_dir": None, "jobs": [CUBE]}, "output_dir"),
+    ("cfg53", {"output_dir": 3, "jobs": [CUBE]}, "output_dir"),
+    # Path("") is the working directory
+    ("cfg54", {"output_dir": "", "jobs": [CUBE]}, "output_dir"),
+    ("cfg55", {"output_dir": None, "jobs": [CUBE]}, "output_dir"),
     # JSON's Infinity and NaN are no numbers a check can test with
-    ({"jobs": [CUBE, {**PAIRS, "profile": {"name": "custom", "C": math.inf, "c": 0.5}}]},
+    ("cfg56", {"jobs": [CUBE, {**PAIRS, "profile": {"name": "custom", "C": math.inf, "c": 0.5}}]},
      "jobs[1].profile"),
-    ({"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "c": math.inf}}]},
+    ("cfg57", {"jobs": [CUBE, {**RATIO, "profile": {"name": "sphere", "c": math.inf}}]},
      "jobs[1].profile"),
-    ({"jobs": [CUBE, {**LIP, "lip": math.inf}]}, "jobs[1].lip"),
-    ({"jobs": [CUBE, {**LIP, "map": {"kind": "scale", "factor": math.inf}}]}, "jobs[1].map"),
-    ({"jobs": [CUBE, {**LIP, "map": {"kind": "scale", "factor": math.nan}}]}, "jobs[1].map"),
-    ({"jobs": [CUBE, {**EMBED, "d": math.inf}]}, "jobs[1].d"),
-    ({"jobs": [CUBE, {**RADIAL, "lambda": math.inf}]}, "jobs[1].lambda"),
-    ({"jobs": [CUBE, {**CUBE, "eps": [0.1, math.inf]}]}, "jobs[1].eps"),
-    ({"jobs": [CUBE, {**CUBE, "eps": "0.1,inf"}]}, "jobs[1].eps"),
+    ("cfg58", {"jobs": [CUBE, {**LIP, "lip": math.inf}]}, "jobs[1].lip"),
+    ("cfg59", {"jobs": [CUBE, {**LIP, "map": {"kind": "scale", "factor": math.inf}}]},
+     "jobs[1].map"),
+    ("cfg60", {"jobs": [CUBE, {**LIP, "map": {"kind": "scale", "factor": math.nan}}]},
+     "jobs[1].map"),
+    ("cfg61", {"jobs": [CUBE, {**EMBED, "d": math.inf}]}, "jobs[1].d"),
+    ("cfg62", {"jobs": [CUBE, {**RADIAL, "lambda": math.inf}]}, "jobs[1].lambda"),
+    ("cfg63", {"jobs": [CUBE, {**CUBE, "eps": [0.1, math.inf]}]}, "jobs[1].eps"),
+    ("cfg64", {"jobs": [CUBE, {**CUBE, "eps": "0.1,inf"}]}, "jobs[1].eps"),
     # a check that takes medians needs a sample of at least MEDIAN_MIN_COUNT
-    ({"jobs": [CUBE, {**RATIO, "N": 50}]}, "jobs[1].N"),
-    ({"jobs": [CUBE, {**SHELL, "N": 99}]}, "jobs[1].N"),
-    ({"jobs": [CUBE, {**RADIAL, "N": 1}]}, "jobs[1].N"),
+    ("cfg65", {"jobs": [CUBE, {**RATIO, "N": 50}]}, "jobs[1].N"),
+    ("cfg66", {"jobs": [CUBE, {**SHELL, "N": 99}]}, "jobs[1].N"),
+    ("cfg67", {"jobs": [CUBE, {**RADIAL, "N": 1}]}, "jobs[1].N"),
     # a job-level p must be read by its measure token
-    ({"jobs": [{"check": "cube_floor", "n": 8, "measure": "haar_sphere", "p": 3}]}, "jobs[0].p"),
-    ({"jobs": [CUBE, {**CUBE, "measure": "gaussian", "p": "inf"}]}, "jobs[1].p"),
-    ({"jobs": [CUBE, {**CUBE, "measure": {"family": "ggp", "p": 1}, "p": 2}]}, "jobs[1].p"),
+    ("cfg68", {"jobs": [{"check": "cube_floor", "n": 8, "measure": "haar_sphere", "p": 3}]},
+     "jobs[0].p"),
+    ("cfg69", {"jobs": [CUBE, {**CUBE, "measure": "gaussian", "p": "inf"}]}, "jobs[1].p"),
+    ("cfg70", {"jobs": [CUBE, {**CUBE, "measure": {"family": "ggp", "p": 1}, "p": 2}]},
+     "jobs[1].p"),
     # and a measure object's p must be read by its family
-    ({"jobs": [CUBE, {**CUBE, "measure": {"family": "haar_sphere", "p": 1.5}}]},
+    ("cfg71", {"jobs": [CUBE, {**CUBE, "measure": {"family": "haar_sphere", "p": 1.5}}]},
      "jobs[1].measure"),
     # a misspelled key of a measure or norm object once ran an untransformed body
-    ({"jobs": [CUBE, {**CUBE, "measure": {"family": "uniform_ball", "p": "inf",
-                                          "transfrom": [[2, 0], [0, 2]]}}]},
+    ("cfg72", {"jobs": [CUBE, {**CUBE, "measure": {"family": "uniform_ball", "p": "inf",
+                                                   "transfrom": [[2, 0], [0, 2]]}}]},
      "jobs[1].measure"),
-    ({"jobs": [CUBE, {**PAIRS, "n": 2, "metric": {"p": 2, "transfrom": [[2, 0], [0, 2]]}}]},
+    ("cfg73", {"jobs": [CUBE, {**PAIRS, "n": 2,
+                               "metric": {"p": 2, "transfrom": [[2, 0], [0, 2]]}}]},
      "jobs[1].metric"),
     # eps numbers are JSON numbers; only the CLI's text forms parse text
-    ({"jobs": [CUBE, {**CUBE, "eps": ["0.1", "0.5"]}]}, "jobs[1].eps"),
-    ({"jobs": [CUBE, {**CUBE, "eps": {"start": "0.1", "stop": "0.5", "num": 3}}]},
+    ("cfg74", {"jobs": [CUBE, {**CUBE, "eps": ["0.1", "0.5"]}]}, "jobs[1].eps"),
+    ("cfg75", {"jobs": [CUBE, {**CUBE, "eps": {"start": "0.1", "stop": "0.5", "num": 3}}]},
      "jobs[1].eps"),
     # a transform's entries are JSON numbers: text and booleans once read as numbers
-    ({"jobs": [{"check": "separated_sets", "n": 2, "measure": "gaussian",
-                "metric": {"p": 2, "transform": [["2", "0"], [True, "2"]]}}]}, "jobs[0].metric"),
+    ("cfg76", {"jobs": [{"check": "separated_sets", "n": 2, "measure": "gaussian",
+                         "metric": {"p": 2, "transform": [["2", "0"], [True, "2"]]}}]},
+     "jobs[0].metric"),
     # a Lipschitz constant below the map's exact one is a false claim
-    ({"jobs": [CUBE, {**LIP, "lip": 0.5}]}, "jobs[1].lip"),
-    ({"jobs": [CUBE, {**LIP, "map": {"kind": "scale", "factor": 3}, "lip": 2}]}, "jobs[1].lip"),
-    ({"jobs": [CUBE, {**LIP, "n": 64, "map": {"kind": "coordinate"}, "lip": 0.5}]},
+    ("cfg77", {"jobs": [CUBE, {**LIP, "lip": 0.5}]}, "jobs[1].lip"),
+    ("cfg78", {"jobs": [CUBE, {**LIP, "map": {"kind": "scale", "factor": 3}, "lip": 2}]},
      "jobs[1].lip"),
-])
+    ("cfg79", {"jobs": [CUBE, {**LIP, "n": 64, "map": {"kind": "coordinate"}, "lip": 0.5}]},
+     "jobs[1].lip"),
+    # the cube floor's measure must live on the unit cube: a body norm whose
+    # body reaches at most 1 along every axis
+    ("cube_gaussian", {"jobs": [CUBE, {**CUBE, "measure": "gaussian"}]}, "jobs[1].measure"),
+    ("cube_ggp", {"jobs": [CUBE, {**CUBE, "measure": "ggp", "p": 1}]}, "jobs[1].measure"),
+    ("cube_half_transform", {"jobs": [CUBE, {**CUBE, "measure": {
+        "family": "uniform_ball", "p": "inf", "transform": [[0.5, 0], [0, 0.5]]}}]},
+     "jobs[1].measure"),
+]))
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
     def ran(*args, **kwargs):
@@ -339,49 +365,57 @@ def test_alpha_rejects_malformed_eps(tmp_path, capsys, eps):
     assert code == 1 and "eps grid" in err and not out.exists()
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["alpha", "--measure", "gaussian", "--n", "4", "--eps", "0.1:x:3", "--out", "a.csv"],
+@pytest.mark.parametrize("argv, message", _named([
+    ("argv0", ["alpha", "--measure", "gaussian", "--n", "4", "--eps", "0.1:x:3", "--out", "a.csv"],
      "cannot parse eps grid '0.1:x:3'"),
-    (["alpha", "--measure", "gaussian", "--n", "4", "--eps", "0.5", "--metric", "lx",
-      "--out", "a.csv"], "cannot parse norm 'lx'"),
-    (["median", "--measure", "gaussian", "--norm", "l2", "--n", "4", "--N", "0"],
+    ("argv1", ["alpha", "--measure", "gaussian", "--n", "4", "--eps", "0.5", "--metric", "lx",
+               "--out", "a.csv"], "cannot parse norm 'lx'"),
+    ("argv2", ["median", "--measure", "gaussian", "--norm", "l2", "--n", "4", "--N", "0"],
      "argument --N: expected a positive integer, got '0'"),
-    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "3,x",
-      "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got '3,x'"),
-    (["transport", "--p", "3", "--n", "4", "--out", "t.csv"],
+    ("argv3", ["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "3,x",
+               "--out", "b.csv"],
+     "argument --n: expected a comma list of positive integers, got '3,x'"),
+    ("argv4", ["transport", "--p", "3", "--n", "4", "--out", "t.csv"],
      "--p: the radial transfer catalog covers p in [1, 2]"),
-    (["transport", "--p", "1", "--n", "5000", "--out", "t.csv"],
+    ("argv5", ["transport", "--p", "1", "--n", "5000", "--out", "t.csv"],
      "--n: n / p = 5000 exceeds 2048"),
-    (["verify", "cube_floor", "--n", "x"], "argument --n: expected a positive integer, got 'x'"),
-    (["verify", "cube_floor", "--n", "0"], "argument --n: expected a positive integer, got '0'"),
-    (["verify", "cube_floor", "--N", "0"], "argument --N: expected a positive integer, got '0'"),
-    (["run", "nope.json"], "No such file or directory: 'nope.json'"),
-    (["alpha", "--measure", "gaussian", "--n", "4", "--N", "200", "--eps", "0.5",
-      "--out", "missing/a.csv"], "No such file or directory: 'missing/a.csv'"),
-    (["alpha", "--measure", "gaussian", "--n", "-3", "--eps", "0.5", "--out", "a.csv"],
-     "argument --n: expected a positive integer, got '-3'"),
-    (["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
-      "--N", "2.5", "--out", "p.csv"], "argument --N: expected a positive integer, got '2.5'"),
-    (["transport", "--n", "0", "--out", "t.csv"],
+    ("argv6", ["verify", "cube_floor", "--n", "x"],
+     "argument --n: expected a positive integer, got 'x'"),
+    ("argv7", ["verify", "cube_floor", "--n", "0"],
      "argument --n: expected a positive integer, got '0'"),
-    (["median", "--measure", "gaussian", "--norm", "llinf", "--n", "4"],
+    ("argv8", ["verify", "cube_floor", "--N", "0"],
+     "argument --N: expected a positive integer, got '0'"),
+    ("argv9", ["run", "nope.json"], "No such file or directory: 'nope.json'"),
+    ("argv10", ["alpha", "--measure", "gaussian", "--n", "4", "--N", "200", "--eps", "0.5",
+                "--out", "missing/a.csv"], "No such file or directory: 'missing/a.csv'"),
+    ("argv11", ["alpha", "--measure", "gaussian", "--n", "-3", "--eps", "0.5", "--out", "a.csv"],
+     "argument --n: expected a positive integer, got '-3'"),
+    ("argv12", ["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
+                "--N", "2.5", "--out", "p.csv"],
+     "argument --N: expected a positive integer, got '2.5'"),
+    ("argv13", ["transport", "--n", "0", "--out", "t.csv"],
+     "argument --n: expected a positive integer, got '0'"),
+    ("argv14", ["median", "--measure", "gaussian", "--norm", "llinf", "--n", "4"],
      "cannot parse norm 'llinf'"),
-    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "3,0",
-      "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got '3,0'"),
-    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "",
-      "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got ''"),
-    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4,,8",
-      "--out", "b.csv"], "argument --n: expected a comma list of positive integers, got '4,,8'"),
+    ("argv15", ["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "3,0",
+                "--out", "b.csv"],
+     "argument --n: expected a comma list of positive integers, got '3,0'"),
+    ("argv16", ["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "",
+                "--out", "b.csv"],
+     "argument --n: expected a comma list of positive integers, got ''"),
+    ("argv17", ["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4,,8",
+                "--out", "b.csv"],
+     "argument --n: expected a comma list of positive integers, got '4,,8'"),
     # a --p that the measure does not read
-    (["median", "--measure", "gaussian", "--p", "3", "--norm", "l2", "--n", "4"],
+    ("argv18", ["median", "--measure", "gaussian", "--p", "3", "--norm", "l2", "--n", "4"],
      "gaussian reads no lp exponent p"),
-    (["alpha", "--measure", "gaussian", "--p", "3", "--n", "4", "--eps", "0.5",
-      "--out", "a.csv"], "gaussian reads no lp exponent p"),
-    (["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--p", "3", "--n", "4",
-      "--out", "b.csv"], "gaussian reads no lp exponent p"),
-    (["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--p", "3",
-      "--n", "4", "--out", "p.csv"], "gaussian reads no lp exponent p"),
-])
+    ("argv19", ["alpha", "--measure", "gaussian", "--p", "3", "--n", "4", "--eps", "0.5",
+                "--out", "a.csv"], "gaussian reads no lp exponent p"),
+    ("argv20", ["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--p", "3", "--n", "4",
+                "--out", "b.csv"], "gaussian reads no lp exponent p"),
+    ("argv21", ["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--p", "3",
+                "--n", "4", "--out", "p.csv"], "gaussian reads no lp exponent p"),
+]))
 def test_malformed_invocation_exits_1_with_one_error_line(tmp_path, argv, message):
     # exit 2 is kept for a failed check; usage, input and file errors all exit 1
     res = run_cli(*argv, cwd=tmp_path)
@@ -414,17 +448,17 @@ def test_run_accepts_profile_and_map_tokens(tmp_path):
     assert parsed[3][2]["map_cfg"] == {"kind": "scale", "factor": 0.5}
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "config.json"],
-    ["median", "--measure", "gaussian", "--norm", "l2", "--n", "4"],
-    ["alpha", "--measure", "gaussian", "--eps", "0.5", "--n", "4", "--out", "a.csv"],
-    ["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
-     "--out", "b.csv"],
-    ["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
-     "--out", "p.csv"],
-    ["transport", "--n", "4", "--out", "t.csv"],
-    ["verify", "cube_floor"],
-])
+@pytest.mark.parametrize("argv", _named([
+    ("argv0", ["run", "config.json"]),
+    ("argv1", ["median", "--measure", "gaussian", "--norm", "l2", "--n", "4"]),
+    ("argv2", ["alpha", "--measure", "gaussian", "--eps", "0.5", "--n", "4", "--out", "a.csv"]),
+    ("argv3", ["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
+               "--out", "b.csv"]),
+    ("argv4", ["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
+               "--out", "p.csv"]),
+    ("argv5", ["transport", "--n", "4", "--out", "t.csv"]),
+    ("argv6", ["verify", "cube_floor"]),
+]))
 def test_malformed_env_seed_is_named(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setenv("CONCMETER_SEED", "x")
     monkeypatch.chdir(tmp_path)
@@ -671,9 +705,9 @@ VERIFY_REPORTS = {
     "separated_sets": (
         0, "278fab736480ec29887527594d74fb7e37c1228f6cf40e311b3097cee471c360"),
     "shell_inclusion": (
-        0, "89e6c36032412d602e3abf0143c798b6fe2cdce00d41addfa6ffff08af14a155"),
+        0, "636303cd39177e9d0638911850abdac2c878156fcaa1af642a5d247f06c73358"),
     "sup_embedding": (
-        0, "5d9bf510fec5c2dd0f15263998f2aad68dc4fed90e1f7c1e5ce27acbcbfe2e94"),
+        0, "14afb0bdffa2de3143bcca433bfee9c2fb2a59d07e57917c07afacab5c1ef3b4"),
 }
 
 

@@ -2,7 +2,8 @@
 
 Each relation pairs two jobs that test the same statement in different
 coordinates, so it holds whatever the sampled bits are.  Every factor is a
-power of 2, so each relation holds bit for bit.
+power of 2 or a permutation, so each relation holds bit for bit, except
+where a constant goes through a transform (noted at the test).
 """
 
 import numpy as np
@@ -67,3 +68,34 @@ def test_identity_in_a_scaled_metric_equals_plain_metric_on_a_scaled_grid():
     doubled = _lipschitz(ms.gaussian(16), {"kind": "identity"}, 1.0,
                          ns.scaled(ns.lp(2, 16), 2.0), 2.0 * EPS)
     assert doubled.lhs == plain.lhs
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_norm_ratio_transfer_is_blind_to_a_permuted_l1(n):
+    # |Px|_1 = |x|_1 for a permutation matrix P: the image and its curve are
+    # the same; the containment constant goes through the transform, so the
+    # rhs agrees only up to round-off
+    def ratio(L):
+        return vf.check_norm_ratio_transfer(
+            K=ns.lp(2, n), L=L, measure=ms.haar_sphere(n), eps_grid=vf.default_eps_grid(),
+            count=COUNT, seed=SEED, profile="sphere")
+
+    plain = ratio(ns.lp(1, n))
+    permuted = ratio(ns.NormSpec(dim=n, p=1.0, transform=np.roll(np.eye(n), 1, axis=0)))
+    assert permuted.lhs == plain.lhs
+    np.testing.assert_allclose(permuted.rhs, plain.rhs, rtol=0.0, atol=4e-15)
+    assert (permuted.verdict, permuted.violations) == (plain.verdict, plain.violations)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_separated_sets_in_a_doubled_metric_double_their_distances(n):
+    # the same half-space pairs cut the same masses; distances in |2x|_2
+    # are twice those in l2
+    def pairs(metric):
+        return vf.check_separated_sets(measure=ms.haar_sphere(n), metric=metric,
+                                       num_pairs=70, count=COUNT, seed=9, profile="sphere")
+
+    plain = pairs(ns.lp(2, n))
+    doubled = pairs(ns.scaled(ns.lp(2, n), 2.0))
+    assert (doubled.lhs, doubled.ci) == (plain.lhs, plain.ci)
+    assert doubled.eps == [2.0 * e for e in plain.eps]

@@ -148,8 +148,10 @@ def test_shell_inclusion_counts_violations_per_probe(monkeypatch):
         eps=0.5, count=20000, probes=2000, seed=7)
     # one call maps the probes; the partners' images come from their sampled norms
     assert len(calls) == 1 and calls[0].shape == (2000, 16)
+    assert rep.quantities["displacement_failures"] == 5
     assert rep.quantities["membership_failures"] == 0
-    assert rep.violations == 5
+    # the displacement row is past its cap, the membership row is not
+    assert rep.violations == 1
     assert rep.verdict == "fail"
     assert rep.worst_margin > 0.0
 
@@ -398,27 +400,27 @@ FROZEN_REPORTS = {
         lambda: vf.check_shell_inclusion(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
             eps=0.5, count=20000, probes=2000, seed=7),
-        "088b78439612c8f9e1e7ebb34adc2bcc3050b44af961e89c74d1215c5790be10"),
+        "c708c743c009ccd13fdbc438c86d7badf5501b3807b761260aef3ab4d2138c3b"),
     "shell_n16_probes4096": (
         lambda: vf.check_shell_inclusion(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
             eps=0.5, count=20000, probes=4096, seed=7),
-        "dff7f65a372e2643bcb72cdc460d0505c5f6a38883f1c915c2b9f8848d774dc2"),
+        "d82ae4f980045b6557f4686efe05d666e9519003ffe3e82247c7ee02a9cdd1d5"),
     "shell_n64_probes5001": (
         lambda: vf.check_shell_inclusion(
             K=ns.lp(2, 64), L=ns.lp(1, 64), measure=ms.haar_sphere(64),
             eps=0.5, count=5001, probes=5001, seed=13),
-        "8d8ba4e3fac73e199f62399ba1ff6cb332ccd668912beb99fea3e088d7e0f36e"),
+        "328f2745cfe9894371738525045f26575ea08affdd941ca82c62a25e274fc92c"),
     "shell_l1_l2_n64": (   # L_r is a scaled norm, taken on unaligned sample chunks
         lambda: vf.check_shell_inclusion(
             K=ns.lp(1, 64), L=ns.lp(2, 64), measure=ms.haar_sphere(64),
             eps=0.5, count=5001, probes=5001, seed=13),
-        "ddaf67bc01f44457b095de98d5665c7f8b67961c6425a8f05cb28d3db54aa14c"),
+        "48fd7f707d953a5014b673b0b1f7b40f789f0780175df0a769a57f7117b79a68"),
     "shell_l1_l2_n100": (   # L_r through a transform on sample chunks of 320 rows
         lambda: vf.check_shell_inclusion(
             K=ns.lp(1, 100), L=ns.lp(2, 100), measure=ms.haar_sphere(100),
             eps=0.5, count=5001, probes=5001, seed=13),
-        "f5534ead358d71e1b29a125d12bf0b029131be61cfcc09c6a1e2c92056d62625"),
+        "f89692a6ce1eb7223590ccffe93f015b5f825a2125b297856ca6082015006935"),
     "pairs_n64": (
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(64), metric=ns.lp(2, 64), num_pairs=100,
@@ -442,20 +444,20 @@ FROZEN_REPORTS = {
         "0d38d666539ccef3432b82e2372cbac1de86c6f8b47eb829c7a2f369e046c2a1"),
     "sup_n3": (   # sample chunks of 10920 rows, the last one partial
         lambda: vf.run_check("sup_embedding", n=3, count=30001, seed=3),
-        "76537576347aea47fa4406edde4f02a31219dfb6081050e393c1113a1c9fa595"),
+        "a57d16c6760f34bf5a5fd6204ae7f7441a8ce523bf6250b19130c7c2c0ec0ea6"),
     "sup_n100": (   # the functionals' product on sample chunks of 320 rows
         lambda: vf.run_check("sup_embedding", n=100, count=5001, seed=3),
-        "173f42a1b8950b62d4fcb962baab52b951fc646bb169aa3eb7e5209e190817d2"),
+        "38d5661f368a9fef36fc0f8be98070bd26e0565ec8005bf3b580ef5473918df1"),
     "sup_n33": (
         lambda: vf.run_check("sup_embedding", n=33, count=5001, seed=3),
-        "7b0461aabee3e57d1da49ef5a80a41e983faecb9625974ae4eb5e96d069b4c07"),
+        "bf5616064e8c5416e41cbbb81662a5677c1a17c405a1f0c48cacae808168eed4"),
     "sup_l2_n2_32_functionals": (
         lambda: vf.check_sup_embedding(
             K=ns.lp(2, 2), measure=ms.uniform_ball(ns.lp(2, 2)),
             functionals=np.column_stack([np.cos(np.arange(32) * np.pi / 32),
                                          np.sin(np.arange(32) * np.pi / 32)]),
             d=1.01, eps_grid=[0.05, 0.2, 0.5], count=30001, seed=4, profile="gaussian"),
-        "e89092d80c5503e045eb9cef15a01f62163f76eb04126cff104a8f9a561543b7"),
+        "d61935584132346013cf26a4cd0791337db1f6dcd1756432f3b058f61085ad92"),
 }
 
 
@@ -485,9 +487,7 @@ def test_pool_paths_keep_their_bits(monkeypatch, name):
         assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest, size
 
 
-def _frozen_or_demo_report(name):
-    if name in FROZEN_REPORTS:
-        return FROZEN_REPORTS[name][0]()
+def _demo_report(name):
     check, params = _DEMO[name]
     return vf.run_check(check, **params)
 
@@ -496,27 +496,54 @@ def test_demo_runs_every_check():
     assert sorted(check for check, _ in _DEMO.values()) == sorted(vf.CHECK_SPECS)
 
 
-@pytest.mark.parametrize("name", sorted(FROZEN_REPORTS) + sorted(_DEMO))
-def test_restate_reproduces_the_report(name):
-    payload = json.loads(_frozen_or_demo_report(name).to_json())
+# a name both frozen and in the demo gets the ids <name>_0 (frozen) and <name>_1 (demo)
+@pytest.mark.parametrize("run", [FROZEN_REPORTS[name][0] for name in sorted(FROZEN_REPORTS)]
+                         + [lambda name=name: _demo_report(name) for name in sorted(_DEMO)],
+                         ids=sorted(FROZEN_REPORTS) + sorted(_DEMO))
+def test_restate_reproduces_the_report(run):
+    payload = json.loads(run().to_json())
     # restate merges inputs and quantities: a shared key would hide one of them
     assert not set(payload["inputs"]) & set(payload["quantities"])
     assert "prof" not in {**payload["inputs"], **payload["quantities"]}
-    rhs, slack, pre = vf.restate(payload)
+    rhs, slack, pre, violations, worst, verdict = vf.restate(payload)
     assert rhs.tolist() == payload["grid"]["rhs"]
     assert slack.tolist() == payload["grid"]["slack"]
     assert pre.tolist() == payload["grid"]["precondition"]
+    assert violations == payload["violations"]["count"]
+    # the worst margin is NaN when no point is admitted
+    assert json.dumps(worst) == json.dumps(payload["violations"]["worst_margin"])
+    assert verdict == payload["verdict"]
 
 
 def test_restate_follows_an_edited_term():
     # the statement reads its terms from the report: a larger lambda shrinks
     # the profile's argument, which raises the rhs and admits no new point
     payload = json.loads(FROZEN_REPORTS["norm_ratio_l2_l1_n16"][0]().to_json())
-    rhs, _, pre = vf.restate(payload)
+    rhs, _, pre, *_ = vf.restate(payload)
     payload["quantities"]["lambda"] *= 2.0
-    slower, _, pre_slower = vf.restate(payload)
+    slower, _, pre_slower, *_ = vf.restate(payload)
     assert np.all(slower >= rhs) and np.any(slower > rhs)
     assert np.all(pre_slower <= pre)
+
+
+def _with_profile_c(payload, factor):
+    edited = json.loads(json.dumps(payload))
+    edited["inputs"]["profile"]["c"] *= factor
+    return edited
+
+
+def test_restate_gives_the_verdict_of_an_edited_report(monkeypatch):
+    # a larger profile constant c claims faster concentration: the verdict
+    # of the edited report comes from restate alone, with nothing resampled
+    identity = json.loads(_demo_report("identity_transfer_n16").to_json())
+    embedding = json.loads(FROZEN_REPORTS["sup_l2_n2_32_functionals"][0]().to_json())
+    for name in ("sample", "sample_map", "concentration_lower_curve"):
+        monkeypatch.setattr(vf, name, lambda *a, **k: pytest.fail("restate resampled"))
+    assert vf.restate(_with_profile_c(identity, 1.1))[5] == "pass"
+    assert vf.restate(_with_profile_c(identity, 2.0))[5] == "fail"
+    # the embedding's alpha is its profile, evaluated inside restate
+    rhs = vf.restate(_with_profile_c(embedding, 4.0))[0]
+    assert rhs.tolist() != embedding["grid"]["rhs"]
 
 
 def test_cube_floor_small_dims():
@@ -583,6 +610,10 @@ def test_radial_transfer_rejects_bad_p():
     ("lipschitz_transfer", {"lip": 0.5}, "lip"),
     ("lipschitz_transfer", {"map_cfg": {"kind": "scale", "factor": 3}, "lip": 2.0}, "lip"),
     ("lipschitz_transfer", {"n": 64, "map_cfg": {"kind": "coordinate"}, "lip": 0.5}, "lip"),
+    ("cube_floor", {"measure": ms.gaussian(8)}, "measure"),
+    ("cube_floor", {"measure": ms.ggp(1.0, 8)}, "measure"),
+    ("cube_floor", {"n": 2, "measure": ms.uniform_ball(
+        ns.NormSpec(dim=2, p=np.inf, transform=0.5 * np.eye(2)))}, "measure"),
 ])
 def test_run_check_names_the_key_at_fault(monkeypatch, check_id, kw, key):
     # the row's hypothesis is tested on the filled arguments, before the check runs
@@ -591,6 +622,29 @@ def test_run_check_names_the_key_at_fault(monkeypatch, check_id, kw, key):
     with pytest.raises(vf.CheckError) as err:
         vf.run_check(check_id, **kw)
     assert err.value.key == key
+
+
+def test_checks_name_the_key_at_fault_before_sampling(monkeypatch):
+    # called directly, a check tests its own hypothesis before it samples
+    monkeypatch.setattr(vf, "sample_map", lambda *a, **k: pytest.fail("the check sampled"))
+    with pytest.raises(vf.CheckError) as err:
+        vf.check_radial_transfer(p=3.0, n=8, eps_grid=[0.5], count=1000, seed=16,
+                                 profile=None, lam=1.0)
+    assert err.value.key == "p"
+    with pytest.raises(vf.CheckError) as err:
+        vf.check_cube_floor(n=8, eps_grid=[0.5], count=1000, seed=16, measure=ms.gaussian(8))
+    assert err.value.key == "measure"
+
+
+def test_cube_floor_takes_every_body_inside_the_cube():
+    # each body reaches exactly 1 along some axis, the half-width cube 1/2
+    n = 4
+    half = ms.uniform_ball(ns.NormSpec(dim=n, p=np.inf, transform=2.0 * np.eye(n)))
+    for measure in (ms.uniform_ball(ns.lp(np.inf, n)), ms.haar_sphere(n),
+                    ms.uniform_ball(ns.lp(1.5, n)), ms.cone_surface(ns.lp(1, n)), half):
+        assert vf._cube_fault(measure) is None, measure
+    rep = vf.run_check("cube_floor", n=n, measure=half, count=5000, seed=5)
+    assert rep.verdict == "pass"
 
 
 def test_lipschitz_transfer_takes_a_weaker_claim():
