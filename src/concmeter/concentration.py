@@ -101,10 +101,7 @@ class ConcentrationCurve:
 
 def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
     """The n coordinate axes plus ``extra`` random gaussian directions."""
-    axes = np.eye(dim)
-    rows = np.arange(extra, dtype=np.uint64)[:, None]
-    cols = np.arange(dim, dtype=np.uint64)[None, :]
-    return np.vstack([axes, rng.normals(seed, rows, cols, 0)])
+    return np.vstack([np.eye(dim), rng._generator(seed, 0).standard_normal((extra, dim))])
 
 
 def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> None:

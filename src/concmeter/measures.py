@@ -10,7 +10,7 @@ ggp(p)            product measure with per-coordinate density
                   c_p^{-1} exp(-|t|^p / p), c_p = 2 Gamma(1+1/p) p^(1/p),
                   for p in [1, 2].  p=1 is the symmetric exponential
                   product, p=2 the standard gaussian.
-gaussian          alias of ggp(2).
+gaussian          the law of ggp(2), drawn by its own sampler.
 haar_sphere       alias of cone_surface(l2).
 
 Sampling constructions
@@ -31,17 +31,33 @@ A spec builds its body norm once (``MeasureSpec.body_norm``), and that
 NormSpec holds the one validated T and its one inverse, which every
 sampled chunk reads.
 
-All samplers draw from the counter-based streams in :mod:`.rng`, keyed
-by (seed, sample index, coordinate index), so batches are reproducible
-bit-for-bit under any chunking of the sample range.  Batches are
-processed in chunks of ``rng.block_rows`` rows (about 2^15 elements,
-rounded down to a multiple of 8 rows) written straight into the output,
-and drawn two chunks per RNG call, so sampling and streamed norm
-evaluation add only a draw's and a chunk's worth of memory per stream
-thread (:func:`sample_map`).  The one exception to the chunking claim is
-a transformed body: its pull-back ``base @ inv.T`` is a BLAS product,
-taken once per chunk, whose last bits depend on the chunk's row count
-(also at one BLAS thread) and on the BLAS thread count.
+The sample table: every sampler draws from numpy's Philox streams
+(:mod:`.rng`), keyed by (seed, stream tag, key block).  The tags are the
+values of the rows, the signs of ggp coordinates and the ball's extra
+exponential, one per row.  Rows come in key blocks, each drawn whole:
+
+- a product measure (gaussian, ggp) has key blocks of 256 rows in every
+  dimension, filled column by column as an (n, 256) array and then
+  transposed into rows, so coordinate j of a row is the same variate in
+  every dimension above j;
+- haar_sphere, uniform_ball and cone_surface have a key block per chunk of
+  ``rng.block_rows(n)`` rows, filled row by row; a row is built from all
+  of its coordinates, so these have no coordinate property to keep.
+
+The samplers are numpy's: ``standard_normal`` for gaussian and, normalised,
+haar_sphere; for ggp(p) the magnitudes ``standard_exponential`` at p = 1,
+|``standard_normal``| at p = 2 and (p ``standard_gamma(1/p)``)^(1/p)
+otherwise; ``random`` for the l-inf bodies.
+
+Rows [start, stop) are cut from the key blocks that hold them
+(:func:`_generate`), so rows [0, N) are the first N rows of any longer
+sample, and a chunk of the sample stream is whole key blocks, about
+``rng.block_rows`` rows (:func:`_chunk_rows`).  Batches are therefore
+reproducible bit for bit under any chunking and any number of stream
+threads, and sampling adds one chunk's worth of memory per stream thread
+(:func:`sample_map`).  A transformed body's pull-back ``base @ inv.T`` is
+a BLAS product, taken once per key block, whose last bits follow the BLAS
+thread count: such a body is reproducible at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -309,63 +325,93 @@ class SampleBatch:
         return self.data.shape[0]
 
 
-def _ggp_rows(p: float, seed: int, rows: np.ndarray, dim: int) -> np.ndarray:
-    """Generalized-gaussian product rows; slot 0 = sign, 1.. = magnitude."""
-    i = rows[:, None].astype(np.uint64)
-    j = np.arange(dim, dtype=np.uint64)[None, :]
+# Stream tags of the sample table (see the module docstring).
+_VALUES, _SIGNS, _EXTRA = 0, 1, 2
+# Rows per key block of a product measure, the same in every dimension.
+_PRODUCT_ROWS = 256
+
+
+def _key_rows(measure: MeasureSpec) -> int:
+    """Rows per key block of the sample table: fixed for a product measure,
+    one chunk of ``rng.block_rows`` rows for the others."""
+    if measure.family in ("gaussian", "ggp"):
+        return _PRODUCT_ROWS
+    return rng.block_rows(measure.dim)
+
+
+def _chunk_rows(measure: MeasureSpec) -> int:
+    """Rows per chunk of the sample stream: whole key blocks, about
+    ``rng.block_rows`` rows and at least one block."""
+    key = _key_rows(measure)
+    return max(1, rng.block_rows(measure.dim) // key) * key
+
+
+def _ggp_values(p: float, seed: int, block: int, shape: tuple) -> np.ndarray:
+    """ggp(p) coordinates over ``shape`` in C order, from key block ``block``:
+    magnitudes from the values stream, signs from their own."""
+    gen = rng._generator(seed, _VALUES, block)
     if p == 1.0:
-        mag = rng.exponentials(seed, i, j, 1)
+        x = gen.standard_exponential(shape)
     elif p == 2.0:
-        mag = np.abs(rng.normals(seed, i, j, 1))
+        x = gen.standard_normal(shape)
+        np.abs(x, out=x)
     else:
-        mag = rng.gammas(1.0 / p, seed, i, j, base_slot=1)   # (p * w) ** (1 / p)
-        mag *= p
-        mag **= 1.0 / p
-    mag *= rng.signs(seed, i, j, 0)
-    return mag
+        x = gen.standard_gamma(1.0 / p, shape)     # (p * w) ** (1 / p)
+        x *= p
+        x **= 1.0 / p
+    sign = rng._generator(seed, _SIGNS, block).integers(0, 2, shape, dtype=np.int8)
+    sign *= 2
+    sign -= 1
+    x *= sign
+    return x
+
+
+def _fill(measure: MeasureSpec, seed: int, block: int, out: np.ndarray) -> None:
+    """Key block ``block`` of the sample table into ``out``, its rows."""
+    n, fam, p = measure.dim, measure.family, measure.p
+    rows = len(out)
+    if fam in ("gaussian", "ggp"):   # column by column, then into rows
+        if fam == "gaussian":
+            cols = rng._generator(seed, _VALUES, block).standard_normal((n, rows))
+        else:
+            cols = _ggp_values(p, seed, block, (n, rows))
+        out[...] = cols.T
+        return
+    if fam == "haar_sphere":
+        rng._generator(seed, _VALUES, block).standard_normal(out=out)
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        return
+
+    # ball / cone families: build in the plain-lp body, row by row, then pull back
+    if p == INF:
+        base = rng._generator(seed, _VALUES, block).random((rows, n))
+        base *= 2.0
+        base -= 1.0
+        if fam == "cone_surface":
+            base /= np.abs(base).max(axis=1, keepdims=True)
+    else:
+        base = _ggp_values(p, seed, block, (rows, n))
+        w_sum = (np.abs(base) ** p).sum(axis=1, keepdims=True)
+        if fam == "cone_surface":
+            base /= w_sum ** (1.0 / p)
+        else:
+            # one extra exponential per row, from its own stream
+            w_sum /= p
+            w_sum += rng._generator(seed, _EXTRA, block).standard_exponential((rows, 1))
+            base /= (p * w_sum) ** (1.0 / p)
+    inv = measure.body_norm.transform_inv
+    out[...] = base if inv is None else base @ inv.T
 
 
 def _generate(measure: MeasureSpec, seed: int, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the infinite sample table for (measure, seed)."""
-    n = measure.dim
-    rows = np.arange(start, stop, dtype=np.uint64)
-    i = rows[:, None]
-    j = np.arange(n, dtype=np.uint64)[None, :]
-    fam, p = measure.family, measure.p
-
-    if fam == "gaussian":
-        return rng.normals(seed, i, j, 0)
-    if fam == "haar_sphere":
-        g = rng.normals(seed, i, j, 0)
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g
-
-    if fam == "ggp":
-        return _ggp_rows(p, seed, rows, n)
-
-    # ball / cone families: build in the plain-lp body, then pull back
-    if p == INF:
-        u = rng.uniforms(seed, i, j, 0)
-        base = 2.0 * u - 1.0
-        if fam == "cone_surface":
-            base = base / np.abs(base).max(axis=1, keepdims=True)
-    else:
-        t = _ggp_rows(p, seed, rows, n)
-        if fam == "cone_surface":
-            base = t / ((np.abs(t) ** p).sum(axis=1, keepdims=True)) ** (1.0 / p)
-        else:
-            # one extra exponential per sample, on the virtual coordinate n
-            z = rng.exponentials(seed, rows[:, None], np.uint64(n), 1)
-            w_sum = (np.abs(t) ** p).sum(axis=1, keepdims=True) / p
-            base = t / (p * (w_sum + z)) ** (1.0 / p)
-    inv = measure.body_norm.transform_inv
-    if inv is not None:
-        # one product per row chunk from start: a GEMM's last bits follow its
-        # row count, so a draw of several chunks keeps the chunks' bits
-        step = rng.block_rows(n)
-        for lo in range(0, len(base), step):
-            base[lo:lo + step] = base[lo:lo + step] @ inv.T
-    return base
+    """Rows [start, stop) of the infinite sample table for (measure, seed):
+    the key blocks that hold them, each drawn whole, then sliced."""
+    rows = _key_rows(measure)
+    first, end = start // rows, -(-stop // rows)
+    out = np.empty(((end - first) * rows, measure.dim))
+    for k in range(end - first):
+        _fill(measure, seed, first + k, out[k * rows:(k + 1) * rows])
+    return out[start - first * rows:stop - first * rows]
 
 
 def sample_chunks(measure: MeasureSpec, count: int, seed: int
@@ -373,10 +419,11 @@ def sample_chunks(measure: MeasureSpec, count: int, seed: int
     """Rows [0, count) of the sample table as (start, rows) chunks, for
     callers that never hold the whole batch; the bits equal ``sample``'s.
 
-    A chunk holds one RNG block (``rng.block_rows`` rows), so it and the
-    temporaries built from it stay in cache whatever the dimension.
+    A chunk holds whole key blocks, about ``rng.block_rows`` rows, so it and
+    the temporaries built from it stay near cache size whatever the
+    dimension.
     """
-    step = rng.block_rows(measure.dim)
+    step = _chunk_rows(measure)
     for start in range(0, count, step):
         yield start, _generate(measure, seed, start, min(start + step, count))
 
@@ -386,26 +433,17 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
     """Full-length outputs of a row-wise ``fn`` over rows [0, count) of
     the sample table, which is never held whole.
 
-    Rows are drawn ``rng._DRAW_CHUNKS`` chunks of :func:`sample_chunks` at
-    a time, so each RNG pass is long enough that the stream threads do not
-    trade the interpreter lock after every pass; ``fn`` still sees one chunk
-    at a time.  For each chunk ``fn(rows)`` returns a tuple of arrays
-    (``rows`` may be changed in place); each is written into the chunk's
-    rows of one output, on the stream threads of ``rng._draw_map`` (``fn``
-    must be thread-safe; the bits do not depend on the thread count).  Peak
-    memory is the outputs plus, per stream thread, one draw and one chunk's
-    temporaries.
+    For each chunk of :func:`sample_chunks`, ``fn(rows)`` returns a tuple
+    of arrays (``rows`` may be changed in place); each is written into the
+    chunk's rows of one output, on the stream threads of ``rng._chunk_map``
+    (``fn`` must be thread-safe; the bits do not depend on the thread
+    count).  Peak memory is the outputs plus one chunk's temporaries per
+    stream thread.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    step = rng.block_rows(measure.dim)
-
-    def draw(lo: int, hi: int):
-        rows = _generate(measure, seed, lo, hi)
-        for start in range(0, hi - lo, step):
-            yield fn(rows[start:start + step])
-
-    return rng._draw_map(count, step, rng._DRAW_CHUNKS, draw)
+    return rng._chunk_map(count, _chunk_rows(measure),
+                          lambda lo, hi: fn(_generate(measure, seed, lo, hi)))
 
 
 def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:

@@ -234,9 +234,7 @@ class ContainmentConstant:
 
 def _candidate_directions(dim: int, count: int, seed: int) -> np.ndarray:
     """Random gaussian directions plus lp extreme candidates."""
-    rows = np.arange(count, dtype=np.uint64)[:, None]
-    cols = np.arange(dim, dtype=np.uint64)[None, :]
-    dirs = rng.normals(seed, rows, cols, 0)
+    dirs = rng._generator(seed, 0).standard_normal((count, dim))
     extremes = [np.eye(dim), np.ones((1, dim))]
     # sign-flip diagonals probe the corners that pure axes miss
     alt = np.ones(dim)

@@ -77,29 +77,30 @@ def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,
     Half the pairs are independent point pairs, half are local
     perturbations of a point (scale ~ 1e-3 of the typical K-norm),
     which probe the worst-case local ratio.  Coincident pairs count 0.
-    The pairs go in chunks through ``rng._chunk_map``, so one chunk of
-    pairs per stream thread is held at a time.
+    The pairs go in chunks through ``rng._chunk_map``, each chunk drawn
+    from its own key block, so one chunk of pairs per stream thread is held
+    at a time.
     """
     points = np.asarray(points, dtype=np.float64)
     n_pts, dim = points.shape
     half = pairs // 2
     perturbation_scale = 1e-3 * float(np.median(norm_eval(K, points)))
-    cols = np.arange(dim, dtype=np.uint64)[None, :]
     pi = ratio_norms(K, L)
+    step = rng.block_rows(dim)
 
     def ratios(lo: int, hi: int) -> tuple:
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        xa = points[(rng.uniforms(seed, idx, 0, 0) * n_pts).astype(np.int64)]
-        xb = points[(rng.uniforms(seed, idx, 1, 0) * n_pts).astype(np.int64)]
-        local = idx[:max(0, min(hi, half) - lo)]    # the pairs below half
-        noise = rng.normals(seed, local[:, None], cols, 2)
+        gen = rng._generator(seed, 0, lo // step)
+        xa = points[gen.integers(n_pts, size=hi - lo)]
+        xb = points[gen.integers(n_pts, size=hi - lo)]
+        local = max(0, min(hi, half) - lo)    # the pairs below half
+        noise = gen.standard_normal((local, dim))
         noise *= perturbation_scale / norm_eval(K, noise)[:, None]
-        xb[:local.size] = xa[:local.size] + noise
+        xb[:local] = xa[:local] + noise
         num = norm_eval(L, _lift(pi, xa)[0] - _lift(pi, xb)[0])
         den = norm_eval(K, xa - xb)
         return (np.divide(num, den, out=np.zeros_like(num), where=den > 0.0),)
 
-    ratio, = rng._chunk_map(pairs, rng.block_rows(dim), ratios)
+    ratio, = rng._chunk_map(pairs, step, ratios)
     return float(ratio.max())
 
 

@@ -300,7 +300,7 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
         raise CheckError("eps must be positive")
     L_r, cc = normalize_containment(K, L)
     n = measure.dim
-    theta = rng.normals(rng.derive_seed(seed, 0xA0), 0, np.arange(n, dtype=np.uint64), 0)
+    theta = rng._generator(rng.derive_seed(seed, 0xA0), 0).standard_normal(n)
 
     def chain(rows):   # with the projections of norm_ratio_map(K, L_r, rows)
         image, vk, vl = _lift(ratio_norms(K, L_r), rows)
@@ -328,16 +328,17 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
                        ["shell preimage set is empirically empty"])
 
     pseed = rng.derive_seed(seed, 0xB1)
-    cols = np.arange(n, dtype=np.uint64)[None, :]
     half, n_col = probes // 2, probes // 10
+    step = rng.block_rows(n)
 
-    def probe(lo: int, hi: int) -> tuple:
-        idx = np.arange(lo, hi, dtype=np.uint64)
-        rows = members[(rng.uniforms(pseed, idx, 0, 0) * members.size).astype(np.int64)]
+    def probe(lo: int, hi: int) -> tuple:   # a chunk of probes from its own key block
+        gen = rng._generator(pseed, 0, lo // step)
+        idx = np.arange(lo, hi)
+        rows = members[gen.integers(members.size, size=hi - lo)]
         y, yk, yl = data[rows], vk[rows], vl[rows]   # the partners and their norms
-        direction = rng.normals(pseed, idx[:, None], cols, 1)
+        direction = gen.standard_normal((hi - lo, n))
         direction /= norm_eval(K, direction)[:, None]
-        scale_u = rng.uniforms(pseed, idx, 0, 3)
+        scale_u = gen.random(hi - lo)
         # half the probes sit exactly on the K-ball boundary, the worst case;
         # the last tenth is collinear with y and the tenth after the first
         # half repeats y itself (slices by absolute probe index)
@@ -352,7 +353,7 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
         piy = _lift(lambda _: (yk, yl), y)[0]
         return norm_eval(L_r, pix - piy), pix @ theta - (t_cut + eps * dual_w)
 
-    moved, overshoot = rng._chunk_map(probes, rng.block_rows(n), probe)
+    moved, overshoot = rng._chunk_map(probes, step, probe)
     quantities.update({"max_displacement": float(moved.max()),
                        "displacement_bound": 7.0 * delta * med_k})
     # grid rows summarize the two probe-wise assertions, a row failing
@@ -378,10 +379,10 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: i
     batch = sample(measure, count, seed)
     n = measure.dim
     dseed = rng.derive_seed(seed, 0xC2)
-    cols = np.arange(n, dtype=np.uint64)[None, :]
-    thetas = rng.normals(dseed, np.arange(num_pairs, dtype=np.uint64)[:, None], cols, 0)
-    q_lo = 0.02 + 0.43 * rng.uniforms(dseed, np.arange(num_pairs, dtype=np.uint64), 0, 2)
-    q_hi = 0.55 + 0.43 * rng.uniforms(dseed, np.arange(num_pairs, dtype=np.uint64), 1, 2)
+    thetas = rng._generator(dseed, 0).standard_normal((num_pairs, n))
+    u = rng._generator(dseed, 1).random((num_pairs, 2))    # a row per pair
+    q_lo = 0.02 + 0.43 * u[:, 0]
+    q_hi = 0.55 + 0.43 * u[:, 1]
 
     pa, pb, gap = np.empty((3, num_pairs))
 

@@ -579,10 +579,10 @@ def test_pushforward_command(tmp_path):
 # SHA-256 of the output bytes at N = 5001: one partial sample chunk at
 # n = 3, four chunks (the last partial) at n = 20
 FROZEN_STREAMED_OUTPUTS = {
-    ("pushforward", 3): "8e01325c7417ee44378bd56f216219843fdfd609197321b7cb45c9c8bbd9c3bf",
-    ("pushforward", 20): "21ee89d99175fa9763002580a00c109b95b05d99dd18eaa7b2aa9cfc99d309d9",
-    ("median", 3): "12d0215f6a32f1ed0bcc627ffbcd42da6861793f8dc6148d166d3da1cbfd1bbf",
-    ("median", 20): "293011953b6ac8cabf2ff48060f623953bb401f2bfba782701ee6a1d67f7c9da",
+    ("pushforward", 3): "988299adb67e2a4a36969de3b07b8defc449b352cc62a28f1d20471683179eed",
+    ("pushforward", 20): "de8e414fb0fa1b0435ff967d5a35b5126429e16ecb1b0e6ca98079fe567deaee",
+    ("median", 3): "37dc3dd06b39318b7bc5d8293dbce30419221cfe7457354a5cc99b5c7f879d10",
+    ("median", 20): "78c09dafbd22b9207c0321ad62876b32bf143ff644070b4c3d5d1b909d51a2f6",
 }
 
 
@@ -690,24 +690,23 @@ def test_verify_names_the_flag_at_fault(capsys, monkeypatch, argv, flag):
 
 
 # SHA-256 and exit code of `concmeter verify <id> --N 2000 --out <file>`:
-# each check's report with every argument but N taken from its row's default
-# (recorded before the defaults moved from the check signatures to the rows)
+# each check's report with every argument but N taken from its row's default,
+# recorded under numpy 2.4.6
 VERIFY_REPORTS = {
     "cube_floor": (
-        0, "aed3596647c3401008f5465ea92f92dc9d85ae98e19ea1864dd295763e498b98"),
+        0, "7ea79d6aa8b762efa68f0043204a3a490e1956bba8dcca49e8336e66c4b22e70"),
     "lipschitz_transfer": (
-        # the earlier report with its empirical_lipschitz quantity deleted
-        0, "a022b261e51c02f5244ddb2937e17437ea0e7a2d5f4bde15a43f7ce7cd9ec0f0"),
+        0, "31bcf9f6a330515a75a160b6f38d33700bfdef728492269c9544f30beda88fd3"),
     "norm_ratio_transfer": (
-        0, "6a6ce7a1d09827b2edd7af1a7dbb2c9c3f4244202a79c130224be9f807068402"),
+        0, "065909958b96229c44be88d9850268336fa64af6393281d821713909a642ec09"),
     "radial_transfer": (
-        0, "590f69a7854f7631cf373806d82576945cba839aaf92c97097f2858741ab37a3"),
+        0, "521ed1fa28ea2da2b3cba430e0932a1adaf2b91761d54d612aa6546687035d7f"),
     "separated_sets": (
-        0, "278fab736480ec29887527594d74fb7e37c1228f6cf40e311b3097cee471c360"),
+        0, "165201912d7ed4aea6a45fe9182bd2c874cbdbd44326d047b75e8e2bccba8801"),
     "shell_inclusion": (
-        0, "636303cd39177e9d0638911850abdac2c878156fcaa1af642a5d247f06c73358"),
+        0, "c770846b195c8c69fecfd3cbc1c32ebff54dd94a41874c81ef7a3fc2e874c2fa"),
     "sup_embedding": (
-        0, "14afb0bdffa2de3143bcca433bfee9c2fb2a59d07e57917c07afacab5c1ef3b4"),
+        0, "d25de2f5a5395e78526b60ad89b6bb95580565767ee62c64dd672a39f1f61a2c"),
 }
 
 

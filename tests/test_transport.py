@@ -61,10 +61,10 @@ def test_ratio_map_lipschitz_bound_l2_l1(n):
     assert est <= 2 * lam + 1 + 1e-9
 
 
-# recorded before the pairs were drawn in chunks: 20000 gaussian points at
-# seed 2, 1e5 pairs at the default seed
-RATIO_MAP_LIPSCHITZ = {16: 1.731437994459006, 64: 1.2523165150135407,
-                       256: 1.1125142456553692}
+# 20000 gaussian points at seed 2, 1e5 pairs at the default seed, recorded
+# under numpy 2.4.6
+RATIO_MAP_LIPSCHITZ = {16: 1.7977525323670338, 64: 1.2812652093277204,
+                       256: 1.110002627159922}
 
 
 @pytest.mark.parametrize("n", sorted(RATIO_MAP_LIPSCHITZ))

@@ -73,8 +73,7 @@ def test_build_map_gives_the_exact_lipschitz_constant(map_cfg, metric, constant,
     assert lip == constant
     assert out.to_config() == metric_out.to_config()
     # no pair of points beats the constant, and the pairs come near it
-    x = rng.normals(7, np.arange(2000, dtype=np.uint64)[:, None],
-                    np.arange(4, dtype=np.uint64)[None, :], 0)
+    x = rng._generator(7, 0).standard_normal((2000, 4))
     ratios = (ns.norm_eval(out, fn(x[::2]) - fn(x[1::2]))
               / ns.norm_eval(metric, x[::2] - x[1::2]))
     assert 0.5 * lip < ratios.max() <= lip * (1.0 + 1e-12)
@@ -207,10 +206,9 @@ def _separated_sets_oracle(data, metric, num_pairs, seed, profile):
     count, n = data.shape
     prof = vf._resolve_profile(profile, n)
     dseed = vf.rng.derive_seed(seed, 0xC2)
-    pairs = np.arange(num_pairs, dtype=np.uint64)
-    thetas = vf.rng.normals(dseed, pairs[:, None], np.arange(n, dtype=np.uint64)[None, :], 0)
-    q_lo = 0.02 + 0.43 * vf.rng.uniforms(dseed, pairs, 0, 2)
-    q_hi = 0.55 + 0.43 * vf.rng.uniforms(dseed, pairs, 1, 2)
+    thetas = vf.rng._generator(dseed, 0).standard_normal((num_pairs, n))
+    u = vf.rng._generator(dseed, 1).random((num_pairs, 2))
+    q_lo, q_hi = 0.02 + 0.43 * u[:, 0], 0.55 + 0.43 * u[:, 1]
     dual = ns.dual_norm(metric)
     lhs, ci, half_dist = [], [], []
     for k in range(num_pairs):
@@ -255,16 +253,15 @@ def test_separated_sets_matches_per_pair_oracle(n, p, num_pairs, count):
 @pytest.mark.parametrize("count", [1, 2, 3, 101, 5001])
 def test_separated_sets_matches_per_pair_oracle_on_ties(monkeypatch, count):
     # rows of {-1, 0, 1}^2: nine distinct rows, so every projection ties
-    # with many others; 200 pairs draw q_lo down to 0.0202 and q_hi up to
-    # 0.9798, the ends of their ranges
+    # with many others; 400 pairs draw q_lo down to 0.0203 and q_hi up to
+    # 0.9796, the ends of their ranges
     def integer_rows(measure, count, seed):
-        u = rng.uniforms(seed, np.arange(count, dtype=np.uint64)[:, None],
-                         np.arange(measure.dim, dtype=np.uint64)[None, :], 0)
+        u = rng._generator(seed, 0).random((count, measure.dim))
         return ms.SampleBatch(measure=measure, seed=seed, data=np.floor(3.0 * u) - 1.0)
 
     monkeypatch.setattr(vf, "sample", integer_rows)
     rep, (q_lo, q_hi) = _assert_separated_sets_match_oracle(
-        ms.haar_sphere(2), ns.lp(2, 2), 200, count, 6)
+        ms.haar_sphere(2), ns.lp(2, 2), 400, count, 6)
     assert q_lo < 0.0205 and q_hi > 0.9795
     data = vf.sample(ms.haar_sphere(2), count, 6).data
     assert len(np.unique(data, axis=0)) <= 9
@@ -348,116 +345,116 @@ def test_streamed_images_equal_the_maps_of_the_batch(n, count):
 
 
 # SHA-256 of CheckReport.to_json(), bit for bit: the reports of every check,
-# with the streamed images, probes and projection blocks
+# with the streamed images, probes and projection blocks, recorded under
+# numpy 2.4.6 (numpy's samplers draw every variate; see tests/test_rng.py)
 FROZEN_REPORTS = {
     "lipschitz_identity_n8": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(8), map_cfg={"kind": "identity"}, lip=1.0,
             metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.1, 4.0, 15), count=5001, seed=1,
             profile="gaussian"),
-        # each lipschitz_* digest: the earlier report with its empirical_lipschitz deleted
-        "2ff0e9d869645f48881972357ebbed984b78c878b9ad288f154fd47e777062f2"),
+        "4e089ca3c1c78c98361d74a0a230dc205a2804a1523c3238666f2c4822e946d3"),
     "lipschitz_scale_n16": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(16), map_cfg={"kind": "scale", "factor": 0.5}, lip=0.5,
             metric_in=ns.lp(2, 16), eps_grid=np.linspace(0.1, 3.0, 12), count=5001, seed=2,
             profile="gaussian"),
-        "4ec0093455e628932b835c5a2c95ab31616e85c2ad14f418fd5a60bfb27dcc76"),
+        "8e562c9a149fe5d99c583345acbf5f30cccc11b6e82853f148912d64f8c4af1a"),
     "lipschitz_coordinate_n8": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(8), map_cfg={"kind": "coordinate", "index": 2}, lip=1.0,
             metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.2, 3.0, 10), count=5001, seed=3,
             profile="gaussian"),
-        "b13e7f77904c3124d5e7add71d2c85ebcb1764e05307a7a2491cdfe14a626c88"),
-    "cube_floor_n8": (
+        "423db8c4307d1955fdeac06425670054f347c3bc9914a92dd5c498bcce0a227b"),
+    "cube_floor_n8_N5001": (
         lambda: vf.run_check("cube_floor", n=8, eps_grid=np.linspace(0.1, 0.9, 9),
                              count=5001, seed=10),
-        "36162a013a173a40c4f73df82e1a21560b09e135921a3ef428ac25022b25ab19"),
+        "fbf279e47bcaa68835a3a4dc859d851d486fcfd6558264aa26b9148d7e674a7d"),
     "shell_empty_preimage": (   # shell_set_size 0: not applicable
         lambda: vf.check_shell_inclusion(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
             eps=1e-9, count=1000, probes=100, seed=7),
-        "e1164edaf425742cf6b6d95bffe6dbb922a99648fbf3b3cc7914b343aa97025a"),
+        "448edbbd03253932fe632b98990d4c083c21fd1623d185e279a37bd3a8180a94"),
     "norm_ratio_l2_l1_n16": (
         lambda: vf.check_norm_ratio_transfer(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
             eps_grid=vf.default_eps_grid(), count=5001, seed=11, profile="sphere"),
-        "fb0a6d6453387babec8d871e9fb7c6d14711a5978355e7b6a39156ac6f6814f0"),
+        "709d70cbc6d5c39aaab379ec6719a97418801816d664dc98e96559b52f4d118a"),
     "norm_ratio_l1_l2_n8": (   # L is rescaled: a transformed norm
         lambda: vf.check_norm_ratio_transfer(
             K=ns.lp(1, 8), L=ns.lp(2, 8), measure=ms.uniform_ball(ns.lp(1, 8)),
             eps_grid=vf.default_eps_grid(), count=5001, seed=11, profile="gaussian"),
-        "0c36c0baaa5e0020e004bf12d383c06d7b346943576164e3a83a4b8e33a4ca0b"),
-    "radial_p1_n32": (
+        "77a38b9b9e6df7854b5a573d82b1b7265b9f9c46f4de0ea618b0493e37d633b3"),
+    "radial_p1_n32_N5001": (
         lambda: vf.run_check(
             "radial_transfer", p=1.0, n=32, eps_grid=vf.default_eps_grid(), count=5001, seed=12),
-        "3563ab9c5bb1a94ff0c84143db0a6a4552745b12dea6902b7f086bb1c4df907f"),
+        "211c244799a5ee914188f9b2b7b475c7fcb1c4e43f8236fc08e39d98bac8d9a6"),
     "radial_p2_n8": (
         lambda: vf.run_check(
             "radial_transfer", p=2.0, n=8, eps_grid=vf.default_eps_grid(), count=3001, seed=12),
-        "70983b9a2cca7108ae89414a4309ce87da8bbf13e04233eb8e41a6f1f7e689f2"),
+        "314938cc62533104a5005bdd9ed48a824292ac10f14ba56a272ef11f49bc3c30"),
     "shell_n16_probes2000": (
         lambda: vf.check_shell_inclusion(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
             eps=0.5, count=20000, probes=2000, seed=7),
-        "c708c743c009ccd13fdbc438c86d7badf5501b3807b761260aef3ab4d2138c3b"),
+        "f77b153b748d6b22ade997c76751d4dd123e94131be94ef79f8a8d7df47792b1"),
     "shell_n16_probes4096": (
         lambda: vf.check_shell_inclusion(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
             eps=0.5, count=20000, probes=4096, seed=7),
-        "d82ae4f980045b6557f4686efe05d666e9519003ffe3e82247c7ee02a9cdd1d5"),
+        "5dc76dc880980052578fdd79aff774360c76a1e29af85a5118ff5c2cc85f1cdb"),
     "shell_n64_probes5001": (
         lambda: vf.check_shell_inclusion(
             K=ns.lp(2, 64), L=ns.lp(1, 64), measure=ms.haar_sphere(64),
             eps=0.5, count=5001, probes=5001, seed=13),
-        "328f2745cfe9894371738525045f26575ea08affdd941ca82c62a25e274fc92c"),
+        "cae79fa525de470516897df07635850ad220f7703df13765a8ac5e0635315472"),
     "shell_l1_l2_n64": (   # L_r is a scaled norm, taken on unaligned sample chunks
         lambda: vf.check_shell_inclusion(
             K=ns.lp(1, 64), L=ns.lp(2, 64), measure=ms.haar_sphere(64),
             eps=0.5, count=5001, probes=5001, seed=13),
-        "48fd7f707d953a5014b673b0b1f7b40f789f0780175df0a769a57f7117b79a68"),
+        "6ecd00a27c4bec10c2029528853f0ed112733fb9696fd10a999f79ba8f568450"),
     "shell_l1_l2_n100": (   # L_r through a transform on sample chunks of 320 rows
         lambda: vf.check_shell_inclusion(
             K=ns.lp(1, 100), L=ns.lp(2, 100), measure=ms.haar_sphere(100),
             eps=0.5, count=5001, probes=5001, seed=13),
-        "f89692a6ce1eb7223590ccffe93f015b5f825a2125b297856ca6082015006935"),
+        "34497537e9652851fee75270bbc331783b5a47f150cd095b0e8d95adcca63117"),
     "pairs_n64": (
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(64), metric=ns.lp(2, 64), num_pairs=100,
             count=5001, seed=9, profile="sphere"),
-        "25a31700dd2953ca71cb2ed605178622d83733e86419ffd0b3910432962a7ed2"),
+        "9e4157a3f45850746611d82d221f33fb9f8ef6aca1eca8fa9552779529dcd0da"),
     "pairs_n16_l1": (
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(16), metric=ns.lp(1, 16), num_pairs=70,
             count=5001, seed=9, profile="sphere"),
-        "03349b51533efa5b1bc5a82a4a771002c1a8dc8a52ef9de14229f83d792dfdda"),
+        "a2cf6176488a647d3f8808151c9dc17a045e989843090362b2d440aac65de720"),
     "pairs_n16_scaled_l2": (   # a scaled norm: dual norms through a transform
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(16), metric=ns.scaled(ns.lp(2, 16), 0.7), num_pairs=70,
             count=5001, seed=9, profile="sphere"),
-        "4edbc8e90fb1b59d9526a875d718d48129e8a688b6dbd505760100de8b2d6c79"),
+        "b48f6766f05e4f344dff66c9904b3f3f321af14a9d23a8c343af50b03b3053ea"),
     "pairs_n16_l3_transform": (   # a full lower-triangular transform
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(16),
             metric=ns.NormSpec(dim=16, p=3.0, transform=np.eye(16) + 0.1 * np.tri(16)),
             num_pairs=70, count=5001, seed=9, profile="sphere"),
-        "0d38d666539ccef3432b82e2372cbac1de86c6f8b47eb829c7a2f369e046c2a1"),
+        "f88830a1f42079562fb76e3f725ae4f0a1902e4f509caac106b349a9c72e55e9"),
     "sup_n3": (   # sample chunks of 10920 rows, the last one partial
         lambda: vf.run_check("sup_embedding", n=3, count=30001, seed=3),
-        "a57d16c6760f34bf5a5fd6204ae7f7441a8ce523bf6250b19130c7c2c0ec0ea6"),
+        "34992f31c812bb4fd96b70ae766887e7a0da5b3faac0b6fadf170b17c54d26d9"),
     "sup_n100": (   # the functionals' product on sample chunks of 320 rows
         lambda: vf.run_check("sup_embedding", n=100, count=5001, seed=3),
         "38d5661f368a9fef36fc0f8be98070bd26e0565ec8005bf3b580ef5473918df1"),
     "sup_n33": (
         lambda: vf.run_check("sup_embedding", n=33, count=5001, seed=3),
-        "bf5616064e8c5416e41cbbb81662a5677c1a17c405a1f0c48cacae808168eed4"),
+        "641b747e2f32d250c18941c26881213d960e74c2949799da46ae57f82dad674a"),
     "sup_l2_n2_32_functionals": (
         lambda: vf.check_sup_embedding(
             K=ns.lp(2, 2), measure=ms.uniform_ball(ns.lp(2, 2)),
             functionals=np.column_stack([np.cos(np.arange(32) * np.pi / 32),
                                          np.sin(np.arange(32) * np.pi / 32)]),
             d=1.01, eps_grid=[0.05, 0.2, 0.5], count=30001, seed=4, profile="gaussian"),
-        "d61935584132346013cf26a4cd0791337db1f6dcd1756432f3b058f61085ad92"),
+        "891153bd96a8549c32bd7fc7dde4b08c867dcf1cca31f70a4131508afaf1937f"),
 }
 
 
@@ -496,7 +493,11 @@ def test_demo_runs_every_check():
     assert sorted(check for check, _ in _DEMO.values()) == sorted(vf.CHECK_SPECS)
 
 
-# a name both frozen and in the demo gets the ids <name>_0 (frozen) and <name>_1 (demo)
+def test_frozen_and_demo_names_are_distinct():
+    # so each restate case below has its name as its id, and a name finds one report
+    assert not set(FROZEN_REPORTS) & set(_DEMO)
+
+
 @pytest.mark.parametrize("run", [FROZEN_REPORTS[name][0] for name in sorted(FROZEN_REPORTS)]
                          + [lambda name=name: _demo_report(name) for name in sorted(_DEMO)],
                          ids=sorted(FROZEN_REPORTS) + sorted(_DEMO))
