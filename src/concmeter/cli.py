@@ -145,8 +145,8 @@ def cmd_alpha(args) -> int:
     curve = concentration_lower_curve(batch.data, metric, eps)
     cfg = {"measure": measure.to_config(), "metric": metric.to_config(),
            "n": n, "N": args.N, "seed": seed, "eps": eps.tolist()}
-    rows = np.column_stack([curve.eps, curve.alpha_hat, curve.ci,
-                            curve.argmax_direction]).tolist()
+    rows = zip(curve.eps.tolist(), curve.alpha_hat.tolist(), curve.ci.tolist(),
+               curve.argmax_direction.tolist())
     _write_csv(args.out, cfg, "eps,alpha_hat,ci,direction_id_of_max", rows)
     return 0
 

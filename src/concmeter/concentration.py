@@ -29,7 +29,7 @@ import numpy as np
 from . import rng
 from .normspace import NormSpec, dual_norm, norm_eval
 
-DEFAULT_EXTRA_DIRECTIONS = 256
+DEFAULT_EXTRA_DIRECTIONS = 32
 
 _Z95 = 1.959963984540054
 
@@ -100,7 +100,10 @@ class ConcentrationCurve:
 
 
 def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
-    """The n coordinate axes plus ``extra`` random gaussian directions."""
+    """The n coordinate axes plus ``extra`` random gaussian directions.
+
+    The gaussian rows are drawn in order from one stream, so the family
+    with fewer extra directions is a row prefix of the one with more."""
     return np.vstack([np.eye(dim), rng._generator(seed, 0).standard_normal((extra, dim))])
 
 

@@ -526,6 +526,9 @@ def test_alpha_csv_deterministic_and_monotone(tmp_path):
     data = np.loadtxt(out1, delimiter=",", skiprows=2)
     assert np.all(np.diff(data[:, 1]) <= 1e-12)
     assert out1.read_text().startswith("# config:")
+    # the argmax direction is an index into the n + 32 directions, written as an int
+    ids = [int(line.split(",")[3]) for line in out1.read_text().splitlines()[2:]]
+    assert len(ids) == 8 and all(0 <= i < 16 + 32 for i in ids)
 
 
 def test_alpha_empty_eps_usage_error(tmp_path):
@@ -694,13 +697,13 @@ def test_verify_names_the_flag_at_fault(capsys, monkeypatch, argv, flag):
 # recorded under numpy 2.4.6
 VERIFY_REPORTS = {
     "cube_floor": (
-        0, "7ea79d6aa8b762efa68f0043204a3a490e1956bba8dcca49e8336e66c4b22e70"),
+        0, "754f58108f6c9dc73df622f76f285925e9d270c561a634cf4c6281487201c512"),
     "lipschitz_transfer": (
-        0, "31bcf9f6a330515a75a160b6f38d33700bfdef728492269c9544f30beda88fd3"),
+        0, "eb1984ea176ffb3c6acbfc9a8e27bbca0dac7618f38242bbb23117a6e7611e7e"),
     "norm_ratio_transfer": (
-        0, "065909958b96229c44be88d9850268336fa64af6393281d821713909a642ec09"),
+        0, "6d17ed034e2c248dd3e0d2aa56e86bdf87134500ac707cc61bd574318e7ff868"),
     "radial_transfer": (
-        0, "521ed1fa28ea2da2b3cba430e0932a1adaf2b91761d54d612aa6546687035d7f"),
+        0, "f4eed8d7be24375cf8a1b10f341d5a9ec444bdbdd8ec795b6f3d1bcdb12d4574"),
     "separated_sets": (
         0, "165201912d7ed4aea6a45fe9182bd2c874cbdbd44326d047b75e8e2bccba8801"),
     "shell_inclusion": (

@@ -17,6 +17,7 @@ from concmeter import concentration as con
 from concmeter import measures as ms
 from concmeter import normspace as ns
 from concmeter import rng
+from reference import curve_oracle
 
 N = 100000
 
@@ -144,25 +145,29 @@ def test_curve_grows_with_direction_family():
     assert np.all(big.alpha_hat >= small.alpha_hat - 1e-12)
 
 
-def _curve_oracle(data, metric, eps_grid, directions):
-    """The curve as a column sort of each 64-direction block of projections."""
-    count = data.shape[0]
-    dual = ns.dual_norm(metric)
-    best = np.full(eps_grid.size, -1.0)
-    best_dir = np.zeros(eps_grid.size, dtype=np.int64)
-    for lo in range(0, directions.shape[0], 64):
-        chunk = directions[lo:lo + 64]
-        proj = np.sort(data @ chunk.T, axis=0)
-        med = 0.5 * (proj[(count - 1) // 2] + proj[count // 2])
-        dual_w = ns.norm_eval(dual, chunk)
-        for k in range(chunk.shape[0]):
-            beyond = count - np.searchsorted(proj[:, k], med[k] + eps_grid * dual_w[k],
-                                             side="right")
-            frac = beyond / count
-            better = frac > best
-            best = np.where(better, frac, best)
-            best_dir = np.where(better, lo + k, best_dir)
-    return best, best_dir
+@pytest.mark.parametrize("measure, metric, eps, within_ci", [
+    (ms.ggp(1, 32), ns.lp(1, 32), np.linspace(0.5, 9.0, 18), False),
+    (ms.haar_sphere(64), ns.lp(2, 64), np.linspace(0.02, 0.6, 30), True),
+    (ms.gaussian(16), ns.lp(2, 16), np.linspace(0.1, 3.0, 30), False),
+    (ms.uniform_ball(ns.lp(np.inf, 8)), ns.lp(np.inf, 8), np.linspace(0.1, 0.9, 9), True)],
+    ids=["ggp1_l1_n32", "sphere_l2_n64", "gaussian_l2_n16", "cube_linf_n8"])
+def test_default_family_is_a_prefix_of_the_256_family(measure, metric, eps, within_ci):
+    # the default family's extra directions are the first rows of any longer
+    # family from the same seed, so its curve is that prefix's, bit for bit,
+    # and lies below the longer family's; on the cube and the isotropic
+    # sphere it stays within the longer family's CI of it
+    data = ms.sample(measure, 5000, seed=3).data
+    n, seed = metric.dim, 77
+    curve = con.concentration_lower_curve(data, metric, eps, direction_seed=seed)
+    dirs = con.direction_family(n, 256, seed)
+    prefix = con.concentration_lower_curve(data, metric, eps, directions=dirs[:n + 32])
+    assert curve.family_size == n + 32
+    for key in ("alpha_hat", "ci", "argmax_direction"):
+        assert np.array_equal(getattr(curve, key), getattr(prefix, key))
+    big = con.concentration_lower_curve(data, metric, eps, directions=dirs)
+    assert np.all(curve.alpha_hat <= big.alpha_hat)
+    if within_ci:
+        assert np.all(curve.alpha_hat >= big.alpha_hat - big.ci)
 
 
 @pytest.mark.parametrize("n, count, p, ties", [
@@ -174,11 +179,12 @@ def test_curve_matches_column_sort_oracle(n, count, p, ties):
         data = np.round(data, 1)
     metric = ns.lp(p, n)
     eps = np.geomspace(0.01, 3.0, 17)
-    # n + 256 directions: 257, 263 and 320 rows, two of them not a multiple of 64
-    for dirs in (con.direction_family(n, con.DEFAULT_EXTRA_DIRECTIONS, seed=5),
+    # n + 256 directions in nine or ten projection blocks: 257, 263 and 320
+    # rows, two of them not a multiple of 64
+    for dirs in (con.direction_family(n, 256, seed=5),
                  con.direction_family(n, 93, seed=6)[:100]):
         curve = con.concentration_lower_curve(data, metric, eps, directions=dirs)
-        best, best_dir = _curve_oracle(data, metric, eps, dirs)
+        best, best_dir = curve_oracle(data, metric, eps, dirs)
         assert np.array_equal(curve.alpha_hat, best)
         assert np.array_equal(curve.argmax_direction, best_dir)
 
@@ -344,7 +350,7 @@ def test_sorted_projections_block_allocates_no_copy():
 
 
 def test_curve_holds_one_projection_block():
-    # 16 + 256 = 272 directions in nine blocks, all written into one buffer
+    # 16 + 32 = 48 directions in two blocks, both written into one buffer
     data = ms.sample(ms.gaussian(16), 20000, seed=3).data
     block = con._DIRECTION_CHUNK * 20000 * 8
     tracemalloc.start()

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from concmeter import cli
+from concmeter import concentration as con
 from concmeter import measures as ms
 from concmeter import normspace as ns
 from concmeter import rng
 from concmeter import transport as tr
 from concmeter import verify as vf
+from reference import curve_oracle
 
 N = 50000
 
@@ -353,23 +355,23 @@ FROZEN_REPORTS = {
             measure=ms.gaussian(8), map_cfg={"kind": "identity"}, lip=1.0,
             metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.1, 4.0, 15), count=5001, seed=1,
             profile="gaussian"),
-        "4e089ca3c1c78c98361d74a0a230dc205a2804a1523c3238666f2c4822e946d3"),
+        "1a5caf38173ead4d28322abfe52c10ec1649209808c043a99304eaf35534c75d"),
     "lipschitz_scale_n16": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(16), map_cfg={"kind": "scale", "factor": 0.5}, lip=0.5,
             metric_in=ns.lp(2, 16), eps_grid=np.linspace(0.1, 3.0, 12), count=5001, seed=2,
             profile="gaussian"),
-        "8e562c9a149fe5d99c583345acbf5f30cccc11b6e82853f148912d64f8c4af1a"),
+        "f4cc838522189a685623f7ccac421ce5447c9e9422844d0ea0cd3fd0652f828c"),
     "lipschitz_coordinate_n8": (
         lambda: vf.check_lipschitz_transfer(
             measure=ms.gaussian(8), map_cfg={"kind": "coordinate", "index": 2}, lip=1.0,
             metric_in=ns.lp(2, 8), eps_grid=np.linspace(0.2, 3.0, 10), count=5001, seed=3,
             profile="gaussian"),
-        "423db8c4307d1955fdeac06425670054f347c3bc9914a92dd5c498bcce0a227b"),
+        "dd42810af60b3c184440030bc6360d34262b03ee03ddfc090dc3c41381f3e819"),
     "cube_floor_n8_N5001": (
         lambda: vf.run_check("cube_floor", n=8, eps_grid=np.linspace(0.1, 0.9, 9),
                              count=5001, seed=10),
-        "fbf279e47bcaa68835a3a4dc859d851d486fcfd6558264aa26b9148d7e674a7d"),
+        "1780b32c3dba14a26d8f813941a22e925c5afdab9feac2dc8548c76746abb835"),
     "shell_empty_preimage": (   # shell_set_size 0: not applicable
         lambda: vf.check_shell_inclusion(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
@@ -379,20 +381,20 @@ FROZEN_REPORTS = {
         lambda: vf.check_norm_ratio_transfer(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
             eps_grid=vf.default_eps_grid(), count=5001, seed=11, profile="sphere"),
-        "709d70cbc6d5c39aaab379ec6719a97418801816d664dc98e96559b52f4d118a"),
+        "6772f83096ba9d215d82104ac123714005e8de37293400b1bc339d6b0fb5bcc2"),
     "norm_ratio_l1_l2_n8": (   # L is rescaled: a transformed norm
         lambda: vf.check_norm_ratio_transfer(
             K=ns.lp(1, 8), L=ns.lp(2, 8), measure=ms.uniform_ball(ns.lp(1, 8)),
             eps_grid=vf.default_eps_grid(), count=5001, seed=11, profile="gaussian"),
-        "77a38b9b9e6df7854b5a573d82b1b7265b9f9c46f4de0ea618b0493e37d633b3"),
+        "81d6552980475ad8355d66d6b0268dfa3390a458ba4e8ebb2fe5bdaa8843dd73"),
     "radial_p1_n32_N5001": (
         lambda: vf.run_check(
             "radial_transfer", p=1.0, n=32, eps_grid=vf.default_eps_grid(), count=5001, seed=12),
-        "211c244799a5ee914188f9b2b7b475c7fcb1c4e43f8236fc08e39d98bac8d9a6"),
+        "a453f24dfb6a7990545afebb1ee426ee2f2eebe7f2c9c9ba4da4c8d4c7351ab0"),
     "radial_p2_n8": (
         lambda: vf.run_check(
             "radial_transfer", p=2.0, n=8, eps_grid=vf.default_eps_grid(), count=3001, seed=12),
-        "314938cc62533104a5005bdd9ed48a824292ac10f14ba56a272ef11f49bc3c30"),
+        "8a5ca51fa4a4a46d3bc97f96027e80a1c8b25a031d7703e286f1e9d1a0ebe793"),
     "shell_n16_probes2000": (
         lambda: vf.check_shell_inclusion(
             K=ns.lp(2, 16), L=ns.lp(1, 16), measure=ms.haar_sphere(16),
@@ -462,6 +464,51 @@ FROZEN_REPORTS = {
 def test_report_digests_frozen(name):
     run, digest = FROZEN_REPORTS[name]
     assert hashlib.sha256(run().to_json().encode()).hexdigest() == digest
+
+
+def _ratio_image(K, L):
+    def image(x):
+        L_r = ns.normalize_containment(K, L)[0]
+        return tr.norm_ratio_map(K, L_r, x), L_r
+    return image
+
+
+def _radial_image(p, n):
+    def image(x):
+        metric = ns.lp(p, n)
+        u = tr.radial_transport(ms.radial_cdf(ms.ggp(p, n), metric),
+                                ms.radial_cdf(ms.uniform_ball(metric), metric))
+        return tr.radial_map(u, metric, x), metric
+    return image
+
+
+# the source measure and the whole-array (image, metric) of each frozen
+# report whose lhs is the half-space curve
+_CURVE_IMAGES = {
+    "lipschitz_identity_n8": (ms.gaussian(8), lambda x: (x, ns.lp(2, 8))),
+    "lipschitz_scale_n16": (ms.gaussian(16), lambda x: (0.5 * x, ns.lp(2, 16))),
+    "lipschitz_coordinate_n8": (ms.gaussian(8), lambda x: (x[:, 2:3], ns.lp(2, 1))),
+    "cube_floor_n8_N5001": (ms.uniform_ball(ns.lp(np.inf, 8)), lambda x: (x, ns.lp(np.inf, 8))),
+    "norm_ratio_l2_l1_n16": (ms.haar_sphere(16), _ratio_image(ns.lp(2, 16), ns.lp(1, 16))),
+    "norm_ratio_l1_l2_n8": (ms.uniform_ball(ns.lp(1, 8)), _ratio_image(ns.lp(1, 8), ns.lp(2, 8))),
+    "radial_p1_n32_N5001": (ms.ggp(1, 32), _radial_image(1.0, 32)),
+    "radial_p2_n8": (ms.ggp(2, 8), _radial_image(2.0, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CURVE_IMAGES))
+def test_frozen_curve_reports_match_the_column_sort_oracle(name):
+    # a second path to each frozen curve: the image by its whole-array map,
+    # and the curve by a column sort over the n axes and the 32 gaussian
+    # directions that the check's seed draws
+    rep = FROZEN_REPORTS[name][0]()
+    measure, image_map = _CURVE_IMAGES[name]
+    count, seed = rep.inputs["count"], rep.inputs["seed"]
+    image, metric = image_map(ms.sample(measure, count, seed).data)
+    dirs = con.direction_family(metric.dim, 32, rng.derive_seed(seed, 0xD17))
+    best, _ = curve_oracle(image, metric, np.asarray(rep.eps), dirs)
+    assert rep.quantities["family_size"] == len(dirs)
+    assert rep.lhs == best.tolist()
 
 
 _DEMO = {job["id"]: (check, params) for job, check, params in cli.validate_config(
