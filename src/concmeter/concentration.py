@@ -1,4 +1,4 @@
-"""Medians, empirical concentration lower bounds, analytic profiles.
+"""Medians and intervals, empirical concentration lower bounds, analytic profiles.
 
 The concentration function of a metric probability space is a supremum
 over all Borel sets of measure >= 1/2 of the mass left outside their
@@ -31,14 +31,29 @@ from .normspace import NormSpec, dual_norm, norm_eval
 
 DEFAULT_EXTRA_DIRECTIONS = 32
 
-_Z95 = 1.959963984540054
-
 _DIRECTION_CHUNK = 32
 
 # OpenBLAS computes a product of at most this many elements with a
 # small-matrix kernel whose last bits differ from those of its blocked
 # kernel (OpenBLAS 0.3.31 on AVX-512, at n >= 32)
 _SMALL_PRODUCT = 1200
+
+
+# ---------------------------------------------------------------------------
+# Medians and intervals: every 95% half-width an estimate or report carries
+# ---------------------------------------------------------------------------
+
+_Z95 = 1.959963984540054
+
+# the fewest samples a median estimate takes, and beta and beta_tilde
+MEDIAN_MIN_COUNT = 100
+
+
+def median_of_sorted(v: np.ndarray):
+    """Median along the last axis of sorted values with no NaN, bit for bit as
+    np.median: the mean of the two middle order statistics, a zero signed +."""
+    n = v.shape[-1]
+    return 0.5 * (v[..., (n - 1) // 2] + v[..., n // 2]) + 0.0
 
 
 @dataclass(frozen=True)
@@ -55,36 +70,49 @@ class MedianEstimate:
         return max(self.ci_high - self.value, self.value - self.ci_low)
 
 
-# the fewest samples empirical_median takes
-MEDIAN_MIN_COUNT = 100
-
-
 def empirical_median(values: np.ndarray) -> MedianEstimate:
-    """Median of a sample with order-statistic confidence bounds.
-
-    The CI ranks are the binomial(N, 1/2) 2.5%/97.5% quantiles (normal
-    approximation with continuity correction), so the interval is
-    distribution-free.
-    """
+    """Median of a sample with a distribution-free CI: the order statistics
+    at the binomial(N, 1/2) 2.5%/97.5% ranks (normal approximation with
+    continuity correction)."""
     v = np.sort(np.asarray(values, dtype=np.float64))
     n = v.size
     if n < MEDIAN_MIN_COUNT:
         raise ValueError(f"need at least {MEDIAN_MIN_COUNT} samples for a median "
                          f"estimate, got {n}")
-    med = float(0.5 * (v[(n - 1) // 2] + v[n // 2]))
     spread = 0.5 * _Z95 * np.sqrt(n)
-    lo_rank = int(np.floor(0.5 * n - spread)) - 1
-    hi_rank = int(np.ceil(0.5 * n + spread))
-    lo_rank = max(lo_rank, 0)
-    hi_rank = min(hi_rank, n - 1)
-    return MedianEstimate(value=med, ci_low=float(v[lo_rank]),
+    lo_rank = max(int(np.floor(0.5 * n - spread)) - 1, 0)
+    hi_rank = min(int(np.ceil(0.5 * n + spread)), n - 1)
+    return MedianEstimate(value=float(median_of_sorted(v)), ci_low=float(v[lo_rank]),
                           ci_high=float(v[hi_rank]), count=n)
+
+
+@dataclass(frozen=True)
+class StatEstimate:
+    """A sample mean with its CI half-width (ends would not reproduce it exactly)."""
+
+    value: float
+    half_width: float
+    count: int
+
+
+def mean_estimate(values: np.ndarray) -> StatEstimate:
+    """Sample mean, with the half-width _Z95 * (sample std) / sqrt(N)."""
+    n = values.size
+    return StatEstimate(value=float(values.mean()),
+                        half_width=float(_Z95 * values.std(ddof=1) / math.sqrt(n)),
+                        count=n)
 
 
 def binomial_ci(p_hat: np.ndarray, count: int) -> np.ndarray:
     """95% half-width for a binomial proportion, continuity corrected."""
     p = np.asarray(p_hat, dtype=np.float64)
     return _Z95 * np.sqrt(np.clip(p * (1.0 - p), 0.0, None) / count) + 0.5 / count
+
+
+def product_ci(pa: np.ndarray, pb: np.ndarray, count: int) -> np.ndarray:
+    """Half-width for a product pa pb of masses: delta method, 1.96 (not _Z95), + 1/N."""
+    var = (pb * pb * pa * (1 - pa) + pa * pa * pb * (1 - pb)) / count
+    return 1.96 * np.sqrt(np.maximum(var, 0.0)) + 1.0 / count
 
 
 @dataclass(frozen=True)
@@ -254,8 +282,8 @@ def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
 
     def masses(rows: np.ndarray, first: int) -> None:
         rows.sort(axis=1)
-        med = 0.5 * (rows[:, (n_samples - 1) // 2] + rows[:, n_samples // 2])
-        thresholds = med[:, None] + eps_grid * dual_w[first:first + len(rows), None]
+        thresholds = (median_of_sorted(rows)[:, None]
+                      + eps_grid * dual_w[first:first + len(rows), None])
         for k, row in enumerate(rows):
             inside = np.searchsorted(row, thresholds[k], side="right")
             beyond[first + k] = (n_samples - inside) / n_samples

@@ -31,23 +31,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import _Z95, MedianEstimate, empirical_median
+from .concentration import (MEDIAN_MIN_COUNT, MedianEstimate, StatEstimate,
+                            empirical_median, mean_estimate)
 from .measures import MeasureSpec, sample_map
 from .normspace import ContainmentConstant, NormSpec, containment_constant, norm_evals
-
-
-@dataclass(frozen=True)
-class StatEstimate:
-    """A sample mean with its 95% CI half-width.
-
-    Medians use :class:`concmeter.concentration.MedianEstimate`, which
-    derives its half-width from the CI ends; a mean stored that way would
-    not reproduce its own half-width exactly.
-    """
-
-    value: float
-    half_width: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -101,19 +88,13 @@ def norm_values(measure: MeasureSpec, norms: Sequence[NormSpec], count: int,
     return list(sample_map(measure, count, seed, lambda rows: norm_evals(norms, rows)))
 
 
-def _mean_stat(values: np.ndarray) -> StatEstimate:
-    n = values.size
-    return StatEstimate(value=float(values.mean()),
-                        half_width=float(_Z95 * values.std(ddof=1) / math.sqrt(n)),
-                        count=n)
-
-
 def _beta_impl(K: NormSpec, measure: MeasureSpec, L: NormSpec, *, variant: str,
                count: int, seed: int, diagonals: Optional[Sequence[np.ndarray]]
                ) -> BetaEstimate:
     if K.dim != L.dim or K.dim != measure.dim:
         raise ValueError("K, L and the measure must share one dimension")
-    stat = empirical_median if variant == "beta" else _mean_stat
+    if count < MEDIAN_MIN_COUNT:
+        raise ValueError(f"{variant} needs at least {MEDIAN_MIN_COUNT} samples, got {count}")
 
     candidates: list[tuple[dict, NormSpec]] = [({"kind": "scalar", "t": None}, L)]
     if diagonals is not None:
@@ -127,16 +108,17 @@ def _beta_impl(K: NormSpec, measure: MeasureSpec, L: NormSpec, *, variant: str,
 
     norms = [K] + [cand for _, cand in candidates]
     values = norm_values(measure, norms, count, seed)
-    num = stat(values[0])
+    medians = [empirical_median(v) for v in values]
+    means = [mean_estimate(v) for v in values]
+    stats = medians if variant == "beta" else means
+    num = stats[0]
     if num.value <= 0.0:
         raise ValueError("the K-norm statistic must be positive")
-    medians = [float(np.median(v)) for v in values]
-    means = [float(v.mean()) for v in values]
 
     best: Optional[BetaEstimate] = None
     for k, (desc, normT) in enumerate(candidates, start=1):
         cc = containment_constant(K, normT)
-        den = stat(values[k])
+        den = stats[k]
         if den.value <= 0.0:
             continue
         sup_ratio = cc.scale * cc.lam
@@ -145,10 +127,10 @@ def _beta_impl(K: NormSpec, measure: MeasureSpec, L: NormSpec, *, variant: str,
             # smallest feasible scalar under the sandwich convention
             desc = {"kind": "scalar", "t": 1.0 / cc.scale}
         locations = {
-            "numerator_median": medians[0],
-            "numerator_mean": means[0],
-            "denominator_median": medians[k],
-            "denominator_mean": means[k],
+            "numerator_median": medians[0].value,
+            "numerator_mean": means[0].value,
+            "denominator_median": medians[k].value,
+            "denominator_mean": means[k].value,
         }
         est = BetaEstimate(value=value, variant=variant, transform=desc,
                            lam=cc, numerator=num, denominator=den,

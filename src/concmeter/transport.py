@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import rng
+from .concentration import median_of_sorted
 from .measures import RadialCdf
 from .normspace import NormSpec, norm_eval, norm_evals
 
@@ -84,7 +85,7 @@ def ratio_map_lipschitz(K: NormSpec, L: NormSpec, points: np.ndarray, *,
     points = np.asarray(points, dtype=np.float64)
     n_pts, dim = points.shape
     half = pairs // 2
-    perturbation_scale = 1e-3 * float(np.median(norm_eval(K, points)))
+    perturbation_scale = 1e-3 * float(median_of_sorted(np.sort(norm_eval(K, points))))
     pi = ratio_norms(K, L)
     step = rng.block_rows(dim)
 

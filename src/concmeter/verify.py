@@ -48,7 +48,7 @@ import numpy as np
 from . import rng
 from .concentration import (MEDIAN_MIN_COUNT, AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
-                            eps_grid_fault, quantile_cuts, reduce_projections)
+                            eps_grid_fault, product_ci, quantile_cuts, reduce_projections)
 from .measures import (FAMILIES, LP_FAMILIES, MAX_GAMMA_SHAPE, MeasureSpec, ggp,
                        haar_sphere, radial_cdf, sample, sample_map, uniform_ball)
 from .normspace import (INF, NormSpec, _as_p, _config_object, dual_norm, lp, norm_eval,
@@ -311,7 +311,7 @@ def check_shell_inclusion(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     med_l = empirical_median(vl).value
     delta = eps / (7.0 * med_k)
     radius = delta * med_l / cc.lam
-    t_cut = float(np.median(proj))
+    t_cut = empirical_median(proj).value
     dual_w = float(norm_eval(dual_norm(L_r), theta))
 
     shell_l = np.abs(vl - med_l) < delta * med_l
@@ -396,8 +396,7 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: i
     pa /= count
     pb /= count
     lhs = pa * pb
-    var = (pb * pb * pa * (1 - pa) + pa * pa * pb * (1 - pb)) / count
-    ci = 1.96 * np.sqrt(np.maximum(var, 0.0)) + 1.0 / count
+    ci = product_ci(pa, pb, count)
     half_dist = 0.5 * gap / dual_w
     order = np.argsort(half_dist)
 

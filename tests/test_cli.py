@@ -548,6 +548,16 @@ def test_beta_identity_column(tmp_path):
     assert all(float(row[1]) == pytest.approx(1.0, abs=1e-9) for row in rows)
 
 
+@pytest.mark.parametrize("variant", ["beta", "beta_tilde"])
+def test_beta_exit_1_on_a_sample_too_small_for_its_interval(variant, tmp_path):
+    out = tmp_path / "b.csv"
+    res = run_cli("beta", "--K", "l2", "--L", "l1", "--measure", "haar_sphere",
+                  "--variant", variant, "--n", "4", "--N", "1", "--out", str(out))
+    assert res.returncode == 1
+    assert "at least 100 samples" in res.stderr
+    assert not out.exists()
+
+
 def test_median_command_seed_override():
     base = run_cli("median", "--measure", "uniform_ball", "--p", "2",
                    "--norm", "l2", "--n", "8", "--N", "5000")

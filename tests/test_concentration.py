@@ -53,6 +53,18 @@ def test_median_order_statistic_coverage():
     assert (values >= est.ci_low).sum() >= math.ceil(n / 2)
 
 
+@pytest.mark.parametrize("size", [101, 3000, 4999, 50000])
+def test_median_value_is_numpys_median(size):
+    # the mean of the two middle order statistics, bit for bit as np.median
+    # takes it, which gives a median of negative zeros the sign +
+    values = np.random.default_rng(size).normal(size=size)
+    zeros = values.copy()
+    zeros[:size // 2 + 1] = -0.0
+    for sample in (values, zeros, -zeros):
+        med, ref = con.empirical_median(sample).value, np.median(sample)
+        assert (med, math.copysign(1.0, med)) == (ref, math.copysign(1.0, ref))
+
+
 def test_median_needs_samples():
     with pytest.raises(ValueError):
         con.empirical_median(np.arange(10))

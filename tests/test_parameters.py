@@ -1,5 +1,7 @@
 """Comparison functionals and the cube bounds."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -78,6 +80,45 @@ def test_beta_reports_round_trip():
     assert cfg["variant"] == "beta"
     assert cfg["value"] == est.value
     assert cfg["transform"]["kind"] == "scalar"
+
+
+# an anisotropic body, on which a diagonal candidate beats every scalar
+_BODY = ns.NormSpec(dim=6, p=2, transform=np.diag([1.0, 1.0, 1.0, 4.0, 4.0, 4.0]))
+
+# SHA-256 of each estimate's to_config() as sorted JSON, under numpy 2.4.6
+FROZEN_BETAS = {
+    "beta_l2_sphere16_linf": (
+        lambda: par.beta(ns.lp(2, 16), ms.haar_sphere(16), ns.lp(np.inf, 16),
+                         count=3000, seed=11),
+        "7b29647df13cf006f208c152e0b7d7e123f0abfe981c46b224081007e9237021"),
+    "beta_tilde_l2_ggp1.5_l1": (
+        lambda: par.beta_tilde(ns.lp(2, 8), ms.ggp(1.5, 8), ns.lp(1, 8), count=3000, seed=12),
+        "c03f0f03bf76f6ceb94d9afafd32311e56333c4ffa6ae314c63417315a55678b"),
+    "beta_diagonal_argmin": (
+        lambda: par.beta(ns.lp(2, 6), ms.uniform_ball(_BODY), ns.lp(1, 6), count=3000,
+                         seed=13, diagonals=[np.ones(6), np.array([1.0, 1.0, 1.0, 0.25,
+                                                                   0.25, 0.25])]),
+        "06b6896821730e7fae2cda45f0f7626978371781fd8950d1cec561d54d9ed59d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_BETAS))
+def test_beta_estimate_is_frozen(name):
+    run, digest = FROZEN_BETAS[name]
+    est = run()
+    if name == "beta_diagonal_argmin":
+        assert est.transform["kind"] == "diagonal"
+    payload = json.dumps(est.to_config(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == digest
+
+
+@pytest.mark.parametrize("count", [1, 99])
+@pytest.mark.parametrize("fn", [par.beta, par.beta_tilde], ids=["beta", "beta_tilde"])
+def test_beta_refuses_a_sample_too_small_for_its_interval(fn, count, monkeypatch):
+    # before it samples anything
+    monkeypatch.setattr(par, "norm_values", lambda *args: pytest.fail("sampled"))
+    with pytest.raises(ValueError, match="at least 100 samples"):
+        fn(ns.lp(2, 4), ms.haar_sphere(4), ns.lp(1, 4), count=count, seed=1)
 
 
 def test_norm_values_streaming_matches_batch():

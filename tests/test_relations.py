@@ -6,6 +6,8 @@ power of 2 or a permutation, so each relation holds bit for bit, except
 where a constant goes through a transform (noted at the test).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,20 @@ def test_separated_sets_in_a_doubled_metric_double_their_distances(n):
     doubled = pairs(ns.scaled(ns.lp(2, n), 2.0))
     assert (doubled.lhs, doubled.ci) == (plain.lhs, plain.ci)
     assert doubled.eps == [2.0 * e for e in plain.eps]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_radial_transfer_lambda_reaches_only_the_statement(seed):
+    # lambda enters the rhs and the precondition alone: the report at
+    # lambda = 2 is the one at lambda = 1 with its inputs edited and its
+    # verdict terms restated, byte for byte
+    def radial(lam):
+        return vf.run_check("radial_transfer", p=1.0, n=16, lam=lam, count=4000, seed=seed)
+
+    report = json.loads(radial(1.0).to_json())
+    report["inputs"]["lambda"] = 2.0
+    rhs, slack, pre, violations, worst, verdict = vf.restate(report)
+    report["grid"].update(rhs=rhs.tolist(), slack=slack.tolist(), precondition=pre.tolist())
+    report["violations"] = {"count": violations, "worst_margin": worst}
+    report["verdict"] = verdict
+    assert json.dumps(report, sort_keys=True, indent=2) == radial(2.0).to_json()
