@@ -26,7 +26,7 @@ import numpy as np
 
 from . import parameters, rng, verify
 from .concentration import concentration_lower_curve, empirical_median
-from .measures import ggp, radial_cdf, sample, sample_chunks, uniform_ball
+from .measures import ggp, radial_cdf, sample_chunks, sample_columns, uniform_ball
 from .normspace import _config_object, lp
 from .transport import lipschitz_constant, norm_ratio_map, radial_transport
 from .verify import (ConfigError, parse_eps, parse_int, parse_measure, parse_norm,
@@ -141,8 +141,7 @@ def cmd_alpha(args) -> int:
     measure = parse_measure(args.measure, n, args.p)
     metric = parse_norm(args.metric, n)
     eps = np.asarray(parse_eps(args.eps))
-    batch = sample(measure, args.N, seed)
-    curve = concentration_lower_curve(batch.data, metric, eps)
+    curve = concentration_lower_curve(sample_columns(measure, args.N, seed), metric, eps)
     cfg = {"measure": measure.to_config(), "metric": metric.to_config(),
            "n": n, "N": args.N, "seed": seed, "eps": eps.tolist()}
     rows = zip(curve.eps.tolist(), curve.alpha_hat.tolist(), curve.ci.tolist(),

@@ -73,12 +73,15 @@ class MedianEstimate:
 def empirical_median(values: np.ndarray) -> MedianEstimate:
     """Median of a sample with a distribution-free CI: the order statistics
     at the binomial(N, 1/2) 2.5%/97.5% ranks (normal approximation with
-    continuity correction)."""
+    continuity correction).  A sample with a NaN has no median: ValueError."""
     v = np.sort(np.asarray(values, dtype=np.float64))
     n = v.size
     if n < MEDIAN_MIN_COUNT:
         raise ValueError(f"need at least {MEDIAN_MIN_COUNT} samples for a median "
                          f"estimate, got {n}")
+    if np.isnan(v[-1]):     # np.sort puts NaNs last
+        raise ValueError(f"{np.count_nonzero(np.isnan(v))} of {n} samples are NaN: "
+                         "no median estimate")
     spread = 0.5 * _Z95 * np.sqrt(n)
     lo_rank = max(int(np.floor(0.5 * n - spread)) - 1, 0)
     hi_rank = min(int(np.ceil(0.5 * n + spread)), n - 1)
@@ -135,6 +138,14 @@ def direction_family(dim: int, extra: int, seed: int) -> np.ndarray:
     return np.vstack([np.eye(dim), rng._generator(seed, 0).standard_normal((extra, dim))])
 
 
+def _axis_of(directions: np.ndarray) -> np.ndarray:
+    """For each direction, i when it is exactly the unit axis e_i (one entry
+    1.0, the others zero), else -1."""
+    ones = directions == 1.0
+    axis = (ones.sum(axis=1) == 1) & ((directions == 0.0) | ones).all(axis=1)
+    return np.where(axis, ones.argmax(axis=1), -1)
+
+
 def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> None:
     """Call ``reduce(rows, first)`` on the projections of ``data``, block by
     block of up to 32 directions.
@@ -147,23 +158,43 @@ def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> None
     up to a multiple of 8.
 
     Each block runs in two steps on the stream threads of
-    ``rng._stream_pool``, made for this call and joined when it ends; GEMM,
-    sort and partition release the interpreter lock.  First the block is
-    written into the buffer by GEMMs ``chunk @ piece.T``, one per piece of
-    sample rows (``piece.T`` is passed as a transpose flag, not copied),
-    the pieces running at once.  Then each thread calls ``reduce`` on its
-    share of the block's directions, ``first`` being the index of the
-    share's first direction in ``directions``.  With OpenBLAS a GEMM gives
-    each element the bits of the whole product when its piece is a
+    ``rng._stream_pool``, made for this call and joined when it ends; copies,
+    GEMM, sort and partition release the interpreter lock.  First the block
+    is written into the buffer, one piece of sample rows per thread, the
+    pieces running at once.  Then each thread calls ``reduce`` on its share
+    of the block's directions, ``first`` being the index of the share's
+    first direction in ``directions``.
+
+    A block whose directions are all exact unit axes e_i is filled by
+    copying column i of each piece into its buffer row.  On finite data a
+    GEMM gives each such projection as x_i * 1 plus exact zeros, which is
+    x_i, except that a -0.0 may come out +0.0: the two compare equal, so
+    sorted rows and every count of values beyond a cut are the same, and
+    ``median_of_sorted`` adds +0.0, so no report changes.
+
+    Any other block is written by GEMMs ``chunk @ piece.T``.  On row-major
+    data (C-ordered (N, n)) ``piece.T`` is passed as a transpose flag, and
+    OpenBLAS packs it, transposing, for every block; on column-major data
+    (an (N, n) view of a C-ordered (n, N) array, as the checks hold their
+    images) ``piece.T`` is a plain matrix with leading dimension N and the
+    GEMM takes no transpose.  With OpenBLAS a GEMM gives each element the
+    bits of the whole product, in either layout, when its piece is a
     multiple of 8 rows long and its output has more than
     ``_SMALL_PRODUCT`` elements, so every piece is cut so, and the result
     depends neither on the number of threads nor on the BLAS thread count.
+    A block of one direction is a matrix-vector product instead, whose sum
+    order follows the layout (a dot product per row, or one pass per
+    column), so on an input that is not row-major it is taken on row-major
+    copies of ``rng.block_rows(n)`` rows of the piece at a time, which keep
+    the bits of the whole product.
     When N is not a multiple of 8 there are at least two pieces, and the
     last one starts N8 - N rows early and ends at N.  The projections of
     those early rows are computed twice; the last piece then overwrites
     their first copies with the block's last N8 - N columns, so the first
-    N columns hold every projection once.  Only an input too short for
-    such pieces is copied, with zero rows appended up to N8.
+    N columns hold every projection once.  An input too short for such
+    pieces is copied, row-major (small products take kernels that differ
+    between the layouts), with zero rows appended up to N8, and each block
+    is one GEMM.
     """
     count, dim = data.shape
     body, spare = count - count % 8, -count % 8
@@ -171,24 +202,41 @@ def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> None
     width = (_SMALL_PRODUCT // last_rows + 8) // 8 * 8    # the fewest columns of a piece
     least = 2 if spare else 1
     parts = min(max(rng._threads(), least), body // width)
-    if parts < least:       # too few rows for such pieces: one GEMM
-        if spare:
-            data = np.concatenate([data, np.zeros((spare, dim))])
-        body, spare, parts = len(data), 0, 1
+    if parts < least:       # too few rows for such pieces: one GEMM on a row-major copy
+        padded = np.zeros((count + spare, dim))
+        padded[:count] = data
+        data, body, spare, parts = padded, count + spare, 0, 1
+    step = rng.block_rows(dim)
     buf = np.empty((min(_DIRECTION_CHUNK, directions.shape[0]), len(data) + spare))
     with rng._stream_pool(max(parts, len(buf))) as spread:
         for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
             chunk = directions[lo:lo + _DIRECTION_CHUNK]
             block = buf[:chunk.shape[0]]
+            axis = _axis_of(chunk)
+
+            def copy(a: int, b: int) -> None:
+                for row, i in zip(block, axis):
+                    row[a:b] = data[a:b, i]
+
+            def product(piece: np.ndarray, out: np.ndarray) -> None:
+                if len(chunk) > 1 or data.flags.c_contiguous:
+                    np.matmul(chunk, piece.T, out=out)
+                    return
+                for s in range(0, len(piece), step):   # a GEMV on row-major chunks
+                    np.matmul(chunk, np.ascontiguousarray(piece[s:s + step]).T,
+                              out=out[:, s:s + step])
 
             def gemm(a: int, b: int) -> None:
                 if b < body or not spare:
-                    np.matmul(chunk, data[a:b].T, out=block[:, a:b])
+                    product(data[a:b], block[:, a:b])
                 else:   # the last piece, from `spare` rows early to N
-                    np.matmul(chunk, data[a - spare:].T, out=block[:, a:])
+                    product(data[a - spare:], block[:, a:])
                     block[:, a:a + spare] = block[:, count:]
 
-            spread(gemm, body, 8, parts)
+            if (axis >= 0).all():
+                spread(copy, count, 8, parts)
+            else:
+                spread(gemm, body, 8, parts)
             rows = block[:, :count]
             spread(lambda a, b: reduce(rows[a:b], lo + a), chunk.shape[0])
 

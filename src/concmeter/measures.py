@@ -58,6 +58,16 @@ threads, and sampling adds one chunk's worth of memory per stream thread
 (:func:`sample_map`).  A transformed body's pull-back ``base @ inv.T`` is
 a BLAS product, taken once per key block, whose last bits follow the BLAS
 thread count: such a body is reproducible at a fixed BLAS thread count.
+
+Layouts: :func:`sample` holds its batch row-major, a C-ordered (N, n)
+array, as do the outputs of :func:`sample_map`.  The arrays the checks
+project onto directions (a push-forward's image, or the batch itself) are
+held column-major instead, an (N, n) view of a C-ordered (n, N) array
+written chunk by chunk (:func:`sample_image`, :func:`sample_columns`): a
+projection onto an axis is then a contiguous column, and one onto other
+directions a GEMM that transposes nothing
+(``concentration.reduce_projections``).  The values, and the bits, are
+the same in both layouts.
 """
 
 from __future__ import annotations
@@ -444,6 +454,36 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
         raise ValueError("count must be >= 1")
     return rng._chunk_map(count, _chunk_rows(measure),
                           lambda lo, hi: fn(_generate(measure, seed, lo, hi)))
+
+
+def sample_image(measure: MeasureSpec, count: int, seed: int, width: int,
+                 fn: Callable[[np.ndarray, np.ndarray], tuple]) -> tuple:
+    """``(image, *outputs)``: a row-wise map of rows [0, count) of the
+    sample table into ``width`` columns, held column-major, and the other
+    outputs of ``fn``, as :func:`sample_map` gives them.
+
+    ``image`` is an (count, width) view of a C-ordered (width, count) array,
+    so each of its columns is contiguous.  For each chunk, ``fn(rows, out)``
+    writes the image of ``rows`` into ``out``, the chunk's rows of
+    ``image``, and returns its other outputs; nothing else copies the image,
+    and the source batch is never held.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    image = np.empty((width, count)).T
+    return (image, *rng._chunk_map(count, _chunk_rows(measure), lambda lo, hi: fn(
+        _generate(measure, seed, lo, hi), image[lo:hi])))
+
+
+def _copy_rows(rows: np.ndarray, out: np.ndarray) -> tuple:
+    out[...] = rows
+    return ()
+
+
+def sample_columns(measure: MeasureSpec, count: int, seed: int) -> np.ndarray:
+    """The data of ``sample(measure, count, seed)``, held column-major (see
+    :func:`sample_image`)."""
+    return sample_image(measure, count, seed, measure.dim, _copy_rows)[0]
 
 
 def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:

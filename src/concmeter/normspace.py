@@ -165,10 +165,12 @@ def norm_evals(norms: Sequence[NormSpec], x: np.ndarray) -> tuple:
     its own, so the chunking moves no bit.  Each chunk is tested for
     finite entries once, and the plain norms share one |x| buffer and its
     rescaled rows (:func:`_lp_rows`), so every norm gets the float
-    operations, and the bits, of its own evaluation.  A transform is
-    applied to the whole input first, ``x @ T.T`` in one product per
-    transformed norm: a chunked product's last bits would follow the BLAS
-    thread count.
+    operations, and the bits, of its own evaluation.  That buffer is
+    C-ordered whatever the layout of x (``np.abs`` would keep a column-major
+    one, whose row sums run in another order), so a column-major or strided
+    x gives the bits of its C-ordered copy.  A transform is applied to the
+    whole input first, ``x @ T.T`` in one product per transformed norm: a
+    chunked product's last bits would follow the BLAS thread count.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -190,7 +192,8 @@ def norm_evals(norms: Sequence[NormSpec], x: np.ndarray) -> tuple:
             raise ValueError("non-finite input component")
         out = [None] * len(norms)
         for ks, y in groups:
-            for k, value in zip(ks, _lp_rows(np.abs(y[lo:hi]), [norms[k].p for k in ks])):
+            ax = np.abs(y[lo:hi], out=np.empty((hi - lo, y.shape[1])))
+            for k, value in zip(ks, _lp_rows(ax, [norms[k].p for k in ks])):
                 out[k] = value
         return tuple(out)
 

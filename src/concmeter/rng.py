@@ -133,7 +133,8 @@ def _chunk_map(count: int, step: int, fn) -> tuple:
     (a call of one chunk starts no thread); the stream threads take the
     rest in contiguous ranges of whole chunks, so ``fn`` must be
     thread-safe.  The chunks, and the bits, do not depend on the number of
-    threads.
+    threads.  ``fn`` may instead write rows [lo, hi) of an array it holds,
+    in place, and return fewer or no outputs (``measures.sample_image``).
     """
     first = fn(0, min(step, count))
     outs = tuple(np.empty((count,) + part.shape[1:], part.dtype) for part in first)

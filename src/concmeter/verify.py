@@ -22,13 +22,17 @@ real bug or a false profile, never Monte Carlo bad luck beyond CI.
 Memory: a check holds one sample-sized array (the batch, or the image
 of a push-forward) plus one block of at most 32 projections, which the
 curve sorts and the set pairs partition, direction by direction on the
-stream threads (``concentration.reduce_projections``).  The Lipschitz,
-norm-ratio and radial transfers never hold their source batch: they fill
-the image from the sample stream through ``measures.sample_map``.  The
-sup-norm embedding check maps the stream to two numbers per row and
-holds no batch at all.  The cube floor and the shell chain keep their
-batch, with its norms (and the shell chain's image projections) from the
-same stream; the shell chain's probes go in chunks of rows through
+stream threads (``concentration.reduce_projections``).  Every array the
+curve or the set pairs project is held column-major, written chunk by
+chunk from the sample stream through ``measures.sample_image``, so each
+block is a copy of columns (the curve's axes) or a GEMM that transposes
+nothing.  The Lipschitz, norm-ratio and radial transfers never hold
+their source batch, only its image; the set pairs and the cube floor
+hold the batch (the cube floor with its sup norms, from the same stream).
+The sup-norm embedding check maps the stream to two numbers per row and
+holds no batch at all.  The shell chain keeps its batch row-major, with
+its norms and image projections from ``measures.sample_map``, because
+its probes gather partner rows; they go in chunks of rows through
 ``rng._chunk_map``.  README.md lists each check's peak.
 
 Row norms come from one pass over each chunk for all the norms a map
@@ -49,8 +53,10 @@ from . import rng
 from .concentration import (MEDIAN_MIN_COUNT, AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
                             eps_grid_fault, product_ci, quantile_cuts, reduce_projections)
+# ``sample`` stays importable from this module, as callers read it here
 from .measures import (FAMILIES, LP_FAMILIES, MAX_GAMMA_SHAPE, MeasureSpec, ggp,
-                       haar_sphere, radial_cdf, sample, sample_map, uniform_ball)
+                       haar_sphere, radial_cdf, sample, sample_columns, sample_image,
+                       sample_map, uniform_ball)
 from .normspace import (INF, NormSpec, _as_p, _config_object, dual_norm, lp, norm_eval,
                         normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
@@ -157,9 +163,10 @@ def _pushed_batch(measure: MeasureSpec, count: int, seed: int, norms
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(image, num, den)``: the batch of ``measure`` pushed through the map
     of ``norms`` (``ratio_norms`` or ``radial_norms``), lifting each chunk of
-    ``sample_map`` in place; the source batch is never held.  Every step is
-    row by row, so the bits equal the map applied to the whole batch."""
-    return sample_map(measure, count, seed, lambda rows: _lift(norms, rows, out=rows))
+    the sample stream into the column-major image (``sample_image``).  Every
+    step is row by row, so the bits equal the map applied to the whole batch."""
+    return sample_image(measure, count, seed, measure.dim,
+                        lambda rows, out: _lift(norms, rows, out=out)[1:])
 
 
 def _curve_report(check_id: str, image: np.ndarray, metric: NormSpec,
@@ -244,8 +251,12 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
     map_rows, metric_out, label, map_lip = build_map(map_cfg, metric_in)
     _refuse(_lip_fault(lip, map_lip))
     prof = _resolve_profile(profile, measure.dim)
-    # every map is row-wise: the image is built from the sample stream
-    image, = sample_map(measure, count, seed, lambda rows: (map_rows(rows),))
+
+    def mapped(rows, out):   # every map is row-wise: the image is built from the stream
+        out[...] = map_rows(rows)
+        return ()
+
+    image, = sample_image(measure, count, seed, metric_out.dim, mapped)
     inputs = {"measure": measure.to_config(), "map": label, "lip": lip,
               "metric_in": metric_in.to_config(), "metric_out": metric_out.to_config(),
               "count": count, "seed": seed, "profile": prof.to_config()}
@@ -376,7 +387,7 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: i
     their distance, over random parallel half-space pairs whose metric
     distance is exact through the dual norm."""
     prof = _resolve_profile(profile, measure.dim)
-    batch = sample(measure, count, seed)
+    data = sample_columns(measure, count, seed)
     n = measure.dim
     dseed = rng.derive_seed(seed, 0xC2)
     thetas = rng._generator(dseed, 0).standard_normal((num_pairs, n))
@@ -391,7 +402,7 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: i
             a, b, pa[k], pb[k] = quantile_cuts(row, q_lo[k], q_hi[k])
             gap[k] = np.maximum(b - a, 0.0)
 
-    reduce_projections(batch.data, thetas, masses)
+    reduce_projections(data, thetas, masses)
     dual_w = norm_eval(dual_norm(metric), thetas)
     pa /= count
     pb /= count
@@ -432,7 +443,12 @@ def check_cube_floor(*, n: int, eps_grid: Sequence[float], count: int, seed: int
     the eps-cube) / 2n; the half-space estimator must clear that floor."""
     _refuse(_cube_fault(measure))
     metric = lp(math.inf, n)
-    data, sup_norm = sample_map(measure, count, seed, lambda rows: (rows, norm_eval(metric, rows)))
+
+    def held(rows, out):
+        out[...] = rows
+        return norm_eval(metric, rows),
+
+    data, sup_norm = sample_image(measure, count, seed, n, held)
     small_mass = [float((sup_norm <= e).mean()) for e in eps_grid]
     inputs = {"n": n, "measure": measure.to_config(), "count": count, "seed": seed}
     return _curve_report("cube_floor", data, metric, eps_grid, seed, inputs,

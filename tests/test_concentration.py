@@ -70,6 +70,16 @@ def test_median_needs_samples():
         con.empirical_median(np.arange(10))
 
 
+def test_median_refuses_nan():
+    # np.sort puts NaNs last, where a finite median of the other values
+    # would be read; np.median gives nan
+    with pytest.raises(ValueError, match="^3 of 203 samples are NaN"):
+        con.empirical_median(np.r_[np.arange(200.0), [np.nan] * 3])
+    with pytest.raises(ValueError, match="^1 of 100 samples are NaN"):
+        con.empirical_median(np.r_[[np.nan], np.arange(99.0)])
+    assert con.empirical_median(np.r_[np.arange(200.0), [np.inf] * 3]).value == 101.0
+
+
 @pytest.mark.parametrize("metric_p", [1.0, 2.0, np.inf])
 def test_halfspace_expansion_against_projection_oracle(metric_p):
     # the curve expands {<theta, x> <= t} by eps to {<theta, x> <= t + eps
@@ -247,20 +257,23 @@ def test_sorted_projections_blocks():
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_sorted_projections_at_any_pool_size(monkeypatch, size):
     # at n >= 32 a small GEMM takes other bits: every cut (one GEMM over a
-    # padded copy at N = 100 with a last block of 9 directions, pieces
-    # with an early start at N = 999 and 5001) gives the rows of the
-    # whole zero-padded product
+    # padded copy at N = 100 and 96 with a last block of 9 directions,
+    # pieces with an early start at N = 999 and 5001, a last block of one
+    # direction at N = 5001) gives the rows of the whole zero-padded
+    # product, on row-major data and on the same data held column-major
     monkeypatch.setattr(rng, "_pool_size", size)
-    for count, extra in ((100, 33), (999, 8), (5000, 70), (5001, 70)):
+    for count, extra in ((100, 33), (96, 33), (999, 8), (5000, 70), (5001, 70), (5001, 25)):
         data = ms.sample(ms.gaussian(40), count, seed=3).data
         dirs = con.direction_family(40, extra, seed=4)
         padded = np.concatenate([data, np.zeros((-count % 8, 40))])
-        rows, calls = _sorted_projections(data, dirs)
-        blocks = _blocks_of_shares(calls, count)
-        assert blocks[-1][1] == dirs.shape[0]
-        for lo, hi in blocks:
-            chunk = dirs[lo:hi]
-            assert np.array_equal(rows[lo:hi], np.sort((chunk @ padded.T)[:, :count], axis=1))
+        for given in (data, ms.sample_columns(ms.gaussian(40), count, seed=3)):
+            rows, calls = _sorted_projections(given, dirs)
+            blocks = _blocks_of_shares(calls, count)
+            assert blocks[-1][1] == dirs.shape[0]
+            for lo, hi in blocks:
+                chunk = dirs[lo:hi]
+                assert np.array_equal(rows[lo:hi],
+                                      np.sort((chunk @ padded.T)[:, :count], axis=1))
 
 
 class _Stop(Exception):
@@ -296,21 +309,24 @@ out = {}
 for size in (1, 2, 3):
     rng._set_pool_size(size)
     for count in (5000, 5001):
-        data = ms.sample(ms.gaussian(64), count, seed=3).data
-        dirs = con.direction_family(64, 256, seed=5)
-        rows = np.empty((dirs.shape[0], count))
+        digests = set()   # of the row-major and the column-major sample
+        for data in (ms.sample(ms.gaussian(64), count, seed=3).data,
+                     ms.sample_columns(ms.gaussian(64), count, seed=3)):
+            dirs = con.direction_family(64, 256, seed=5)
+            rows = np.empty((dirs.shape[0], count))
 
-        def record(block, first):
-            block.sort(axis=1)
-            rows[first:first + len(block)] = block
+            def record(block, first):
+                block.sort(axis=1)
+                rows[first:first + len(block)] = block
 
-        con.reduce_projections(data, dirs, record)
-        digest = hashlib.sha256(rows.tobytes())
-        curve = con.concentration_lower_curve(data, ns.lp(2, 64), np.linspace(0.02, 1.0, 25),
-                                              directions=dirs)
-        digest.update(curve.alpha_hat.tobytes())
-        digest.update(curve.argmax_direction.tobytes())
-        out[f"pool {size}, N {count}"] = digest.hexdigest()
+            con.reduce_projections(data, dirs, record)
+            digest = hashlib.sha256(rows.tobytes())
+            curve = con.concentration_lower_curve(data, ns.lp(2, 64),
+                                                  np.linspace(0.02, 1.0, 25), directions=dirs)
+            digest.update(curve.alpha_hat.tobytes())
+            digest.update(curve.argmax_direction.tobytes())
+            digests.add(digest.hexdigest())
+        out[f"pool {size}, N {count}"] = " ".join(sorted(digests))
     rep = vf.check_separated_sets(measure=ms.haar_sphere(64), metric=ns.lp(2, 64),
                                   num_pairs=100, count=5001, seed=9, profile="sphere")
     out[f"pool {size}, pairs"] = hashlib.sha256(rep.to_json().encode()).hexdigest()
@@ -327,8 +343,9 @@ _PROJECTION_DIGESTS = {
 
 def test_projections_do_not_depend_on_blas_threads():
     # every pool size at one and two OpenBLAS threads gives the recorded
-    # bits; N = 5001 is not a multiple of 8, where an unpadded GEMM's last
-    # bits follow the OpenBLAS thread count
+    # bits, on row-major and column-major data alike; N = 5001 is not a
+    # multiple of 8, where an unpadded GEMM's last bits follow the OpenBLAS
+    # thread count
     env = dict(os.environ, PYTHONPATH=str(Path(con.__file__).parents[1]))
     for threads in ("1", "2"):
         env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)

@@ -470,6 +470,33 @@ def test_one_chunk_starts_no_thread(monkeypatch):
         assert np.array_equal(index, np.arange(count))
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_sample_image_is_held_column_major(monkeypatch, size):
+    # the image is an (N, width) view of a C-ordered (width, N) array that fn
+    # writes in place, one chunk of whole key blocks at a time; the values,
+    # and the bits, are those of the row-major batch
+    monkeypatch.setattr(rng, "_pool_size", size)
+    for spec in (ms.gaussian(40), ms.haar_sphere(64), ms.uniform_ball(ns.lp(1.5, 7))):
+        step = ms._chunk_rows(spec)
+        count = 3 * step + step // 2 + 1
+        batch = ms.sample(spec, count, 5).data
+        columns = ms.sample_columns(spec, count, 5)
+        assert columns.T.flags.c_contiguous and np.array_equal(columns, batch)
+        seen = []
+
+        def halves(rows, out):
+            seen.append(len(rows))
+            np.multiply(rows[:, :2], 0.5, out=out)
+            return (rows[:, 0],)
+
+        image, first = ms.sample_image(spec, count, 5, 2, halves)
+        assert image.shape == (count, 2) and image.T.flags.c_contiguous
+        assert sorted(seen) == _chunks(step, count)
+        assert np.array_equal(image, 0.5 * batch[:, :2]) and np.array_equal(first, batch[:, 0])
+    with pytest.raises(ValueError):
+        ms.sample_columns(ms.gaussian(3), 0, seed=1)
+
+
 def test_sample_validation():
     with pytest.raises(ValueError):
         ms.sample(ms.gaussian(3), 0, seed=1)

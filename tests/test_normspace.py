@@ -142,6 +142,22 @@ def test_norm_evals_across_chunks():
         ns.norm_evals(norms, x)
 
 
+@pytest.mark.parametrize("n, count", [(64, 2000), (40, 37), (16, 5), (3, 40001)])
+def test_norm_eval_bits_do_not_follow_the_input_layout(n, count):
+    # column-major (the checks' images) and strided inputs give the bits of
+    # the C-ordered rows: each chunk's |x| buffer is C-ordered, so the row
+    # sums run in one order; the transforms' products keep their bits too
+    x = np.random.default_rng(n).normal(size=(count, n))
+    layouts = [np.asfortranarray(x), np.repeat(x, 2, axis=0)[::2],
+               np.repeat(x, 2, axis=1)[:, ::2]]
+    t = np.eye(n) + 0.1 * np.tri(n)
+    for p in (1, 1.5, 2, np.inf):
+        for norm in (ns.lp(p, n), ns.NormSpec(dim=n, p=p, transform=t)):
+            want = ns.norm_eval(norm, x)
+            for given in layouts:
+                assert _same_bits(ns.norm_eval(norm, given), want), (p, norm.is_plain)
+
+
 def test_norm_evals_peak_for_two_norms(monkeypatch):
     # two plain finite-p norms hold the two outputs plus, per stream thread,
     # two chunk-sized buffers (|x|/m and the first norm's powers): bounded

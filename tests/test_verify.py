@@ -231,7 +231,7 @@ def _separated_sets_oracle(data, metric, num_pairs, seed, profile):
 def _assert_separated_sets_match_oracle(measure, metric, num_pairs, count, seed):
     rep = vf.check_separated_sets(measure=measure, metric=metric,
                                   num_pairs=num_pairs, count=count, seed=seed, profile="sphere")
-    data = vf.sample(measure, count, seed).data
+    data = vf.sample_columns(measure, count, seed)
     eps, lhs, rhs, ci, q_range = _separated_sets_oracle(data, metric, num_pairs, seed, "sphere")
     assert rep.lhs == lhs.tolist() and rep.ci == ci.tolist()
     np.testing.assert_allclose(rep.eps, eps, rtol=1e-13, atol=0.0)
@@ -257,15 +257,15 @@ def test_separated_sets_matches_per_pair_oracle_on_ties(monkeypatch, count):
     # rows of {-1, 0, 1}^2: nine distinct rows, so every projection ties
     # with many others; 400 pairs draw q_lo down to 0.0203 and q_hi up to
     # 0.9796, the ends of their ranges
-    def integer_rows(measure, count, seed):
+    def integer_rows(measure, count, seed):   # column-major, as the check holds its batch
         u = rng._generator(seed, 0).random((count, measure.dim))
-        return ms.SampleBatch(measure=measure, seed=seed, data=np.floor(3.0 * u) - 1.0)
+        return np.asfortranarray(np.floor(3.0 * u) - 1.0)
 
-    monkeypatch.setattr(vf, "sample", integer_rows)
+    monkeypatch.setattr(vf, "sample_columns", integer_rows)
     rep, (q_lo, q_hi) = _assert_separated_sets_match_oracle(
         ms.haar_sphere(2), ns.lp(2, 2), 400, count, 6)
     assert q_lo < 0.0205 and q_hi > 0.9795
-    data = vf.sample(ms.haar_sphere(2), count, 6).data
+    data = vf.sample_columns(ms.haar_sphere(2), count, 6)
     assert len(np.unique(data, axis=0)) <= 9
 
 
@@ -330,6 +330,7 @@ def test_streamed_images_equal_the_maps_of_the_batch(n, count):
     K, L = ns.lp(2, n), ns.lp(1, n)
     image, vk, vl = vf._pushed_batch(ms.haar_sphere(n), count, 5, tr.ratio_norms(K, L))
     data = ms.sample(ms.haar_sphere(n), count, 5).data
+    assert image.T.flags.c_contiguous     # column-major, as the curve projects it
     assert np.array_equal(image, tr.norm_ratio_map(K, L, data))
     assert np.array_equal(vk, ns.norm_eval(K, data))
     assert np.array_equal(vl, ns.norm_eval(L, data))
@@ -420,6 +421,42 @@ FROZEN_REPORTS = {
             K=ns.lp(1, 100), L=ns.lp(2, 100), measure=ms.haar_sphere(100),
             eps=0.5, count=5001, probes=5001, seed=13),
         "34497537e9652851fee75270bbc331783b5a47f150cd095b0e8d95adcca63117"),
+    # a last projection block of one direction: a matrix-vector product,
+    # whose sum order follows the image's layout
+    "lipschitz_identity_n33_N20001": (
+        lambda: vf.check_lipschitz_transfer(
+            measure=ms.gaussian(33), map_cfg={"kind": "identity"}, lip=1.0,
+            metric_in=ns.lp(2, 33), eps_grid=np.linspace(0.1, 4.0, 15), count=20001, seed=1,
+            profile="gaussian"),
+        "547898e09438c35cad4a2d11712d5465a772a6cba44ba7748b6b02a61034fecb"),
+    "lipschitz_identity_n65_N20001": (
+        lambda: vf.check_lipschitz_transfer(
+            measure=ms.gaussian(65), map_cfg={"kind": "identity"}, lip=1.0,
+            metric_in=ns.lp(2, 65), eps_grid=np.linspace(0.1, 4.0, 15), count=20001, seed=1,
+            profile="gaussian"),
+        "1684831b2e05480157a79a87a8e897ae8284af409a7913f1112499aa63213861"),
+    "pairs_n16_33_pairs": (
+        lambda: vf.check_separated_sets(
+            measure=ms.haar_sphere(16), metric=ns.lp(2, 16), num_pairs=33,
+            count=5001, seed=9, profile="sphere"),
+        "929b5676811c086ca2eabb78fcbc8be7a8ff9515bcee3b5ba374e0edf44a54ee"),
+    "pairs_n16_65_pairs": (
+        lambda: vf.check_separated_sets(
+            measure=ms.haar_sphere(16), metric=ns.lp(2, 16), num_pairs=65,
+            count=5001, seed=9, profile="sphere"),
+        "3959cae2a70faaa4e82496bddbadded46f9c24b1204f3d3e3e986be2f648962c"),
+    # too few samples to cut into pieces: one product on a row-major copy
+    "lipschitz_identity_n16_N150": (
+        lambda: vf.check_lipschitz_transfer(
+            measure=ms.gaussian(16), map_cfg={"kind": "identity"}, lip=1.0,
+            metric_in=ns.lp(2, 16), eps_grid=np.linspace(0.1, 4.0, 15), count=150, seed=1,
+            profile="gaussian"),
+        "d2664a995dc5d0d0bf9832c8369237332ee291294a5642b2abbbb516c7ed68be"),
+    "norm_ratio_l2_l1_n40_N150": (
+        lambda: vf.check_norm_ratio_transfer(
+            K=ns.lp(2, 40), L=ns.lp(1, 40), measure=ms.haar_sphere(40),
+            eps_grid=vf.default_eps_grid(), count=150, seed=11, profile="sphere"),
+        "baceb864325d90f7cef4657998f499c8734b001c94fe717f2beb42b7d0cb4e8b"),
     "pairs_n64": (
         lambda: vf.check_separated_sets(
             measure=ms.haar_sphere(64), metric=ns.lp(2, 64), num_pairs=100,
@@ -518,6 +555,7 @@ _DEMO = {job["id"]: (check, params) for job, check, params in cli.validate_confi
 @pytest.mark.parametrize("name", [
     "shell_n16_probes4096", "shell_n64_probes5001", "shell_l1_l2_n64", "shell_l1_l2_n100",
     "pairs_n64", "pairs_n16_l1", "pairs_n16_scaled_l2", "pairs_n16_l3_transform",
+    "pairs_n16_65_pairs", "lipschitz_identity_n65_N20001", "norm_ratio_l2_l1_n40_N150",
     "norm_ratio_l2_l1_n16", "norm_ratio_l1_l2_n8", "sup_n100"])
 def test_pool_paths_keep_their_bits(monkeypatch, name):
     # the shell chain's image projections and probes, the set pairs'
@@ -585,7 +623,7 @@ def test_restate_gives_the_verdict_of_an_edited_report(monkeypatch):
     # of the edited report comes from restate alone, with nothing resampled
     identity = json.loads(_demo_report("identity_transfer_n16").to_json())
     embedding = json.loads(FROZEN_REPORTS["sup_l2_n2_32_functionals"][0]().to_json())
-    for name in ("sample", "sample_map", "concentration_lower_curve"):
+    for name in ("sample_columns", "sample_image", "sample_map", "concentration_lower_curve"):
         monkeypatch.setattr(vf, name, lambda *a, **k: pytest.fail("restate resampled"))
     assert vf.restate(_with_profile_c(identity, 1.1))[5] == "pass"
     assert vf.restate(_with_profile_c(identity, 2.0))[5] == "fail"
