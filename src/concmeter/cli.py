@@ -151,6 +151,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    verify._refuse(verify._median_fault({"count": args.N}))
     seed = env_seed(args.seed)
     fn = parameters.beta if args.variant == "beta" else parameters.beta_tilde
     rows = []
@@ -168,6 +169,7 @@ def cmd_beta(args) -> int:
 
 
 def cmd_median(args) -> int:
+    verify._refuse(verify._median_fault({"count": args.N}))
     seed = env_seed(args.seed)
     measure = parse_measure(args.measure, args.n, args.p)
     norm = parse_norm(args.norm, args.n)
@@ -320,7 +322,7 @@ def main(argv=None) -> int:
     try:
         env_seed(0)   # a malformed CONCMETER_SEED fails every subcommand alike
         return args.fn(args)
-    except (ValueError, verify.CheckError, OSError) as exc:   # ConfigError too
+    except (ValueError, verify.CheckError, OSError, MemoryError) as exc:   # ConfigError too
         # a check's fault hook names its key, which is the flag at fault: a
         # config's jobs pass every hook before any job runs
         flag = f"--{exc.key}: " if getattr(exc, "key", None) else ""

@@ -146,24 +146,23 @@ def _axis_of(directions: np.ndarray) -> np.ndarray:
     return np.where(axis, ones.argmax(axis=1), -1)
 
 
-def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> None:
-    """Call ``reduce(rows, first)`` on the projections of ``data``, block by
-    block of up to 32 directions.
+def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> np.ndarray:
+    """The results of ``reduce(row, k)`` for every direction k, stacked in
+    the order of ``directions`` (``np.array`` of the list of results).
 
-    ``rows[k]`` holds the projections <directions[first + k], x> of every
-    sample row x, in an order of the rows that is not theirs; ``reduce``
-    may reorder each of its rows in place (a sort or a partition) and
-    keeps what it needs, because the next block overwrites them.  One
-    ``(min(32, D), N8)`` buffer is allocated per call, N8 being N rounded
-    up to a multiple of 8.
+    ``row`` holds the projections <directions[k], x> of every sample row x,
+    in an order of the rows that is not theirs; ``reduce`` may reorder it
+    in place (a sort or a partition) and returns what it needs, because
+    the next block overwrites it.  The projections are computed block by
+    block of up to 32 directions into one ``(min(32, D), N8)`` buffer per
+    call, N8 being N rounded up to a multiple of 8.
 
     Each block runs in two steps on the stream threads of
     ``rng._stream_pool``, made for this call and joined when it ends; copies,
     GEMM, sort and partition release the interpreter lock.  First the block
     is written into the buffer, one piece of sample rows per thread, the
-    pieces running at once.  Then each thread calls ``reduce`` on its share
-    of the block's directions, ``first`` being the index of the share's
-    first direction in ``directions``.
+    pieces running at once.  Then each thread calls ``reduce`` on the rows
+    of its share of the block's directions.
 
     A block whose directions are all exact unit axes e_i is filled by
     copying column i of each piece into its buffer row.  On finite data a
@@ -207,6 +206,7 @@ def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> None
         padded[:count] = data
         data, body, spare, parts = padded, count + spare, 0, 1
     step = rng.block_rows(dim)
+    results = [None] * directions.shape[0]
     buf = np.empty((min(_DIRECTION_CHUNK, directions.shape[0]), len(data) + spare))
     with rng._stream_pool(max(parts, len(buf))) as spread:
         for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
@@ -237,8 +237,13 @@ def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> None
                 spread(copy, count, 8, parts)
             else:
                 spread(gemm, body, 8, parts)
-            rows = block[:, :count]
-            spread(lambda a, b: reduce(rows[a:b], lo + a), chunk.shape[0])
+
+            def each(a: int, b: int) -> None:
+                for k in range(a, b):
+                    results[lo + k] = reduce(block[k, :count], lo + k)
+
+            spread(each, chunk.shape[0])
+    return np.array(results)
 
 
 def quantile_cuts(row: np.ndarray, q_lo: float, q_hi: float) -> tuple:
@@ -325,22 +330,20 @@ def concentration_lower_curve(data: np.ndarray, metric: NormSpec,
     if directions is None:
         directions = direction_family(dim, DEFAULT_EXTRA_DIRECTIONS, direction_seed)
     dual_w = norm_eval(dual_norm(metric), directions)
-    # the mass beyond each direction's expanded half-space, at every eps
-    beyond = np.empty((directions.shape[0], eps_grid.size))
 
-    def masses(rows: np.ndarray, first: int) -> None:
-        rows.sort(axis=1)
-        thresholds = (median_of_sorted(rows)[:, None]
-                      + eps_grid * dual_w[first:first + len(rows), None])
-        for k, row in enumerate(rows):
-            inside = np.searchsorted(row, thresholds[k], side="right")
-            beyond[first + k] = (n_samples - inside) / n_samples
+    def masses(row: np.ndarray, k: int) -> np.ndarray:
+        """The mass beyond direction k's expanded half-space, at every eps."""
+        row.sort()
+        if not (np.isfinite(row[0]) and np.isfinite(row[-1])):  # -inf first, inf, NaN last
+            raise ValueError("non-finite projection: the data hold an inf or NaN")
+        thresholds = median_of_sorted(row) + eps_grid * dual_w[k]
+        inside = np.searchsorted(row, thresholds, side="right")
+        return (n_samples - inside) / n_samples
 
-    reduce_projections(data, directions, masses)
+    beyond = reduce_projections(data, directions, masses)
     best = beyond.max(axis=0)
-    best_dir = beyond.argmax(axis=0)
     return ConcentrationCurve(eps=eps_grid, alpha_hat=best, ci=binomial_ci(best, n_samples),
-                              argmax_direction=best_dir,
+                              argmax_direction=beyond.argmax(axis=0),
                               family_size=directions.shape[0], count=n_samples)
 
 

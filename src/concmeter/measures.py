@@ -63,11 +63,11 @@ Layouts: :func:`sample` holds its batch row-major, a C-ordered (N, n)
 array, as do the outputs of :func:`sample_map`.  The arrays the checks
 project onto directions (a push-forward's image, or the batch itself) are
 held column-major instead, an (N, n) view of a C-ordered (n, N) array
-written chunk by chunk (:func:`sample_image`, :func:`sample_columns`): a
-projection onto an axis is then a contiguous column, and one onto other
-directions a GEMM that transposes nothing
-(``concentration.reduce_projections``).  The values, and the bits, are
-the same in both layouts.
+into which :func:`sample_image` places the rows a row-wise map returns
+(:func:`sample_columns` the batch's rows): a projection onto an axis is
+then a contiguous column, and one onto other directions a GEMM that
+transposes nothing (``concentration.reduce_projections``).  The values,
+and the bits, are the same in both layouts.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import rng
-from .normspace import INF, NormSpec, _as_p, _config_object, _config_transform, lp
+from .normspace import INF, NormSpec, _as_p, _config_object, _config_p, _config_transform, lp
 
 LP_FAMILIES = ("uniform_ball", "cone_surface", "ggp")    # the families that read p
 FAMILIES = LP_FAMILIES + ("gaussian", "haar_sphere")
@@ -291,8 +291,8 @@ class MeasureSpec:
     @staticmethod
     def from_config(cfg: dict) -> "MeasureSpec":
         cfg = _config_object(cfg, ("family", "dim", "p", "transform"), "a measure")
-        return MeasureSpec(family=cfg["family"], dim=int(cfg["dim"]),
-                           p=cfg.get("p"), transform=_config_transform(cfg.get("transform")))
+        return MeasureSpec(family=cfg["family"], dim=int(cfg["dim"]), p=_config_p(cfg.get("p")),
+                           transform=_config_transform(cfg.get("transform")))
 
 
 def uniform_ball(norm: NormSpec) -> MeasureSpec:
@@ -456,34 +456,34 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
                           lambda lo, hi: fn(_generate(measure, seed, lo, hi)))
 
 
-def sample_image(measure: MeasureSpec, count: int, seed: int, width: int,
-                 fn: Callable[[np.ndarray, np.ndarray], tuple]) -> tuple:
-    """``(image, *outputs)``: a row-wise map of rows [0, count) of the
-    sample table into ``width`` columns, held column-major, and the other
-    outputs of ``fn``, as :func:`sample_map` gives them.
-
-    ``image`` is an (count, width) view of a C-ordered (width, count) array,
-    so each of its columns is contiguous.  For each chunk, ``fn(rows, out)``
-    writes the image of ``rows`` into ``out``, the chunk's rows of
-    ``image``, and returns its other outputs; nothing else copies the image,
-    and the source batch is never held.
+def sample_image(measure: MeasureSpec, count: int, seed: int,
+                 fn: Callable[[np.ndarray], tuple]) -> tuple:
+    """``(image, *outputs)``: the outputs of :func:`sample_map`'s row-wise
+    ``fn(rows) -> (image_rows, *outputs)``, ``image`` held column-major, an
+    (count, width) view of a C-ordered (width, count) array whose columns
+    are contiguous.  It is allocated from the first chunk's image rows,
+    which ``rng._chunk_map`` runs alone; the source batch is never held.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    image = np.empty((width, count)).T
-    return (image, *rng._chunk_map(count, _chunk_rows(measure), lambda lo, hi: fn(
-        _generate(measure, seed, lo, hi), image[lo:hi])))
+    image = None
 
+    def place(lo: int, hi: int) -> tuple:
+        nonlocal image
+        rows, *outputs = fn(_generate(measure, seed, lo, hi))
+        if lo == 0:     # the first chunk, before any stream thread starts
+            image = np.empty((rows.shape[1], count)).T
+        image[lo:hi] = rows
+        return tuple(outputs)
 
-def _copy_rows(rows: np.ndarray, out: np.ndarray) -> tuple:
-    out[...] = rows
-    return ()
+    outputs = rng._chunk_map(count, _chunk_rows(measure), place)
+    return (image, *outputs)
 
 
 def sample_columns(measure: MeasureSpec, count: int, seed: int) -> np.ndarray:
     """The data of ``sample(measure, count, seed)``, held column-major (see
     :func:`sample_image`)."""
-    return sample_image(measure, count, seed, measure.dim, _copy_rows)[0]
+    return sample_image(measure, count, seed, lambda rows: (rows,))[0]
 
 
 def sample(measure: MeasureSpec, count: int, seed: int) -> SampleBatch:

@@ -48,6 +48,14 @@ def _as_p(p) -> float:
     return p
 
 
+def _config_p(p):
+    """A config's lp exponent as given: a JSON number, 'inf' or null; the
+    other text forms of :func:`_as_p` are for flags and 'l<p>' tokens."""
+    if isinstance(p, str) and p.lower() != "inf":
+        raise ValueError(f"a config writes an lp exponent as a number or 'inf', got {p!r}")
+    return p
+
+
 def _config_object(obj, keys, what: str) -> dict:
     """``obj`` as a config object of the given keys: anything but a dict,
     and any key outside ``keys``, is refused by name."""
@@ -115,7 +123,7 @@ class NormSpec:
         cfg = _config_object(cfg, ("kind", "p", "dim", "transform"), "a norm")
         if cfg.get("kind", "lp") != "lp":
             raise ValueError(f"unknown norm kind {cfg.get('kind')!r}")
-        return NormSpec(dim=int(cfg["dim"]), p=_as_p(cfg["p"]),
+        return NormSpec(dim=int(cfg["dim"]), p=_config_p(cfg["p"]),
                         transform=_config_transform(cfg.get("transform")))
 
 

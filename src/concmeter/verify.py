@@ -23,12 +23,13 @@ Memory: a check holds one sample-sized array (the batch, or the image
 of a push-forward) plus one block of at most 32 projections, which the
 curve sorts and the set pairs partition, direction by direction on the
 stream threads (``concentration.reduce_projections``).  Every array the
-curve or the set pairs project is held column-major, written chunk by
-chunk from the sample stream through ``measures.sample_image``, so each
-block is a copy of columns (the curve's axes) or a GEMM that transposes
-nothing.  The Lipschitz, norm-ratio and radial transfers never hold
-their source batch, only its image; the set pairs and the cube floor
-hold the batch (the cube floor with its sup norms, from the same stream).
+curve or the set pairs project is held column-major: a row function of
+the sample stream returns each chunk's rows, which ``measures.sample_image``
+places, so each block is a copy of columns (the curve's axes) or a GEMM
+that transposes nothing.  The Lipschitz, norm-ratio and radial transfers
+never hold their source batch, only its image; the set pairs and the
+cube floor hold the batch (the cube floor with its sup norms, from the
+same stream).
 The sup-norm embedding check maps the stream to two numbers per row and
 holds no batch at all.  The shell chain keeps its batch row-major, with
 its norms and image projections from ``measures.sample_map``, because
@@ -57,8 +58,8 @@ from .concentration import (MEDIAN_MIN_COUNT, AnalyticProfile, analytic_profile,
 from .measures import (FAMILIES, LP_FAMILIES, MAX_GAMMA_SHAPE, MeasureSpec, ggp,
                        haar_sphere, radial_cdf, sample, sample_columns, sample_image,
                        sample_map, uniform_ball)
-from .normspace import (INF, NormSpec, _as_p, _config_object, dual_norm, lp, norm_eval,
-                        normalize_containment)
+from .normspace import (INF, NormSpec, _as_p, _config_object, _config_p, dual_norm, lp,
+                        norm_eval, normalize_containment)
 from .parameters import cube_concentration_floor, embedding_lower_bound
 from .transport import (_lift, lipschitz_constant, norm_ratio_map, radial_norms,
                         radial_transport, ratio_norms)
@@ -162,11 +163,11 @@ def restate(report: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, floa
 def _pushed_batch(measure: MeasureSpec, count: int, seed: int, norms
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(image, num, den)``: the batch of ``measure`` pushed through the map
-    of ``norms`` (``ratio_norms`` or ``radial_norms``), lifting each chunk of
-    the sample stream into the column-major image (``sample_image``).  Every
-    step is row by row, so the bits equal the map applied to the whole batch."""
-    return sample_image(measure, count, seed, measure.dim,
-                        lambda rows, out: _lift(norms, rows, out=out)[1:])
+    of ``norms`` (``ratio_norms`` or ``radial_norms``), each chunk of the
+    sample stream lifted in place and held in the column-major image
+    (``sample_image``).  Every step is row by row, so the bits equal the map
+    applied to the whole batch."""
+    return sample_image(measure, count, seed, lambda rows: _lift(norms, rows, out=rows))
 
 
 def _curve_report(check_id: str, image: np.ndarray, metric: NormSpec,
@@ -251,12 +252,8 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
     map_rows, metric_out, label, map_lip = build_map(map_cfg, metric_in)
     _refuse(_lip_fault(lip, map_lip))
     prof = _resolve_profile(profile, measure.dim)
-
-    def mapped(rows, out):   # every map is row-wise: the image is built from the stream
-        out[...] = map_rows(rows)
-        return ()
-
-    image, = sample_image(measure, count, seed, metric_out.dim, mapped)
+    # every map is row-wise: the image is built from the stream
+    image, = sample_image(measure, count, seed, lambda rows: (map_rows(rows),))
     inputs = {"measure": measure.to_config(), "map": label, "lip": lip,
               "metric_in": metric_in.to_config(), "metric_out": metric_out.to_config(),
               "count": count, "seed": seed, "profile": prof.to_config()}
@@ -395,20 +392,13 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: i
     q_lo = 0.02 + 0.43 * u[:, 0]
     q_hi = 0.55 + 0.43 * u[:, 1]
 
-    pa, pb, gap = np.empty((3, num_pairs))
-
-    def masses(rows: np.ndarray, first: int) -> None:
-        for k, row in enumerate(rows, first):
-            a, b, pa[k], pb[k] = quantile_cuts(row, q_lo[k], q_hi[k])
-            gap[k] = np.maximum(b - a, 0.0)
-
-    reduce_projections(data, thetas, masses)
+    a, b, below, above = reduce_projections(
+        data, thetas, lambda row, k: quantile_cuts(row, q_lo[k], q_hi[k])).T
     dual_w = norm_eval(dual_norm(metric), thetas)
-    pa /= count
-    pb /= count
+    pa, pb = below / count, above / count
     lhs = pa * pb
     ci = product_ci(pa, pb, count)
-    half_dist = 0.5 * gap / dual_w
+    half_dist = 0.5 * np.maximum(b - a, 0.0) / dual_w
     order = np.argsort(half_dist)
 
     inputs = {"measure": measure.to_config(), "metric": metric.to_config(),
@@ -443,12 +433,8 @@ def check_cube_floor(*, n: int, eps_grid: Sequence[float], count: int, seed: int
     the eps-cube) / 2n; the half-space estimator must clear that floor."""
     _refuse(_cube_fault(measure))
     metric = lp(math.inf, n)
-
-    def held(rows, out):
-        out[...] = rows
-        return norm_eval(metric, rows),
-
-    data, sup_norm = sample_image(measure, count, seed, n, held)
+    data, sup_norm = sample_image(measure, count, seed,
+                                  lambda rows: (rows, norm_eval(metric, rows)))
     small_mass = [float((sup_norm <= e).mean()) for e in eps_grid]
     inputs = {"n": n, "measure": measure.to_config(), "count": count, "seed": seed}
     return _curve_report("cube_floor", data, metric, eps_grid, seed, inputs,
@@ -667,7 +653,7 @@ def parse_map(token, n: int):
 # token kind -> parser(token, n, p); p is the job's lp exponent for measures
 _PARSERS = {
     "norm": lambda token, n, p: parse_norm(token, n),
-    "measure": parse_measure,
+    "measure": lambda token, n, p: parse_measure(token, n, _config_p(p)),
     "eps": lambda token, n, p: parse_eps(token),
     "int": lambda token, n, p: parse_int(token),
     "size": lambda token, n, p: parse_size(token),
@@ -740,9 +726,9 @@ def _spec(fn, n: int, required, statement, *params: Param, fault=lambda kw: None
 
 
 def _median_fault(kw: dict) -> Optional[tuple[str, str]]:
-    """("N", why) when a job's N is too small for the check's medians, else None."""
+    """("N", why) when a job's N is too small for a median estimate, else None."""
     if kw["count"] < MEDIAN_MIN_COUNT:
-        return "N", (f"the check's medians need at least {MEDIAN_MIN_COUNT} "
+        return "N", (f"a median estimate needs at least {MEDIAN_MIN_COUNT} "
                      f"samples, got {kw['count']}")
     return None
 

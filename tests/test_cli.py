@@ -301,6 +301,14 @@ def _named(cases):
     ("cube_half_transform", {"jobs": [CUBE, {**CUBE, "measure": {
         "family": "uniform_ball", "p": "inf", "transform": [[0.5, 0], [0, 0.5]]}}]},
      "jobs[1].measure"),
+    # a config writes an lp exponent as a JSON number or "inf", wherever it
+    # sits, as it writes radial_transfer's p; only flags and l<p> parse text
+    ("text_p_measure_object", {"jobs": [{**PAIRS, "measure": {"family": "uniform_ball",
+                                                              "p": "2"}}]},
+     "jobs[0].measure"),
+    ("text_p_measure_token", {"jobs": [{**PAIRS, "measure": "ggp", "p": "1.5"}]},
+     "jobs[0].measure"),
+    ("text_p_metric", {"jobs": [{**PAIRS, "metric": {"p": "1.5"}}]}, "jobs[0].metric"),
 ]))
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -415,6 +423,18 @@ def test_alpha_rejects_malformed_eps(tmp_path, capsys, eps):
                 "--out", "b.csv"], "gaussian reads no lp exponent p"),
     ("argv21", ["pushforward", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--p", "3",
                 "--n", "4", "--out", "p.csv"], "gaussian reads no lp exponent p"),
+    # a median needs MEDIAN_MIN_COUNT samples: refused before sampling, by flag
+    ("median_small_N", ["median", "--measure", "gaussian", "--norm", "l2", "--n", "4",
+                        "--N", "50"], "--N: a median estimate needs at least 100 samples, got 50"),
+    ("beta_small_N", ["beta", "--K", "l2", "--L", "l1", "--measure", "gaussian", "--n", "4",
+                      "--N", "50", "--out", "b.csv"],
+     "--N: a median estimate needs at least 100 samples, got 50"),
+    # a batch of 8e17 bytes exceeds the address space: the allocation fails
+    # at once, before any memory is touched
+    ("median_huge_N", ["median", "--measure", "gaussian", "--norm", "l2", "--n", "8",
+                       "--N", "100000000000000000"], "Unable to allocate"),
+    ("cube_floor_huge_N", ["verify", "cube_floor", "--N", "100000000000000000"],
+     "Unable to allocate"),
 ]))
 def test_malformed_invocation_exits_1_with_one_error_line(tmp_path, argv, message):
     # exit 2 is kept for a failed check; usage, input and file errors all exit 1

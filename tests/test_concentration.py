@@ -211,34 +211,48 @@ def test_curve_matches_column_sort_oracle(n, count, p, ties):
         assert np.array_equal(curve.argmax_direction, best_dir)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("family", ["default", "gaussian"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+def test_curve_refuses_non_finite_data(bad, family):
+    # an axis block copies a bad coordinate and a GEMM block turns it into
+    # NaN or an infinity, so a curve of such data would follow the block path
+    data = ms.sample(ms.gaussian(4), 2000, seed=1).data.copy()
+    data[1234, 2] = bad
+    dirs = None if family == "default" else rng._generator(5, 0).standard_normal((8, 4))
+    with pytest.raises(ValueError, match="non-finite"):
+        con.concentration_lower_curve(data, ns.lp(2, 4), np.linspace(0.1, 1.0, 5),
+                                      directions=dirs)
+
+
 def _sorted_projections(data, dirs):
-    """The sorted projections onto every direction, from one
-    ``reduce_projections`` call, and ``(first, shape, strides, base shape)``
-    of the rows each ``reduce`` call saw, in order of ``first``."""
-    out = np.empty((dirs.shape[0], data.shape[0]))
+    """The sorted projections onto every direction, stacked by one
+    ``reduce_projections`` call, and ``(k, shape, strides, base shape,
+    (buffer row, column))`` of the row each ``reduce`` call saw, in order
+    of k."""
     calls = []
 
-    def record(rows, first):
-        rows.sort(axis=1)
-        out[first:first + len(rows)] = rows
-        calls.append((first, rows.shape, rows.strides, rows.base.shape))
+    def record(row, k):
+        row.sort()
+        start = row.__array_interface__["data"][0] - row.base.__array_interface__["data"][0]
+        calls.append((k, row.shape, row.strides, row.base.shape,
+                      divmod(start // 8, row.base.shape[1])))
+        return row.copy()
 
-    con.reduce_projections(data, dirs, record)
-    return out, sorted(calls)
+    return con.reduce_projections(data, dirs, record), sorted(calls)
 
 
-def _blocks_of_shares(calls, count):
-    """The (first, stop) of each 32-direction block, from the shares of
-    ``calls``: they tile the directions in order, none crosses a block,
-    and each holds ``count`` unit-stride columns of one block buffer."""
-    seen = 0
-    for first, shape, strides, base in calls:
-        assert first == seen and shape[1] == count and strides[1] == 8
-        assert first // 32 == (first + shape[0] - 1) // 32
+def _blocks_of_rows(calls, count):
+    """The (first, stop) of each 32-direction block, from the rows of
+    ``calls``: one per direction, in order, and each the first ``count``
+    unit-stride columns of its block's row of one block buffer, so no
+    block crosses another."""
+    for seen, (k, shape, strides, base, (buf_row, column)) in enumerate(calls):
+        assert k == seen and shape == (count,) and strides == (8,)
         assert base[0] <= con._DIRECTION_CHUNK
-        seen += shape[0]
-    return [(lo, min(lo + con._DIRECTION_CHUNK, seen))
-            for lo in range(0, seen, con._DIRECTION_CHUNK)]
+        assert buf_row == k % con._DIRECTION_CHUNK and column == 0
+    return [(lo, min(lo + con._DIRECTION_CHUNK, len(calls)))
+            for lo in range(0, len(calls), con._DIRECTION_CHUNK)]
 
 
 def test_sorted_projections_blocks():
@@ -247,7 +261,7 @@ def test_sorted_projections_blocks():
     data = ms.sample(ms.gaussian(5), 501, seed=3).data
     dirs = con.direction_family(5, 70, seed=4)
     rows, calls = _sorted_projections(data, dirs)
-    blocks = _blocks_of_shares(calls, 501)
+    blocks = _blocks_of_rows(calls, 501)
     assert blocks[-1][1] == 75 and calls[0][3] == (32, 504)
     for lo, hi in blocks:
         chunk = dirs[lo:hi]
@@ -268,7 +282,7 @@ def test_sorted_projections_at_any_pool_size(monkeypatch, size):
         padded = np.concatenate([data, np.zeros((-count % 8, 40))])
         for given in (data, ms.sample_columns(ms.gaussian(40), count, seed=3)):
             rows, calls = _sorted_projections(given, dirs)
-            blocks = _blocks_of_shares(calls, count)
+            blocks = _blocks_of_rows(calls, count)
             assert blocks[-1][1] == dirs.shape[0]
             for lo, hi in blocks:
                 chunk = dirs[lo:hi]
@@ -290,7 +304,7 @@ def test_projection_pool_leaves_no_thread_behind(monkeypatch):
     assert threading.active_count() == before
     seen = []
 
-    def stop(rows, first):
+    def stop(row, k):
         seen.append(threading.active_count())
         raise _Stop
 
@@ -313,13 +327,12 @@ for size in (1, 2, 3):
         for data in (ms.sample(ms.gaussian(64), count, seed=3).data,
                      ms.sample_columns(ms.gaussian(64), count, seed=3)):
             dirs = con.direction_family(64, 256, seed=5)
-            rows = np.empty((dirs.shape[0], count))
 
-            def record(block, first):
-                block.sort(axis=1)
-                rows[first:first + len(block)] = block
+            def record(row, k):
+                row.sort()
+                return row.copy()
 
-            con.reduce_projections(data, dirs, record)
+            rows = con.reduce_projections(data, dirs, record)
             digest = hashlib.sha256(rows.tobytes())
             curve = con.concentration_lower_curve(data, ns.lp(2, 64),
                                                   np.linspace(0.02, 1.0, 25), directions=dirs)
@@ -364,9 +377,9 @@ def test_sorted_projections_block_allocates_no_copy():
     dirs = con.direction_family(16, 48, seed=4)
     bases = []
 
-    def sort(rows, first):
-        rows.sort(axis=1)
-        bases.append(rows.base.shape)
+    def sort(row, k):
+        row.sort()
+        bases.append(row.base.shape)
 
     tracemalloc.start()
     try:

@@ -472,9 +472,10 @@ def test_one_chunk_starts_no_thread(monkeypatch):
 
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_sample_image_is_held_column_major(monkeypatch, size):
-    # the image is an (N, width) view of a C-ordered (width, N) array that fn
-    # writes in place, one chunk of whole key blocks at a time; the values,
-    # and the bits, are those of the row-major batch
+    # the image is an (N, width) view of a C-ordered (width, N) array into
+    # which the image rows that fn returns are copied, one chunk of whole key
+    # blocks at a time; the values, and the bits, are those of the row-major
+    # batch
     monkeypatch.setattr(rng, "_pool_size", size)
     for spec in (ms.gaussian(40), ms.haar_sphere(64), ms.uniform_ball(ns.lp(1.5, 7))):
         step = ms._chunk_rows(spec)
@@ -484,12 +485,11 @@ def test_sample_image_is_held_column_major(monkeypatch, size):
         assert columns.T.flags.c_contiguous and np.array_equal(columns, batch)
         seen = []
 
-        def halves(rows, out):
+        def halves(rows):
             seen.append(len(rows))
-            np.multiply(rows[:, :2], 0.5, out=out)
-            return (rows[:, 0],)
+            return 0.5 * rows[:, :2], rows[:, 0]
 
-        image, first = ms.sample_image(spec, count, 5, 2, halves)
+        image, first = ms.sample_image(spec, count, 5, halves)
         assert image.shape == (count, 2) and image.T.flags.c_contiguous
         assert sorted(seen) == _chunks(step, count)
         assert np.array_equal(image, 0.5 * batch[:, :2]) and np.array_equal(first, batch[:, 0])
