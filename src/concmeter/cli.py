@@ -26,11 +26,10 @@ import numpy as np
 
 from . import parameters, rng, verify
 from .concentration import concentration_lower_curve, empirical_median
-from .measures import ggp, radial_cdf, sample_chunks, sample_columns, uniform_ball
-from .normspace import _config_object, lp
+from .measures import MeasureSpec, ggp, radial_cdf, sample_chunks, sample_columns, uniform_ball
+from .normspace import ConfigError, NormSpec, _config_object, lp, parse_int, parse_size
 from .transport import lipschitz_constant, norm_ratio_map, radial_transport
-from .verify import (ConfigError, parse_eps, parse_int, parse_measure, parse_norm,
-                     parse_size)
+from .verify import parse_eps
 
 
 def env_seed(default: int) -> int:
@@ -138,8 +137,8 @@ def cmd_run(args) -> int:
 def cmd_alpha(args) -> int:
     n = args.n
     seed = env_seed(args.seed)
-    measure = parse_measure(args.measure, n, args.p)
-    metric = parse_norm(args.metric, n)
+    measure = MeasureSpec.from_config(args.measure, n, args.p)
+    metric = NormSpec.from_config(args.metric, n)
     eps = np.asarray(parse_eps(args.eps))
     curve = concentration_lower_curve(sample_columns(measure, args.N, seed), metric, eps)
     cfg = {"measure": measure.to_config(), "metric": metric.to_config(),
@@ -158,9 +157,9 @@ def cmd_beta(args) -> int:
     cfg = {"K": args.K, "L": args.L, "measure": args.measure, "p": args.p,
            "variant": args.variant, "n": args.n, "N": args.N, "seed": seed}
     for n in args.n:
-        K = parse_norm(args.K, n)
-        L = parse_norm(args.L, n)
-        measure = parse_measure(args.measure, n, args.p)
+        K = NormSpec.from_config(args.K, n)
+        L = NormSpec.from_config(args.L, n)
+        measure = MeasureSpec.from_config(args.measure, n, args.p)
         est = fn(K, measure, L, count=args.N, seed=seed)
         rows.append((n, est.value, est.lam.lam, est.numerator.value,
                      est.denominator.value))
@@ -171,8 +170,8 @@ def cmd_beta(args) -> int:
 def cmd_median(args) -> int:
     verify._refuse(verify._median_fault({"count": args.N}))
     seed = env_seed(args.seed)
-    measure = parse_measure(args.measure, args.n, args.p)
-    norm = parse_norm(args.norm, args.n)
+    measure = MeasureSpec.from_config(args.measure, args.n, args.p)
+    norm = NormSpec.from_config(args.norm, args.n)
     est = empirical_median(parameters.norm_values(measure, [norm], args.N, seed)[0])
     print(json.dumps({"median": est.value, "ci_low": est.ci_low,
                       "ci_high": est.ci_high, "N": est.count,
@@ -184,9 +183,9 @@ def cmd_median(args) -> int:
 def cmd_pushforward(args) -> int:
     seed = env_seed(args.seed)
     n = args.n
-    K = parse_norm(args.K, n)
-    L = parse_norm(args.L, n)
-    measure = parse_measure(args.measure, n, args.p)
+    K = NormSpec.from_config(args.K, n)
+    L = NormSpec.from_config(args.L, n)
+    measure = MeasureSpec.from_config(args.measure, n, args.p)
     cfg = {"K": K.to_config(), "L": L.to_config(), "measure": measure.to_config(),
            "n": n, "N": args.N, "seed": seed}
     # the image of the batch, written chunk by chunk from the sample stream
@@ -225,7 +224,7 @@ def cmd_verify(args) -> int:
 
 def positive_int(text: str) -> int:
     """The argparse type of ``--jobs``, ``--n`` and ``--N``, through
-    :func:`verify.parse_size`, so argparse names the flag at fault."""
+    :func:`normspace.parse_size`, so argparse names the flag at fault."""
     try:
         return parse_size(int(text))
     except ValueError:   # ConfigError too

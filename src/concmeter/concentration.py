@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .normspace import NormSpec, dual_norm, norm_eval
+from .normspace import NormSpec, _config_object, _finite, dual_norm, norm_eval
 
 DEFAULT_EXTRA_DIRECTIONS = 32
 
@@ -208,7 +208,7 @@ def reduce_projections(data: np.ndarray, directions: np.ndarray, reduce) -> np.n
     step = rng.block_rows(dim)
     results = [None] * directions.shape[0]
     buf = np.empty((min(_DIRECTION_CHUNK, directions.shape[0]), len(data) + spare))
-    with rng._stream_pool(max(parts, len(buf))) as spread:
+    with rng._stream_pool() as spread:
         for lo in range(0, directions.shape[0], _DIRECTION_CHUNK):
             chunk = directions[lo:lo + _DIRECTION_CHUNK]
             block = buf[:chunk.shape[0]]
@@ -377,20 +377,25 @@ PROFILE_CATALOG = {
 }
 
 
-def analytic_profile(name: str, n: int, *, C: Optional[float] = None,
+def analytic_profile(name, n: int, *, C: Optional[float] = None,
                      c: Optional[float] = None) -> AnalyticProfile:
-    """Profile from the catalog, with optional constant overrides; the
-    constants must be positive finite numbers (int or float, not bool)."""
+    """Profile of a catalog name or a profile object (name, C and c, the name
+    defaulting to 'custom'), with optional constant overrides, positive finite
+    numbers (int or float, not bool); a profile is returned as it is."""
+    if isinstance(name, AnalyticProfile):
+        return name
+    if not isinstance(name, str):
+        cfg = _config_object(name, ("name", "C", "c"), "a profile")
+        name, C, c = cfg.get("name", "custom"), cfg.get("C"), cfg.get("c")
     for key, value in (("C", C), ("c", c)):
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if value is not None and not (number and 0.0 < value < np.inf):
+        if value is not None and not (_finite(value) and value > 0.0):
             raise ValueError(f"profile constant {key} must be a positive finite number, "
                              f"got {value!r}")
     if name == "custom":
         if C is None or c is None:
             raise ValueError("custom profile requires explicit C and c")
         return AnalyticProfile(name=name, C=float(C), c=float(c), n_scale=float(n))
-    if name not in PROFILE_CATALOG:
+    if not isinstance(name, str) or name not in PROFILE_CATALOG:
         raise ValueError(f"unknown profile {name!r}; catalog: "
                          f"{sorted(PROFILE_CATALOG)} or 'custom'")
     entry = PROFILE_CATALOG[name]

@@ -79,7 +79,8 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from . import rng
-from .normspace import INF, NormSpec, _as_p, _config_object, _config_p, _config_transform, lp
+from .normspace import (INF, NormSpec, _as_p, _config_dim, _config_object, _config_p,
+                        _config_transform, lp)
 
 LP_FAMILIES = ("uniform_ball", "cone_surface", "ggp")    # the families that read p
 FAMILIES = LP_FAMILIES + ("gaussian", "haar_sphere")
@@ -289,9 +290,15 @@ class MeasureSpec:
         return cfg
 
     @staticmethod
-    def from_config(cfg: dict) -> "MeasureSpec":
+    def from_config(cfg, dim: Optional[int] = None, p=None) -> "MeasureSpec":
+        """The measure of a family token on R^dim, with exponent ``p`` for
+        the LP_FAMILIES, or of a measure object (:meth:`to_config`'s form,
+        with its own p; its dim by :func:`normspace._config_dim`)."""
+        if isinstance(cfg, str):
+            return MeasureSpec(family=cfg, dim=dim, p=p)
         cfg = _config_object(cfg, ("family", "dim", "p", "transform"), "a measure")
-        return MeasureSpec(family=cfg["family"], dim=int(cfg["dim"]), p=_config_p(cfg.get("p")),
+        return MeasureSpec(family=cfg["family"], dim=_config_dim(cfg, dim, "measure"),
+                           p=_config_p(cfg.get("p")),
                            transform=_config_transform(cfg.get("transform")))
 
 

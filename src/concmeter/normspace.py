@@ -20,7 +20,7 @@ and vertex candidate directions and flagged as a heuristic lower bound.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -48,6 +48,47 @@ def _as_p(p) -> float:
     return p
 
 
+# Config readers: the JSON numbers, objects and fields that configs and flags give
+
+class ConfigError(ValueError):
+    """Malformed configuration; the message names the offending field."""
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a JSON number that reads as a finite float: an
+    int or float, not a bool (which Python counts as one), inf or NaN."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def parse_int(token) -> int:
+    """A JSON integer; an integral float such as 5e4 is accepted too."""
+    if _finite(token) and token == int(token):
+        return int(token)
+    raise ConfigError(f"expected an integer, got {token!r}")
+
+
+def parse_size(token) -> int:
+    """A positive JSON integer: a dimension, sample size or count."""
+    if _finite(token) and token == int(token) >= 1:
+        return int(token)
+    raise ConfigError(f"expected a positive integer, got {token!r}")
+
+
+def parse_float(token) -> float:
+    """A finite JSON number (JSON's Infinity and NaN are refused)."""
+    if _finite(token):
+        return float(token)
+    raise ConfigError(f"expected a finite number, got {token!r}")
+
+
+def parse_positive(token) -> float:
+    value = parse_float(token)
+    if value > 0.0:
+        return value
+    raise ConfigError(f"expected a positive number, got {token!r}")
+
+
 def _config_p(p):
     """A config's lp exponent as given: a JSON number, 'inf' or null; the
     other text forms of :func:`_as_p` are for flags and 'l<p>' tokens."""
@@ -67,6 +108,15 @@ def _config_object(obj, keys, what: str) -> dict:
     return obj
 
 
+def _config_dim(cfg: dict, dim: Optional[int], what: str) -> int:
+    """A config object's dim, a positive JSON integer: ``dim``, when given,
+    stands in for a missing one and must equal a present one."""
+    found = parse_size(cfg["dim"]) if dim is None or "dim" in cfg else dim
+    if dim not in (None, found):
+        raise ConfigError(f"{what} dim {found} conflicts with n={dim}")
+    return found
+
+
 def _config_transform(rows):
     """A config's transform: null, or a list of rows of finite JSON numbers.
     Strings and booleans are refused, which numpy would read as numbers."""
@@ -76,8 +126,7 @@ def _config_transform(rows):
         raise ValueError(f"a transform is a list of rows, got {rows!r}")
     for row in rows:
         for value in row:
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
+            if not _finite(value):
                 raise ValueError(f"transform entries are finite numbers, got {value!r}")
     return rows
 
@@ -119,11 +168,20 @@ class NormSpec:
         return cfg
 
     @staticmethod
-    def from_config(cfg: dict) -> "NormSpec":
+    def from_config(cfg, dim: Optional[int] = None) -> "NormSpec":
+        """The norm of an 'l<p>' token ('l1', 'l1.5', 'linf') on R^dim, or of
+        a norm object (:meth:`to_config`'s form; its dim by :func:`_config_dim`)."""
+        if isinstance(cfg, str) and cfg.startswith("l"):
+            try:
+                return NormSpec(dim=dim, p=cfg[1:])
+            except ValueError as exc:
+                raise ConfigError(f"cannot parse norm {cfg!r}: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"cannot parse norm {cfg!r} (expected 'l<p>' or a config object)")
         cfg = _config_object(cfg, ("kind", "p", "dim", "transform"), "a norm")
         if cfg.get("kind", "lp") != "lp":
             raise ValueError(f"unknown norm kind {cfg.get('kind')!r}")
-        return NormSpec(dim=int(cfg["dim"]), p=_config_p(cfg["p"]),
+        return NormSpec(dim=_config_dim(cfg, dim, "norm"), p=_config_p(cfg["p"]),
                         transform=_config_transform(cfg.get("transform")))
 
 

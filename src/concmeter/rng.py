@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import contextvars
 import os
 
 import numpy as np
@@ -93,28 +94,34 @@ def _cuts(stop: int, parts: int, step: int = 1) -> list:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+_in_stream = contextvars.ContextVar("in_stream", default=False)   # set in stream work
+
+
 @contextlib.contextmanager
-def _stream_pool(most: int):
-    """The stream threads of one call, at most ``most`` of them.
+def _stream_pool():
+    """The stream threads of one call: :func:`_threads` of them, or the
+    calling thread alone inside stream work, whose siblings hold the cores.
 
     Yields ``spread(work, stop, step=1, parts=threads)``, which calls
-    ``work(a, b)`` for each range of ``_cuts(stop, parts, step)``: the first
-    in the calling thread and the others on an executor of ``threads - 1``
-    workers (none for one thread).  The executor is shut down on exit, so no
-    thread outlives the call or is inherited through fork.
+    ``work(a, b)`` for each range of ``_cuts(stop, parts, step)`` in a copy
+    of the calling thread's context taken there, which holds numpy's error
+    state: the first range in the calling thread and the others on an
+    executor of ``threads - 1`` workers (none for one thread), shut down on
+    exit, so no thread outlives the call or is inherited through fork.
     """
-    threads = min(_threads(), most)
+    threads = 1 if _in_stream.get() else _threads()
     pool = concurrent.futures.ThreadPoolExecutor(threads - 1) if threads > 1 else None
+
+    def run(work, a: int, b: int) -> None:   # in its copy, marked as stream work
+        _in_stream.set(True)
+        work(a, b)
 
     def spread(work, stop: int, step: int = 1, parts: int = threads) -> None:
         ranges = _cuts(stop, parts, step)
-        if pool is None:
-            for r in ranges:
-                work(*r)
-            return
-        rest = [pool.submit(work, *r) for r in ranges[1:]]
-        for r in ranges[:1]:
-            work(*r)
+        here, there = (ranges[:1], ranges[1:]) if pool else (ranges, [])
+        rest = [pool.submit(contextvars.copy_context().run, run, work, *r) for r in there]
+        for r in here:
+            contextvars.copy_context().run(run, work, *r)
         for done in rest:
             done.result()
 
@@ -151,9 +158,8 @@ def _chunk_map(count: int, step: int, fn) -> tuple:
             put(start, fn(start, min(start + step, hi)))
 
     if count > step:
-        rest = count - step
-        with _stream_pool(-(-rest // step)) as spread:    # the chunks after the first
-            spread(lambda a, b: fill(step + a, step + b), rest, step)
+        with _stream_pool() as spread:    # the chunks after the first
+            spread(lambda a, b: fill(step + a, step + b), count - step, step)
     return outs
 
 

@@ -55,11 +55,12 @@ from .concentration import (MEDIAN_MIN_COUNT, AnalyticProfile, analytic_profile,
                             concentration_lower_curve, empirical_median,
                             eps_grid_fault, product_ci, quantile_cuts, reduce_projections)
 # ``sample`` stays importable from this module, as callers read it here
-from .measures import (FAMILIES, LP_FAMILIES, MAX_GAMMA_SHAPE, MeasureSpec, ggp,
+from .measures import (LP_FAMILIES, MAX_GAMMA_SHAPE, MeasureSpec, ggp,
                        haar_sphere, radial_cdf, sample, sample_columns, sample_image,
                        sample_map, uniform_ball)
-from .normspace import (INF, NormSpec, _as_p, _config_object, _config_p, dual_norm, lp,
-                        norm_eval, normalize_containment)
+from .normspace import (INF, ConfigError, NormSpec, _config_object, _config_p, dual_norm, lp,
+                        norm_eval, normalize_containment, parse_float, parse_int,
+                        parse_positive, parse_size)
 from .parameters import cube_concentration_floor, embedding_lower_bound
 from .transport import (_lift, lipschitz_constant, norm_ratio_map, radial_norms,
                         radial_transport, ratio_norms)
@@ -185,16 +186,6 @@ def _curve_report(check_id: str, image: np.ndarray, metric: NormSpec,
                    curve.ci, notes)
 
 
-def _resolve_profile(profile, n: int) -> AnalyticProfile:
-    if isinstance(profile, AnalyticProfile):
-        return profile
-    if isinstance(profile, str):
-        return analytic_profile(profile, n)
-    profile = _config_object(profile, ("name", "C", "c"), "a profile")
-    return analytic_profile(profile.get("name", "custom"), n,
-                            C=profile.get("C"), c=profile.get("c"))
-
-
 # ---------------------------------------------------------------------------
 # Lipschitz transfer through an arbitrary map
 # ---------------------------------------------------------------------------
@@ -251,7 +242,7 @@ def check_lipschitz_transfer(*, measure: MeasureSpec, map_cfg: dict, lip: float,
     down by the factor L: image curve at r versus source profile at r/L."""
     map_rows, metric_out, label, map_lip = build_map(map_cfg, metric_in)
     _refuse(_lip_fault(lip, map_lip))
-    prof = _resolve_profile(profile, measure.dim)
+    prof = analytic_profile(profile, measure.dim)
     # every map is row-wise: the image is built from the stream
     image, = sample_image(measure, count, seed, lambda rows: (map_rows(rows),))
     inputs = {"measure": measure.to_config(), "map": label, "lip": lip,
@@ -272,7 +263,7 @@ def check_norm_ratio_transfer(*, K: NormSpec, L: NormSpec, measure: MeasureSpec,
     profile slowed by 14 lam m_K / m_L, on the grid points where the
     smallness precondition (16 x profile at the 7-scale) holds."""
     L_r, cc = normalize_containment(K, L)
-    prof = _resolve_profile(profile, measure.dim)
+    prof = analytic_profile(profile, measure.dim)
     # norm_ratio_map(K, L_r, data), built from the sample stream
     image, vk, vl = _pushed_batch(measure, count, seed, ratio_norms(K, L_r))
     med_k = empirical_median(vk)
@@ -383,7 +374,7 @@ def check_separated_sets(*, measure: MeasureSpec, metric: NormSpec, num_pairs: i
     """Product of the masses of two sets against 4 x profile at half
     their distance, over random parallel half-space pairs whose metric
     distance is exact through the dual norm."""
-    prof = _resolve_profile(profile, measure.dim)
+    prof = analytic_profile(profile, measure.dim)
     data = sample_columns(measure, count, seed)
     n = measure.dim
     dseed = rng.derive_seed(seed, 0xC2)
@@ -470,7 +461,7 @@ def check_sup_embedding(*, K: NormSpec, measure: MeasureSpec,
               "n_functionals": n_func, "d": d, "count": count, "seed": seed,
               "eps": eps_grid.tolist()}
     if profile is not None:   # else the cube floor bounds alpha
-        inputs["profile"] = _resolve_profile(profile, measure.dim).to_config()
+        inputs["profile"] = analytic_profile(profile, measure.dim).to_config()
     return _finish("sup_embedding", inputs, {"small_ball_mass": small_mass}, eps_grid,
                    np.full(eps_grid.shape, float(n_func)), 0.0)
 
@@ -503,7 +494,7 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
     nu = uniform_ball(metric)
     if profile is None:
         profile = "gaussian" if p == 2.0 else "gamma1"
-    prof = _resolve_profile(profile, n)
+    prof = analytic_profile(profile, n)
 
     u = radial_transport(radial_cdf(mu, metric), radial_cdf(nu, metric))
     u_lip = lipschitz_constant(u)
@@ -523,40 +514,8 @@ def check_radial_transfer(*, p: float, n: int, eps_grid: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# Config tokens
+# Config tokens: a norm, measure or profile is read by its own type
 # ---------------------------------------------------------------------------
-
-class ConfigError(ValueError):
-    """Malformed configuration; the message names the offending field."""
-
-
-def parse_norm(token, dim: int) -> NormSpec:
-    """'l1' / 'l2' / 'linf' / 'l1.5' tokens or a full norm config dict."""
-    if isinstance(token, dict):
-        if token.get("dim", dim) != dim:
-            raise ConfigError(f"norm dim {token.get('dim')} conflicts with n={dim}")
-        return NormSpec.from_config({**token, "dim": dim})
-    if isinstance(token, str) and token.startswith("l"):
-        try:
-            p = _as_p(token[1:])
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse norm {token!r}: {exc}") from None
-        return lp(p, dim)
-    raise ConfigError(f"cannot parse norm {token!r} (expected 'l<p>' or a config object)")
-
-
-def parse_measure(token, dim: int, p=None) -> MeasureSpec:
-    """A family token, with ``p`` for the LP_FAMILIES only, or a config dict."""
-    if isinstance(token, dict):
-        cfg = dict(token)
-        cfg.setdefault("dim", dim)
-        if cfg["dim"] != dim:
-            raise ConfigError(f"measure dim {cfg['dim']} conflicts with n={dim}")
-        return MeasureSpec.from_config(cfg)
-    if isinstance(token, str) and token in FAMILIES:
-        return MeasureSpec(family=token, dim=dim, p=p)
-    raise ConfigError(f"cannot parse measure {token!r}")
-
 
 def parse_eps(spec) -> list:
     """Grid from a list of numbers, a range object, or the text forms of a
@@ -605,62 +564,27 @@ def parse_eps(spec) -> list:
     return grid
 
 
-def parse_int(token) -> int:
-    """A JSON integer; an integral float such as 5e4 is accepted too."""
-    if type(token) is int or type(token) is float and token.is_integer():
-        return int(token)
-    raise ConfigError(f"expected an integer, got {token!r}")
-
-
-def parse_size(token) -> int:
-    """A positive JSON integer: a dimension, sample size or count."""
-    if (type(token) is int or type(token) is float and token.is_integer()) and token >= 1:
-        return int(token)
-    raise ConfigError(f"expected a positive integer, got {token!r}")
-
-
-def parse_float(token) -> float:
-    """A finite JSON number (JSON's Infinity and NaN are refused)."""
-    if type(token) in (int, float) and math.isfinite(token):
-        return float(token)
-    raise ConfigError(f"expected a finite number, got {token!r}")
-
-
-def parse_positive(token) -> float:
-    value = parse_float(token)
-    if value > 0.0:
-        return value
-    raise ConfigError(f"expected a positive number, got {token!r}")
-
-
-def parse_profile(token, n: int):
-    """A profile name or object, checked against the catalog; returned as
-    given (null keeps the row's default)."""
+def _checked(token, read, n: int):
+    """``token`` as given, once ``read(token, n)`` accepts it (null keeps the
+    row's default): a profile name or object, or a map object."""
     if token is not None:
-        _resolve_profile(token, n)
+        read(token, n)
     return token
 
 
-def parse_map(token, n: int):
-    """A map object, checked against the kinds of build_map; returned as
-    given (null keeps the row's default).  The metric moves only the map's
-    constant, which the row's fault hook tests against ``lip``."""
-    if token is not None:
-        build_map(token, lp(2, n))
-    return token
-
-
-# token kind -> parser(token, n, p); p is the job's lp exponent for measures
+# token kind -> parser(token, n, p); p is the job's lp exponent for measures.
+# A map is checked in l2: the metric moves only the map's constant, which
+# the row's fault hook tests against ``lip``.
 _PARSERS = {
-    "norm": lambda token, n, p: parse_norm(token, n),
-    "measure": lambda token, n, p: parse_measure(token, n, _config_p(p)),
+    "norm": lambda token, n, p: NormSpec.from_config(token, n),
+    "measure": lambda token, n, p: MeasureSpec.from_config(token, n, _config_p(p)),
     "eps": lambda token, n, p: parse_eps(token),
     "int": lambda token, n, p: parse_int(token),
     "size": lambda token, n, p: parse_size(token),
     "float": lambda token, n, p: parse_float(token),
     "positive": lambda token, n, p: parse_positive(token),
-    "profile": lambda token, n, p: parse_profile(token, n),
-    "map": lambda token, n, p: parse_map(token, n),
+    "profile": lambda token, n, p: _checked(token, analytic_profile, n),
+    "map": lambda token, n, p: _checked(token, lambda cfg, n: build_map(cfg, lp(2, n)), n),
 }
 
 

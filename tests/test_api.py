@@ -1,9 +1,14 @@
-"""The package's public names."""
+"""The package's public names, and the refusals of its library calls."""
 
 import ast
 import inspect
 
+import numpy as np
+import pytest
+
 import concmeter
+from concmeter import measures as ms, normspace as ns, parameters as par, transport as tr
+from concmeter import verify as vf
 
 
 def test_public_api():
@@ -43,3 +48,68 @@ def test_results_the_benchmark_tracer_reads():
     values = parameters.norm_values(measures.gaussian(3), [metric], 50, seed=1)
     assert isinstance(values, list) and isinstance(values[0], np.ndarray)
     assert values[0].size == 50
+
+
+
+def _falling_target() -> ms.RadialCdf:
+    # a radial law whose quantile falls as the probability rises
+    up = ms.radial_cdf(ms.ggp(1.0, 4), ns.lp(1, 4))
+    return ms.RadialCdf(up.eval, up.quantile, up.log_eval,
+                        lambda lq: np.exp(-np.asarray(lq, dtype=np.float64)))
+
+
+# name -> (call, error, message): each refusal of a library call that configs
+# and flags never reach, as they refuse such values first
+_REFUSALS = {
+    "norm_dim": (lambda: ns.NormSpec(dim=0, p=2), ValueError, "dim must be a positive integer"),
+    "norm_transform_shape": (lambda: ns.NormSpec(dim=2, p=2, transform=np.eye(3)), ValueError,
+                             r"transform must be 2x2, got \(3, 3\)"),
+    "norm_kind": (lambda: ns.NormSpec.from_config({"kind": "huber", "p": 2, "dim": 2}),
+                  ValueError, "unknown norm kind 'huber'"),
+    "scaled_factor": (lambda: ns.scaled(ns.lp(2, 2), 0.0), ValueError,
+                      "scale factor must be positive"),
+    "containment_lam": (lambda: ns.ContainmentConstant(lam=0.5, scale=1.0, exact=True),
+                        ValueError, "containment lam must be >= 1, got 0.5"),
+    "containment_scale": (lambda: ns.ContainmentConstant(lam=1.0, scale=0.0, exact=True),
+                          ValueError, "containment scale must be positive"),
+    "measure_dim": (lambda: ms.MeasureSpec("gaussian", 0), ValueError,
+                    "dim must be a positive integer"),
+    "measure_transform": (lambda: ms.MeasureSpec("gaussian", 2, transform=np.eye(2)),
+                          ValueError, "gaussian does not accept a transform"),
+    "radial_cdf_dim": (lambda: ms.radial_cdf(ms.gaussian(3), ns.lp(2, 4)), ValueError,
+                       "measure/norm dimension mismatch"),
+    "gamma_quantile_q": (lambda: ms.gamma_quantile(2.0, 1.0), ValueError,
+                         r"gamma_quantile requires q in \[0, 1\)"),
+    "gamma_quantile_log_q": (lambda: ms.gamma_quantile_log(2.0, 0.5), ValueError,
+                             "log_q must be <= 0"),
+    "beta_dim": (lambda: par.beta(ns.lp(2, 3), ms.gaussian(4), ns.lp(1, 4)), ValueError,
+                 "K, L and the measure must share one dimension"),
+    "beta_diagonal": (lambda: par.beta(ns.lp(2, 2), ms.gaussian(2), ns.lp(1, 2),
+                                       diagonals=[np.array([1.0, 0.0])]),
+                      ValueError, "diagonal candidates must be positive vectors"),
+    "cube_floor_n": (lambda: par.cube_concentration_floor(0.5, 0), ValueError,
+                     "n must be positive"),
+    "cube_threshold_C": (lambda: par.cube_beta_hypothesis_threshold(0.05, 8), ValueError,
+                         "C must be >= 1/16"),
+    "cube_lower_bound_c": (lambda: par.cube_beta_lower_bound(1.0, 0.0, 8), ValueError,
+                           "need c > 0 and n >= 1"),
+    "monotone_map_shape": (lambda: tr.MonotoneMap(knots=[0.0, 1.0], values=[0.0]), ValueError,
+                           "knots/values must be 1-d arrays of equal length >= 2"),
+    "lipschitz_knots": (lambda: tr.lipschitz_constant(tr.MonotoneMap([0.0, 1.0], [0.0, 1.0])),
+                        ValueError, "need at least 3 knots"),
+    "radial_transport_target": (
+        lambda: tr.radial_transport(ms.radial_cdf(ms.ggp(1.0, 4), ns.lp(1, 4)),
+                                    _falling_target()),
+        ValueError, "target quantile not monotone"),
+    "shell_inclusion_eps": (
+        lambda: vf.check_shell_inclusion(K=ns.lp(2, 4), L=ns.lp(1, 4), measure=ms.haar_sphere(4),
+                                         eps=0.0, count=200, probes=10, seed=1),
+        vf.CheckError, "eps must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSALS))
+def test_library_refusals_name_the_fault(name):
+    call, error, message = _REFUSALS[name]
+    with pytest.raises(error, match=message):
+        call()

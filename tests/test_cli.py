@@ -309,6 +309,11 @@ def _named(cases):
     ("text_p_measure_token", {"jobs": [{**PAIRS, "measure": "ggp", "p": "1.5"}]},
      "jobs[0].measure"),
     ("text_p_metric", {"jobs": [{**PAIRS, "metric": {"p": "1.5"}}]}, "jobs[0].metric"),
+    # a measure or norm object's dim is a positive JSON integer: true once ran at n = 1
+    ("dim_true_measure", {"jobs": [{"check": "cube_floor", "n": 1, "measure": {
+        "family": "uniform_ball", "p": "inf", "dim": True}}]}, "jobs[0].measure"),
+    ("dim_true_metric", {"jobs": [{"check": "separated_sets", "n": 1, "measure": "gaussian",
+                                   "metric": {"p": 2, "dim": True}}]}, "jobs[0].metric"),
 ]))
 def test_run_malformed_config_fails_before_any_job(tmp_path, monkeypatch, capsys,
                                                    cfg, field):
@@ -759,7 +764,7 @@ def test_parse_helpers():
     with pytest.raises(cli.ConfigError):
         cli.parse_eps([])
     with pytest.raises(cli.ConfigError):
-        cli.parse_norm("gaussian", 4)
-    assert cli.parse_norm("linf", 3).p == float("inf")
-    norm = cli.parse_norm("l1.5", 6)
+        cli.NormSpec.from_config("gaussian", 4)
+    assert cli.NormSpec.from_config("linf", 3).p == float("inf")
+    norm = cli.NormSpec.from_config("l1.5", 6)
     assert norm.p == 1.5 and norm.dim == 6

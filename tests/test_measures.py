@@ -551,6 +551,19 @@ def test_from_config_refuses_a_transform_entry_that_is_no_finite_number(entry):
     assert ns.NormSpec(dim=2, p=2, transform=np.eye(2)).transform_inv is not None
 
 
+@pytest.mark.parametrize("cls, cfg", [
+    (ms.MeasureSpec, {"family": "gaussian", "dim": "8"}),
+    (ms.MeasureSpec, {"family": "gaussian", "dim": 8.7}),
+    (ms.MeasureSpec, {"family": "uniform_ball", "p": "inf", "dim": True}),
+    (ns.NormSpec, {"p": 2, "dim": "3"}),
+    (ns.NormSpec, {"p": 2, "dim": True}),
+])
+def test_from_config_refuses_a_dim_that_is_no_positive_json_integer(cls, cfg):
+    # int() once read "8" and 8.7 as 8, and True as 1
+    with pytest.raises(ValueError, match="expected a positive integer"):
+        cls.from_config(cfg)
+
+
 def test_body_norm_is_built_once():
     spec = ms.MeasureSpec("uniform_ball", 2, 2.0, _TRANSFORM)
     body = spec.body_norm

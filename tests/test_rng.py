@@ -1,6 +1,7 @@
 """Stream keys, statistical quality and frozen bits of the sample streams."""
 
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -281,3 +282,38 @@ def _digest(a) -> str:
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 def test_stream_digests_frozen(name):
     assert _digest(STREAM_CASES[name]()) == FROZEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_stream_work_keeps_the_callers_error_state(monkeypatch, size):
+    # numpy keeps its error state in a context variable; each range of
+    # stream work runs in a copy of the caller's context, so a GEMM on any
+    # stream thread raises as the caller asked, whichever piece holds the inf
+    monkeypatch.setattr(rng, "_pool_size", size)
+    data = ms.sample(ms.gaussian(4), 20000, 1).data.copy()
+    data[-5, 2] = np.inf
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        con.concentration_lower_curve(data, ns.lp(2, 4), [0.5])
+
+
+def test_no_stream_pool_opens_inside_stream_work(monkeypatch):
+    # above n = 256 a sample chunk is one key block of 256 rows, which
+    # norm_evals cuts into chunks of rng.block_rows(n) rows: a pool opened
+    # on a stream thread would hold a second set of threads
+    from concmeter import parameters as par
+    made = []
+    executor = rng.concurrent.futures.ThreadPoolExecutor
+
+    class Recording(executor):
+        def __init__(self, *args, **kwargs):
+            made.append(threading.current_thread() is threading.main_thread())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(rng.concurrent.futures, "ThreadPoolExecutor", Recording)
+    digests = []
+    for size in (1, 2):
+        monkeypatch.setattr(rng, "_pool_size", size)
+        values = par.norm_values(ms.gaussian(1024), [ns.lp(2, 1024), ns.lp(1, 1024)], 20000, 1)
+        digests.append([_digest(v) for v in values])
+    assert made and all(made)
+    assert digests[0] == digests[1]

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -206,7 +207,7 @@ def _separated_sets_oracle(data, metric, num_pairs, seed, profile):
     """One projection, two np.quantile calls, two counts by searchsorted and
     one dual norm per pair."""
     count, n = data.shape
-    prof = vf._resolve_profile(profile, n)
+    prof = vf.analytic_profile(profile, n)
     dseed = vf.rng.derive_seed(seed, 0xC2)
     thetas = vf.rng._generator(dseed, 0).standard_normal((num_pairs, n))
     u = vf.rng._generator(dseed, 1).random((num_pairs, 2))
@@ -838,5 +839,8 @@ def test_config_reads_integral_map_and_profile_numbers():
                                  "jobs[0]")
     assert vf.build_map(params["map_cfg"], ns.lp(2, 4))[2] == "coordinate:2"
     assert vf.build_map({"kind": "scale", "factor": 2}, ns.lp(2, 4))[2] == "scale:2.0"
-    custom = vf._resolve_profile({"name": "custom", "C": 1, "c": 1}, 4).to_config()
+    custom = vf.analytic_profile({"name": "custom", "C": 1, "c": 1}, 4).to_config()
     assert (type(custom["C"]), type(custom["c"])) == (float, float)
+    # a profile is a name or an object, and a list neither
+    with pytest.raises(ValueError, match=re.escape("expected a profile object, got ['sphere']")):
+        vf.analytic_profile(["sphere"], 4)

@@ -1,4 +1,4 @@
-"""Scale record: time, peak memory and report digest of two checks at the
+"""Scale record: time, peak memory and report digest of three checks at the
 stated scale, n = 1024 and N = 1e5.
 
 Runs each job in a fresh Python process with one BLAS thread
@@ -8,7 +8,11 @@ to 1) and the stream threads' default, one per usable core:
 - ``norm_ratio_transfer``: the sphere pushed from l2 to l1, default eps
   grid, ``sphere`` profile, seed 7;
 - ``separated_sets``: 1000 half-space pairs on the sphere in l2,
-  ``sphere`` profile, seed 7.
+  ``sphere`` profile, seed 7;
+- ``radial_transfer``: ggp(1) pushed to the uniform l1 ball, default eps
+  grid and profile, seed 7.  Its sample chunks are whole key blocks of
+  256 rows, in which the radial map's norms take chunks of fewer rows:
+  the norms run on the stream thread of their sample chunk.
 
 For each job it prints the wall seconds of the check call (the import and
 the interpreter start are not counted), the process's peak RSS in MiB
@@ -35,7 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 N_DIM, COUNT, SEED = 1024, 100_000, 7
-JOBS = ("norm_ratio_transfer", "separated_sets")
+JOBS = ("norm_ratio_transfer", "separated_sets", "radial_transfer")
 ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -50,10 +54,12 @@ def run_job(name: str) -> dict:
         report = verify.check_norm_ratio_transfer(
             K=l2, L=l1, measure=sphere, eps_grid=verify.default_eps_grid(),
             count=COUNT, seed=SEED, profile="sphere")
-    else:
+    elif name == "separated_sets":
         report = verify.check_separated_sets(
             measure=sphere, metric=l2, num_pairs=1000, count=COUNT, seed=SEED,
             profile="sphere")
+    else:
+        report = verify.run_check("radial_transfer", p=1.0, n=N_DIM, count=COUNT, seed=SEED)
     wall = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024   # KiB on Linux
     return {"job": name, "wall_s": round(wall, 3), "peak_rss_mib": round(peak, 1),
