@@ -80,7 +80,7 @@ import numpy as np
 
 from . import rng
 from .normspace import (INF, NormSpec, _as_p, _config_dim, _config_object, _config_p,
-                        _config_transform, lp)
+                        _config_transform, lp, parse_size)
 
 LP_FAMILIES = ("uniform_ball", "cone_surface", "ggp")    # the families that read p
 FAMILIES = LP_FAMILIES + ("gaussian", "haar_sphere")
@@ -260,8 +260,7 @@ class MeasureSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown measure family {self.family!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        object.__setattr__(self, "dim", parse_size(self.dim, "dim"))
         if self.family in LP_FAMILIES:
             if self.p is None:
                 raise ValueError(f"{self.family} requires an lp exponent p")
@@ -440,9 +439,9 @@ def sample_chunks(measure: MeasureSpec, count: int, seed: int
     the temporaries built from it stay near cache size whatever the
     dimension.
     """
-    step = _chunk_rows(measure)
-    for start in range(0, count, step):
-        yield start, _generate(measure, seed, start, min(start + step, count))
+    step, count = _chunk_rows(measure), parse_size(count, "count")   # before the first chunk
+    return ((start, _generate(measure, seed, start, min(start + step, count)))
+            for start in range(0, count, step))
 
 
 def sample_map(measure: MeasureSpec, count: int, seed: int,
@@ -457,8 +456,7 @@ def sample_map(measure: MeasureSpec, count: int, seed: int,
     count).  Peak memory is the outputs plus one chunk's temporaries per
     stream thread.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = parse_size(count, "count")
     return rng._chunk_map(count, _chunk_rows(measure),
                           lambda lo, hi: fn(_generate(measure, seed, lo, hi)))
 
@@ -471,8 +469,7 @@ def sample_image(measure: MeasureSpec, count: int, seed: int,
     are contiguous.  It is allocated from the first chunk's image rows,
     which ``rng._chunk_map`` runs alone; the source batch is never held.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = parse_size(count, "count")
     image = None
 
     def place(lo: int, hi: int) -> tuple:

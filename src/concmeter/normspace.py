@@ -55,9 +55,9 @@ class ConfigError(ValueError):
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is a JSON number that reads as a finite float: an
-    int or float, not a bool (which Python counts as one), inf or NaN."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether ``value`` is a number that reads as a finite float: an int,
+    float or numpy integer, not a bool (an int to Python), inf or NaN."""
+    return (isinstance(value, (int, float, np.integer)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
 
 
@@ -68,11 +68,13 @@ def parse_int(token) -> int:
     raise ConfigError(f"expected an integer, got {token!r}")
 
 
-def parse_size(token) -> int:
-    """A positive JSON integer: a dimension, sample size or count."""
+def parse_size(token, name: Optional[str] = None) -> int:
+    """A positive JSON integer: a dimension, sample size or count; the specs
+    and samplers read ``dim`` and ``count`` by it, naming them by ``name``."""
     if _finite(token) and token == int(token) >= 1:
         return int(token)
-    raise ConfigError(f"expected a positive integer, got {token!r}")
+    raise ConfigError(f"{name + ' must be' if name else 'expected'} a positive integer, "
+                      f"got {token!r}")
 
 
 def parse_float(token) -> float:
@@ -141,8 +143,7 @@ class NormSpec:
     transform_inv: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        object.__setattr__(self, "dim", parse_size(self.dim, "dim"))
         object.__setattr__(self, "p", _as_p(self.p))
         if self.transform is not None:
             t = np.array(self.transform, dtype=np.float64)

@@ -8,8 +8,9 @@ a CheckReport.  The push-forward maps (their row norms) come from
 right side, slack and smallness precondition come from the check's
 Statement in CHECK_SPECS; :func:`restate` turns a report's own terms
 into all of its verdict, so an edited copy of a report gets the verdict
-its terms imply.  The same row holds the check's argument defaults,
-which :func:`run_check` fills in.  Grid points where the precondition
+its terms imply, and :func:`grid_points` into its informative points.
+The same row holds the check's argument defaults, which
+:func:`run_check` fills in.  Grid points where the precondition
 fails are excluded from violation counts but listed.  Empirical medians
 stand in for true medians, with their CI propagated into the slack by
 finite differences on the right side.
@@ -159,6 +160,20 @@ def restate(report: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, floa
     worst = float(admitted.max()) if admitted.size else float("nan")
     verdict = "fail" if violations else "pass" if pre.any() else "not-applicable"
     return rhs, slack, pre, violations, worst, verdict
+
+
+def grid_points(report: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``(admitted, informative)`` masks of a report's grid by :func:`restate`'s
+    terms: informative points are admitted ones that could fail, with lhs and
+    the bound inside the statement's ``lhs_range`` [lo, hi]: ``lhs - ci > lo``
+    and ``rhs + slack < hi`` if "le", ``lhs + ci < hi`` and ``rhs - slack > lo`` if "ge"."""
+    stmt = CHECK_SPECS[report["check_id"]].statement
+    rhs, slack, pre, *_ = restate(report)
+    lhs, ci = (np.asarray(report["grid"][key], dtype=np.float64) for key in ("lhs", "ci"))
+    lo, hi = stmt.lhs_range({**report["inputs"], **report["quantities"]})
+    can_fail = ((lhs - ci > lo) & (rhs + slack < hi) if stmt.relation == "le"
+                else (lhs + ci < hi) & (rhs - slack > lo))
+    return pre, pre & can_fail
 
 
 def _pushed_batch(measure: MeasureSpec, count: int, seed: int, norms
@@ -549,10 +564,7 @@ def parse_eps(spec) -> list:
         fn = {"linear": np.linspace, "log": np.geomspace}.get(spec.get("scale", "linear"))
         if fn is None:
             raise ConfigError(f"eps grid scale must be 'linear' or 'log', got {spec['scale']!r}")
-        try:
-            num = parse_size(spec["num"])
-        except ConfigError as exc:
-            raise ConfigError(f"eps grid num: {exc}") from None
+        num = parse_size(spec["num"], "eps grid num")
         grid = fn(parse_float(spec["start"]), parse_float(spec["stop"]), num).tolist()
     elif isinstance(spec, (list, tuple)):
         grid = [parse_float(v) for v in spec]
@@ -614,6 +626,8 @@ class Statement(NamedTuple):
     pre: Callable = lambda eps, t: True
     medians: tuple = ()     # terms whose "<key>_ci" half-width feeds the slack
     slack: float = 0.0
+    # t -> (least, largest) value the lhs can take; a curve's is [0, 1]
+    lhs_range: Callable = lambda t: (0.0, 1.0)
 
 
 def _shell_caps(eps, t):
@@ -689,7 +703,8 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         fault=_median_fault),
     "shell_inclusion": _spec(
         check_shell_inclusion, 16, ("K", "L", "measure", "eps"),
-        Statement("le", _shell_caps, lambda eps, t: t["shell_set_size"] > 0),
+        Statement("le", _shell_caps, lambda eps, t: t["shell_set_size"] > 0,
+                  lhs_range=lambda t: (0.0, math.inf)),
         _param("K", "norm", lambda n: lp(2, n)),
         _param("L", "norm", lambda n: lp(1, n)),
         _param("measure", "measure", haar_sphere),
@@ -698,7 +713,8 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         fault=_median_fault),
     "separated_sets": _spec(
         check_separated_sets, 64, ("measure",),
-        Statement("le", lambda eps, t: 4.0 * t["prof"](eps)),
+        # lhs = pa * pb of two disjoint sets: pa + pb <= 1, so lhs <= 1/4
+        Statement("le", lambda eps, t: 4.0 * t["prof"](eps), lhs_range=lambda t: (0.0, 0.25)),
         _param("measure", "measure", haar_sphere),
         _param("metric", "norm", lambda n: lp(2, n)),
         _param("num_pairs", "size", lambda n: 1000),
@@ -716,7 +732,9 @@ CHECK_SPECS: dict[str, CheckSpec] = {
         Statement("ge", lambda eps, t: [embedding_lower_bound(a, m) for a, m in
                                         zip(_embedding_alpha(eps, t), t["small_ball_mass"])],
                   lambda eps, t: (eps < 1.0 / t["d"]) & (_embedding_alpha(eps, t) > 0.0),
-                  slack=_ALGEBRAIC_TOL),
+                  slack=_ALGEBRAIC_TOL,
+                  # the lhs is the embedding's coordinate count
+                  lhs_range=lambda t: (t["n_functionals"],) * 2),
         _param("K", "norm", lambda n: lp(INF, n)),
         _param("measure", "measure", lambda n: uniform_ball(lp(INF, n))),
         _param(None, None, np.eye, "functionals"),

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -113,3 +114,44 @@ def test_library_refusals_name_the_fault(name):
     call, error, message = _REFUSALS[name]
     with pytest.raises(error, match=message):
         call()
+
+
+_SPEC_BUILDERS = {"lp": lambda dim: ns.lp(2, dim),
+                  "norm_object": lambda dim: ns.NormSpec(dim, 1.5),
+                  "gaussian": ms.gaussian, "ggp": lambda dim: ms.ggp(1.0, dim),
+                  "uniform_ball": lambda dim: ms.MeasureSpec("uniform_ball", dim, "inf")}
+
+
+@pytest.mark.parametrize("dim", [8.7, 2.5, True, None, 0, -3, "3", np.float64(0.5)])
+@pytest.mark.parametrize("spec", sorted(_SPEC_BUILDERS))
+def test_spec_constructors_refuse_a_dim_that_is_no_positive_integer(spec, dim):
+    # the library reads dim by the config readers' size rule
+    message = f"^dim must be a positive integer, got {re.escape(repr(dim))}$"
+    with pytest.raises(ValueError, match=message):
+        _SPEC_BUILDERS[spec](dim)
+
+
+@pytest.mark.parametrize("dim", [8, 8.0, np.int64(8), np.int32(8), np.uint8(8)])
+@pytest.mark.parametrize("spec", sorted(_SPEC_BUILDERS))
+def test_spec_constructors_hold_an_integral_dim_as_an_int(spec, dim):
+    built = _SPEC_BUILDERS[spec](dim)
+    assert type(built.dim) is int and built == _SPEC_BUILDERS[spec](8)
+    assert built.to_config()["dim"] == 8
+
+
+def test_from_config_names_a_missing_dim():
+    # once a TypeError from None < 1
+    with pytest.raises(ns.ConfigError, match="dim must be a positive integer, got None"):
+        ns.NormSpec.from_config("l2")
+    with pytest.raises(ns.ConfigError, match="^dim must be a positive integer, got None$"):
+        ms.MeasureSpec.from_config("gaussian")
+
+
+def test_the_size_rule_reads_numpy_integers_and_names_its_argument():
+    assert ns.parse_size(np.int64(5)) == 5 and type(ns.parse_size(np.int16(5))) is int
+    for bad in (np.bool_(True), np.float64(2.5), 0, None):
+        message = f"^expected a positive integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ns.ConfigError, match=message):
+            ns.parse_size(bad)
+    with pytest.raises(ns.ConfigError, match="^count must be a positive integer, got 0$"):
+        ns.parse_size(0, "count")

@@ -623,3 +623,31 @@ def test_radial_cdf_monte_carlo_consistency():
     r = np.sort(ns.norm_eval(ns.lp(1, 5), batch.data))
     pos = (np.arange(1, N_BIG + 1) - 0.5) / N_BIG
     assert np.max(np.abs(cdf.eval(r) - pos)) <= 0.01
+
+
+
+# each sampling entry point, as the array it returns
+_DRAWS = {"sample": lambda count: ms.sample(ms.gaussian(2), count, 1).data,
+          "sample_chunks": lambda count: np.concatenate(
+              [rows for _, rows in ms.sample_chunks(ms.ggp(1.5, 2), count, 1)]),
+          "sample_columns": lambda count: ms.sample_columns(ms.haar_sphere(3), count, 1),
+          "sample_map": lambda count: ms.sample_map(ms.ggp(1.0, 2), count, 1, lambda r: (r,))[0],
+          "sample_image": lambda count: ms.sample_image(ms.gaussian(2), count, 1,
+                                                        lambda r: (r,))[0]}
+
+
+@pytest.mark.parametrize("count", [2.5, True, None, 0, -1, "10", np.float64(1.5)])
+@pytest.mark.parametrize("draw", sorted(_DRAWS))
+def test_sampling_refuses_a_count_that_is_no_positive_integer(draw, count):
+    # once a TypeError deep in numpy, or an empty batch for a bool
+    message = f"^count must be a positive integer, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match=message):
+        _DRAWS[draw](count)
+
+
+@pytest.mark.parametrize("draw", sorted(_DRAWS))
+def test_sampling_reads_an_integral_count(draw):
+    want = _DRAWS[draw](700)
+    for count in (700.0, np.int64(700), np.int32(700)):
+        got = _DRAWS[draw](count)
+        assert got.shape == want.shape and np.array_equal(got, want)

@@ -633,6 +633,45 @@ def test_restate_gives_the_verdict_of_an_edited_report(monkeypatch):
     assert rhs.tolist() != embedding["grid"]["rhs"]
 
 
+# (lhs, ci, rhs) of hand-built grid points, the last not admitted, and which
+# are informative under each row's declared lhs range and each relation
+_RANGE_POINTS = [(0.0, 0.0, 5.0), (0.125, 0.0, 0.125), (0.25, 0.0, 0.25), (5.0, 0.0, 0.0),
+                 (3.0, 0.0, 3.0), (0.125, 0.125, 0.125), (5.0, 0.0, 0.0)]
+_INFORMATIVE = {
+    ("separated_sets", "le"): "0101000", ("separated_sets", "ge"): "1100000",   # [0, 1/4]
+    ("shell_inclusion", "le"): "0111100", ("shell_inclusion", "ge"): "1110110",  # [0, inf)
+    ("sup_embedding", "le"): "0001000", ("sup_embedding", "ge"): "1000000",      # {3}
+}
+
+
+@pytest.mark.parametrize("check_id, relation", sorted(_INFORMATIVE))
+def test_grid_points_read_the_declared_lhs_range(monkeypatch, check_id, relation):
+    # the row keeps its lhs range; its relation, rhs and precondition are
+    # replaced by ones that read the hand-built terms
+    spec = vf.CHECK_SPECS[check_id]
+    stmt = vf.Statement(relation, lambda eps, t: np.asarray(t["rhs"]),
+                        lambda eps, t: np.asarray(t["admitted"]),
+                        lhs_range=spec.statement.lhs_range)
+    monkeypatch.setitem(vf.CHECK_SPECS, check_id, spec._replace(statement=stmt))
+    lhs, ci, rhs = map(list, zip(*_RANGE_POINTS))
+    admitted = [True] * (len(_RANGE_POINTS) - 1) + [False]
+    report = {"check_id": check_id, "inputs": {"n_functionals": 3},
+              "quantities": {"rhs": rhs, "admitted": admitted},
+              "grid": {"eps": [0.1] * len(lhs), "lhs": lhs, "ci": ci}}
+    got_admitted, informative = vf.grid_points(report)
+    assert got_admitted.tolist() == admitted
+    assert "".join("01"[int(b)] for b in informative) == _INFORMATIVE[check_id, relation]
+
+
+def test_each_check_declares_its_lhs_range():
+    declared = {cid: spec.statement.lhs_range({"n_functionals": 3})
+                for cid, spec in vf.CHECK_SPECS.items()}
+    assert declared == {"lipschitz_transfer": (0.0, 1.0), "norm_ratio_transfer": (0.0, 1.0),
+                        "shell_inclusion": (0.0, math.inf), "separated_sets": (0.0, 0.25),
+                        "cube_floor": (0.0, 1.0), "sup_embedding": (3, 3),
+                        "radial_transfer": (0.0, 1.0)}
+
+
 def test_cube_floor_small_dims():
     for n in (1, 2, 8):
         rep = vf.run_check("cube_floor", n=n, eps_grid=np.linspace(0.1, 0.9, 9),

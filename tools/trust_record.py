@@ -8,16 +8,12 @@ in this process, and writes one JSON record (by default
 - ``verdicts``: how many seeds gave each verdict;
 - ``violations``, ``admitted``, ``informative``: per seed, the report's
   violation count, its admitted grid points (precondition true), and the
-  admitted points that could have failed.  A point is informative when
-  its lhs is measured above the least value lhs can take and the bound
-  lies below the largest, read off the report's grid:
-  ``lhs - ci > lo`` and ``rhs + slack < hi`` for an "le" check,
-  ``lhs + ci < hi`` and ``rhs - slack > lo`` for a "ge" check, where
-  [lo, hi] is [0, 1] for a curve, [0, 1/4] for a set-pair product,
-  [0, inf) for the shell chain and {n_functionals} for the embedding;
+  admitted points that could have failed, by ``verify.grid_points`` (its
+  docstring gives the rule; each check declares the range of its lhs);
 - ``vacuous`` (the two transfer checks): per seed, the admitted points
   at eps >= 2.  Both images lie in a body of diameter 2 in their metric,
-  so there alpha(eps) = 0 exactly and no sample can fail;
+  so there alpha(eps) = 0 exactly and no sample can fail.  This is a
+  fact about the two images, not about the checks, so it lives here;
 - ``k_star`` (jobs with a profile): the least factor k on the profile's
   c at which the report fails, by a 50-step geometric bisection of k in
   [1, 1e4] on copies of the report, each judged by ``verify.restate``;
@@ -25,11 +21,12 @@ in this process, and writes one JSON record (by default
 
 The record is a deterministic function of the config and the seeds (under
 one numpy release, which it names), so running the script twice gives the
-same bytes.
+same bytes.  The library is imported from this checkout's ``src/``, never
+from an installed copy.
 
 Usage::
 
-    PYTHONPATH=src python tools/trust_record.py [--out PATH]
+    python tools/trust_record.py [--out PATH]
 """
 
 from __future__ import annotations
@@ -40,46 +37,30 @@ import json
 import math
 import os
 import statistics
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from concmeter import cli, verify
-
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+from concmeter import cli, verify  # noqa: E402
+
+if not Path(cli.__file__).resolve().is_relative_to(ROOT / "src"):
+    sys.exit(f"concmeter was imported from {cli.__file__}, not from {ROOT / 'src'}")
+
 CONFIG = "configs/demo.json"
 SEEDS = range(1, 11)
 DIAMETER = 2.0     # of the norm-ratio and radial images, in their metrics
 K_RANGE, K_STEPS = (1.0, 1e4), 50
 
 
-def lhs_range(report: dict) -> tuple[float, float]:
-    """The least and largest value the report's lhs can take."""
-    check = report["check_id"]
-    if check == "separated_sets":
-        return 0.0, 0.25
-    if check == "shell_inclusion":
-        return 0.0, math.inf
-    if check == "sup_embedding":
-        n = float(report["inputs"]["n_functionals"])
-        return n, n
-    return 0.0, 1.0
-
-
 def point_counts(report: dict) -> dict:
-    grid = report["grid"]
-    eps, lhs, ci, rhs, slack = (np.asarray(grid[k], dtype=np.float64)
-                                for k in ("eps", "lhs", "ci", "rhs", "slack"))
-    admitted = np.asarray(grid["precondition"], dtype=bool)
-    lo, hi = lhs_range(report)
-    if grid["relation"] == "le":
-        can_fail = (lhs - ci > lo) & (rhs + slack < hi)
-    else:
-        can_fail = (lhs + ci < hi) & (rhs - slack > lo)
-    counts = {"admitted": int(admitted.sum()),
-              "informative": int((admitted & can_fail).sum())}
+    admitted, informative = verify.grid_points(report)
+    counts = {"admitted": int(admitted.sum()), "informative": int(informative.sum())}
     if report["check_id"] in ("norm_ratio_transfer", "radial_transfer"):
+        eps = np.asarray(report["grid"]["eps"], dtype=np.float64)
         counts["vacuous"] = int((admitted & (eps >= DIAMETER)).sum())
     return counts
 
